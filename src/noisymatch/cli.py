@@ -131,8 +131,7 @@ def _curve_rows(curve_id: str, curve):
 def run(doc: dict, out_dir: Path, threads: int, emit_cutoffs: bool) -> int:
     started = time.time()
     if emit_cutoffs:
-        doc = dict(doc)
-        doc.setdefault("plan", {})["record_cutoffs"] = True
+        doc = {**doc, "plan": {**doc.get("plan", {}), "record_cutoffs": True}}
     config, plan = dict_to_config(doc)
     digest = config_hash(config_to_dict(config, plan))
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -50,6 +50,14 @@ def config_to_dict(config: EconomyConfig, plan: ExperimentPlan) -> dict:
     }
 
 
+def _integer(value, field: str) -> int:
+    """An integral number as int; anything else, 50.7 or "10" included, is an error."""
+    integral = isinstance(value, int) and not isinstance(value, bool)
+    if not (integral or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"{field}: must be an integer, got {value!r}")
+    return int(value)
+
+
 def dict_to_config(doc: dict) -> tuple[EconomyConfig, ExperimentPlan]:
     try:
         coalitions = tuple(
@@ -61,20 +69,24 @@ def dict_to_config(doc: dict) -> tuple[EconomyConfig, ExperimentPlan]:
             for k in doc["coalitions"]
         )
         colleges = tuple(
-            College(id=c["id"], capacity=int(c["capacity"]), coalition=c["coalition"])
+            College(
+                id=c["id"],
+                capacity=_integer(c["capacity"], f"colleges[{c['id']}].capacity"),
+                coalition=c["coalition"],
+            )
             for c in doc["colleges"]
         )
         config = EconomyConfig(
-            n_students=int(doc["n_students"]),
+            n_students=_integer(doc["n_students"], "n_students"),
             colleges=colleges,
             coalitions=coalitions,
             preferences=preferences_from_dict(doc["preferences"]),
-            master_seed=int(doc["master_seed"]),
+            master_seed=_integer(doc["master_seed"], "master_seed"),
             capacity_alpha=float(doc.get("capacity_alpha", 1.0)),
         )
         p = doc["plan"]
         plan = ExperimentPlan(
-            replications=int(p["replications"]),
+            replications=_integer(p["replications"], "plan.replications"),
             bin_edges=tuple(p["bin_edges"]),
             curves=tuple(curve_from_dict(c) for c in p.get("curves", [])),
             record_cutoffs=bool(p.get("record_cutoffs", True)),

@@ -170,10 +170,14 @@ def run_replications(
     Replication r draws its own RNG streams from (master_seed, r), so the
     result is identical whether replications run serially or in a pool.
     """
-    reps = range(plan.replications)
-    if threads > 1 and plan.replications > 1:
+    n = plan.replications
+    reps = range(n)
+    if threads > 1 and n > 1:
+        # about four chunks per worker: config and plan are pickled once per
+        # chunk rather than once per replication, and the load still balances
+        chunksize = max(1, n // (4 * threads))
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_one, *zip(*[(config, plan, r) for r in reps])))
+            results = list(pool.map(_run_one, [config] * n, [plan] * n, reps, chunksize=chunksize))
     else:
         results = [_run_one(config, plan, r) for r in reps]
 

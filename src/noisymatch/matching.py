@@ -41,17 +41,48 @@ class Matching:
         return int((self.assignment != UNMATCHED).sum())
 
 
+# Markets with at least this many (student, college) cells take the vectorised
+# path.  Median time per call on the same sampled markets (fig1 shape, Python
+# 3.11, numpy 2.4, 2-vCPU machine), heap loop against vectorised:
+#   n=200,   C=2      (400 cells): 0.31 ms vs 0.48 ms
+#   n=400,   C=4    (1,600 cells): 0.94 ms vs 1.02 ms
+#   n=400,   C=8    (3,200 cells): 1.21 ms vs 1.38 ms; n=800, C=4: 1.68 vs 1.39 ms
+#   n=800,   C=8    (6,400 cells): 2.81 ms vs 2.07 ms
+#   n=2000,  C=20+20 (80,000 cells, fig2): 24.8 ms vs 9.8 ms
+#   n=20000, C=1000 (20 M cells, Pareto noise): 14.2 s vs 0.8 s
+# Below the crossover, numpy's fixed cost per call and round outweighs the
+# Python loop.
+VECTORISED_MIN_CELLS = 4000
+
+
+def _capacity_list(capacities: Sequence[int], n_colleges: int) -> list[int]:
+    caps = [int(c) for c in capacities]
+    if len(caps) != n_colleges:
+        raise ValueError(f"capacities: expected {n_colleges} entries, got {len(caps)}")
+    return caps
+
+
 def deferred_acceptance(market: SampledMarket, capacities: Sequence[int]) -> Matching:
     """Student-optimal stable matching for the sampled market.
+
+    Small markets run the heap loop, large ones the vectorised cutoff
+    fixed point; both return the same Matching, roster order included.
+    """
+    n, n_colleges = market.scores.shape
+    if n * n_colleges >= VECTORISED_MIN_CELLS:
+        return vectorised_deferred_acceptance(market, capacities)
+    return heap_deferred_acceptance(market, capacities)
+
+
+def heap_deferred_acceptance(market: SampledMarket, capacities: Sequence[int]) -> Matching:
+    """Student-proposing deferred acceptance, one proposal at a time.
 
     Each college keeps a min-heap of tentatively admitted students keyed by
     (score, -student), so the worst admit pops first and a displaced student
     resumes proposing from their next choice.
     """
     n, n_colleges = market.scores.shape
-    caps = [int(c) for c in capacities]
-    if len(caps) != n_colleges:
-        raise ValueError(f"capacities: expected {n_colleges} entries, got {len(caps)}")
+    caps = _capacity_list(capacities, n_colleges)
 
     prefs = market.prefs.tolist()
     scores = market.scores.tolist()
@@ -90,6 +121,95 @@ def deferred_acceptance(market: SampledMarket, capacities: Sequence[int]) -> Mat
     return Matching(
         np.array(assignment, dtype=int), tuple(rosters), tuple(roster_scores), tuple(caps)
     )
+
+
+def vectorised_deferred_acceptance(
+    market: SampledMarket, capacities: Sequence[int]
+) -> Matching:
+    """Student-proposing deferred acceptance as a cutoff-raising fixed point.
+
+    Every cutoff starts at -inf and each student proposes to their first
+    choice.  Each round, every overdemanded college raises its cutoff to its
+    cap-th best demander under the composite key (score, lower student index
+    wins), and each rejected student moves on to the next college on their
+    list that they can afford.  Cutoffs only rise, so a college a student
+    cannot afford now would reject them later too; the loop ends at the
+    smallest market-clearing cutoffs, which give the student-optimal stable
+    matching (Azevedo & Leshno 2016).
+    """
+    n, n_colleges = market.scores.shape
+    caps = _capacity_list(capacities, n_colleges)
+    cap = np.asarray(caps, dtype=np.int64)
+    prefs = np.ascontiguousarray(market.prefs).ravel()
+    scores = np.ascontiguousarray(market.scores, dtype=float).ravel()
+    row = np.arange(n, dtype=np.int64) * n_colleges  # flat offset of each student's row
+
+    cut_score = np.full(n_colleges, -np.inf)
+    cut_student = np.full(n_colleges, n, dtype=np.int64)
+    pos = np.zeros(n, dtype=np.int64)  # list position of each student's current proposal
+    college = prefs[row].astype(np.int64)  # current proposal, UNMATCHED once the list runs out
+
+    while True:
+        load = np.bincount(college + 1, minlength=n_colleges + 1)[1:]
+        over = load > cap
+        if not over.any():
+            break
+        who = np.flatnonzero(np.append(over, False)[college])  # UNMATCHED reads the False
+        col = college[who]
+        sc = scores[row[who] + col]
+        order = np.lexsort((who, -sc, col))
+        who, col, sc = who[order], col[order], sc[order]
+        place = np.arange(len(who)) - np.searchsorted(col, col)
+        last = place == cap[col] - 1
+        cut_score[col[last]] = sc[last]
+        cut_student[col[last]] = who[last]
+        _advance(who[place >= cap[col]], prefs, scores, row, cut_score, cut_student, pos, college)
+
+    matched = np.nonzero(college != UNMATCHED)[0]
+    col = college[matched]
+    sc = scores[row[matched] + col]
+    order = np.lexsort((-matched, -sc, col))  # roster order of the heap loop
+    bounds = np.cumsum(np.bincount(col, minlength=n_colleges))[:-1]
+    rosters = np.split(matched[order], bounds)
+    roster_scores = np.split(sc[order], bounds)
+    return Matching(college, tuple(rosters), tuple(roster_scores), tuple(caps))
+
+
+def _advance(rejected, prefs, scores, row, cut_score, cut_student, pos, college):
+    """Move each rejected student to the next college on their list they can afford.
+
+    Scans a window of list positions per step over the rejected students
+    only, doubling it for those who found nothing; a student who runs out
+    of list becomes UNMATCHED.  Updates pos and college in place.
+    """
+    n_colleges = len(cut_score)
+    window = 8
+    while True:
+        done = pos[rejected] >= n_colleges - 1
+        college[rejected[done]] = UNMATCHED
+        rejected = rejected[~done]
+        if not len(rejected):
+            return
+        # positions past the end repeat the last college, which is examined at
+        # its own position first, so the first affordable hit is a real one
+        at = np.minimum(pos[rejected, None] + np.arange(1, window + 1), n_colleges - 1)
+        base = row[rejected, None]
+        cand = prefs[base + at]
+        sc = scores[base + cand]
+        cs = cut_score[cand]
+        ok = sc > cs
+        tie = sc == cs
+        if tie.any():
+            ok |= tie & (rejected[:, None] <= cut_student[cand])
+        first = ok.argmax(axis=1)
+        k = np.arange(len(rejected))
+        found = ok[k, first]
+        hit = rejected[found]
+        pos[hit] += first[found] + 1
+        college[hit] = cand[k[found], first[found]]
+        rejected = rejected[~found]
+        pos[rejected] += window
+        window = min(2 * window, 256)
 
 
 def find_blocking_pairs(

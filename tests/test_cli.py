@@ -1,10 +1,12 @@
 """Tests for presets, the config file round trip, and the CLI contract."""
 
+import copy
 import json
+import re
 
 import pytest
 
-from noisymatch.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, main
+from noisymatch.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, main, run
 from noisymatch.config_io import (
     apply_overrides,
     canonical_json,
@@ -82,6 +84,60 @@ class TestConfigRoundTrip:
             dict_to_config({"n_students": 10})
 
 
+def small_doc():
+    config, plan = fig1(colleges=2, replications=2, n_students=40)
+    return config_to_dict(config, plan)
+
+
+def field_slot(doc, field):
+    """The dict holding one integer field, and its key."""
+    if field == "capacity":
+        return doc["colleges"][0], "capacity"
+    if field == "replications":
+        return doc["plan"], "replications"
+    return doc, field
+
+
+def set_field(doc, field, value):
+    slot, key = field_slot(doc, field)
+    slot[key] = value
+    return doc
+
+
+INTEGER_FIELDS = {
+    "capacity": "colleges[1].capacity",
+    "n_students": "n_students",
+    "replications": "plan.replications",
+    "master_seed": "master_seed",
+}
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+    @pytest.mark.parametrize("value", [2.9, "3", True])
+    def test_non_integral_rejected(self, field, value):
+        doc = set_field(small_doc(), field, value)
+        message = re.escape(f"{INTEGER_FIELDS[field]}: must be an integer")
+        with pytest.raises(ConfigError, match="^" + message):
+            dict_to_config(doc)
+
+    @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+    def test_integral_values_accepted(self, field):
+        doc = small_doc()
+        slot, key = field_slot(doc, field)
+        for value in (slot[key], float(slot[key])):
+            config, plan = dict_to_config(set_field(copy.deepcopy(doc), field, value))
+            assert config_to_dict(config, plan) == doc
+
+    @pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+    def test_cli_exits_three_naming_the_field(self, field, tmp_path, capsys):
+        path = tmp_path / "econ.json"
+        path.write_text(json.dumps(set_field(small_doc(), field, 50.7)))
+        code = run_cli("--config", str(path), "--out-dir", str(tmp_path / "o"), "--threads", "1")
+        assert code == EXIT_INVARIANT
+        assert INTEGER_FIELDS[field] in capsys.readouterr().err
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -140,6 +196,16 @@ class TestCliContract:
             "--out-dir", str(tmp_path / "x"), "--threads", "1",
         )
         assert code == EXIT_INVARIANT
+
+    def test_run_leaves_caller_doc_unchanged(self, tmp_path):
+        doc = small_doc()
+        doc["plan"]["record_cutoffs"] = False
+        before = copy.deepcopy(doc)
+        assert run(doc, tmp_path / "o", 1, emit_cutoffs=True) == EXIT_OK
+        assert doc == before
+        assert (tmp_path / "o" / "cutoffs.csv").exists()
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert manifest["effective_config"]["plan"]["record_cutoffs"] is True
 
     def test_effective_config_recorded(self, tmp_path):
         out = tmp_path / "run"

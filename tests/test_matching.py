@@ -8,13 +8,22 @@ one; the algorithm must reproduce it exactly.
 import itertools
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from noisymatch.market import SampledMarket
+from noisymatch import matching
+from noisymatch.cutoffs import extract_cutoffs
+from noisymatch.estimation import run_replications
+from noisymatch.market import SampledMarket, sample_market
 from noisymatch.matching import (
     UNMATCHED,
+    VECTORISED_MIN_CELLS,
     deferred_acceptance,
     find_blocking_pairs,
+    heap_deferred_acceptance,
+    vectorised_deferred_acceptance,
 )
+from noisymatch.presets import fig1
 
 
 def make_market(prefs, scores):
@@ -222,3 +231,60 @@ class TestOracleEquivalence:
                 assert got == student_optimal(stable, [list(p) for p in prefs], c)
                 checked += 1
         assert checked == len(pref_options) ** n * len(levels) ** (n * c)
+
+
+# ---------------------------------------------------------------------------
+# the vectorised path against the heap loop
+
+
+@st.composite
+def tie_heavy_markets(draw):
+    """Small markets with scores on a 5-point grid, so exact ties are common,
+    and capacities that often exceed the students who want a college."""
+    n = draw(st.integers(1, 25))
+    c = draw(st.integers(1, 6))
+    grid = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+    scores = draw(st.lists(st.lists(grid, min_size=c, max_size=c), min_size=n, max_size=n))
+    prefs = [draw(st.permutations(range(c))) for _ in range(n)]
+    caps = draw(st.lists(st.integers(1, 5), min_size=c, max_size=c))
+    return make_market(prefs, scores), caps
+
+
+def assert_same_matching(got, want):
+    assert np.array_equal(got.assignment, want.assignment)
+    assert got.assignment.dtype == want.assignment.dtype
+    assert got.capacities == want.capacities
+    assert len(got.rosters) == len(want.rosters)
+    for c in range(want.n_colleges):
+        assert np.array_equal(got.rosters[c], want.rosters[c])
+        assert np.array_equal(got.scores[c], want.scores[c])
+    assert np.array_equal(extract_cutoffs(got), extract_cutoffs(want))
+
+
+class TestVectorisedPath:
+    @settings(max_examples=400, deadline=None)
+    @given(tie_heavy_markets())
+    def test_equals_heap_loop(self, case):
+        market, caps = case
+        got = vectorised_deferred_acceptance(market, caps)
+        assert_same_matching(got, heap_deferred_acceptance(market, caps))
+        assert find_blocking_pairs(got, market) == []
+
+    def test_dispatch_by_market_size(self, monkeypatch):
+        calls = []
+        for name in ("heap_deferred_acceptance", "vectorised_deferred_acceptance"):
+            monkeypatch.setattr(matching, name, lambda m, c, name=name: calls.append(name))
+        for n, c in ((200, 2), (2000, 2)):  # 400 and 4000 cells
+            market = make_market(np.zeros((n, c), dtype=int), np.zeros((n, c)))
+            matching.deferred_acceptance(market, [1] * c)
+        assert calls == ["heap_deferred_acceptance", "vectorised_deferred_acceptance"]
+
+    def test_run_replications_above_threshold(self):
+        config, plan = fig1(colleges=100, noise="pareto", n_students=2000, replications=3)
+        assert config.n_students * config.n_colleges >= VECTORISED_MIN_CELLS
+        records = run_replications(config, plan, threads=1)
+        caps = config.capacities()
+        for r in range(plan.replications):
+            heap = heap_deferred_acceptance(sample_market(config, r), caps)
+            assert np.array_equal(records.assignment[r], heap.assignment)
+            assert np.array_equal(records.cutoffs[r], extract_cutoffs(heap))
