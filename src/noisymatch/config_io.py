@@ -58,15 +58,37 @@ def _integer(value, field: str) -> int:
     return int(value)
 
 
+def _coalition(k: dict, path: str) -> Coalition:
+    try:
+        values = values_from_dict(k["values"])
+        noise = None if k.get("noise") is None else noise_from_dict(k["noise"])
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from e
+    return Coalition(id=k["id"], values=values, noise=noise)
+
+
+def _reject_unknown_fields(doc, canonical, path: str = "") -> None:
+    """Raise on the first key of doc that its canonical form does not have.
+
+    The canonical form, config_to_dict of the parsed config, holds every
+    field the program reads, so any other key is a misspelling or a field
+    this version does not know.
+    """
+    if isinstance(doc, dict) and isinstance(canonical, dict):
+        for key, value in doc.items():
+            where = f"{path}.{key}" if path else key
+            if key not in canonical:
+                raise ConfigError(f"{where}: unknown field")
+            _reject_unknown_fields(value, canonical[key], where)
+    elif isinstance(doc, list) and isinstance(canonical, list):
+        for i, (item, canon) in enumerate(zip(doc, canonical)):
+            _reject_unknown_fields(item, canon, f"{path}[{i}]")
+
+
 def dict_to_config(doc: dict) -> tuple[EconomyConfig, ExperimentPlan]:
     try:
         coalitions = tuple(
-            Coalition(
-                id=k["id"],
-                values=values_from_dict(k["values"]),
-                noise=None if k.get("noise") is None else noise_from_dict(k["noise"]),
-            )
-            for k in doc["coalitions"]
+            _coalition(k, f"coalitions[{i}]") for i, k in enumerate(doc["coalitions"])
         )
         colleges = tuple(
             College(
@@ -93,6 +115,7 @@ def dict_to_config(doc: dict) -> tuple[EconomyConfig, ExperimentPlan]:
         )
     except KeyError as e:
         raise ConfigError(f"config: missing required field {e.args[0]!r}") from e
+    _reject_unknown_fields(doc, config_to_dict(config, plan))
     return config, plan
 
 
@@ -113,10 +136,6 @@ def load_config_file(path: str | Path) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path}: top level must be an object")
     return doc
-
-
-def save_config_file(doc: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def apply_overrides(doc: dict, overrides: list[str]) -> dict:

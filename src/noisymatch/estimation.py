@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cutoffs import extract_cutoffs
+from .cutoffs import afford_matrix, extract_cutoffs
 from .errors import ConfigError, ReplicationError
 from .market import EconomyConfig, sample_market
 from .matching import UNMATCHED, deferred_acceptance
@@ -151,10 +151,11 @@ def _run_one(config: EconomyConfig, plan: ExperimentPlan, replication: int):
         for coalition_id, eps in _afford_requests(plan):
             members = config.coalition_members(coalition_id)
             kept = np.asarray(trim_coalition(cuts, members, eps), dtype=int)
-            if len(kept) == 0:
-                afford[(coalition_id, eps)] = np.zeros(market.n_students, dtype=bool)
-            else:
-                afford[(coalition_id, eps)] = (market.scores[:, kept] >= cuts[kept]).any(axis=1)
+            # NaN bars the other colleges: no score, +inf included, is >= NaN.
+            # Comparing in place avoids copying the kept score columns.
+            bar = np.full(market.n_colleges, np.nan)
+            bar[kept] = cuts[kept]
+            afford[(coalition_id, eps)] = afford_matrix(market, bar).any(axis=1)
         return market.values, matching.assignment, afford, cuts
     except ReplicationError:
         raise

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Sequence
 
@@ -24,6 +25,10 @@ from .noise import NoiseSpec
 STREAM_VALUES = 0
 STREAM_PREFS = 1
 STREAM_NOISE = 2
+
+# Noise is drawn at most this many cells at a time (8 MiB of float64), so the
+# temporary stays small next to the n x C score matrix.
+_NOISE_BLOCK_CELLS = 1 << 20
 
 
 class CapacityRegularityWarning(UserWarning):
@@ -441,11 +446,25 @@ def sample_market(config: EconomyConfig, replication: int = 0) -> SampledMarket:
     prefs = config.preferences.sample_prefs(rng_prefs, n, n_colleges, coal_idx)
 
     rng_noise = child_rng(config.master_seed, replication, STREAM_NOISE)
-    scores = values[:, coal_idx].copy()
-    for c in range(n_colleges):
-        spec = config.coalitions[coal_idx[c]].noise
-        if spec is not None:
-            scores[:, c] += spec.sample(rng_noise, n)
+    scores = np.empty((n, n_colleges))
+    block = max(1, _NOISE_BLOCK_CELLS // n)
+    # Walk runs of consecutive colleges of one coalition (by position, not by
+    # noise spec: equal specs may sit on different value columns).  A block of
+    # m colleges takes one draw of m * n; row j of it is what college c0 + j
+    # alone would have drawn next, so the noise stream is consumed in college
+    # order and the scores equal a per-college loop's bit for bit.
+    end = 0
+    for pos, run in groupby(coal_idx.tolist()):
+        start, end = end, end + len(list(run))
+        spec = config.coalitions[pos].noise
+        value = values[:, pos, None]
+        for c0 in range(start, end, block):
+            c1 = min(c0 + block, end)
+            if spec is None:
+                scores[:, c0:c1] = value
+            else:
+                noise = spec.sample(rng_noise, (c1 - c0) * n).reshape(c1 - c0, n)
+                np.add(value, noise.T, out=scores[:, c0:c1])
 
     return SampledMarket(values, prefs, scores, coal_idx, replication)
 

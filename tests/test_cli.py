@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from noisymatch.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, main, run
+from noisymatch.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, main, run
 from noisymatch.config_io import (
     apply_overrides,
     canonical_json,
@@ -138,6 +138,58 @@ class TestIntegerFields:
         assert INTEGER_FIELDS[field] in capsys.readouterr().err
 
 
+def rename_key(node, old, new):
+    node[new] = node.pop(old)
+
+
+MISSPELLINGS = {
+    # a required key misspelled next to the real one, as --set leaves it
+    "plan.replicatons": lambda d: d["plan"].update(replicatons=5),
+    "colleges[1].capacty": lambda d: d["colleges"][1].update(capacty=9),
+    # an optional key misspelled in place of the real one
+    "coalitions[0].noize": lambda d: rename_key(d["coalitions"][0], "noise", "noize"),
+    "plan.curves[1].trim_epsilonn": lambda d: rename_key(
+        d["plan"]["curves"][1], "trim_epsilon", "trim_epsilonn"
+    ),
+    "preferences.ranking": lambda d: d["preferences"].update(ranking=[1, 0]),
+    "seed": lambda d: d.update(seed=3),
+}
+
+
+class TestUnknownFields:
+    @pytest.mark.parametrize("path", sorted(MISSPELLINGS))
+    def test_rejected_naming_the_path(self, path):
+        doc = small_doc()
+        MISSPELLINGS[path](doc)
+        with pytest.raises(ConfigError, match="^" + re.escape(f"{path}: unknown field")):
+            dict_to_config(doc)
+
+    def test_misspelled_set_key_exits_three(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run_cli(
+            "--preset", "fig1", "--colleges", "2", "--set", "plan.replicatons=5",
+            "--threads", "1", "--out-dir", str(out),
+        )
+        assert code == EXIT_INVARIANT
+        assert "plan.replicatons: unknown field" in capsys.readouterr().err
+        assert not (out / "curves.csv").exists()
+
+    def test_misspelled_nested_key_in_file_exits_three(self, tmp_path, capsys):
+        doc = small_doc()
+        rename_key(doc["coalitions"][0], "noise", "noize")
+        path = tmp_path / "econ.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli("--config", str(path), "--out-dir", str(tmp_path / "o"), "--threads", "1")
+        assert code == EXIT_INVARIANT
+        assert "coalitions[0].noize: unknown field" in capsys.readouterr().err
+
+    def test_unknown_noise_parameter_names_the_coalition(self):
+        doc = small_doc()
+        doc["coalitions"][0]["noise"]["shap"] = 2.0
+        with pytest.raises(ConfigError, match=r"^coalitions\[0\]: noise: .*'shap'"):
+            dict_to_config(doc)
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -196,6 +248,18 @@ class TestCliContract:
             "--out-dir", str(tmp_path / "x"), "--threads", "1",
         )
         assert code == EXIT_INVARIANT
+
+    def test_replication_failure_in_pool_exits_one(self, tmp_path, capsys):
+        # an afford curve for a coalition with no colleges fails inside each
+        # worker; the first failing replication in order is replication 0
+        doc = small_doc()
+        doc["plan"]["replications"] = 4
+        doc["plan"]["curves"].append({"kind": "afford", "coalition": 999, "trim_epsilon": 0.0})
+        path = tmp_path / "econ.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli("--config", str(path), "--out-dir", str(tmp_path / "o"), "--threads", "2")
+        assert code == EXIT_RUNTIME
+        assert "replication 0: coalition 999 has no colleges" in capsys.readouterr().err
 
     def test_run_leaves_caller_doc_unchanged(self, tmp_path):
         doc = small_doc()

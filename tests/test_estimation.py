@@ -1,5 +1,7 @@
 """Unit tests for the replication harness, curves, and metrics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,20 +15,23 @@ from noisymatch.estimation import (
     attenuation_metrics,
     equal_width_edges,
     estimate_afford_curve,
+    _run_one,
     estimate_match_curve,
     run_replications,
     steepest_ascent_bin,
     trim_coalition,
 )
+from noisymatch.cutoffs import extract_cutoffs
 from noisymatch.market import (
     Coalition,
     College,
     EconomyConfig,
     UniformRandomPreferences,
     UniformValues,
+    sample_market,
 )
-from noisymatch.matching import UNMATCHED
-from noisymatch.noise import Uniform
+from noisymatch.matching import UNMATCHED, deferred_acceptance
+from noisymatch.noise import Pareto, Uniform
 from noisymatch.presets import fig1, fig2
 
 
@@ -131,6 +136,45 @@ class TestRunReplications:
         ok = curve.count > 0
         resid = np.abs(curve.probability[ok] - analytic[ok])
         assert (resid <= 3 * np.maximum(curve.stderr[ok], 1e-3) + 0.01).all()
+
+
+class TestAffordability:
+    """_run_one compares scores with per-college bars instead of copying columns."""
+
+    TRIMS = (0.0, 0.05, 0.5, 1 - 1e-12)
+
+    @pytest.mark.parametrize(
+        "colleges, noise",
+        [(20, "uniform"), (1, "uniform"), (3, "heavy")],
+        ids=["fig2-20", "one-college", "infinite-scores"],
+    )
+    def test_matches_kept_column_expression(self, colleges, noise):
+        config, _ = fig2(colleges=colleges, n_students=600, replications=1)
+        if noise == "heavy":
+            # Pareto(0.005) overflows to +inf in about one draw in 35
+            heavy = tuple(replace(k, noise=Pareto(0.005, 1.0)) for k in config.coalitions)
+            config = replace(config, coalitions=heavy)
+        plan = ExperimentPlan(
+            replications=1,
+            bin_edges=(0.0, 1.0),
+            curves=tuple(AffordProbability(k, eps) for k in (1, 2) for eps in self.TRIMS),
+        )
+        market = sample_market(config, 0)
+        if noise == "heavy":
+            assert np.isinf(market.scores).any()
+        cuts = extract_cutoffs(deferred_acceptance(market, config.capacities()))
+        _, _, afford, got_cuts = _run_one(config, plan, 0)
+        assert np.array_equal(got_cuts, cuts)
+        for k in (1, 2):
+            for eps in self.TRIMS:
+                kept = list(trim_coalition(cuts, config.coalition_members(k), eps))
+                if kept:
+                    want = (market.scores[:, kept] >= cuts[kept]).any(axis=1)
+                else:
+                    want = np.zeros(config.n_students, dtype=bool)
+                assert afford[(k, eps)].dtype == bool
+                assert np.array_equal(afford[(k, eps)], want), (k, eps)
+            assert not afford[(k, 1 - 1e-12)].any()
 
 
 class TestCurves:

@@ -22,9 +22,12 @@ from noisymatch.market import (
     sample_market,
     v_s_threshold,
     values_from_dict,
+    STREAM_NOISE,
+    STREAM_PREFS,
     STREAM_VALUES,
 )
-from noisymatch.noise import Pareto, Uniform
+from noisymatch import market as market_module
+from noisymatch.noise import Exponential, Gaussian, Gumbel, Pareto, Uniform
 
 
 def one_pool_config(n=1000, colleges=4, noise=Uniform(0, 1), seed=11, values=None):
@@ -272,3 +275,94 @@ class TestSampleMarket:
         # round-trip one score through repr
         first_score = float(lines[1].split(",")[4])
         assert first_score == market.scores[0, 0]
+
+
+def loop_sample_market(config, replication):
+    """Reference sampler: one noise draw per college, in college order."""
+    n = config.n_students
+    coal_idx = config.coalition_index()
+    rng_values = child_rng(config.master_seed, replication, STREAM_VALUES)
+    values = np.empty((n, len(config.coalitions)))
+    for k, coalition in enumerate(config.coalitions):
+        values[:, k] = coalition.values.sample(rng_values, n)
+    rng_prefs = child_rng(config.master_seed, replication, STREAM_PREFS)
+    prefs = config.preferences.sample_prefs(rng_prefs, n, config.n_colleges, coal_idx)
+    rng_noise = child_rng(config.master_seed, replication, STREAM_NOISE)
+    scores = values[:, coal_idx].copy()
+    for c in range(config.n_colleges):
+        spec = config.coalitions[coal_idx[c]].noise
+        if spec is not None:
+            scores[:, c] += spec.sample(rng_noise, n)
+    return values, prefs, scores
+
+
+NOISE_FAMILIES = {
+    "uniform": Uniform(0.0, 1.0),
+    "gaussian": Gaussian(0.0, 1.0),
+    "exponential": Exponential(1.0),
+    "gumbel": Gumbel(0.0, 1.0),
+    "pareto": Pareto(2.0, 0.3),
+    "none": None,
+}
+
+
+def layout_config(coalition_of_college, noises, n=300, seed=13):
+    """One seat per college; college i belongs to coalition coalition_of_college[i]."""
+    return EconomyConfig(
+        n_students=n,
+        colleges=tuple(
+            College(id=i, capacity=1, coalition=k) for i, k in enumerate(coalition_of_college)
+        ),
+        coalitions=tuple(
+            Coalition(id=k, values=UniformValues(0, 1), noise=noise)
+            for k, noise in enumerate(noises)
+        ),
+        preferences=UniformRandomPreferences(),
+        master_seed=seed,
+    )
+
+
+def assert_same_bytes(market, reference):
+    for got, want in zip((market.values, market.prefs, market.scores), reference):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+class TestFusedSampling:
+    """sample_market draws noise in blocks; the bytes must equal the loop's."""
+
+    @pytest.mark.parametrize("family", sorted(NOISE_FAMILIES))
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            # two coalitions interleaved in config order
+            ([0, 1, 1, 0, 0, 0, 1, 0, 1, 1, 1, 1, 0], "other"),
+            # two coalitions with equal specs but their own value columns
+            ([0, 0, 1, 1, 1, 0, 1, 0, 0, 0, 0, 1], "same"),
+            # a noiseless coalition next to a noisy one
+            ([0, 0, 0, 1, 1, 1, 1, 1, 0, 0, 1], "none"),
+        ],
+        ids=["interleaved", "equal-specs", "noiseless-neighbour"],
+    )
+    def test_block_draws_match_per_college_loop(self, family, layout, monkeypatch):
+        order, partner = layout
+        noise = NOISE_FAMILIES[family]
+        other = {"other": Gumbel(0.5, 2.0), "same": noise, "none": None}[partner]
+        config = layout_config(order, (noise, other))
+        # blocks of three colleges, so runs of four or more split
+        monkeypatch.setattr(market_module, "_NOISE_BLOCK_CELLS", 3 * config.n_students + 1)
+        for r in (0, 5):
+            assert_same_bytes(sample_market(config, r), loop_sample_market(config, r))
+
+    @pytest.mark.parametrize("family", sorted(NOISE_FAMILIES))
+    def test_coalition_wider_than_the_block_cap(self, family):
+        # 1100 x 1000 cells: the real cap gives blocks of 953 colleges, so the
+        # one run of 1000 colleges takes two draws
+        config = layout_config([0] * 1000, (NOISE_FAMILIES[family],), n=1100)
+        assert market_module._NOISE_BLOCK_CELLS // config.n_students < config.n_colleges
+        assert_same_bytes(sample_market(config, 2), loop_sample_market(config, 2))
+
+    def test_one_college_per_block(self, monkeypatch):
+        config = layout_config([0, 0, 1, 0, 1, 1], (Pareto(2.0, 0.3), Uniform(0, 1)))
+        monkeypatch.setattr(market_module, "_NOISE_BLOCK_CELLS", 1)
+        assert_same_bytes(sample_market(config, 1), loop_sample_market(config, 1))
