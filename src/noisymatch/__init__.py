@@ -3,7 +3,6 @@
 from .cutoffs import (
     CutoffVector,
     check_market_clearing,
-    demand,
     demand_all,
     dense_cluster,
     extract_cutoffs,

@@ -33,15 +33,6 @@ def afford_matrix(market: SampledMarket, cutoffs: CutoffVector) -> np.ndarray:
     return market.scores >= np.asarray(cutoffs)[None, :]
 
 
-def demand(student: int, market: SampledMarket, cutoffs: CutoffVector) -> int | None:
-    """Most preferred affordable college for one student, or None."""
-    afford = market.scores[student] >= np.asarray(cutoffs)
-    for c in market.prefs[student]:
-        if afford[c]:
-            return int(c)
-    return None
-
-
 def demand_all(market: SampledMarket, cutoffs: CutoffVector) -> np.ndarray:
     """Vectorised demand for every student (UNMATCHED when nothing affordable)."""
     n = market.n_students

@@ -7,10 +7,8 @@ the algorithm and in the blocking-pair scan so the two never disagree.
 
 from __future__ import annotations
 
-import csv
 import heapq
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -248,15 +246,3 @@ def find_blocking_pairs(
         pairs.extend((int(s), c) for s in hits)
     pairs.sort()
     return pairs
-
-
-def matching_to_csv(matching: Matching, market: SampledMarket, path: str | Path) -> None:
-    """One row per student: assigned college (empty when unmatched) and score."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["student", "college", "score"])
-        for s, c in enumerate(matching.assignment):
-            if c == UNMATCHED:
-                w.writerow([s, "", ""])
-            else:
-                w.writerow([s, int(c), repr(float(market.scores[s, c]))])

@@ -14,6 +14,7 @@ from noisymatch.config_io import (
     config_to_dict,
     dict_to_config,
 )
+from noisymatch import market as market_module
 from noisymatch.errors import ConfigError
 from noisymatch.presets import fig1, fig2, noise_from_token, preset, split_seats
 
@@ -192,6 +193,56 @@ class TestUnknownFields:
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_doc(doc, tmp_path):
+    path = tmp_path / "econ.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    return run_cli("--config", str(path), "--out-dir", str(out), "--threads", "1"), out
+
+
+class TestLoadTimeChecks:
+    """Config invariants that need the colleges or the plan are checked when
+    the file is loaded, before any replication runs."""
+
+    def test_bad_ranking_exits_three(self, tmp_path, capsys, monkeypatch):
+        # every market takes the threaded sampling path, were it reached
+        monkeypatch.setattr(market_module, "_PREFS_THREAD_MIN_CELLS", 0)
+        doc = small_doc()
+        doc["preferences"] = {"kind": "common_ranking", "ranking": [0, 0]}
+        code, out = run_doc(doc, tmp_path)
+        assert code == EXIT_INVARIANT
+        assert "preferences.ranking: must be a permutation of 0..1" in capsys.readouterr().err
+        assert not (out / "curves.csv").exists()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"kind": "uniform", "lo": 0.0, "hi": 1.25},
+            {"kind": "piecewise", "knots": [[-0.5, 0.0], [0.5, 0.6], [1.0, 1.0]]},
+        ],
+        ids=["uniform", "piecewise"],
+    )
+    def test_edges_short_of_the_values_exit_three(self, values, tmp_path, capsys):
+        doc = small_doc()
+        doc["coalitions"][0]["values"] = values
+        code, out = run_doc(doc, tmp_path)
+        assert code == EXIT_INVARIANT
+        assert "plan.bin_edges: [0.0, 1.0] does not cover the support" in capsys.readouterr().err
+        assert not (out / "curves.csv").exists()
+        doc["plan"]["bin_edges"] = [-0.5, 0.0, 0.5, 1.0, 1.25]
+        dict_to_config(doc)  # edges that span the support load
+
+    def test_unbinned_coalition_is_not_checked(self):
+        config, plan = fig2(colleges=2, replications=1)
+        doc = config_to_dict(config, plan)
+        doc["plan"]["curves"] = [{"kind": "match", "coalition": 1}]
+        doc["coalitions"][1]["values"] = {"kind": "uniform", "lo": 0.0, "hi": 2.0}
+        dict_to_config(doc)
+        doc["plan"]["curves"].append({"kind": "afford", "coalition": 2, "trim_epsilon": 0.0})
+        with pytest.raises(ConfigError, match=r"^plan\.bin_edges: .* of coalitions\[1\]\.values"):
+            dict_to_config(doc)
 
 
 class TestCliContract:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from noisymatch.cutoffs import (
     check_market_clearing,
-    demand,
     demand_all,
     dense_cluster,
     extract_cutoffs,
@@ -49,26 +48,25 @@ class TestDemand:
     def test_everything_affordable_takes_first_choice(self):
         market = make_market([[2, 0, 1]], [[0.1, 0.2, 0.3]])
         cuts = np.array([-np.inf, -np.inf, -np.inf])
-        assert demand(0, market, cuts) == 2
+        assert demand_all(market, cuts).tolist() == [2]
 
     def test_nothing_affordable_is_none(self):
         market = make_market([[0, 1]], [[0.5, 0.5]])
         cuts = np.array([1.5, 1.5])
-        assert demand(0, market, cuts) is None
         assert demand_all(market, cuts).tolist() == [UNMATCHED]
 
     def test_second_choice_when_first_unaffordable(self):
         market = make_market([[1, 0, 2]], [[0.8, 0.4, 0.9]])
         cuts = np.array([0.7, 0.9, 1.5])  # first choice (college 1) priced out
-        assert demand(0, market, cuts) == 0
+        assert demand_all(market, cuts).tolist() == [0]
 
     def test_demand_all_matches_scalar_demand(self, rng):
         market, caps = random_market(rng, n=40, c=4)
         cuts = rng.normal(0, 1, 4)
         vec = demand_all(market, cuts)
         for s in range(40):
-            d = demand(s, market, cuts)
-            assert (d if d is not None else UNMATCHED) == vec[s]
+            affordable = [c for c in market.prefs[s] if market.scores[s, c] >= cuts[c]]
+            assert vec[s] == (affordable[0] if affordable else UNMATCHED)
 
     def test_raising_one_cutoff_never_improves_demand(self, rng):
         # monotone comparative static of the demand map

@@ -1,5 +1,7 @@
 """Unit tests for economy configuration and market sampling."""
 
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -261,32 +263,20 @@ class TestSampleMarket:
         resid = market.scores - market.values[:, market.college_coalition]
         assert resid.min() >= 0.3
 
-    def test_debug_csv_dump(self, tmp_path):
-        from noisymatch.market import market_to_csv
-
-        config = two_pool_config(n=200)
-        market = sample_market(config, 0)
-        path = tmp_path / "market.csv"
-        market_to_csv(market, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 201
-        header = lines[0].split(",")
-        assert header[0] == "student" and "ranking" in header
-        # round-trip one score through repr
-        first_score = float(lines[1].split(",")[4])
-        assert first_score == market.scores[0, 0]
-
 
 def loop_sample_market(config, replication):
-    """Reference sampler: one noise draw per college, in college order."""
+    """Reference sampler: one argsort of the full key matrix, and one noise
+    draw per college, in college order."""
     n = config.n_students
     coal_idx = config.coalition_index()
     rng_values = child_rng(config.master_seed, replication, STREAM_VALUES)
     values = np.empty((n, len(config.coalitions)))
     for k, coalition in enumerate(config.coalitions):
         values[:, k] = coalition.values.sample(rng_values, n)
-    rng_prefs = child_rng(config.master_seed, replication, STREAM_PREFS)
-    prefs = config.preferences.sample_prefs(rng_prefs, n, config.n_colleges, coal_idx)
+    key = child_rng(config.master_seed, replication, STREAM_PREFS).random((n, config.n_colleges))
+    if isinstance(config.preferences, TieredByCoalition):
+        key = coal_idx[None, :] + key
+    prefs = np.argsort(key, axis=1)
     rng_noise = child_rng(config.master_seed, replication, STREAM_NOISE)
     scores = values[:, coal_idx].copy()
     for c in range(config.n_colleges):
@@ -323,9 +313,13 @@ def layout_config(coalition_of_college, noises, n=300, seed=13):
 
 
 def assert_same_bytes(market, reference):
-    for got, want in zip((market.values, market.prefs, market.scores), reference):
+    """values and scores byte for byte; prefs by value, as int32."""
+    values, prefs, scores = reference
+    for got, want in ((market.values, values), (market.scores, scores)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+    assert market.prefs.dtype == np.int32
+    assert np.array_equal(market.prefs, prefs)
 
 
 class TestFusedSampling:
@@ -366,3 +360,87 @@ class TestFusedSampling:
         config = layout_config([0, 0, 1, 0, 1, 1], (Pareto(2.0, 0.3), Uniform(0, 1)))
         monkeypatch.setattr(market_module, "_NOISE_BLOCK_CELLS", 1)
         assert_same_bytes(sample_market(config, 1), loop_sample_market(config, 1))
+
+
+PREF_CONFIGS = {
+    # 181 students: neither 3 nor 180 rows per block divides them evenly
+    "uniform_random": lambda: layout_config(
+        [0, 1, 1, 0, 0, 1, 0], (Pareto(2.0, 0.3), Uniform(0, 1)), n=181
+    ),
+    "tiered_by_coalition": lambda: two_pool_config(n=181, noise=Gumbel(0.5, 2.0)),
+}
+
+PATHS = {"threaded": 0, "serial": float("inf")}
+
+
+class TestBlockSortedPrefs:
+    """Keys are argsorted in row blocks into int32; the ranks must equal one
+    argsort of the full key matrix, on either side of the thread threshold."""
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    @pytest.mark.parametrize("model", sorted(PREF_CONFIGS))
+    @pytest.mark.parametrize(
+        "rows",
+        [1, 3, 180, 181],
+        ids=["one-row-per-block", "last-block-one-row", "two-blocks", "one-block"],
+    )
+    def test_row_blocks_match_one_argsort(self, rows, model, path, monkeypatch):
+        config = PREF_CONFIGS[model]()
+        monkeypatch.setattr(market_module, "_PREFS_BLOCK_CELLS", rows * config.n_colleges)
+        monkeypatch.setattr(market_module, "_PREFS_THREAD_MIN_CELLS", PATHS[path])
+        for r in (0, 3):
+            assert_same_bytes(sample_market(config, r), loop_sample_market(config, r))
+
+    def test_block_cap_below_one_row(self, monkeypatch):
+        config = PREF_CONFIGS["tiered_by_coalition"]()
+        monkeypatch.setattr(market_module, "_PREFS_BLOCK_CELLS", 1)
+        assert_same_bytes(sample_market(config, 1), loop_sample_market(config, 1))
+
+    def test_fixed_rankings_are_int32(self, rng):
+        common = CommonRanking(ranking=(2, 0, 1)).sample_prefs(rng, 4, 3, np.zeros(3, int))
+        explicit = ExplicitSampler(rankings=((0, 1, 2),), probabilities=(1.0,)).sample_prefs(
+            rng, 4, 3, np.zeros(3, int)
+        )
+        assert common.dtype == explicit.dtype == np.int32
+
+
+class TestPrefsThread:
+    @pytest.mark.parametrize("model", sorted(PREF_CONFIGS))
+    def test_threshold_does_not_change_the_market(self, model, monkeypatch):
+        config = PREF_CONFIGS[model]()
+        markets = []
+        for threshold in PATHS.values():
+            monkeypatch.setattr(market_module, "_PREFS_THREAD_MIN_CELLS", threshold)
+            markets.append(sample_market(config, 2))
+        threaded, serial = markets
+        for field in ("values", "prefs", "scores", "college_coalition"):
+            got, want = getattr(threaded, field), getattr(serial, field)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_error_on_the_thread_reaches_the_caller(self, monkeypatch):
+        # a library caller can build this config; dict_to_config rejects it
+        config = EconomyConfig(
+            n_students=10,
+            colleges=(College(id=0, capacity=2, coalition=0), College(id=1, capacity=2, coalition=0)),
+            coalitions=(Coalition(id=0, values=UniformValues(0, 1), noise=Uniform(0, 1)),),
+            preferences=CommonRanking(ranking=(0, 0)),
+            master_seed=1,
+        )
+        ran_on = []
+        sample_prefs = CommonRanking.sample_prefs
+
+        def spy(self, *args):
+            ran_on.append(threading.get_ident())
+            return sample_prefs(self, *args)
+
+        monkeypatch.setattr(CommonRanking, "sample_prefs", spy)
+        raised = []
+        for threshold in (PATHS["serial"], PATHS["threaded"]):
+            monkeypatch.setattr(market_module, "_PREFS_THREAD_MIN_CELLS", threshold)
+            with pytest.raises(ConfigError) as err:
+                sample_market(config, 0)
+            raised.append((type(err.value), str(err.value)))
+        assert ran_on[0] == threading.get_ident() != ran_on[1]
+        message = "preferences.ranking: must be a permutation of 0..1"
+        assert raised == [(ConfigError, message)] * 2

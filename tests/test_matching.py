@@ -5,14 +5,16 @@ filters to the stable ones by definition, and picks the student-optimal
 one; the algorithm must reproduce it exactly.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisymatch import matching
-from noisymatch.cutoffs import extract_cutoffs
+from noisymatch.cutoffs import check_market_clearing, demand_all, extract_cutoffs
 from noisymatch.estimation import run_replications
 from noisymatch.market import SampledMarket, sample_market
 from noisymatch.matching import (
@@ -135,18 +137,6 @@ class TestHandInstances:
         for c, roster in enumerate(m.rosters):
             assert all(m.assignment[s] == c for s in roster)
             assert (np.diff(m.scores[c]) <= 0).all()
-
-    def test_csv_dump(self, tmp_path):
-        from noisymatch.matching import matching_to_csv
-
-        market = make_market([[0], [0]], [[0.9], [0.5]])
-        m = deferred_acceptance(market, [1])
-        path = tmp_path / "matching.csv"
-        matching_to_csv(m, market, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "student,college,score"
-        assert lines[1] == "0,0,0.9"
-        assert lines[2] == "1,,"  # unmatched sentinel is empty
 
 
 class TestBlockingPairs:
@@ -288,3 +278,31 @@ class TestVectorisedPath:
             heap = heap_deferred_acceptance(sample_market(config, r), caps)
             assert np.array_equal(records.assignment[r], heap.assignment)
             assert np.array_equal(records.cutoffs[r], extract_cutoffs(heap))
+
+
+class TestInt32Prefs:
+    """Sampled markets carry int32 prefs; every consumer must give the same
+    answer as on an int64 copy of the same market."""
+
+    @pytest.mark.parametrize(
+        "n, colleges, vectorised", [(40, 4, False), (2000, 10, True)], ids=["heap-size", "vector-size"]
+    )
+    def test_consumers_agree_with_int64(self, n, colleges, vectorised):
+        config, _ = fig1(colleges=colleges, noise="pareto", n_students=n, replications=1)
+        market = sample_market(config, 1)
+        wide = dataclasses.replace(market, prefs=market.prefs.astype(np.int64))
+        assert market.prefs.dtype == np.int32
+        assert (n * colleges >= VECTORISED_MIN_CELLS) == vectorised
+        caps = config.capacities()
+        for da in (deferred_acceptance, heap_deferred_acceptance, vectorised_deferred_acceptance):
+            got = da(market, caps)
+            assert_same_matching(got, da(wide, caps))
+            assert find_blocking_pairs(got, market) == find_blocking_pairs(got, wide) == []
+        empty = Matching_with_assignment(got, market, [UNMATCHED] * n)
+        assert find_blocking_pairs(empty, market) == find_blocking_pairs(empty, wide) != []
+        cuts = extract_cutoffs(got)
+        for bar in (cuts, cuts - 0.2, cuts + 0.2):
+            assert np.array_equal(demand_all(market, bar), demand_all(wide, bar))
+            assert np.array_equal(
+                check_market_clearing(market, bar, caps), check_market_clearing(wide, bar, caps)
+            )
