@@ -116,7 +116,6 @@ def dict_to_config(doc: dict) -> tuple[EconomyConfig, ExperimentPlan]:
     except KeyError as e:
         raise ConfigError(f"config: missing required field {e.args[0]!r}") from e
     _reject_unknown_fields(doc, config_to_dict(config, plan))
-    config.preferences.check(config.n_colleges)
     _check_bin_edges(config, plan)
     return config, plan
 

@@ -142,9 +142,11 @@ def _afford_requests(plan: ExperimentPlan) -> list[tuple[int, float]]:
     )
 
 
-def _run_one(config: EconomyConfig, plan: ExperimentPlan, replication: int):
+def _run_one(
+    config: EconomyConfig, plan: ExperimentPlan, replication: int, prefs_thread: bool = True
+):
     try:
-        market = sample_market(config, replication)
+        market = sample_market(config, replication, prefs_thread=prefs_thread)
         matching = deferred_acceptance(market, config.capacities())
         cuts = extract_cutoffs(matching)
         afford = {}
@@ -175,10 +177,15 @@ def run_replications(
     reps = range(n)
     if threads > 1 and n > 1:
         # about four chunks per worker: config and plan are pickled once per
-        # chunk rather than once per replication, and the load still balances
+        # chunk rather than once per replication, and the load still balances.
+        # Each worker keeps a core busy, so none starts a preference thread.
         chunksize = max(1, n // (4 * threads))
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_one, [config] * n, [plan] * n, reps, chunksize=chunksize))
+            results = list(
+                pool.map(
+                    _run_one, [config] * n, [plan] * n, reps, [False] * n, chunksize=chunksize
+                )
+            )
     else:
         results = [_run_one(config, plan, r) for r in reps]
 

@@ -25,28 +25,23 @@ STREAM_VALUES = 0
 STREAM_PREFS = 1
 STREAM_NOISE = 2
 
-# Noise is drawn at most this many cells at a time (8 MiB of float64), so the
-# temporary stays small next to the n x C score matrix.
-_NOISE_BLOCK_CELLS = 1 << 20
+# Noise and preference keys are drawn at most this many cells at a time
+# (8 MiB of float64), so the float64 temporaries, and argsort's int64 result,
+# stay small next to the n x C score and int32 preference matrices.
+_BLOCK_CELLS = 1 << 20
 
-# Preference keys are drawn and argsorted at most this many cells at a time,
-# so the float64 keys and argsort's int64 result stay small temporaries and
-# only the int32 prefs span the whole market.
-_PREFS_BLOCK_CELLS = 1 << 20
-
-# Markets of at least this many cells draw the preference stream on a second
-# thread while the noise stream fills the scores.  numpy releases the GIL in
-# the random fills, the argsort and large ufuncs, so the two streams overlap.
-# Median sample_market time, serial against threaded, one process, fig1 shape
-# with Pareto noise (Python 3.11, numpy 2.4, 2-vCPU machine):
+# Markets of at least this many cells may draw the preference stream on a
+# second thread while the noise stream fills the scores.  numpy releases the
+# GIL in the random fills, the argsort and large ufuncs, so the two streams
+# overlap when a core is free.  Median sample_market time, serial against
+# threaded, one process, fig1 shape with Pareto noise (Python 3.11, numpy
+# 2.4, 2-vCPU machine):
 #   n=200,   C=2     (400 cells): 0.12 ms vs 0.33 ms
 #   n=2000,  C=40 (80,000 cells): 4.1 ms vs 4.3 ms
 #   n=4000,  C=100  (0.4 M cells): 30 ms vs 19 ms
 #   n=8000,  C=128  (1.0 M cells): 60 ms vs 47 ms
 #   n=20000, C=1000  (20 M cells): 1.2 s vs 0.76 s
-# The gain below 2^20 cells is smaller and such markets mostly run many to a
-# pool of processes, which keeps the cores busy already.
-_PREFS_THREAD_MIN_CELLS = _NOISE_BLOCK_CELLS
+_PREFS_THREAD_MIN_CELLS = _BLOCK_CELLS
 
 
 class CapacityRegularityWarning(UserWarning):
@@ -267,7 +262,6 @@ class CommonRanking(PreferenceModel):
             )
 
     def sample_prefs(self, rng, n, n_colleges, tiers):
-        self.check(n_colleges)
         return np.tile(np.asarray(self.ranking, dtype=np.int32), (n, 1))
 
     def to_dict(self):
@@ -311,7 +305,6 @@ class ExplicitSampler(PreferenceModel):
                 )
 
     def sample_prefs(self, rng, n, n_colleges, tiers):
-        self.check(n_colleges)
         table = np.asarray(self.rankings, dtype=np.int32)
         picks = rng.choice(len(table), size=n, p=np.asarray(self.probabilities))
         return table[picks]
@@ -332,7 +325,7 @@ def _argsort_keys(rng, n, n_colleges, tiers=None):
     alone, so the result equals one argsort over the full matrix.
     """
     prefs = np.empty((n, n_colleges), dtype=np.int32)
-    rows = max(1, _PREFS_BLOCK_CELLS // n_colleges)
+    rows = max(1, _BLOCK_CELLS // n_colleges)
     for r0 in range(0, n, rows):
         key = rng.random((min(rows, n - r0), n_colleges))
         if tiers is not None:
@@ -412,6 +405,7 @@ class EconomyConfig:
         empty = [k for k, m in members.items() if m == 0]
         if empty:
             raise ConfigError(f"coalitions: no colleges reference coalition(s) {empty}")
+        self.preferences.check(len(self.colleges))
         total = sum(c.capacity for c in self.colleges)
         if total >= self.n_students:
             raise OverdemandError(
@@ -473,11 +467,15 @@ class SampledMarket:
         return self.scores.shape[1]
 
 
-def sample_market(config: EconomyConfig, replication: int = 0) -> SampledMarket:
+def sample_market(
+    config: EconomyConfig, replication: int = 0, *, prefs_thread: bool = True
+) -> SampledMarket:
     """Draw students, preferences, and noisy scores for one replication.
 
-    The three streams are independent generators, so a large market draws
-    its preferences on a second thread while this one draws the scores; the
+    The three streams are independent generators, so with ``prefs_thread``
+    a market of at least ``_PREFS_THREAD_MIN_CELLS`` cells draws its
+    preferences on a second thread while this one draws the scores.  Pass
+    False where every core is already busy, as in a pool of processes.  The
     bytes are the same either way.
     """
     n = config.n_students
@@ -491,11 +489,14 @@ def sample_market(config: EconomyConfig, replication: int = 0) -> SampledMarket:
 
     rng_prefs = child_rng(config.master_seed, replication, STREAM_PREFS)
     args = (rng_prefs, n, n_colleges, coal_idx)
-    if n * n_colleges >= _PREFS_THREAD_MIN_CELLS:
+    if prefs_thread and n * n_colleges >= _PREFS_THREAD_MIN_CELLS:
         with ThreadPoolExecutor(max_workers=1) as pool:
             future = pool.submit(config.preferences.sample_prefs, *args)
-            scores = _sample_scores(config, replication, values, coal_idx)
-            prefs = future.result()
+            try:
+                scores = _sample_scores(config, replication, values, coal_idx)
+            finally:
+                # read it even when the scores fail, so its error is not lost
+                prefs = future.result()
     else:
         prefs = config.preferences.sample_prefs(*args)
         scores = _sample_scores(config, replication, values, coal_idx)
@@ -507,7 +508,7 @@ def _sample_scores(config, replication, values, coal_idx):
     n = config.n_students
     rng_noise = child_rng(config.master_seed, replication, STREAM_NOISE)
     scores = np.empty((n, config.n_colleges))
-    block = max(1, _NOISE_BLOCK_CELLS // n)
+    block = max(1, _BLOCK_CELLS // n)
     # Walk runs of consecutive colleges of one coalition (by position, not by
     # noise spec: equal specs may sit on different value columns).  A block of
     # m colleges takes one draw of m * n; row j of it is what college c0 + j

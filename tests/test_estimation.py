@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from noisymatch import estimation
 from noisymatch.errors import ConfigError, ReplicationError
 from noisymatch.estimation import (
     AffordProbability,
@@ -90,6 +91,36 @@ class TestRunReplications:
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.assignment, b.assignment)
         assert np.array_equal(a.cutoffs, b.cutoffs)
+
+    def test_only_the_serial_path_starts_a_prefs_thread(self, monkeypatch):
+        # run the pool's tasks in this process to see what each one is asked
+        class InlinePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *args, chunksize=1):
+                return map(fn, *args)
+
+        asked = []
+
+        def spy(config, replication, *, prefs_thread):
+            asked.append(prefs_thread)
+            return sample_market(config, replication, prefs_thread=prefs_thread)
+
+        monkeypatch.setattr(estimation, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(estimation, "sample_market", spy)
+        config, plan = small_pool(replications=3)
+        serial = run_replications(config, plan, threads=1)
+        assert asked == [True] * 3
+        pooled = run_replications(config, plan, threads=2)
+        assert asked[3:] == [False] * 3
+        assert np.array_equal(serial.assignment, pooled.assignment)
 
     def test_pool_matches_serial(self):
         config, plan = small_pool(replications=4)

@@ -344,7 +344,7 @@ class TestFusedSampling:
         other = {"other": Gumbel(0.5, 2.0), "same": noise, "none": None}[partner]
         config = layout_config(order, (noise, other))
         # blocks of three colleges, so runs of four or more split
-        monkeypatch.setattr(market_module, "_NOISE_BLOCK_CELLS", 3 * config.n_students + 1)
+        monkeypatch.setattr(market_module, "_BLOCK_CELLS", 3 * config.n_students + 1)
         for r in (0, 5):
             assert_same_bytes(sample_market(config, r), loop_sample_market(config, r))
 
@@ -353,12 +353,12 @@ class TestFusedSampling:
         # 1100 x 1000 cells: the real cap gives blocks of 953 colleges, so the
         # one run of 1000 colleges takes two draws
         config = layout_config([0] * 1000, (NOISE_FAMILIES[family],), n=1100)
-        assert market_module._NOISE_BLOCK_CELLS // config.n_students < config.n_colleges
+        assert market_module._BLOCK_CELLS // config.n_students < config.n_colleges
         assert_same_bytes(sample_market(config, 2), loop_sample_market(config, 2))
 
     def test_one_college_per_block(self, monkeypatch):
         config = layout_config([0, 0, 1, 0, 1, 1], (Pareto(2.0, 0.3), Uniform(0, 1)))
-        monkeypatch.setattr(market_module, "_NOISE_BLOCK_CELLS", 1)
+        monkeypatch.setattr(market_module, "_BLOCK_CELLS", 1)
         assert_same_bytes(sample_market(config, 1), loop_sample_market(config, 1))
 
 
@@ -386,14 +386,14 @@ class TestBlockSortedPrefs:
     )
     def test_row_blocks_match_one_argsort(self, rows, model, path, monkeypatch):
         config = PREF_CONFIGS[model]()
-        monkeypatch.setattr(market_module, "_PREFS_BLOCK_CELLS", rows * config.n_colleges)
+        monkeypatch.setattr(market_module, "_BLOCK_CELLS", rows * config.n_colleges)
         monkeypatch.setattr(market_module, "_PREFS_THREAD_MIN_CELLS", PATHS[path])
         for r in (0, 3):
             assert_same_bytes(sample_market(config, r), loop_sample_market(config, r))
 
     def test_block_cap_below_one_row(self, monkeypatch):
         config = PREF_CONFIGS["tiered_by_coalition"]()
-        monkeypatch.setattr(market_module, "_PREFS_BLOCK_CELLS", 1)
+        monkeypatch.setattr(market_module, "_BLOCK_CELLS", 1)
         assert_same_bytes(sample_market(config, 1), loop_sample_market(config, 1))
 
     def test_fixed_rankings_are_int32(self, rng):
@@ -419,22 +419,16 @@ class TestPrefsThread:
             assert got.tobytes() == want.tobytes()
 
     def test_error_on_the_thread_reaches_the_caller(self, monkeypatch):
-        # a library caller can build this config; dict_to_config rejects it
-        config = EconomyConfig(
-            n_students=10,
-            colleges=(College(id=0, capacity=2, coalition=0), College(id=1, capacity=2, coalition=0)),
-            coalitions=(Coalition(id=0, values=UniformValues(0, 1), noise=Uniform(0, 1)),),
-            preferences=CommonRanking(ranking=(0, 0)),
-            master_seed=1,
-        )
+        # EconomyConfig rejects a bad ranking, so the model raises the
+        # ConfigError such a ranking gives as it samples
+        config = PREF_CONFIGS["uniform_random"]()
         ran_on = []
-        sample_prefs = CommonRanking.sample_prefs
 
-        def spy(self, *args):
+        def bad_ranking(self, *args):
             ran_on.append(threading.get_ident())
-            return sample_prefs(self, *args)
+            CommonRanking(ranking=(0, 0)).check(2)
 
-        monkeypatch.setattr(CommonRanking, "sample_prefs", spy)
+        monkeypatch.setattr(UniformRandomPreferences, "sample_prefs", bad_ranking)
         raised = []
         for threshold in (PATHS["serial"], PATHS["threaded"]):
             monkeypatch.setattr(market_module, "_PREFS_THREAD_MIN_CELLS", threshold)
@@ -444,3 +438,57 @@ class TestPrefsThread:
         assert ran_on[0] == threading.get_ident() != ran_on[1]
         message = "preferences.ranking: must be a permutation of 0..1"
         assert raised == [(ConfigError, message)] * 2
+
+    def test_error_on_the_thread_is_kept_when_the_scores_fail(self, monkeypatch):
+        config = PREF_CONFIGS["uniform_random"]()
+
+        def bad_ranking(self, *args):
+            CommonRanking(ranking=(0, 0)).check(2)
+
+        def bad_scores(*args):
+            raise ValueError("scores failed")
+
+        monkeypatch.setattr(UniformRandomPreferences, "sample_prefs", bad_ranking)
+        monkeypatch.setattr(market_module, "_sample_scores", bad_scores)
+        monkeypatch.setattr(market_module, "_PREFS_THREAD_MIN_CELLS", PATHS["threaded"])
+        with pytest.raises(ConfigError, match="preferences.ranking") as err:
+            sample_market(config, 0)
+        assert isinstance(err.value.__context__, ValueError)
+
+    def test_prefs_thread_false_stays_on_the_calling_thread(self, monkeypatch):
+        config = PREF_CONFIGS["uniform_random"]()
+        ran_on = []
+        sample_prefs = UniformRandomPreferences.sample_prefs
+
+        def spy(self, *args):
+            ran_on.append(threading.get_ident())
+            return sample_prefs(self, *args)
+
+        monkeypatch.setattr(UniformRandomPreferences, "sample_prefs", spy)
+        monkeypatch.setattr(market_module, "_PREFS_THREAD_MIN_CELLS", PATHS["threaded"])
+        serial = sample_market(config, 4, prefs_thread=False)
+        threaded = sample_market(config, 4)
+        assert ran_on[0] == threading.get_ident() != ran_on[1]
+        assert_same_bytes(serial, loop_sample_market(config, 4))
+        assert_same_bytes(threaded, loop_sample_market(config, 4))
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            (CommonRanking(ranking=(0, 0)), r"^preferences\.ranking: must be a permutation of 0\.\.1$"),
+            (
+                ExplicitSampler(rankings=((0, 1), (1, 2)), probabilities=(0.5, 0.5)),
+                r"^preferences\.rankings: \(1, 2\) is not a permutation of 0\.\.1$",
+            ),
+        ],
+        ids=["common_ranking", "explicit"],
+    )
+    def test_config_rejects_a_ranking_that_is_not_a_permutation(self, model, message):
+        with pytest.raises(ConfigError, match=message):
+            EconomyConfig(
+                n_students=10,
+                colleges=(College(id=0, capacity=2, coalition=0), College(id=1, capacity=2, coalition=0)),
+                coalitions=(Coalition(id=0, values=UniformValues(0, 1), noise=Uniform(0, 1)),),
+                preferences=model,
+                master_seed=1,
+            )
