@@ -29,13 +29,12 @@ from .estimation import (
     MatchProbability,
     amplification_metrics,
     attenuation_metrics,
-    default_threads,
     estimate_afford_curve,
     estimate_match_curve,
     run_replications,
     steepest_ascent_bin,
 )
-from .market import v_s_threshold
+from .market import usable_cpus, v_s_threshold
 from .presets import PRESET_NAMES, preset
 
 EXIT_OK = 0
@@ -56,7 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", type=int, help="override the replication count")
     p.add_argument("--colleges", type=int, help="preset only: college count (per coalition for fig2)")
     p.add_argument("--noise", help="preset only: uniform|exponential|pareto|gaussian|gumbel|none")
-    p.add_argument("--threads", type=int, default=None, help="worker processes (default: cores)")
+    p.add_argument(
+        "--threads", type=int, default=None,
+        help="worker processes (default: the CPUs this process may use)",
+    )
     p.add_argument("--out-dir", type=Path, default=Path("out"), help="output directory")
     p.add_argument(
         "--emit-cutoffs",
@@ -228,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    threads = args.threads if args.threads is not None else default_threads()
+    threads = args.threads if args.threads is not None else usable_cpus()
     try:
         return run(doc, args.out_dir, threads, args.emit_cutoffs)
     except ConfigError as e:

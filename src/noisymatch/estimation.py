@@ -10,7 +10,6 @@ total capacity share).
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -143,11 +142,11 @@ def _afford_requests(plan: ExperimentPlan) -> list[tuple[int, float]]:
 
 
 def _run_one(
-    config: EconomyConfig, plan: ExperimentPlan, replication: int, prefs_thread: bool = True
+    config: EconomyConfig, plan: ExperimentPlan, replication: int, second_thread: bool = True
 ):
     try:
-        market = sample_market(config, replication, prefs_thread=prefs_thread)
-        matching = deferred_acceptance(market, config.capacities())
+        market = sample_market(config, replication, second_thread=second_thread)
+        matching = deferred_acceptance(market, config.capacities(), second_thread=second_thread)
         cuts = extract_cutoffs(matching)
         afford = {}
         for coalition_id, eps in _afford_requests(plan):
@@ -165,6 +164,19 @@ def _run_one(
         raise ReplicationError(f"replication {replication}: {e}") from e
 
 
+def _check_curves(config: EconomyConfig, plan: ExperimentPlan) -> None:
+    """Reject curves naming a coalition they cannot bin, before any replication runs."""
+    ids = {k.id for k in config.coalitions}
+    for i, curve in enumerate(plan.curves):
+        cid = curve.coalition_id
+        where = f"plan.curves[{i}].coalition"
+        if cid is None and isinstance(curve, MatchProbability):
+            if len(ids) != 1:
+                raise ConfigError(f"{where}: required for multi-coalition economies")
+        elif cid not in ids:
+            raise ConfigError(f"{where}: coalition {cid!r} has no colleges")
+
+
 def run_replications(
     config: EconomyConfig, plan: ExperimentPlan, *, threads: int = 1
 ) -> ReplicationRecords:
@@ -173,12 +185,13 @@ def run_replications(
     Replication r draws its own RNG streams from (master_seed, r), so the
     result is identical whether replications run serially or in a pool.
     """
+    _check_curves(config, plan)
     n = plan.replications
     reps = range(n)
     if threads > 1 and n > 1:
         # about four chunks per worker: config and plan are pickled once per
         # chunk rather than once per replication, and the load still balances.
-        # Each worker keeps a core busy, so none starts a preference thread.
+        # Each worker keeps a core busy, so none starts a second thread.
         chunksize = max(1, n // (4 * threads))
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(
@@ -198,10 +211,6 @@ def run_replications(
     return ReplicationRecords(
         config, plan, values, assignment, afford, cuts, config.coalition_index()
     )
-
-
-def default_threads() -> int:
-    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------

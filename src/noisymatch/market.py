@@ -10,6 +10,7 @@ preferences, and noise.
 
 from __future__ import annotations
 
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -46,6 +47,13 @@ _PREFS_THREAD_MIN_CELLS = _BLOCK_CELLS
 
 class CapacityRegularityWarning(UserWarning):
     """A single college holds a disproportionate share of total capacity."""
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def child_rng(master_seed: int, replication: int, stream: int) -> np.random.Generator:
@@ -468,15 +476,16 @@ class SampledMarket:
 
 
 def sample_market(
-    config: EconomyConfig, replication: int = 0, *, prefs_thread: bool = True
+    config: EconomyConfig, replication: int = 0, *, second_thread: bool = True
 ) -> SampledMarket:
     """Draw students, preferences, and noisy scores for one replication.
 
-    The three streams are independent generators, so with ``prefs_thread``
-    a market of at least ``_PREFS_THREAD_MIN_CELLS`` cells draws its
-    preferences on a second thread while this one draws the scores.  Pass
-    False where every core is already busy, as in a pool of processes.  The
-    bytes are the same either way.
+    The three streams are independent generators, so with ``second_thread``,
+    on a process that may use more than one CPU, a market of at least
+    ``_PREFS_THREAD_MIN_CELLS`` cells draws its preferences on a helper
+    thread while this one draws the scores.  Pass False where every core is
+    already busy, as in a pool of processes.  The bytes are the same either
+    way.
     """
     n = config.n_students
     n_colleges = config.n_colleges
@@ -489,7 +498,7 @@ def sample_market(
 
     rng_prefs = child_rng(config.master_seed, replication, STREAM_PREFS)
     args = (rng_prefs, n, n_colleges, coal_idx)
-    if prefs_thread and n * n_colleges >= _PREFS_THREAD_MIN_CELLS:
+    if second_thread and n * n_colleges >= _PREFS_THREAD_MIN_CELLS and usable_cpus() > 1:
         with ThreadPoolExecutor(max_workers=1) as pool:
             future = pool.submit(config.preferences.sample_prefs, *args)
             try:

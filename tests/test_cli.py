@@ -2,6 +2,7 @@
 
 import copy
 import json
+import multiprocessing
 import re
 
 import pytest
@@ -14,6 +15,7 @@ from noisymatch.config_io import (
     config_to_dict,
     dict_to_config,
 )
+from noisymatch import estimation
 from noisymatch import market as market_module
 from noisymatch.errors import ConfigError
 from noisymatch.presets import fig1, fig2, noise_from_token, preset, split_seats
@@ -300,17 +302,50 @@ class TestCliContract:
         )
         assert code == EXIT_INVARIANT
 
-    def test_replication_failure_in_pool_exits_one(self, tmp_path, capsys):
-        # an afford curve for a coalition with no colleges fails inside each
-        # worker; the first failing replication in order is replication 0
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the planted failure reaches the workers only through fork",
+    )
+    def test_replication_failure_in_pool_exits_one(self, tmp_path, capsys, monkeypatch):
+        # every worker fails; the first failing replication in order is replication 0
+        def fail(market, capacities, **kwargs):
+            raise RuntimeError("planted failure")
+
+        monkeypatch.setattr(estimation, "deferred_acceptance", fail)
         doc = small_doc()
         doc["plan"]["replications"] = 4
-        doc["plan"]["curves"].append({"kind": "afford", "coalition": 999, "trim_epsilon": 0.0})
         path = tmp_path / "econ.json"
         path.write_text(json.dumps(doc))
         code = run_cli("--config", str(path), "--out-dir", str(tmp_path / "o"), "--threads", "2")
         assert code == EXIT_RUNTIME
-        assert "replication 0: coalition 999 has no colleges" in capsys.readouterr().err
+        assert "replication 0: planted failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "preset_doc, curve",
+        [
+            ("fig1", {"kind": "afford", "coalition": 999, "trim_epsilon": 0.0}),
+            ("fig1", {"kind": "match", "coalition": 999}),
+            ("fig2", {"kind": "match", "coalition": None}),
+        ],
+        ids=["afford-unknown", "match-unknown", "match-none-multi"],
+    )
+    def test_curve_naming_a_bad_coalition_exits_three(
+        self, preset_doc, curve, tmp_path, capsys, monkeypatch
+    ):
+        sampled = []
+        monkeypatch.setattr(estimation, "sample_market", lambda *a, **kw: sampled.append(a))
+        if preset_doc == "fig1":
+            doc = small_doc()
+        else:
+            config, plan = fig2(colleges=2, replications=2)
+            doc = config_to_dict(config, plan)
+        i = len(doc["plan"]["curves"])
+        doc["plan"]["curves"].append(curve)
+        code, out = run_doc(doc, tmp_path)
+        assert code == EXIT_INVARIANT
+        assert f"plan.curves[{i}].coalition: " in capsys.readouterr().err
+        assert sampled == []
+        assert not (out / "curves.csv").exists()
 
     def test_run_leaves_caller_doc_unchanged(self, tmp_path):
         doc = small_doc()

@@ -108,18 +108,24 @@ class TestRunReplications:
                 return map(fn, *args)
 
         asked = []
+        matched = []
 
-        def spy(config, replication, *, prefs_thread):
-            asked.append(prefs_thread)
-            return sample_market(config, replication, prefs_thread=prefs_thread)
+        def spy(config, replication, *, second_thread):
+            asked.append(second_thread)
+            return sample_market(config, replication, second_thread=second_thread)
+
+        def da_spy(market, capacities, *, second_thread):
+            matched.append(second_thread)
+            return deferred_acceptance(market, capacities, second_thread=second_thread)
 
         monkeypatch.setattr(estimation, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(estimation, "sample_market", spy)
+        monkeypatch.setattr(estimation, "deferred_acceptance", da_spy)
         config, plan = small_pool(replications=3)
         serial = run_replications(config, plan, threads=1)
-        assert asked == [True] * 3
+        assert asked == matched == [True] * 3
         pooled = run_replications(config, plan, threads=2)
-        assert asked[3:] == [False] * 3
+        assert asked[3:] == matched[3:] == [False] * 3
         assert np.array_equal(serial.assignment, pooled.assignment)
 
     def test_pool_matches_serial(self):
@@ -131,15 +137,33 @@ class TestRunReplications:
         for key in serial.afford:
             assert np.array_equal(serial.afford[key], pooled.afford[key])
 
-    def test_replication_index_attached_to_errors(self):
-        config, plan = small_pool()
-        bad_plan = ExperimentPlan(
-            replications=2,
-            bin_edges=plan.bin_edges,
-            curves=(AffordProbability(coalition_id=999),),
-        )
-        with pytest.raises(ReplicationError, match="replication 0"):
+    def test_replication_index_attached_to_errors(self, monkeypatch):
+        def fail(market, capacities, **kwargs):
+            raise RuntimeError(f"planted failure {market.replication}")
+
+        monkeypatch.setattr(estimation, "deferred_acceptance", fail)
+        config, plan = small_pool(replications=2)
+        with pytest.raises(ReplicationError, match="^replication 0: planted failure 0$"):
+            run_replications(config, plan)
+
+    @pytest.mark.parametrize(
+        "curve, message",
+        [
+            (AffordProbability(coalition_id=999), "coalition 999 has no colleges"),
+            (MatchProbability(coalition_id=999), "coalition 999 has no colleges"),
+            (MatchProbability(), "required for multi-coalition economies"),
+        ],
+        ids=["afford-unknown", "match-unknown", "match-none-multi"],
+    )
+    def test_bad_curve_coalition_fails_before_any_replication(self, curve, message, monkeypatch):
+        config, plan = fig2(colleges=2, replications=2)
+        sampled = []
+        monkeypatch.setattr(estimation, "sample_market", lambda *a, **kw: sampled.append(a))
+        bad_plan = replace(plan, curves=plan.curves + (curve,))
+        where = rf"^plan\.curves\[{len(plan.curves)}\]\.coalition: "
+        with pytest.raises(ConfigError, match=where + message + "$"):
             run_replications(config, bad_plan)
+        assert sampled == []
 
     def test_single_college_serial_dictatorship_oracle(self):
         # with one college, the matched set is exactly the top-seats students

@@ -8,10 +8,12 @@ CI installs.
 """
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
 
+from noisymatch import matching
 from noisymatch.cli import EXIT_OK, run
 from noisymatch.config_io import config_to_dict
 from noisymatch.presets import fig1, fig2
@@ -73,3 +75,12 @@ def test_csv_bytes_unchanged(name, tmp_path):
     assert run(config_to_dict(config, plan), tmp_path, 1, emit_cutoffs=False) == EXIT_OK
     got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in OUTPUTS)
     assert got == GOLDEN[name], f"CSV bytes changed (numpy {np.__version__})"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_csv_bytes_unchanged_with_every_scan_split(name, tmp_path, monkeypatch):
+    # the golden markets reject too few students per round to split at the
+    # default minimum
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(matching, "_SCAN_SPLIT_MIN_STUDENTS", 0)
+    test_csv_bytes_unchanged(name, tmp_path)

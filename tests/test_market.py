@@ -1,5 +1,6 @@
 """Unit tests for economy configuration and market sampling."""
 
+import os
 import threading
 
 import numpy as np
@@ -373,6 +374,14 @@ PREF_CONFIGS = {
 PATHS = {"threaded": 0, "serial": float("inf")}
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The threaded path needs a second CPU: pretend the process may use two,
+    so these tests take it under a one-CPU affinity mask too."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.mark.usefixtures("two_cpus")
 class TestBlockSortedPrefs:
     """Keys are argsorted in row blocks into int32; the ranks must equal one
     argsort of the full key matrix, on either side of the thread threshold."""
@@ -404,6 +413,7 @@ class TestBlockSortedPrefs:
         assert common.dtype == explicit.dtype == np.int32
 
 
+@pytest.mark.usefixtures("two_cpus")
 class TestPrefsThread:
     @pytest.mark.parametrize("model", sorted(PREF_CONFIGS))
     def test_threshold_does_not_change_the_market(self, model, monkeypatch):
@@ -455,7 +465,7 @@ class TestPrefsThread:
             sample_market(config, 0)
         assert isinstance(err.value.__context__, ValueError)
 
-    def test_prefs_thread_false_stays_on_the_calling_thread(self, monkeypatch):
+    def test_second_thread_false_stays_on_the_calling_thread(self, monkeypatch):
         config = PREF_CONFIGS["uniform_random"]()
         ran_on = []
         sample_prefs = UniformRandomPreferences.sample_prefs
@@ -466,7 +476,7 @@ class TestPrefsThread:
 
         monkeypatch.setattr(UniformRandomPreferences, "sample_prefs", spy)
         monkeypatch.setattr(market_module, "_PREFS_THREAD_MIN_CELLS", PATHS["threaded"])
-        serial = sample_market(config, 4, prefs_thread=False)
+        serial = sample_market(config, 4, second_thread=False)
         threaded = sample_market(config, 4)
         assert ran_on[0] == threading.get_ident() != ran_on[1]
         assert_same_bytes(serial, loop_sample_market(config, 4))

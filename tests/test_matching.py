@@ -7,6 +7,8 @@ one; the algorithm must reproduce it exactly.
 
 import dataclasses
 import itertools
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from hypothesis import strategies as st
 from noisymatch import matching
 from noisymatch.cutoffs import check_market_clearing, demand_all, extract_cutoffs
 from noisymatch.estimation import run_replications
-from noisymatch.market import SampledMarket, sample_market
+from noisymatch import market as market_module
+from noisymatch.market import SampledMarket, sample_market, usable_cpus
 from noisymatch.matching import (
     UNMATCHED,
     VECTORISED_MIN_CELLS,
@@ -25,7 +28,7 @@ from noisymatch.matching import (
     heap_deferred_acceptance,
     vectorised_deferred_acceptance,
 )
-from noisymatch.presets import fig1
+from noisymatch.presets import fig1, fig2
 
 
 def make_market(prefs, scores):
@@ -260,10 +263,20 @@ class TestVectorisedPath:
         assert_same_matching(got, heap_deferred_acceptance(market, caps))
         assert find_blocking_pairs(got, market) == []
 
+    @settings(max_examples=400, deadline=None)
+    @given(tie_heavy_markets())
+    def test_split_scan_equals_heap_loop(self, case):
+        market, caps = case
+        with pytest.MonkeyPatch.context() as mp:
+            split_every_round(mp)
+            got = vectorised_deferred_acceptance(market, caps)
+        assert_same_matching(got, heap_deferred_acceptance(market, caps))
+        assert find_blocking_pairs(got, market) == []
+
     def test_dispatch_by_market_size(self, monkeypatch):
         calls = []
         for name in ("heap_deferred_acceptance", "vectorised_deferred_acceptance"):
-            monkeypatch.setattr(matching, name, lambda m, c, name=name: calls.append(name))
+            monkeypatch.setattr(matching, name, lambda m, c, name=name, **kw: calls.append(name))
         for n, c in ((200, 2), (2000, 2)):  # 400 and 4000 cells
             market = make_market(np.zeros((n, c), dtype=int), np.zeros((n, c)))
             matching.deferred_acceptance(market, [1] * c)
@@ -306,3 +319,104 @@ class TestInt32Prefs:
             assert np.array_equal(
                 check_market_clearing(market, bar, caps), check_market_clearing(wide, bar, caps)
             )
+
+
+# ---------------------------------------------------------------------------
+# the rejected-student scan split across two threads
+
+
+def split_every_round(mp):
+    """Split every round's scan, on a process that may use two CPUs."""
+    mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    mp.setattr(matching, "_SCAN_SPLIT_MIN_STUDENTS", 0)
+
+
+def tied_market(n=3000, colleges=30, seed=5):
+    """Scores on a 4-point grid, so many students tie at each cutoff."""
+    rng = np.random.default_rng(seed)
+    prefs = np.argsort(rng.random((n, colleges)), axis=1)
+    scores = rng.integers(0, 4, (n, colleges)) / 4
+    return make_market(prefs, scores), [n // 3 // colleges] * colleges
+
+
+def sampled(config_plan):
+    config, _ = config_plan
+    return sample_market(config, 1), config.capacities()
+
+
+SPLIT_MARKETS = {
+    "fig1-pareto": lambda: sampled(fig1(colleges=100, noise="pareto", n_students=3000)),
+    "fig2-uniform": lambda: sampled(fig2(noise="uniform")),
+    "score-ties": tied_market,
+}
+
+
+class TestScanSplit:
+    @pytest.mark.parametrize("name", sorted(SPLIT_MARKETS))
+    def test_split_minimum_does_not_change_the_matching(self, name, monkeypatch):
+        market, caps = SPLIT_MARKETS[name]()
+        serial = vectorised_deferred_acceptance(market, caps, second_thread=False)
+        split_every_round(monkeypatch)
+        ran_on = []
+        advance = matching._advance
+
+        def spy(*args):
+            ran_on.append(threading.get_ident())
+            return advance(*args)
+
+        monkeypatch.setattr(matching, "_advance", spy)
+        for split_min in (float("inf"), 0):
+            monkeypatch.setattr(matching, "_SCAN_SPLIT_MIN_STUDENTS", split_min)
+            assert_same_matching(vectorised_deferred_acceptance(market, caps), serial)
+        assert len(set(ran_on)) == 2
+        if name == "score-ties":
+            assert_same_matching(serial, heap_deferred_acceptance(market, caps))
+
+    def test_error_on_the_helper_thread_reaches_the_caller(self, monkeypatch):
+        market, caps = tied_market()
+        split_every_round(monkeypatch)
+        caller = threading.get_ident()
+        raised_on = []
+        advance = matching._advance
+
+        def fail_off_the_caller(*args):
+            if threading.get_ident() != caller:
+                raised_on.append(threading.get_ident())
+                raise RuntimeError("scan failed on the helper")
+            return advance(*args)
+
+        monkeypatch.setattr(matching, "_advance", fail_off_the_caller)
+        with pytest.raises(RuntimeError, match="^scan failed on the helper$"):
+            vectorised_deferred_acceptance(market, caps)
+        assert raised_on and caller not in raised_on
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
+    def test_helper_threads_need_a_second_cpu_and_the_flag(self, cpus, monkeypatch):
+        config, _ = fig1(colleges=100, noise="pareto", n_students=3000)
+        split_every_round(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(market_module, "_PREFS_THREAD_MIN_CELLS", 0)
+        assert usable_cpus() == len(cpus)
+        started = []
+        for module in (market_module, matching):
+            pool = module.ThreadPoolExecutor
+
+            def spy(*args, pool=pool, name=module.__name__, **kwargs):
+                started.append(name)
+                return pool(*args, **kwargs)
+
+            monkeypatch.setattr(module, "ThreadPoolExecutor", spy)
+        market = sample_market(config, 2, second_thread=False)
+        deferred_acceptance(market, config.capacities(), second_thread=False)
+        assert started == []
+        market = sample_market(config, 2)
+        deferred_acceptance(market, config.capacities())
+        both = ["noisymatch.market", "noisymatch.matching"]
+        assert started == (both if len(cpus) > 1 else [])
+
+    def test_usable_cpus_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cpus() == 1
