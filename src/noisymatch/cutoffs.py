@@ -33,6 +33,35 @@ def afford_matrix(market: SampledMarket, cutoffs: CutoffVector) -> np.ndarray:
     return market.scores >= np.asarray(cutoffs)[None, :]
 
 
+# afford_any compares at most this many cells at a time, into one reused
+# boolean block of 256 KiB.  Median time per call, one n x C comparison and
+# any() against blocks of 2^16 / 2^18 / 2^20 cells, interleaved (Python 3.11,
+# numpy 2.4, 2-vCPU machine):
+#   fig2,        n=2000,  C=40:   0.20 vs 0.21 / 0.20 / 0.20 ms
+#   fig1 Pareto, n=20000, C=1000: 25.5 vs 25.4 / 24.7 / 24.4 ms
+_AFFORD_CELLS = 1 << 18
+
+
+def afford_any(market: SampledMarket, cutoffs: CutoffVector) -> np.ndarray:
+    """Per student, whether they afford at least one college.
+
+    Equals ``afford_matrix(market, cutoffs).any(axis=1)``, but compares the
+    scores in row blocks of at most ``_AFFORD_CELLS`` cells, so no n x C
+    table is built.
+    """
+    scores = market.scores
+    n, n_colleges = scores.shape
+    bar = np.asarray(cutoffs)
+    rows = max(1, _AFFORD_CELLS // n_colleges)
+    table = np.empty((min(rows, n), n_colleges), dtype=bool)
+    out = np.empty(n, dtype=bool)
+    for r0 in range(0, n, rows):
+        block = table[: min(rows, n - r0)]
+        np.greater_equal(scores[r0 : r0 + len(block)], bar, out=block)
+        block.any(axis=1, out=out[r0 : r0 + len(block)])
+    return out
+
+
 def demand_all(market: SampledMarket, cutoffs: CutoffVector) -> np.ndarray:
     """Vectorised demand for every student (UNMATCHED when nothing affordable)."""
     n = market.n_students

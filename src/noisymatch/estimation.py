@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cutoffs import afford_matrix, extract_cutoffs
+from .cutoffs import afford_any, extract_cutoffs
 from .errors import ConfigError, ReplicationError
 from .market import EconomyConfig, sample_market
 from .matching import UNMATCHED, deferred_acceptance
@@ -156,7 +156,7 @@ def _run_one(
             # Comparing in place avoids copying the kept score columns.
             bar = np.full(market.n_colleges, np.nan)
             bar[kept] = cuts[kept]
-            afford[(coalition_id, eps)] = afford_matrix(market, bar).any(axis=1)
+            afford[(coalition_id, eps)] = afford_any(market, bar)
         return market.values, matching.assignment, afford, cuts
     except ReplicationError:
         raise

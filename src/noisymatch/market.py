@@ -27,9 +27,20 @@ STREAM_PREFS = 1
 STREAM_NOISE = 2
 
 # Noise and preference keys are drawn at most this many cells at a time
-# (8 MiB of float64), so the float64 temporaries, and argsort's int64 result,
-# stay small next to the n x C score and int32 preference matrices.
-_BLOCK_CELLS = 1 << 20
+# (2 MiB of float64), so the float64 temporaries, and argsort's int64 result,
+# stay small next to the n x C score and preference matrices, and so do the
+# freed blocks malloc keeps in its arenas afterwards.  Median sample_market
+# time and tracemalloc's peak beyond the finished market, fig1 shape with
+# Pareto noise, blocks of 2^16 / 2^18 / 2^20 cells (Python 3.11, numpy 2.4,
+# 2-vCPU machine):
+#                           time (ms)             peak beyond market (MiB)
+#   n=2000,  C=100:      12 /   13 /   13         1.0 / 1.7 / 1.7
+#   n=8000,  C=128:      62 /   62 /   67         1.0 / 3.9 / 7.9
+#   n=20000, C=1000:   1603 / 1310 / 1389         0.9 / 4.0 / 15.9
+#     prefs thread:    1247 /  973 /  915         1.9 / 8.0 / 31.9
+# A rerun of 2^18 against 2^20 at n=20000, C=1000: 1430 vs 1395 ms serial,
+# 940 vs 930 ms with the preference thread.
+_BLOCK_CELLS = 1 << 18
 
 # Markets of at least this many cells may draw the preference stream on a
 # second thread while the noise stream fills the scores.  numpy releases the
@@ -42,7 +53,7 @@ _BLOCK_CELLS = 1 << 20
 #   n=4000,  C=100  (0.4 M cells): 30 ms vs 19 ms
 #   n=8000,  C=128  (1.0 M cells): 60 ms vs 47 ms
 #   n=20000, C=1000  (20 M cells): 1.2 s vs 0.76 s
-_PREFS_THREAD_MIN_CELLS = _BLOCK_CELLS
+_PREFS_THREAD_MIN_CELLS = 1 << 20
 
 
 class CapacityRegularityWarning(UserWarning):
@@ -54,6 +65,15 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def prefs_dtype(n_colleges: int) -> np.dtype:
+    """Narrowest signed integer type that holds every college index.
+
+    Consumers of prefs index with it but do their index arithmetic in int64
+    or intp, so a narrow type never wraps.
+    """
+    return np.dtype(np.int16 if n_colleges <= np.iinfo(np.int16).max + 1 else np.int32)
 
 
 def child_rng(master_seed: int, replication: int, stream: int) -> np.random.Generator:
@@ -240,7 +260,8 @@ class PreferenceModel:
     def sample_prefs(
         self, rng: np.random.Generator, n: int, n_colleges: int, tiers: np.ndarray
     ) -> np.ndarray:
-        """(n, C) int32 array of college indices, most preferred first."""
+        """(n, C) array of college indices, most preferred first, of
+        ``prefs_dtype(C)``."""
         raise NotImplementedError
 
     def check(self, n_colleges: int) -> None:
@@ -270,7 +291,7 @@ class CommonRanking(PreferenceModel):
             )
 
     def sample_prefs(self, rng, n, n_colleges, tiers):
-        return np.tile(np.asarray(self.ranking, dtype=np.int32), (n, 1))
+        return np.tile(np.asarray(self.ranking, dtype=prefs_dtype(n_colleges)), (n, 1))
 
     def to_dict(self):
         return {"kind": self.kind, "ranking": list(self.ranking)}
@@ -313,7 +334,7 @@ class ExplicitSampler(PreferenceModel):
                 )
 
     def sample_prefs(self, rng, n, n_colleges, tiers):
-        table = np.asarray(self.rankings, dtype=np.int32)
+        table = np.asarray(self.rankings, dtype=prefs_dtype(n_colleges))
         picks = rng.choice(len(table), size=n, p=np.asarray(self.probabilities))
         return table[picks]
 
@@ -332,7 +353,7 @@ def _argsort_keys(rng, n, n_colleges, tiers=None):
     row-major order, so the blocks take the same keys, and each row sorts
     alone, so the result equals one argsort over the full matrix.
     """
-    prefs = np.empty((n, n_colleges), dtype=np.int32)
+    prefs = np.empty((n, n_colleges), dtype=prefs_dtype(n_colleges))
     rows = max(1, _BLOCK_CELLS // n_colleges)
     for r0 in range(0, n, rows):
         key = rng.random((min(rows, n - r0), n_colleges))
@@ -457,11 +478,14 @@ class SampledMarket:
     """One realisation of an economy.
 
     scores[s, c] is the student's coalition value at college c plus an
-    independent noise draw; prefs rows are college indices, best first.
+    independent noise draw; prefs rows are college indices, best first, of
+    ``prefs_dtype(n_colleges)``: int16 up to 32768 colleges, so a market
+    holds 10 bytes per (student, college) cell.  Index arithmetic on prefs
+    belongs in int64 or intp.
     """
 
     values: np.ndarray  # (n_students, n_coalitions)
-    prefs: np.ndarray  # (n_students, n_colleges) int32
+    prefs: np.ndarray  # (n_students, n_colleges) prefs_dtype(n_colleges)
     scores: np.ndarray  # (n_students, n_colleges)
     college_coalition: np.ndarray  # (n_colleges,) coalition position per college
     replication: int = 0

@@ -1,11 +1,12 @@
 """Unit tests for the replication harness, curves, and metrics."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from noisymatch import estimation
+from noisymatch import cutoffs, estimation
 from noisymatch.errors import ConfigError, ReplicationError
 from noisymatch.estimation import (
     AffordProbability,
@@ -230,6 +231,29 @@ class TestAffordability:
                 assert afford[(k, eps)].dtype == bool
                 assert np.array_equal(afford[(k, eps)], want), (k, eps)
             assert not afford[(k, 1 - 1e-12)].any()
+
+    @pytest.mark.parametrize("rows", [1, 7], ids=["one-row", "seven-rows"])
+    def test_row_blocks_match_kept_column_expression(self, rows, monkeypatch):
+        # 600 students: seven rows per block leave a last block of five
+        monkeypatch.setattr(cutoffs, "_AFFORD_CELLS", rows * 40)
+        self.test_matches_kept_column_expression(20, "uniform")
+
+    def test_builds_no_n_by_c_table(self, monkeypatch):
+        # numpy reports its buffers to tracemalloc; the smallest n x C array
+        # is a boolean one of n * C bytes
+        config, plan = fig2(colleges=100, n_students=20000, replications=1)
+        market = sample_market(config, 0)
+        matching = deferred_acceptance(market, config.capacities())
+        monkeypatch.setattr(estimation, "sample_market", lambda *args, **kwargs: market)
+        monkeypatch.setattr(estimation, "deferred_acceptance", lambda *args, **kwargs: matching)
+        tracemalloc.start()
+        try:
+            _, _, afford, _ = _run_one(config, plan, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert afford
+        assert peak < market.n_students * market.n_colleges
 
 
 class TestCurves:

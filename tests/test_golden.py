@@ -13,7 +13,7 @@ import os
 import numpy as np
 import pytest
 
-from noisymatch import matching
+from noisymatch import cutoffs, market, matching
 from noisymatch.cli import EXIT_OK, run
 from noisymatch.config_io import config_to_dict
 from noisymatch.presets import fig1, fig2
@@ -83,4 +83,14 @@ def test_csv_bytes_unchanged_with_every_scan_split(name, tmp_path, monkeypatch):
     # default minimum
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(matching, "_SCAN_SPLIT_MIN_STUDENTS", 0)
+    test_csv_bytes_unchanged(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_csv_bytes_unchanged_in_the_smallest_slices(name, tmp_path, monkeypatch):
+    # one student per scan slice, one college (noise) or one row (keys) per
+    # sampling block, and one row per affordability block
+    monkeypatch.setattr(matching, "_SCAN_CELLS", 1)
+    monkeypatch.setattr(market, "_BLOCK_CELLS", 1)
+    monkeypatch.setattr(cutoffs, "_AFFORD_CELLS", 1)
     test_csv_bytes_unchanged(name, tmp_path)

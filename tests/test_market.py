@@ -2,6 +2,7 @@
 
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from noisymatch.market import (
     child_rng,
     holder_exponent_check,
     preferences_from_dict,
+    prefs_dtype,
     sample_market,
     v_s_threshold,
     values_from_dict,
@@ -314,12 +316,12 @@ def layout_config(coalition_of_college, noises, n=300, seed=13):
 
 
 def assert_same_bytes(market, reference):
-    """values and scores byte for byte; prefs by value, as int32."""
+    """values and scores byte for byte; prefs by value, in prefs_dtype."""
     values, prefs, scores = reference
     for got, want in ((market.values, values), (market.scores, scores)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-    assert market.prefs.dtype == np.int32
+    assert market.prefs.dtype == prefs_dtype(market.n_colleges) == np.int16
     assert np.array_equal(market.prefs, prefs)
 
 
@@ -351,8 +353,8 @@ class TestFusedSampling:
 
     @pytest.mark.parametrize("family", sorted(NOISE_FAMILIES))
     def test_coalition_wider_than_the_block_cap(self, family):
-        # 1100 x 1000 cells: the real cap gives blocks of 953 colleges, so the
-        # one run of 1000 colleges takes two draws
+        # 1100 x 1000 cells: the real cap gives blocks of 238 colleges, so the
+        # one run of 1000 colleges takes five draws
         config = layout_config([0] * 1000, (NOISE_FAMILIES[family],), n=1100)
         assert market_module._BLOCK_CELLS // config.n_students < config.n_colleges
         assert_same_bytes(sample_market(config, 2), loop_sample_market(config, 2))
@@ -383,7 +385,7 @@ def two_cpus(monkeypatch):
 
 @pytest.mark.usefixtures("two_cpus")
 class TestBlockSortedPrefs:
-    """Keys are argsorted in row blocks into int32; the ranks must equal one
+    """Keys are argsorted in row blocks into int16; the ranks must equal one
     argsort of the full key matrix, on either side of the thread threshold."""
 
     @pytest.mark.parametrize("path", sorted(PATHS))
@@ -405,12 +407,22 @@ class TestBlockSortedPrefs:
         monkeypatch.setattr(market_module, "_BLOCK_CELLS", 1)
         assert_same_bytes(sample_market(config, 1), loop_sample_market(config, 1))
 
-    def test_fixed_rankings_are_int32(self, rng):
-        common = CommonRanking(ranking=(2, 0, 1)).sample_prefs(rng, 4, 3, np.zeros(3, int))
+    def test_fixed_rankings_share_the_sampled_dtype(self, rng):
+        tiers = np.zeros(3, int)
+        common = CommonRanking(ranking=(2, 0, 1)).sample_prefs(rng, 4, 3, tiers)
         explicit = ExplicitSampler(rankings=((0, 1, 2),), probabilities=(1.0,)).sample_prefs(
-            rng, 4, 3, np.zeros(3, int)
+            rng, 4, 3, tiers
         )
-        assert common.dtype == explicit.dtype == np.int32
+        sampled = UniformRandomPreferences().sample_prefs(rng, 4, 3, tiers)
+        tiered = TieredByCoalition().sample_prefs(rng, 4, 3, tiers)
+        assert common.dtype == explicit.dtype == sampled.dtype == tiered.dtype == prefs_dtype(3)
+
+    def test_prefs_dtype_holds_every_college_index(self):
+        # no market with 32769 colleges fits in memory, so the boundary is
+        # checked on the function itself
+        assert prefs_dtype(1) == prefs_dtype(32768) == np.int16
+        assert prefs_dtype(32769) == np.int32
+        assert np.iinfo(prefs_dtype(32768)).max == 32767
 
 
 @pytest.mark.usefixtures("two_cpus")
@@ -465,6 +477,24 @@ class TestPrefsThread:
             sample_market(config, 0)
         assert isinstance(err.value.__context__, ValueError)
 
+    def test_thread_minimum_is_not_the_block_size(self, monkeypatch):
+        started = []
+        pool = market_module.ThreadPoolExecutor
+
+        def spy(*args, **kwargs):
+            started.append(True)
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr(market_module, "ThreadPoolExecutor", spy)
+        for n, colleges, threaded in ((1000, 400, False), (2000, 600, True)):
+            config = layout_config([0] * colleges, (Pareto(2.0, 0.3),), n=n)
+            cells = n * colleges
+            assert market_module._BLOCK_CELLS < cells
+            assert (cells >= market_module._PREFS_THREAD_MIN_CELLS) == threaded
+            started.clear()
+            assert_same_bytes(sample_market(config, 1), loop_sample_market(config, 1))
+            assert started == [True] * threaded
+
     def test_second_thread_false_stays_on_the_calling_thread(self, monkeypatch):
         config = PREF_CONFIGS["uniform_random"]()
         ran_on = []
@@ -502,3 +532,25 @@ class TestPrefsThread:
                 preferences=model,
                 master_seed=1,
             )
+
+
+class TestSamplingMemory:
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["serial", "threaded"])
+    def test_peak_exceeds_the_market_by_a_few_blocks(self, cpus, monkeypatch):
+        # numpy reports its buffers to tracemalloc from every thread.  Each
+        # stream holds at most two float64 blocks at once (keys and argsort's
+        # int64 ranks, or a noise draw and its transform); the two streams
+        # overlap only on the threaded path.  With 2^20-cell blocks, this
+        # market's temporaries reached ~16 MiB serially and ~32 MiB threaded.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        config = one_pool_config(n=20000, colleges=200, noise=Pareto(2.0, 0.3))
+        assert config.n_students * config.n_colleges >= market_module._PREFS_THREAD_MIN_CELLS
+        tracemalloc.start()
+        try:
+            market = sample_market(config, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = market.values.nbytes + market.prefs.nbytes + market.scores.nbytes
+        block = 8 * market_module._BLOCK_CELLS
+        assert peak - held <= (2 * len(cpus) + 1) * block

@@ -9,6 +9,7 @@ import dataclasses
 import itertools
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,6 +244,23 @@ def tie_heavy_markets(draw):
     return make_market(prefs, scores), caps
 
 
+@st.composite
+def long_list_markets(draw):
+    """25 to 40 colleges of one to three seats and more students than seats,
+    so rejected students scan past the 8-, 16- and 32-wide windows of their
+    lists; scores on a 5-point grid, so exact ties are common."""
+    c = draw(st.integers(25, 40))
+    caps = draw(st.lists(st.integers(1, 3), min_size=c, max_size=c))
+    n = draw(st.integers(sum(caps) + 1, 2 * sum(caps) + 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prefs = np.argsort(rng.random((n, c)), axis=1)
+    scores = rng.integers(0, 5, (n, c)) / 4
+    return make_market(prefs, scores), caps
+
+
+small_markets = st.one_of(tie_heavy_markets(), long_list_markets())
+
+
 def assert_same_matching(got, want):
     assert np.array_equal(got.assignment, want.assignment)
     assert got.assignment.dtype == want.assignment.dtype
@@ -273,6 +291,21 @@ class TestVectorisedPath:
         assert_same_matching(got, heap_deferred_acceptance(market, caps))
         assert find_blocking_pairs(got, market) == []
 
+    @pytest.mark.parametrize("scan", ["whole", "sliced", "sliced-split"])
+    @settings(max_examples=200, deadline=None)
+    @given(small_markets)
+    def test_scan_slices_equal_heap_loop(self, scan, case):
+        # with _SCAN_CELLS = 1 every rejected student is a slice of its own
+        market, caps = case
+        with pytest.MonkeyPatch.context() as mp:
+            if scan != "whole":
+                mp.setattr(matching, "_SCAN_CELLS", 1)
+            if scan == "sliced-split":
+                split_every_round(mp)
+            got = vectorised_deferred_acceptance(market, caps)
+        assert_same_matching(got, heap_deferred_acceptance(market, caps))
+        assert find_blocking_pairs(got, market) == []
+
     def test_dispatch_by_market_size(self, monkeypatch):
         calls = []
         for name in ("heap_deferred_acceptance", "vectorised_deferred_acceptance"):
@@ -293,18 +326,21 @@ class TestVectorisedPath:
             assert np.array_equal(records.cutoffs[r], extract_cutoffs(heap))
 
 
-class TestInt32Prefs:
-    """Sampled markets carry int32 prefs; every consumer must give the same
+class TestNarrowPrefs:
+    """Sampled markets carry int16 prefs; every consumer must give the same
     answer as on an int64 copy of the same market."""
 
     @pytest.mark.parametrize(
-        "n, colleges, vectorised", [(40, 4, False), (2000, 10, True)], ids=["heap-size", "vector-size"]
+        "n, colleges, vectorised",
+        [(40, 4, False), (2000, 10, True), (4000, 20, True)],
+        # 80,000 cells: a flat offset into prefs overflows int16
+        ids=["heap-size", "vector-size", "past-int16-offsets"],
     )
     def test_consumers_agree_with_int64(self, n, colleges, vectorised):
         config, _ = fig1(colleges=colleges, noise="pareto", n_students=n, replications=1)
         market = sample_market(config, 1)
         wide = dataclasses.replace(market, prefs=market.prefs.astype(np.int64))
-        assert market.prefs.dtype == np.int32
+        assert market.prefs.dtype == np.int16
         assert (n * colleges >= VECTORISED_MIN_CELLS) == vectorised
         caps = config.capacities()
         for da in (deferred_acceptance, heap_deferred_acceptance, vectorised_deferred_acceptance):
@@ -420,3 +456,47 @@ class TestScanSplit:
         assert usable_cpus() == 3
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert usable_cpus() == 1
+
+
+# ---------------------------------------------------------------------------
+# the rejected-student scan in slices of at most _SCAN_CELLS cells
+
+
+class TestSlicedScan:
+    def test_slices_stay_under_the_cap_and_keep_the_matching(self, monkeypatch):
+        market, caps = tied_market(n=600, colleges=40, seed=3)
+        whole = vectorised_deferred_acceptance(market, caps, second_thread=False)
+        steps = []
+        scan_window = matching._scan_window
+
+        def spy(rejected, window, *rest):
+            steps.append((len(rejected), window))
+            return scan_window(rejected, window, *rest)
+
+        monkeypatch.setattr(matching, "_scan_window", spy)
+        monkeypatch.setattr(matching, "_SCAN_CELLS", 64)
+        sliced = vectorised_deferred_acceptance(market, caps, second_thread=False)
+        assert_same_matching(sliced, whole)
+        assert all(rows <= max(1, 64 // window) for rows, window in steps)
+        assert {8, 16, 32} <= {window for _, window in steps}
+        assert max(rows for rows, _ in steps) == 8
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["serial", "split"])
+    def test_allocations_are_bounded_by_the_slice_size(self, cpus, monkeypatch):
+        # numpy reports its buffers to tracemalloc from every thread.  Each
+        # thread's scan step holds at most six int64 or float64 arrays of
+        # _SCAN_CELLS cells, and a round at most sixteen of one entry per
+        # student.  Without slices this market's call allocates ~10 MiB.
+        config, _ = fig1(colleges=200, noise="pareto", n_students=20000)
+        market = sample_market(config, 1)
+        caps = config.capacities()
+        split_every_round(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        tracemalloc.start()
+        try:
+            deferred_acceptance(market, caps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = len(cpus) * 6 * 8 * matching._SCAN_CELLS + 16 * 8 * config.n_students
+        assert peak <= bound
