@@ -61,12 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out-dir", type=Path, default=Path("out"), help="output directory")
     p.add_argument(
-        "--emit-cutoffs",
-        action="store_true",
-        help="force per-replication cutoff recording (cutoffs.csv is written "
-        "whenever the plan records cutoffs, as both presets do)",
-    )
-    p.add_argument(
         "--set",
         dest="overrides",
         action="append",
@@ -130,10 +124,8 @@ def _curve_rows(curve_id: str, curve):
         )
 
 
-def run(doc: dict, out_dir: Path, threads: int, emit_cutoffs: bool) -> int:
+def run(doc: dict, out_dir: Path, threads: int) -> int:
     started = time.time()
-    if emit_cutoffs:
-        doc = {**doc, "plan": {**doc.get("plan", {}), "record_cutoffs": True}}
     config, plan = dict_to_config(doc)
     digest = config_hash(config_to_dict(config, plan))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -232,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
     threads = args.threads if args.threads is not None else usable_cpus()
     try:
-        return run(doc, args.out_dir, threads, args.emit_cutoffs)
+        return run(doc, args.out_dir, threads)
     except ConfigError as e:
         print(f"invariant violation: {e}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -19,13 +19,7 @@ CutoffVector = np.ndarray
 
 def extract_cutoffs(matching: Matching) -> CutoffVector:
     """Per-college minimum admitted score; -inf where seats stay empty."""
-    out = np.empty(len(matching.rosters))
-    for c, scores in enumerate(matching.scores):
-        if len(scores) < matching.capacities[c]:
-            out[c] = -np.inf
-        else:
-            out[c] = scores[-1]
-    return out
+    return matching.cutoffs
 
 
 def afford_matrix(market: SampledMarket, cutoffs: CutoffVector) -> np.ndarray:

@@ -22,23 +22,11 @@ UNMATCHED = -1
 
 @dataclass(frozen=True)
 class Matching:
-    """Assignment plus per-college rosters sorted best-first."""
+    """A matching as its assignment and each college's admission cutoff."""
 
     assignment: np.ndarray  # (n_students,) college index or UNMATCHED
-    rosters: tuple[np.ndarray, ...]  # per college: student indices, best score first
-    scores: tuple[np.ndarray, ...]  # matching roster order
+    cutoffs: np.ndarray  # (n_colleges,) lowest admitted score; -inf with a free seat
     capacities: tuple[int, ...]
-
-    @property
-    def n_students(self) -> int:
-        return len(self.assignment)
-
-    @property
-    def n_colleges(self) -> int:
-        return len(self.rosters)
-
-    def matched_count(self) -> int:
-        return int((self.assignment != UNMATCHED).sum())
 
 
 # Markets with at least this many (student, college) cells take the vectorised
@@ -93,10 +81,27 @@ _SCAN_CELLS = 1 << 16
 
 
 def _capacity_list(capacities: Sequence[int], n_colleges: int) -> list[int]:
-    caps = [int(c) for c in capacities]
+    caps = list(capacities)
     if len(caps) != n_colleges:
         raise ValueError(f"capacities: expected {n_colleges} entries, got {len(caps)}")
-    return caps
+    for i, c in enumerate(caps):
+        if not (c >= 1 and float(c).is_integer()):
+            raise ValueError(f"capacities[{i}]: must be a positive integer, got {c!r}")
+    return [int(c) for c in caps]
+
+
+def matching_from_assignment(
+    assignment: np.ndarray, scores: np.ndarray, capacities: Sequence[int]
+) -> Matching:
+    """The Matching of an assignment: a full college's cutoff is its lowest
+    admitted score, and a college with a free seat gets -inf."""
+    n_colleges = scores.shape[1]
+    matched = np.flatnonzero(assignment != UNMATCHED)
+    col = assignment[matched]
+    cutoffs = np.full(n_colleges, np.inf)
+    np.minimum.at(cutoffs, col, scores[matched, col])
+    cutoffs[np.bincount(col, minlength=n_colleges) < capacities] = -np.inf
+    return Matching(assignment, cutoffs, tuple(capacities))
 
 
 def deferred_acceptance(
@@ -105,7 +110,7 @@ def deferred_acceptance(
     """Student-optimal stable matching for the sampled market.
 
     Small markets run the heap loop, large ones the vectorised cutoff
-    fixed point; both return the same Matching, roster order included.
+    fixed point; both return the same Matching.
     ``second_thread`` is passed on to the vectorised path.
     """
     n, n_colleges = market.scores.shape
@@ -152,15 +157,7 @@ def heap_deferred_acceptance(market: SampledMarket, capacities: Sequence[int]) -
                 stack.append(displaced)
                 break
 
-    rosters = []
-    roster_scores = []
-    for heap in heaps:
-        order = sorted(heap, key=lambda e: (-e[0], e[1]))
-        rosters.append(np.array([-neg for _, neg in order], dtype=int))
-        roster_scores.append(np.array([sc for sc, _ in order]))
-    return Matching(
-        np.array(assignment, dtype=int), tuple(rosters), tuple(roster_scores), tuple(caps)
-    )
+    return matching_from_assignment(np.array(assignment, dtype=int), market.scores, caps)
 
 
 def vectorised_deferred_acceptance(
@@ -227,14 +224,7 @@ def vectorised_deferred_acceptance(
             else:
                 _advance(rejected, *scan)
 
-    matched = np.nonzero(college != UNMATCHED)[0]
-    col = college[matched]
-    sc = scores[row[matched] + col]
-    order = np.lexsort((-matched, -sc, col))  # roster order of the heap loop
-    bounds = np.cumsum(np.bincount(col, minlength=n_colleges))[:-1]
-    rosters = np.split(matched[order], bounds)
-    roster_scores = np.split(sc[order], bounds)
-    return Matching(college, tuple(rosters), tuple(roster_scores), tuple(caps))
+    return matching_from_assignment(college, market.scores, caps)
 
 
 def _advance(rejected, prefs, scores, row, cut_score, cut_student, pos, college):
@@ -290,39 +280,41 @@ def _scan_window(rejected, window, prefs, scores, row, cut_score, cut_student, p
     return rejected
 
 
-def find_blocking_pairs(
-    matching: Matching, market: SampledMarket, capacities: Sequence[int] | None = None
-) -> list[tuple[int, int]]:
-    """Every (student, college) pair that would jointly deviate.
+def find_blocking_pairs(matching: Matching, market: SampledMarket) -> list[tuple[int, int]]:
+    """Every (student, college) pair that would jointly deviate, sorted.
 
     A pair blocks when the student strictly prefers the college to their
     assignment and the college either has a free seat or admits someone it
-    ranks below the student.  Empty output certifies stability.
+    ranks below the student.  Reads only the assignment and capacities, so
+    it certifies any assignment; empty output certifies stability.
     """
-    caps = list(capacities) if capacities is not None else list(matching.capacities)
-    n, n_colleges = market.scores.shape
+    scores = market.scores
+    n, n_colleges = scores.shape
     assignment = matching.assignment
+    student = np.arange(n)
 
-    rank = np.empty((n, n_colleges), dtype=int)
-    rows = np.arange(n)[:, None]
-    rank[rows, market.prefs] = np.arange(n_colleges)[None, :]
-    assigned_rank = np.where(
-        assignment != UNMATCHED, rank[np.arange(n), np.clip(assignment, 0, None)], n_colleges
+    rank = np.empty((n, n_colleges), dtype=np.int64)
+    rank[student[:, None], market.prefs] = np.arange(n_colleges)
+    held = assignment != UNMATCHED
+    assigned_rank = np.full(n, n_colleges)
+    assigned_rank[held] = rank[held, assignment[held]]
+
+    # each full college's worst admit: lowest score, then highest index; a
+    # college with a free seat keeps a bar of (-inf, n) that every student clears
+    matched = np.flatnonzero(held)
+    col = assignment[matched]
+    order = np.lexsort((-matched, scores[matched, col], col))
+    col, matched = col[order], matched[order]
+    first = np.diff(col, prepend=-1) != 0
+    worst = np.full(n_colleges, n)
+    worst[col[first]] = matched[first]
+    full = np.flatnonzero(np.bincount(col, minlength=n_colleges) >= matching.capacities)
+    bar_student = np.full(n_colleges, n)
+    bar_student[full] = worst[full]
+    bar_score = np.full(n_colleges, -np.inf)
+    bar_score[full] = scores[worst[full], full]
+
+    blocks = (rank < assigned_rank[:, None]) & (
+        (scores > bar_score) | ((scores == bar_score) & (student[:, None] < bar_student))
     )
-
-    pairs: list[tuple[int, int]] = []
-    for c in range(n_colleges):
-        roster = matching.rosters[c]
-        prefers = rank[:, c] < assigned_rank
-        if len(roster) < caps[c]:
-            hits = np.nonzero(prefers)[0]
-        else:
-            worst_score = matching.scores[c][-1]
-            ties = roster[matching.scores[c] == worst_score]
-            worst_key = (worst_score, -int(ties.max()))
-            col = market.scores[:, c]
-            better = (col > worst_key[0]) | ((col == worst_key[0]) & (-np.arange(n) > worst_key[1]))
-            hits = np.nonzero(prefers & better)[0]
-        pairs.extend((int(s), c) for s in hits)
-    pairs.sort()
-    return pairs
+    return [(int(s), int(c)) for s, c in np.argwhere(blocks)]

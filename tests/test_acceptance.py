@@ -533,8 +533,7 @@ def test_criterion_10_rate_exponent_formula():
 
 
 def test_criterion_11_determinism(tmp_path):
-    base = ("--preset", "fig1", "--colleges", "10", "--replications", "6", "--seed", "7",
-            "--emit-cutoffs")
+    base = ("--preset", "fig1", "--colleges", "10", "--replications", "6", "--seed", "7")
     dirs = [tmp_path / name for name in ("a", "b", "t8")]
     assert cli_main([*base, "--threads", "1", "--out-dir", str(dirs[0])]) == EXIT_OK
     assert cli_main([*base, "--threads", "1", "--out-dir", str(dirs[1])]) == EXIT_OK

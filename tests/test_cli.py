@@ -252,7 +252,7 @@ class TestCliContract:
         out = tmp_path / "run1"
         code = run_cli(
             "--preset", "fig1", "--colleges", "5", "--replications", "2",
-            "--seed", "7", "--threads", "1", "--out-dir", str(out), "--emit-cutoffs",
+            "--seed", "7", "--threads", "1", "--out-dir", str(out),
         )
         assert code == EXIT_OK
         for name in ("curves.csv", "metrics.csv", "cutoffs.csv", "manifest.json"):
@@ -264,7 +264,7 @@ class TestCliContract:
 
     def test_same_seed_byte_identical(self, tmp_path):
         args = ("--preset", "fig1", "--colleges", "4", "--replications", "3",
-                "--seed", "11", "--threads", "1", "--emit-cutoffs")
+                "--seed", "11", "--threads", "1")
         a, b = tmp_path / "a", tmp_path / "b"
         assert run_cli(*args, "--out-dir", str(a)) == EXIT_OK
         assert run_cli(*args, "--out-dir", str(b)) == EXIT_OK
@@ -294,6 +294,8 @@ class TestCliContract:
         bad.write_text("{not json")
         assert run_cli("--config", str(bad), "--out-dir", str(tmp_path)) == EXIT_PARSE
         assert run_cli("--bogus-flag") == EXIT_PARSE
+        # removed: cutoffs.csv follows plan.record_cutoffs alone
+        assert run_cli("--preset", "fig1", "--emit-cutoffs") == EXIT_PARSE
 
     def test_invariant_violation_exits_three(self, tmp_path):
         code = run_cli(
@@ -351,11 +353,11 @@ class TestCliContract:
         doc = small_doc()
         doc["plan"]["record_cutoffs"] = False
         before = copy.deepcopy(doc)
-        assert run(doc, tmp_path / "o", 1, emit_cutoffs=True) == EXIT_OK
+        assert run(doc, tmp_path / "o", 1) == EXIT_OK
         assert doc == before
-        assert (tmp_path / "o" / "cutoffs.csv").exists()
+        assert not (tmp_path / "o" / "cutoffs.csv").exists()
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
-        assert manifest["effective_config"]["plan"]["record_cutoffs"] is True
+        assert manifest["effective_config"]["plan"]["record_cutoffs"] is False
 
     def test_effective_config_recorded(self, tmp_path):
         out = tmp_path / "run"

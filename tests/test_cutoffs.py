@@ -13,7 +13,7 @@ from noisymatch.cutoffs import (
     rate_exponent,
 )
 from noisymatch.matching import UNMATCHED, deferred_acceptance
-from test_matching import Matching_with_assignment, make_market
+from test_matching import make_market
 
 
 def random_market(rng, n=None, c=None):
@@ -36,10 +36,10 @@ class TestExtractCutoffs:
 
     def test_underfilled_is_minus_inf(self):
         market = make_market([[0, 1], [0, 1]], [[0.9, 0.1], [0.5, 0.2]])
-        m = deferred_acceptance(market, [1, 1])
-        # college 1 never fills: student 1 prefers and wins nothing better
-        hand = Matching_with_assignment(m, market, [0, UNMATCHED])
-        cuts = extract_cutoffs(hand)
+        # student 1 loses college 0 and takes one of college 1's two seats
+        m = deferred_acceptance(market, [1, 2])
+        assert m.assignment.tolist() == [0, 1]
+        cuts = extract_cutoffs(m)
         assert cuts[0] == 0.9
         assert cuts[1] == -np.inf
 

@@ -72,7 +72,7 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_csv_bytes_unchanged(name, tmp_path):
     config, plan = golden_config(name)
-    assert run(config_to_dict(config, plan), tmp_path, 1, emit_cutoffs=False) == EXIT_OK
+    assert run(config_to_dict(config, plan), tmp_path, 1) == EXIT_OK
     got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in OUTPUTS)
     assert got == GOLDEN[name], f"CSV bytes changed (numpy {np.__version__})"
 

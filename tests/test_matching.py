@@ -53,7 +53,8 @@ def college_prefers(scores, c, s, t):
     return (scores[s][c], -s) > (scores[t][c], -t)
 
 
-def is_stable(assign, prefs, scores, caps):
+def blocking_pairs_by_definition(assign, prefs, scores, caps):
+    """Yield every blocking pair of an assignment in (student, college) order."""
     n, n_colleges = len(prefs), len(caps)
     rank = [{c: r for r, c in enumerate(prefs[s])} for s in range(n)]
     rosters = [[s for s in range(n) if assign[s] == c] for c in range(n_colleges)]
@@ -62,11 +63,23 @@ def is_stable(assign, prefs, scores, caps):
         for c in range(n_colleges):
             if rank[s][c] >= a_rank:
                 continue
-            if len(rosters[c]) < caps[c]:
-                return False
-            if any(college_prefers(scores, c, s, t) for t in rosters[c]):
-                return False
-    return True
+            if len(rosters[c]) < caps[c] or any(
+                college_prefers(scores, c, s, t) for t in rosters[c]
+            ):
+                yield (s, c)
+
+
+def is_stable(assign, prefs, scores, caps):
+    return next(blocking_pairs_by_definition(assign, prefs, scores, caps), None) is None
+
+
+def roster_minimum_cutoffs(assign, scores, caps):
+    """Lowest admitted score of each full college; -inf with a free seat."""
+    cutoffs = []
+    for c, cap in enumerate(caps):
+        admitted = [scores[s][c] for s in range(len(assign)) if assign[s] == c]
+        cutoffs.append(min(admitted) if len(admitted) == cap else -np.inf)
+    return cutoffs
 
 
 def enumerate_stable(prefs, scores, caps):
@@ -135,12 +148,28 @@ class TestHandInstances:
         opt = student_optimal(stable, prefs.tolist(), 2)
         assert tuple(m.assignment.tolist()) == opt
 
-    def test_rosters_sorted_and_consistent(self):
-        market = make_market([[0, 1], [0, 1], [1, 0]], [[0.3, 0.1], [0.7, 0.4], [0.2, 0.9]])
-        m = deferred_acceptance(market, [2, 1])
-        for c, roster in enumerate(m.rosters):
-            assert all(m.assignment[s] == c for s in roster)
-            assert (np.diff(m.scores[c]) <= 0).all()
+    @pytest.mark.parametrize("da", [heap_deferred_acceptance, vectorised_deferred_acceptance])
+    def test_exactly_filled_college_cuts_at_its_lowest_admit(self, da):
+        # each college gets as many applicants as it has seats, so neither is
+        # ever overdemanded; both are full, so neither cutoff is -inf
+        market = make_market([[0, 1], [1, 0], [1, 0]], [[0.3, 0.8], [0.6, 0.4], [0.9, 0.2]])
+        m = da(market, [1, 2])
+        assert m.assignment.tolist() == [0, 1, 1]
+        assert m.cutoffs.tolist() == [0.3, 0.2]
+
+
+class TestCapacities:
+    @pytest.mark.parametrize("da", [heap_deferred_acceptance, vectorised_deferred_acceptance])
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, float("nan")])
+    def test_bad_capacity_names_its_index(self, da, bad):
+        market = make_market([[0, 1], [1, 0], [0, 1]], [[0.3, 0.8], [0.6, 0.4], [0.9, 0.2]])
+        with pytest.raises(ValueError, match=r"^capacities\[1\]: must be a positive integer"):
+            da(market, [1, bad])
+
+    @pytest.mark.parametrize("da", [heap_deferred_acceptance, vectorised_deferred_acceptance])
+    def test_integral_floats_are_accepted(self, da):
+        market = make_market([[0, 1], [1, 0], [0, 1]], [[0.3, 0.8], [0.6, 0.4], [0.9, 0.2]])
+        assert da(market, [1.0, 1.0]).capacities == (1, 1)
 
 
 class TestBlockingPairs:
@@ -159,13 +188,13 @@ class TestBlockingPairs:
         # admit the weaker of two students: the stronger blocks with the college
         market = make_market([[0], [0]], [[0.9], [0.5]])
         m = deferred_acceptance(market, [1])
-        swapped = Matching_with_assignment(m, market, [UNMATCHED, 0])
+        swapped = dataclasses.replace(m, assignment=np.array([UNMATCHED, 0]))
         assert find_blocking_pairs(swapped, market) == [(0, 0)]
 
     def test_everyone_unmatched_blocks_everywhere(self):
         market = make_market([[0, 1], [1, 0]], [[0.5, 0.6], [0.7, 0.8]])
         m = deferred_acceptance(market, [1, 1])
-        empty = Matching_with_assignment(m, market, [UNMATCHED, UNMATCHED])
+        empty = dataclasses.replace(m, assignment=np.array([UNMATCHED, UNMATCHED]))
         assert find_blocking_pairs(empty, market) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_capacity_exactness(self, rng):
@@ -178,8 +207,7 @@ class TestBlockingPairs:
                 np.argsort(rng.random((n, c)), axis=1), rng.normal(0, 1, (n, c))
             )
             m = deferred_acceptance(market, caps)
-            for cc in range(c):
-                assert len(m.rosters[cc]) == caps[cc]
+            assert np.bincount(m.assignment + 1, minlength=c + 1)[1:].tolist() == caps
 
     def test_affine_score_transform_is_invariant(self, rng):
         n, c = 40, 4
@@ -190,20 +218,6 @@ class TestBlockingPairs:
         scaled[:, 2] = 3.7 * scaled[:, 2] + 11.0  # one college rescales its scale
         after = deferred_acceptance(make_market(prefs, scaled), [5, 5, 5, 5])
         assert np.array_equal(base.assignment, after.assignment)
-
-
-def Matching_with_assignment(template, market, assignment):
-    """Rebuild a Matching around a hand-chosen assignment."""
-    from noisymatch.matching import Matching
-
-    assignment = np.asarray(assignment, dtype=int)
-    rosters, scores = [], []
-    for c in range(template.n_colleges):
-        members = np.nonzero(assignment == c)[0]
-        order = members[np.argsort(-market.scores[members, c])] if len(members) else members
-        rosters.append(order)
-        scores.append(market.scores[order, c] if len(order) else np.array([]))
-    return Matching(assignment, tuple(rosters), tuple(scores), template.capacities)
 
 
 class TestOracleEquivalence:
@@ -265,11 +279,12 @@ def assert_same_matching(got, want):
     assert np.array_equal(got.assignment, want.assignment)
     assert got.assignment.dtype == want.assignment.dtype
     assert got.capacities == want.capacities
-    assert len(got.rosters) == len(want.rosters)
-    for c in range(want.n_colleges):
-        assert np.array_equal(got.rosters[c], want.rosters[c])
-        assert np.array_equal(got.scores[c], want.scores[c])
-    assert np.array_equal(extract_cutoffs(got), extract_cutoffs(want))
+    assert np.array_equal(got.cutoffs, want.cutoffs)
+
+
+def assert_roster_minimum(m, market, caps):
+    want = roster_minimum_cutoffs(m.assignment.tolist(), market.scores.tolist(), caps)
+    assert m.cutoffs.tolist() == want
 
 
 class TestVectorisedPath:
@@ -279,6 +294,7 @@ class TestVectorisedPath:
         market, caps = case
         got = vectorised_deferred_acceptance(market, caps)
         assert_same_matching(got, heap_deferred_acceptance(market, caps))
+        assert_roster_minimum(got, market, caps)
         assert find_blocking_pairs(got, market) == []
 
     @settings(max_examples=400, deadline=None)
@@ -289,6 +305,7 @@ class TestVectorisedPath:
             split_every_round(mp)
             got = vectorised_deferred_acceptance(market, caps)
         assert_same_matching(got, heap_deferred_acceptance(market, caps))
+        assert_roster_minimum(got, market, caps)
         assert find_blocking_pairs(got, market) == []
 
     @pytest.mark.parametrize("scan", ["whole", "sliced", "sliced-split"])
@@ -304,7 +321,30 @@ class TestVectorisedPath:
                 split_every_round(mp)
             got = vectorised_deferred_acceptance(market, caps)
         assert_same_matching(got, heap_deferred_acceptance(market, caps))
+        assert_roster_minimum(got, market, caps)
         assert find_blocking_pairs(got, market) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_markets(), st.data())
+    def test_blocking_pairs_equal_the_definition(self, case, data):
+        # on the DA outcome, on nobody matched and on a random assignment
+        # that respects capacity, most of which are not stable
+        market, caps = case
+        n, c = market.scores.shape
+        m = deferred_acceptance(market, caps)
+        wanted = data.draw(st.lists(st.integers(UNMATCHED, c - 1), min_size=n, max_size=n))
+        seats = list(caps)
+        random = []
+        for w in wanted:
+            if w != UNMATCHED and seats[w] > 0:
+                seats[w] -= 1
+            else:
+                w = UNMATCHED
+            random.append(w)
+        prefs, scores = market.prefs.tolist(), market.scores.tolist()
+        for assign in (m.assignment.tolist(), [UNMATCHED] * n, random):
+            got = find_blocking_pairs(dataclasses.replace(m, assignment=np.array(assign)), market)
+            assert got == list(blocking_pairs_by_definition(assign, prefs, scores, caps))
 
     def test_dispatch_by_market_size(self, monkeypatch):
         calls = []
@@ -347,7 +387,7 @@ class TestNarrowPrefs:
             got = da(market, caps)
             assert_same_matching(got, da(wide, caps))
             assert find_blocking_pairs(got, market) == find_blocking_pairs(got, wide) == []
-        empty = Matching_with_assignment(got, market, [UNMATCHED] * n)
+        empty = dataclasses.replace(got, assignment=np.full(n, UNMATCHED))
         assert find_blocking_pairs(empty, market) == find_blocking_pairs(empty, wide) != []
         cuts = extract_cutoffs(got)
         for bar in (cuts, cuts - 0.2, cuts + 0.2):
