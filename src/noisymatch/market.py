@@ -32,7 +32,8 @@ STREAM_NOISE = 2
 # freed blocks malloc keeps in its arenas afterwards.  Median sample_market
 # time and tracemalloc's peak beyond the finished market, fig1 shape with
 # Pareto noise, blocks of 2^16 / 2^18 / 2^20 cells (Python 3.11, numpy 2.4,
-# 2-vCPU machine):
+# 2-vCPU machine; taken when Pareto noise was drawn by rng.pareto, before
+# Pareto._draw's in-place expm1):
 #                           time (ms)             peak beyond market (MiB)
 #   n=2000,  C=100:      12 /   13 /   13         1.0 / 1.7 / 1.7
 #   n=8000,  C=128:      62 /   62 /   67         1.0 / 3.9 / 7.9

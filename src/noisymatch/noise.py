@@ -169,8 +169,20 @@ class Pareto(NoiseSpec):
             raise ConfigError(f"pareto: scale must be positive, got scale={self.scale}")
 
     def _draw(self, rng, n):
-        # numpy's pareto() is the Lomax form on [0, inf); shift and rescale.
-        return (1.0 + rng.pareto(self.shape, n)) * self.scale
+        # (1 + rng.pareto(shape, n)) * scale, computed in place.  numpy's
+        # pareto() is expm1(E / shape) for standard exponentials E, through
+        # libm's scalar expm1 once per draw; the expm1 ufunc on the same
+        # exponentials consumes the stream identically at about a third of
+        # the cost.  Where numpy dispatches that ufunc to SVML (AVX-512
+        # CPUs), ~8 % of values differ from libm's in the last bit.
+        x = rng.standard_exponential(n)
+        x /= self.shape
+        # rng.pareto overflows to +inf silently for tiny shapes; so does this
+        with np.errstate(over="ignore"):
+            np.expm1(x, out=x)
+        x += 1.0
+        x *= self.scale
+        return x
 
     def survival(self, x):
         return 1.0 if x <= self.scale else (self.scale / x) ** self.shape

@@ -4,7 +4,9 @@ For a fixed seed, curves.csv, metrics.csv and cutoffs.csv may change only
 when a change says why.  These digests hold that across commits.  They
 depend on numpy's Generator streams, which numpy does not promise to keep
 across versions (NEP 19); they were recorded with numpy 2.4.6, the version
-CI installs.
+CI installs.  Pareto noise also depends on which expm1 numpy dispatches to:
+libm's, or SVML's on AVX-512 CPUs, which differs in the last bit of ~8 % of
+values.  fig1-pareto's cutoffs.csv has one digest per path.
 """
 
 import hashlib
@@ -17,6 +19,7 @@ from noisymatch import cutoffs, market, matching
 from noisymatch.cli import EXIT_OK, run
 from noisymatch.config_io import config_to_dict
 from noisymatch.presets import fig1, fig2
+from test_noise import EXPM1_IS_LIBM
 
 OUTPUTS = ("curves.csv", "metrics.csv", "cutoffs.csv")
 
@@ -44,7 +47,10 @@ GOLDEN = {
     "fig1-pareto": (
         "8017fab0144de9687fb4434174b75a4af8b0955cd188f459ecbbeb3bc55fc168",
         "29a3703c7d4b5a251c0c6c698e79d248cbd89337b5b68212058ee2ebf2ed80a7",
-        "95deb34065cdcccfb67aa448bc37da08fa0318f205e7650bb93795851121098d",
+        # on SVML, 18 of the 200 cutoffs move by at most 2 ulp
+        "95deb34065cdcccfb67aa448bc37da08fa0318f205e7650bb93795851121098d"
+        if EXPM1_IS_LIBM
+        else "34df571ff12f17c53c9d634e19f1691947664d2d3a7924873dafdd5c5345ba64",
     ),
     "fig1-gaussian": (
         "c65ee0ee3ef6daac67b87c4c1dbf86008346556d5830f2cb24e9d5cb42057222",

@@ -5,6 +5,7 @@ formulas, quadrature, and hand arithmetic on the survival functions.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,12 @@ from noisymatch.noise import (
 )
 
 EULER_GAMMA = 0.5772156649015329
+
+# Whether numpy's float64 expm1 ufunc equals libm's on a fixed probe.  numpy
+# dispatches it to SVML on AVX-512 CPUs, where some values differ from
+# libm's in the last bit, and so do Pareto draws.
+_EXPM1_PROBE = np.linspace(0.0, 20.0, 4001)
+EXPM1_IS_LIBM = np.array_equal(np.expm1(_EXPM1_PROBE), [math.expm1(v) for v in _EXPM1_PROBE])
 
 ALL_SPECS = [
     Uniform(0.0, 1.0),
@@ -76,6 +83,24 @@ class TestSampling:
         for x in (0.4, 0.6, 1.0, 3.0):
             expected = 1.0 - (0.3 / x) ** 2
             assert abs((draws <= x).mean() - expected) < 0.01
+
+    @pytest.mark.parametrize("shape, scale", [(2.0, 0.3), (0.5, 1.0)])
+    def test_pareto_rounds_like_numpy_pareto(self, shape, scale):
+        got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+        got = Pareto(shape, scale).sample(got_rng, 100_000)
+        want = (1.0 + want_rng.pareto(shape, 100_000)) * scale
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+        # the noise stream is consumed exactly as rng.pareto consumes it
+        assert got_rng.random() == want_rng.random()
+        if EXPM1_IS_LIBM:
+            assert np.array_equal(got, want)
+
+    def test_pareto_overflow_to_inf_is_silent(self, rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = Pareto(0.005, 1.0).sample(rng, 10_000)
+        assert np.isinf(draws).any()
+        assert draws.min() >= 1.0
 
     def test_identical_seeds_bitwise_identical(self):
         for spec in ALL_SPECS:
