@@ -107,11 +107,14 @@ def dict_to_config(doc: dict) -> tuple[EconomyConfig, ExperimentPlan]:
             capacity_alpha=float(doc.get("capacity_alpha", 1.0)),
         )
         p = doc["plan"]
+        record_cutoffs = p.get("record_cutoffs", True)
+        if not isinstance(record_cutoffs, bool):
+            raise ConfigError(f"plan.record_cutoffs: must be true or false, got {record_cutoffs!r}")
         plan = ExperimentPlan(
             replications=_integer(p["replications"], "plan.replications"),
             bin_edges=tuple(p["bin_edges"]),
             curves=tuple(curve_from_dict(c) for c in p.get("curves", [])),
-            record_cutoffs=bool(p.get("record_cutoffs", True)),
+            record_cutoffs=record_cutoffs,
         )
     except KeyError as e:
         raise ConfigError(f"config: missing required field {e.args[0]!r}") from e
@@ -158,7 +161,11 @@ def load_config_file(path: str | Path) -> dict:
 
 
 def apply_overrides(doc: dict, overrides: list[str]) -> dict:
-    """Apply key=value pairs with dotted paths; values parse as JSON literals."""
+    """Apply key=value pairs with dotted paths; values parse as JSON literals.
+
+    A missing key on the path becomes an empty object.  A path through a
+    value that is not an object, such as a list entry, is an error.
+    """
     out = json.loads(json.dumps(doc))
     for item in overrides:
         if "=" not in item:
@@ -170,9 +177,12 @@ def apply_overrides(doc: dict, overrides: list[str]) -> dict:
             value = raw
         node = out
         parts = key.split(".")
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
+        for i, part in enumerate(parts[:-1]):
+            if part not in node:
                 node[part] = {}
+            elif not isinstance(node[part], dict):
+                where = ".".join(parts[: i + 1])
+                raise ConfigError(f"override {item!r}: {where} is not an object")
             node = node[part]
         node[parts[-1]] = value
     return out

@@ -27,7 +27,7 @@ def afford_matrix(market: SampledMarket, cutoffs: CutoffVector) -> np.ndarray:
     return market.scores >= np.asarray(cutoffs)[None, :]
 
 
-# afford_any compares at most this many cells at a time, into one reused
+# afford_any_stacked compares at most this many cells at a time, into one reused
 # boolean block of 256 KiB.  Median time per call, one n x C comparison and
 # any() against blocks of 2^16 / 2^18 / 2^20 cells, interleaved (Python 3.11,
 # numpy 2.4, 2-vCPU machine):
@@ -36,23 +36,28 @@ def afford_matrix(market: SampledMarket, cutoffs: CutoffVector) -> np.ndarray:
 _AFFORD_CELLS = 1 << 18
 
 
-def afford_any(market: SampledMarket, cutoffs: CutoffVector) -> np.ndarray:
-    """Per student, whether they afford at least one college.
+def afford_any_stacked(scores: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
+    """Per student of R markets, whether they afford at least one college
+    of their own market.
 
-    Equals ``afford_matrix(market, cutoffs).any(axis=1)``, but compares the
-    scores in row blocks of at most ``_AFFORD_CELLS`` cells, so no n x C
+    ``scores`` is an (R, n, C) stack and ``cutoffs`` (R, C); the result,
+    (R, n), equals ``(scores >= cutoffs[:, None]).any(axis=2)``.  Compares
+    in blocks of at most ``_AFFORD_CELLS`` cells, several whole markets
+    when one fits and row blocks of one market otherwise, so no n x C
     table is built.
     """
-    scores = market.scores
-    n, n_colleges = scores.shape
-    bar = np.asarray(cutoffs)
+    n_markets, n, n_colleges = scores.shape
     rows = max(1, _AFFORD_CELLS // n_colleges)
-    table = np.empty((min(rows, n), n_colleges), dtype=bool)
-    out = np.empty(n, dtype=bool)
-    for r0 in range(0, n, rows):
-        block = table[: min(rows, n - r0)]
-        np.greater_equal(scores[r0 : r0 + len(block)], bar, out=block)
-        block.any(axis=1, out=out[r0 : r0 + len(block)])
+    reps, rows = max(1, rows // n), min(rows, n)
+    table = np.empty((min(reps, n_markets), rows, n_colleges), dtype=bool)
+    out = np.empty((n_markets, n), dtype=bool)
+    for r0 in range(0, n_markets, reps):
+        r1 = min(r0 + reps, n_markets)
+        for s0 in range(0, n, rows):
+            s1 = min(s0 + rows, n)
+            block = table[: r1 - r0, : s1 - s0]
+            np.greater_equal(scores[r0:r1, s0:s1], cutoffs[r0:r1, None], out=block)
+            block.any(axis=2, out=out[r0:r1, s0:s1])
     return out
 
 

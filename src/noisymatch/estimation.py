@@ -11,15 +11,15 @@ total capacity share).
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .cutoffs import afford_any, extract_cutoffs
+from .cutoffs import afford_any_stacked
 from .errors import ConfigError, ReplicationError
 from .market import EconomyConfig, sample_market
-from .matching import UNMATCHED, deferred_acceptance
+from .matching import UNMATCHED, stacked_deferred_acceptance
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,10 @@ class ExperimentPlan:
         object.__setattr__(self, "curves", tuple(self.curves))
         if len(edges) < 2:
             raise ConfigError("plan.bin_edges: need at least two edges")
+        for i, e in enumerate(edges):
+            # NaN compares false, so it would pass the increasing check below
+            if not np.isfinite(e):
+                raise ConfigError(f"plan.bin_edges[{i}]: must be finite, got {e!r}")
         if any(b <= a for a, b in zip(edges, edges[1:])):
             raise ConfigError("plan.bin_edges: edges must be strictly increasing")
 
@@ -93,13 +97,22 @@ def trim_coalition(cutoffs, college_indices, epsilon: float) -> tuple[int, ...]:
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
-    members = [int(c) for c in college_indices]
+    kept = _survivors(np.asarray(cutoffs)[None], college_indices, epsilon)[0]
+    return tuple(sorted(kept.tolist()))
+
+
+def _survivors(cutoffs: np.ndarray, college_indices, epsilon: float) -> np.ndarray:
+    """trim_coalition's survivors in each row of an (R, C) cutoff stack.
+
+    Row r holds the members kept under cutoffs[r], lowest cutoff first.
+    """
+    members = np.sort(np.asarray(college_indices, dtype=np.int64))
     # nudge before flooring so eps * |C| that is an integer up to float error
     # (e.g. 0.3 * 10) lands on the intended count
     drop = int(np.floor(epsilon * len(members) + 1e-9))
-    cuts = np.asarray(cutoffs)
-    ranked = sorted(members, key=lambda c: (cuts[c], c))
-    return tuple(sorted(ranked[drop:]))
+    # a stable sort of the ascending members breaks cutoff ties by index
+    ranked = members[np.argsort(cutoffs[:, members], axis=1, kind="stable")]
+    return ranked[:, drop:]
 
 
 @dataclass(frozen=True)
@@ -113,6 +126,8 @@ class ReplicationRecords:
     afford: dict[tuple[int, float], np.ndarray]  # (coalition_id, eps) -> (R, N) bool
     cutoffs: np.ndarray | None  # (R, n_colleges)
     college_coalition: np.ndarray  # (n_colleges,) coalition position
+    # (value column, bin edges) -> bin of every student-observation
+    _bins: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_replications(self) -> int:
@@ -141,27 +156,82 @@ def _afford_requests(plan: ExperimentPlan) -> list[tuple[int, float]]:
     )
 
 
-def _run_one(
-    config: EconomyConfig, plan: ExperimentPlan, replication: int, second_thread: bool = True
+# A chunk of replications is matched in stacks of consecutive markets of at
+# most this many (student, college) cells, one call of
+# stacked_deferred_acceptance per stack; a larger market is stacked alone.
+# Stacking turns a chunk of tiny markets' heap loops into one numpy fixed
+# point, and bounds the stack's copied prefs and scores at 2.5 MiB.  Median
+# matching time per market, heap loop or one-market fixed point against a
+# stack of 2^18 cells (Python 3.11, numpy 2.4, 2-vCPU machine):
+#   many-tiny,       n=200,  C=2     (400 cells, 375 a stack): 0.31 vs 0.08-0.13 ms
+#   attenuate-tiers, n=2000, C=20+20 (80,000 cells, 3 a stack): 8.3 vs 6.5 ms
+_STACK_CELLS = 1 << 18
+
+
+def _run_chunk(
+    config: EconomyConfig, plan: ExperimentPlan, replications: range, second_thread: bool = True
 ):
+    """Sample, match and measure consecutive replications.
+
+    Returns the chunk's values, assignment, afford and cutoffs, each with
+    one leading entry per replication.
+    """
+    per_stack = max(1, _STACK_CELLS // (config.n_students * config.n_colleges))
+    return _concatenate(
+        [
+            _run_stack(config, plan, replications[i : i + per_stack], second_thread)
+            for i in range(0, len(replications), per_stack)
+        ],
+        _afford_requests(plan),
+    )
+
+
+def _run_stack(config: EconomyConfig, plan: ExperimentPlan, stack: range, second_thread: bool):
+    """Sample a stack's replications, match them in one call, and measure
+    affordability on the whole stack."""
+    markets = []
+    for r in stack:
+        try:
+            markets.append(sample_market(config, r, second_thread=second_thread))
+        except (ConfigError, ValueError, RuntimeError) as e:
+            raise ReplicationError(f"replication {r}: {e}") from e
+    values = np.stack([m.values for m in markets])
+    if len(markets) == 1:
+        prefs, scores = markets[0].prefs[None], markets[0].scores[None]
+    else:
+        prefs = np.stack([m.prefs for m in markets])
+        scores = np.stack([m.scores for m in markets])
+    del markets
     try:
-        market = sample_market(config, replication, second_thread=second_thread)
-        matching = deferred_acceptance(market, config.capacities(), second_thread=second_thread)
-        cuts = extract_cutoffs(matching)
+        assignment, cuts = stacked_deferred_acceptance(
+            prefs, scores, config.capacities(), second_thread=second_thread
+        )
         afford = {}
         for coalition_id, eps in _afford_requests(plan):
             members = config.coalition_members(coalition_id)
-            kept = np.asarray(trim_coalition(cuts, members, eps), dtype=int)
             # NaN bars the other colleges: no score, +inf included, is >= NaN.
             # Comparing in place avoids copying the kept score columns.
-            bar = np.full(market.n_colleges, np.nan)
-            bar[kept] = cuts[kept]
-            afford[(coalition_id, eps)] = afford_any(market, bar)
-        return market.values, matching.assignment, afford, cuts
-    except ReplicationError:
-        raise
+            bars = np.full(cuts.shape, np.nan)
+            kept = _survivors(cuts, members, eps)
+            slot = np.arange(len(cuts))[:, None]
+            bars[slot, kept] = cuts[slot, kept]
+            afford[(coalition_id, eps)] = afford_any_stacked(scores, bars)
     except (ConfigError, ValueError, RuntimeError) as e:
-        raise ReplicationError(f"replication {replication}: {e}") from e
+        where = f"replication {stack[0]}" if len(stack) == 1 else f"replications {stack[0]}-{stack[-1]}"
+        raise ReplicationError(f"{where}: {e}") from e
+    return values, assignment, afford, cuts
+
+
+def _concatenate(parts, requests):
+    """Join (values, assignment, afford, cutoffs) parts along replications."""
+    if len(parts) == 1:
+        return parts[0]
+    return (
+        np.concatenate([p[0] for p in parts]),
+        np.concatenate([p[1] for p in parts]),
+        {key: np.concatenate([p[2][key] for p in parts]) for key in requests},
+        np.concatenate([p[3] for p in parts]),
+    )
 
 
 def _check_curves(config: EconomyConfig, plan: ExperimentPlan) -> None:
@@ -184,30 +254,29 @@ def run_replications(
 
     Replication r draws its own RNG streams from (master_seed, r), so the
     result is identical whether replications run serially or in a pool.
+    A serial run is one chunk of consecutive replications and a pool task
+    another; each chunk matches its markets in stacks of up to
+    ``_STACK_CELLS`` cells, which leaves every replication's result as it
+    would be alone.
     """
     _check_curves(config, plan)
     n = plan.replications
-    reps = range(n)
     if threads > 1 and n > 1:
         # about four chunks per worker: config and plan are pickled once per
-        # chunk rather than once per replication, and the load still balances.
-        # Each worker keeps a core busy, so none starts a second thread.
-        chunksize = max(1, n // (4 * threads))
+        # chunk, each chunk returns a few stacked arrays, and the load still
+        # balances.  Each worker keeps a core busy, so none starts a second
+        # thread.
+        size = max(1, n // (4 * threads))
+        chunks = [range(i, min(i + size, n)) for i in range(0, n, size)]
+        k = len(chunks)
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(
-                    _run_one, [config] * n, [plan] * n, reps, [False] * n, chunksize=chunksize
-                )
-            )
+            parts = list(pool.map(_run_chunk, [config] * k, [plan] * k, chunks, [False] * k))
     else:
-        results = [_run_one(config, plan, r) for r in reps]
+        parts = [_run_chunk(config, plan, range(n))]
 
-    values = np.stack([res[0] for res in results])
-    assignment = np.stack([res[1] for res in results])
-    afford = {
-        key: np.stack([res[2][key] for res in results]) for key in _afford_requests(plan)
-    }
-    cuts = np.stack([res[3] for res in results]) if plan.record_cutoffs else None
+    values, assignment, afford, cuts = _concatenate(parts, _afford_requests(plan))
+    if not plan.record_cutoffs:
+        cuts = None
     return ReplicationRecords(
         config, plan, values, assignment, afford, cuts, config.coalition_index()
     )
@@ -238,23 +307,36 @@ class MatchCurve:
         return np.diff(self.bin_edges)
 
 
-def _binned_curve(values: np.ndarray, hits: np.ndarray, edges: np.ndarray) -> MatchCurve:
+def _binned_curve(idx: np.ndarray, hits: np.ndarray, edges: np.ndarray) -> MatchCurve:
     n_bins = len(edges) - 1
-    idx = np.clip(np.searchsorted(edges, values, side="right") - 1, 0, n_bins - 1)
     count = np.bincount(idx, minlength=n_bins).astype(int)
     hit_count = np.bincount(idx, weights=hits.astype(float), minlength=n_bins)
     with np.errstate(invalid="ignore", divide="ignore"):
         p = np.where(count > 0, hit_count / np.maximum(count, 1), np.nan)
         se = np.where(count > 0, np.sqrt(p * (1.0 - p) / np.maximum(count, 1)), np.nan)
-    return MatchCurve(np.asarray(edges, dtype=float), p, se, count)
+    return MatchCurve(edges, p, se, count)
 
 
-def _value_column(records: ReplicationRecords, coalition_id) -> np.ndarray:
+def _bin_index(records: ReplicationRecords, coalition_id, bins) -> tuple[np.ndarray, np.ndarray]:
+    """The edges, and the bin of every student-observation's value in the
+    coalition's column.  A value outside the edges counts in the end bin.
+
+    Computed once per (column, edges) and kept on the records, so the
+    curves of one column share it.
+    """
+    edges = np.asarray(bins if bins is not None else records.plan.bin_edges, dtype=float)
     if coalition_id is None:
         if records.values.shape[2] != 1:
             raise ConfigError("coalition_id is required for multi-coalition economies")
-        return records.values[:, :, 0].ravel()
-    return records.values[:, :, records.coalition_position(coalition_id)].ravel()
+        column = 0
+    else:
+        column = records.coalition_position(coalition_id)
+    key = (column, edges.tobytes())
+    if key not in records._bins:
+        values = records.values[:, :, column].ravel()
+        idx = np.searchsorted(edges, values, side="right") - 1
+        records._bins[key] = np.clip(idx, 0, len(edges) - 2, out=idx)
+    return edges, records._bins[key]
 
 
 def estimate_match_curve(
@@ -264,8 +346,8 @@ def estimate_match_curve(
     coalition_id=None,
 ) -> MatchCurve:
     """Fraction of student-observations matched anywhere, per value bin."""
-    edges = np.asarray(bins if bins is not None else records.plan.bin_edges, dtype=float)
-    return _binned_curve(_value_column(records, coalition_id), records.matched().ravel(), edges)
+    edges, idx = _bin_index(records, coalition_id, bins)
+    return _binned_curve(idx, records.matched().ravel(), edges)
 
 
 def estimate_afford_curve(
@@ -281,10 +363,8 @@ def estimate_afford_curve(
             f"affordability was not recorded for coalition {coalition_id!r} "
             f"at trim_epsilon={trim_epsilon}; add the curve to the plan"
         )
-    edges = np.asarray(bins if bins is not None else records.plan.bin_edges, dtype=float)
-    return _binned_curve(
-        _value_column(records, coalition_id), records.afford[key].ravel(), edges
-    )
+    edges, idx = _bin_index(records, coalition_id, bins)
+    return _binned_curve(idx, records.afford[key].ravel(), edges)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .market import SampledMarket, usable_cpus
+from .market import SampledMarket, prefs_dtype, usable_cpus
 
 UNMATCHED = -1
 
@@ -95,13 +95,18 @@ def matching_from_assignment(
 ) -> Matching:
     """The Matching of an assignment: a full college's cutoff is its lowest
     admitted score, and a college with a free seat gets -inf."""
-    n_colleges = scores.shape[1]
     matched = np.flatnonzero(assignment != UNMATCHED)
     col = assignment[matched]
-    cutoffs = np.full(n_colleges, np.inf)
-    np.minimum.at(cutoffs, col, scores[matched, col])
-    cutoffs[np.bincount(col, minlength=n_colleges) < capacities] = -np.inf
-    return Matching(assignment, cutoffs, tuple(capacities))
+    cap = np.asarray(capacities)
+    return Matching(assignment, _roster_cutoffs(col, scores[matched, col], cap), tuple(capacities))
+
+
+def _roster_cutoffs(col: np.ndarray, admitted: np.ndarray, cap: np.ndarray) -> np.ndarray:
+    """Cutoffs of colleges 0 .. len(cap) - 1 from each admit's college and score."""
+    cutoffs = np.full(len(cap), np.inf)
+    np.minimum.at(cutoffs, col, admitted)
+    cutoffs[np.bincount(col, minlength=len(cap)) < cap] = -np.inf
+    return cutoffs
 
 
 def deferred_acceptance(
@@ -163,51 +168,106 @@ def heap_deferred_acceptance(market: SampledMarket, capacities: Sequence[int]) -
 def vectorised_deferred_acceptance(
     market: SampledMarket, capacities: Sequence[int], *, second_thread: bool = True
 ) -> Matching:
-    """Student-proposing deferred acceptance as a cutoff-raising fixed point.
+    """Student-proposing deferred acceptance as a cutoff-raising fixed point:
+    the one-market case of ``stacked_deferred_acceptance``.
 
-    Every cutoff starts at -inf and each student proposes to their first
-    choice.  Each round, every overdemanded college raises its cutoff to its
-    cap-th best demander under the composite key (score, lower student index
-    wins), and each rejected student moves on to the next college on their
-    list that they can afford.  Cutoffs only rise, so a college a student
-    cannot afford now would reject them later too; the loop ends at the
-    smallest market-clearing cutoffs, which give the student-optimal stable
-    matching (Azevedo & Leshno 2016).
+    The market's prefs and scores are matched in place, without a copy.
+    """
+    caps = _capacity_list(capacities, market.n_colleges)
+    assignment, cutoffs = stacked_deferred_acceptance(
+        market.prefs[None], market.scores[None], caps, second_thread=second_thread
+    )
+    return Matching(assignment[0], cutoffs[0], tuple(caps))
+
+
+def stacked_deferred_acceptance(
+    prefs: np.ndarray,
+    scores: np.ndarray,
+    capacities: Sequence[int],
+    *,
+    second_thread: bool = True,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Student-optimal stable matchings of R markets of one shape, in one pass.
+
+    ``prefs`` and ``scores`` are (R, n, C) stacks of the markets' matrices,
+    and every market has the same ``capacities``.  The stack is matched as
+    one disjoint union: student s of slot r is student r*n + s of the union
+    and college c of slot r is college r*C + c.  A student's list positions
+    and scores are read at row offset (r*n + s)*C with the slot's own
+    college indices, and cutoffs are read at the union's, so no market ever
+    touches another.  Deferred acceptance on a disjoint union gives the
+    union of the parts' student-optimal matchings, so each slot gets
+    exactly what its market would get alone.
+
+    The union is matched by the cutoff-raising fixed point.  Every cutoff
+    starts at -inf and each student proposes to their first choice.  Each
+    round, every overdemanded college raises its cutoff to its cap-th best
+    demander under the composite key (score, lower student index wins), and
+    each rejected student moves on to the next college on their list that
+    they can afford.  Cutoffs only rise, so a college a student cannot
+    afford now would reject them later too; the loop ends at the smallest
+    market-clearing cutoffs, which give the student-optimal stable matching
+    (Azevedo & Leshno 2016).
 
     Within a round the rejected students move independently: each reads
     only the round's cutoffs and writes only its own pos and college
     entries.  So with ``second_thread``, on a process that may use more
     than one CPU, a round that rejects at least ``_SCAN_SPLIT_MIN_STUDENTS``
     students scans half of them on a helper thread.  Pass False where every
-    core is already busy, as in a pool of processes.  The Matching is the
+    core is already busy, as in a pool of processes.  The result is the
     same either way.
-    """
-    n, n_colleges = market.scores.shape
-    caps = _capacity_list(capacities, n_colleges)
-    cap = np.asarray(caps, dtype=np.int64)
-    prefs = np.ascontiguousarray(market.prefs).ravel()
-    scores = np.ascontiguousarray(market.scores, dtype=float).ravel()
-    row = np.arange(n, dtype=np.int64) * n_colleges  # flat offset of each student's row
 
-    cut_score = np.full(n_colleges, -np.inf)
-    cut_student = np.full(n_colleges, n, dtype=np.int64)
-    pos = np.zeros(n, dtype=np.int64)  # list position of each student's current proposal
+    Returns the (R, n) assignment, in each slot's own college indices or
+    UNMATCHED, and the (R, C) cutoffs: a full college's lowest admitted
+    score, -inf with a free seat.
+    """
+    n_markets, n, n_colleges = scores.shape
+    cap = np.tile(np.asarray(_capacity_list(capacities, n_colleges), dtype=np.int64), n_markets)
+    prefs = np.ascontiguousarray(prefs).ravel()
+    scores = np.ascontiguousarray(scores, dtype=float).ravel()
+    n_union = n_markets * n_colleges
+    # flat offset of each student's row in prefs and in scores
+    row = np.arange(n_markets * n, dtype=np.int64) * n_colleges
+    if n_markets > 1:
+        first = np.repeat(np.arange(n_markets, dtype=np.int64) * n_colleges, n)  # slot's college 0
+        at_union = row - first  # scores row offset for a union college index
+    else:
+        first = None
+        at_union = row
+    # up to 32768 colleges, numpy's stable sort of an int16 key is a radix sort
+    college_key = prefs_dtype(n_union)
+
+    cut_score = np.full(n_union, -np.inf)
+    cut_student = np.full(n_union, n_markets * n, dtype=np.int64)
+    pos = np.zeros(n_markets * n, dtype=np.int64)  # list position of each current proposal
     college = prefs[row].astype(np.int64)  # current proposal, UNMATCHED once the list runs out
-    scan = (prefs, scores, row, cut_score, cut_student, pos, college)
+    if first is not None:
+        college += first
+    scan = (n_colleges, prefs, scores, row, first, cut_score, cut_student, pos, college)
 
     split = second_thread and usable_cpus() > 1
     with ThreadPoolExecutor(max_workers=1) if split else nullcontext() as helper:
         while True:
-            load = np.bincount(college + 1, minlength=n_colleges + 1)[1:]
+            load = np.bincount(college + 1, minlength=n_union + 1)[1:]
             over = load > cap
             if not over.any():
                 break
             who = np.flatnonzero(np.append(over, False)[college])  # UNMATCHED reads the False
             col = college[who]
-            sc = scores[row[who] + col]
-            order = np.lexsort((who, -sc, col))
+            sc = scores[at_union[who] + col]
+            # order by (college, score descending, student): who is ascending,
+            # so a stable sort by score keeps equal scores in student order
+            neg = -sc
+            order = np.argsort(neg)
+            ranked = neg[order]
+            if (ranked[1:] == ranked[:-1]).any():
+                order = np.argsort(neg, kind="stable")
+            order = order[np.argsort(col[order].astype(college_key), kind="stable")]
             who, col, sc = who[order], col[order], sc[order]
-            place = np.arange(len(who)) - np.searchsorted(col, col)
+            # each demander's place in its college's line: col is sorted, and
+            # the overdemanded colleges' loads give where each line starts
+            lines = load[over]
+            place = np.arange(len(who)) - np.repeat(np.cumsum(lines) - lines, lines)
             last = place == cap[col] - 1
             cut_score[col[last]] = sc[last]
             cut_student[col[last]] = who[last]
@@ -224,10 +284,15 @@ def vectorised_deferred_acceptance(
             else:
                 _advance(rejected, *scan)
 
-    return matching_from_assignment(college, market.scores, caps)
+    matched = np.flatnonzero(college != UNMATCHED)
+    col = college[matched]
+    cutoffs = _roster_cutoffs(col, scores[at_union[matched] + col], cap)
+    if first is not None:
+        college[matched] -= first[matched]
+    return college.reshape(n_markets, n), cutoffs.reshape(n_markets, n_colleges)
 
 
-def _advance(rejected, prefs, scores, row, cut_score, cut_student, pos, college):
+def _advance(rejected, n_colleges, prefs, scores, row, first, cut_score, cut_student, pos, college):
     """Move each rejected student to the next college on their list they can afford.
 
     Scans a window of list positions per step over the rejected students
@@ -236,15 +301,15 @@ def _advance(rejected, prefs, scores, row, cut_score, cut_student, pos, college)
     ``_SCAN_CELLS`` cells scans its students in slices of that many.
     Updates pos and college in place.
     """
-    n_colleges = len(cut_score)
-    window = 8
+    # a window past the list's end only repeats its last college
+    window = min(8, n_colleges - 1)
     while True:
         done = pos[rejected] >= n_colleges - 1
         college[rejected[done]] = UNMATCHED
         rejected = rejected[~done]
         if not len(rejected):
             return
-        step = (window, prefs, scores, row, cut_score, cut_student, pos, college)
+        step = (window, n_colleges, prefs, scores, row, first, cut_score, cut_student, pos, college)
         rows = max(1, _SCAN_CELLS // window)
         if len(rejected) <= rows:
             rejected = _scan_window(rejected, *step)
@@ -255,26 +320,29 @@ def _advance(rejected, prefs, scores, row, cut_score, cut_student, pos, college)
         window = min(2 * window, 256)
 
 
-def _scan_window(rejected, window, prefs, scores, row, cut_score, cut_student, pos, college):
+def _scan_window(
+    rejected, window, n_colleges, prefs, scores, row, first, cut_score, cut_student, pos, college
+):
     """One step of _advance: the students who found nothing in the window."""
-    n_colleges = len(cut_score)
     # positions past the end repeat the last college, which is examined at
     # its own position first, so the first affordable hit is a real one
     at = np.minimum(pos[rejected, None] + np.arange(1, window + 1), n_colleges - 1)
     base = row[rejected, None]
     cand = prefs[base + at]
     sc = scores[base + cand]
+    if first is not None:
+        cand = cand + first[rejected, None]  # the slot's college index in the union
     cs = cut_score[cand]
     ok = sc > cs
     tie = sc == cs
     if tie.any():
         ok |= tie & (rejected[:, None] <= cut_student[cand])
-    first = ok.argmax(axis=1)
+    first_hit = ok.argmax(axis=1)
     k = np.arange(len(rejected))
-    found = ok[k, first]
+    found = ok[k, first_hit]
     hit = rejected[found]
-    pos[hit] += first[found] + 1
-    college[hit] = cand[k[found], first[found]]
+    pos[hit] += first_hit[found] + 1
+    college[hit] = cand[k[found], first_hit[found]]
     rejected = rejected[~found]
     pos[rejected] += window
     return rejected

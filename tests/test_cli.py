@@ -82,6 +82,21 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match="key=value"):
             apply_overrides(doc, ["oops"])
 
+    def test_override_creates_absent_objects(self):
+        out = apply_overrides({"a": {}}, ["a.b.c=1", "x.y=2"])
+        assert out == {"a": {"b": {"c": 1}}, "x": {"y": 2}}
+
+    @pytest.mark.parametrize(
+        "item, where",
+        [("colleges.0.capacity=5", "colleges"), ("seed.x=1", "seed"), ("a.b.c=1", "a.b")],
+        ids=["list", "number", "nested-string"],
+    )
+    def test_override_through_a_non_object_is_rejected(self, item, where):
+        doc = {"colleges": [{"capacity": 1}], "seed": 2, "a": {"b": "text"}}
+        message = re.escape(f"override {item!r}: {where} is not an object")
+        with pytest.raises(ConfigError, match="^" + message + "$"):
+            apply_overrides(doc, [item])
+
     def test_missing_field_diagnostics(self):
         with pytest.raises(ConfigError, match="missing required field"):
             dict_to_config({"n_students": 10})
@@ -236,6 +251,40 @@ class TestLoadTimeChecks:
         doc["plan"]["bin_edges"] = [-0.5, 0.0, 0.5, 1.0, 1.25]
         dict_to_config(doc)  # edges that span the support load
 
+    @pytest.mark.parametrize(
+        "edges, bad", [("[0, NaN, 1]", 1), ("[0, 0.5, 1, Infinity]", 3)], ids=["nan", "inf"]
+    )
+    def test_non_finite_bin_edge_exits_three(self, edges, bad, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run_cli(
+            "--preset", "fig1", "--colleges", "2", "--set", f"plan.bin_edges={edges}",
+            "--threads", "1", "--out-dir", str(out),
+        )
+        assert code == EXIT_INVARIANT
+        assert f"plan.bin_edges[{bad}]: must be finite" in capsys.readouterr().err
+        assert not (out / "curves.csv").exists()
+
+    @pytest.mark.parametrize("value", ["false", 0, None], ids=["string", "number", "null"])
+    def test_record_cutoffs_must_be_a_boolean(self, value, tmp_path, capsys):
+        doc = small_doc()
+        doc["plan"]["record_cutoffs"] = value
+        code, out = run_doc(doc, tmp_path)
+        assert code == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert f"plan.record_cutoffs: must be true or false, got {value!r}" in err
+        assert not (out / "cutoffs.csv").exists()
+
+    def test_set_through_a_list_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run_cli(
+            "--preset", "fig1", "--colleges", "2", "--set", "colleges.0.capacity=5",
+            "--threads", "1", "--out-dir", str(out),
+        )
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "override 'colleges.0.capacity=5': colleges is not an object" in err
+        assert not out.exists()
+
     def test_unbinned_coalition_is_not_checked(self):
         config, plan = fig2(colleges=2, replications=1)
         doc = config_to_dict(config, plan)
@@ -309,11 +358,12 @@ class TestCliContract:
         reason="the planted failure reaches the workers only through fork",
     )
     def test_replication_failure_in_pool_exits_one(self, tmp_path, capsys, monkeypatch):
-        # every worker fails; the first failing replication in order is replication 0
-        def fail(market, capacities, **kwargs):
+        # every worker fails; the first failing replication in order is
+        # replication 0, in a chunk (and so a stack) of its own
+        def fail(prefs, scores, capacities, **kwargs):
             raise RuntimeError("planted failure")
 
-        monkeypatch.setattr(estimation, "deferred_acceptance", fail)
+        monkeypatch.setattr(estimation, "stacked_deferred_acceptance", fail)
         doc = small_doc()
         doc["plan"]["replications"] = 4
         path = tmp_path / "econ.json"

@@ -17,7 +17,7 @@ from noisymatch.estimation import (
     attenuation_metrics,
     equal_width_edges,
     estimate_afford_curve,
-    _run_one,
+    _run_chunk,
     estimate_match_curve,
     run_replications,
     steepest_ascent_bin,
@@ -32,7 +32,7 @@ from noisymatch.market import (
     UniformValues,
     sample_market,
 )
-from noisymatch.matching import UNMATCHED, deferred_acceptance
+from noisymatch.matching import UNMATCHED, deferred_acceptance, stacked_deferred_acceptance
 from noisymatch.noise import Pareto, Uniform
 from noisymatch.presets import fig1, fig2
 
@@ -78,6 +78,18 @@ class TestTrimCoalition:
         with pytest.raises(ValueError):
             trim_coalition([0.0], [0], 1.0)
 
+    @pytest.mark.parametrize("eps", [0.05, 0.3, 0.5])
+    def test_tied_cutoffs_drop_the_lower_index(self, eps):
+        # 40 members out of order, on a three-value grid with -inf for free
+        # seats: numpy's default sort is not stable at this length
+        rng = np.random.default_rng(11)
+        cuts = rng.choice([-np.inf, 0.25, 0.5], size=(6, 50))
+        members = rng.permutation(50)[:40]
+        drop = int(np.floor(eps * 40 + 1e-9))
+        for row in cuts:
+            ranked = sorted(members.tolist(), key=lambda c: (row[c], c))
+            assert trim_coalition(row, members, eps) == tuple(sorted(ranked[drop:]))
+
 
 class TestRunReplications:
     def test_matched_count_equals_seats(self):
@@ -115,18 +127,20 @@ class TestRunReplications:
             asked.append(second_thread)
             return sample_market(config, replication, second_thread=second_thread)
 
-        def da_spy(market, capacities, *, second_thread):
-            matched.append(second_thread)
-            return deferred_acceptance(market, capacities, second_thread=second_thread)
+        def da_spy(prefs, scores, capacities, *, second_thread):
+            matched.append((len(prefs), second_thread))
+            return stacked_deferred_acceptance(prefs, scores, capacities, second_thread=second_thread)
 
         monkeypatch.setattr(estimation, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(estimation, "sample_market", spy)
-        monkeypatch.setattr(estimation, "deferred_acceptance", da_spy)
+        monkeypatch.setattr(estimation, "stacked_deferred_acceptance", da_spy)
         config, plan = small_pool(replications=3)
         serial = run_replications(config, plan, threads=1)
-        assert asked == matched == [True] * 3
+        # one stack of all three markets
+        assert asked == [True] * 3 and matched == [(3, True)]
         pooled = run_replications(config, plan, threads=2)
-        assert asked[3:] == matched[3:] == [False] * 3
+        # chunks of one replication each
+        assert asked[3:] == [False] * 3 and matched[1:] == [(1, False)] * 3
         assert np.array_equal(serial.assignment, pooled.assignment)
 
     def test_pool_matches_serial(self):
@@ -138,14 +152,78 @@ class TestRunReplications:
         for key in serial.afford:
             assert np.array_equal(serial.afford[key], pooled.afford[key])
 
-    def test_replication_index_attached_to_errors(self, monkeypatch):
-        def fail(market, capacities, **kwargs):
-            raise RuntimeError(f"planted failure {market.replication}")
+    @pytest.mark.parametrize("stack_cells", [None, 1], ids=["stacked", "one-a-stack"])
+    def test_records_equal_across_threads(self, stack_cells, monkeypatch):
+        # R = 11 is not a multiple of any chunk size, and 1,600-cell markets
+        # stack up to 163 to a stack; with a one-cell budget each stands alone
+        if stack_cells is not None:
+            monkeypatch.setattr(estimation, "_STACK_CELLS", stack_cells)
+        config, plan = small_pool(replications=11)
+        plan = replace(plan, curves=plan.curves + (AffordProbability(1, 0.5),))
+        runs = [run_replications(config, plan, threads=t) for t in (1, 2, 3)]
+        for records in runs[1:]:
+            assert np.array_equal(records.values, runs[0].values)
+            assert np.array_equal(records.assignment, runs[0].assignment)
+            assert np.array_equal(records.cutoffs, runs[0].cutoffs)
+            assert records.afford.keys() == runs[0].afford.keys()
+            for key in records.afford:
+                assert np.array_equal(records.afford[key], runs[0].afford[key])
+        for r in range(plan.replications):
+            market = sample_market(config, r)
+            alone = deferred_acceptance(market, config.capacities())
+            assert np.array_equal(runs[0].assignment[r], alone.assignment)
+            assert np.array_equal(runs[0].cutoffs[r], alone.cutoffs)
 
-        monkeypatch.setattr(estimation, "deferred_acceptance", fail)
-        config, plan = small_pool(replications=2)
-        with pytest.raises(ReplicationError, match="^replication 0: planted failure 0$"):
+    def test_sampling_failure_names_its_replication(self, monkeypatch):
+        def fail(config, replication, **kwargs):
+            if replication == 3:
+                raise ValueError("planted failure")
+            return sample_market(config, replication, **kwargs)
+
+        monkeypatch.setattr(estimation, "sample_market", fail)
+        config, plan = small_pool(replications=5)
+        with pytest.raises(ReplicationError, match="^replication 3: planted failure$"):
             run_replications(config, plan)
+
+    @pytest.mark.parametrize(
+        "stack_cells, where", [(None, "replications 0-4"), (1, "replication 0")]
+    )
+    def test_match_failure_names_its_stack(self, stack_cells, where, monkeypatch):
+        def fail(prefs, scores, capacities, **kwargs):
+            raise RuntimeError(f"planted failure in {len(prefs)}")
+
+        if stack_cells is not None:
+            monkeypatch.setattr(estimation, "_STACK_CELLS", stack_cells)
+        monkeypatch.setattr(estimation, "stacked_deferred_acceptance", fail)
+        config, plan = small_pool(replications=5)
+        n = 5 if stack_cells is None else 1
+        with pytest.raises(ReplicationError, match=f"^{where}: planted failure in {n}$"):
+            run_replications(config, plan)
+
+    def test_stacks_bound_a_chunk_s_allocations(self):
+        # numpy reports its buffers to tracemalloc.  A chunk holds its
+        # outputs plus one stack at a time: the stack's copied prefs and
+        # scores (10 bytes a cell) and the fixed point's arrays, at most
+        # 24 int64 or float64 entries per student.  A chunk of four stacks
+        # allocates no more beyond its outputs than a chunk of one.
+        config, plan = fig1(colleges=2, n_students=200, replications=1)
+        per_stack = estimation._STACK_CELLS // (200 * 2)
+        bound = 10 * estimation._STACK_CELLS + 24 * 8 * per_stack * 200
+        beyond = []
+        for stacks in (1, 4):
+            tracemalloc.start()
+            try:
+                values, assignment, afford, cuts = _run_chunk(
+                    config, plan, range(stacks * per_stack), False
+                )
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            held = values.nbytes + assignment.nbytes + cuts.nbytes
+            held += sum(a.nbytes for a in afford.values())
+            beyond.append(peak - held)
+        assert max(beyond) <= bound
+        assert beyond[1] <= 1.1 * beyond[0]
 
     @pytest.mark.parametrize(
         "curve, message",
@@ -195,7 +273,7 @@ class TestRunReplications:
 
 
 class TestAffordability:
-    """_run_one compares scores with per-college bars instead of copying columns."""
+    """A chunk compares scores with per-college bars instead of copying columns."""
 
     TRIMS = (0.0, 0.05, 0.5, 1 - 1e-12)
 
@@ -219,8 +297,8 @@ class TestAffordability:
         if noise == "heavy":
             assert np.isinf(market.scores).any()
         cuts = extract_cutoffs(deferred_acceptance(market, config.capacities()))
-        _, _, afford, got_cuts = _run_one(config, plan, 0)
-        assert np.array_equal(got_cuts, cuts)
+        _, _, afford, got_cuts = _run_chunk(config, plan, range(1))
+        assert np.array_equal(got_cuts[0], cuts)
         for k in (1, 2):
             for eps in self.TRIMS:
                 kept = list(trim_coalition(cuts, config.coalition_members(k), eps))
@@ -229,7 +307,7 @@ class TestAffordability:
                 else:
                     want = np.zeros(config.n_students, dtype=bool)
                 assert afford[(k, eps)].dtype == bool
-                assert np.array_equal(afford[(k, eps)], want), (k, eps)
+                assert np.array_equal(afford[(k, eps)][0], want), (k, eps)
             assert not afford[(k, 1 - 1e-12)].any()
 
     @pytest.mark.parametrize("rows", [1, 7], ids=["one-row", "seven-rows"])
@@ -238,17 +316,34 @@ class TestAffordability:
         monkeypatch.setattr(cutoffs, "_AFFORD_CELLS", rows * 40)
         self.test_matches_kept_column_expression(20, "uniform")
 
+    @pytest.mark.parametrize(
+        "cells", [7 * 40, 3 * 600 * 40, 1 << 18], ids=["row-blocks", "three-markets", "default"]
+    )
+    def test_stacked_blocks_match_the_whole_comparison(self, cells, monkeypatch):
+        # seven markets: blocks of seven rows, of three whole markets (the
+        # last holding one), or of all seven
+        monkeypatch.setattr(cutoffs, "_AFFORD_CELLS", cells)
+        rng = np.random.default_rng(4)
+        scores = rng.random((7, 600, 40))
+        scores[0, :5] = np.inf
+        bars = rng.uniform(0.9, 1.0, (7, 40))
+        bars[:, ::3] = np.nan
+        got = cutoffs.afford_any_stacked(scores, bars)
+        assert np.array_equal(got, (scores >= bars[:, None]).any(axis=2))
+        assert got.any() and not got.all()
+
     def test_builds_no_n_by_c_table(self, monkeypatch):
         # numpy reports its buffers to tracemalloc; the smallest n x C array
         # is a boolean one of n * C bytes
         config, plan = fig2(colleges=100, n_students=20000, replications=1)
         market = sample_market(config, 0)
         matching = deferred_acceptance(market, config.capacities())
+        matched = matching.assignment[None], matching.cutoffs[None]
         monkeypatch.setattr(estimation, "sample_market", lambda *args, **kwargs: market)
-        monkeypatch.setattr(estimation, "deferred_acceptance", lambda *args, **kwargs: matching)
+        monkeypatch.setattr(estimation, "stacked_deferred_acceptance", lambda *a, **kw: matched)
         tracemalloc.start()
         try:
-            _, _, afford, _ = _run_one(config, plan, 0)
+            _, _, afford, _ = _run_chunk(config, plan, range(1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -310,6 +405,43 @@ class TestCurves:
         records = run_replications(config, plan)
         with pytest.raises(ConfigError, match="not recorded"):
             estimate_afford_curve(records, 1, 0.25)
+
+    def test_each_column_is_binned_once_per_edges(self, monkeypatch):
+        config, plan = fig2(colleges=2, replications=3, n_students=400)
+        plan = replace(plan, curves=(AffordProbability(1), AffordProbability(2)))
+        records = run_replications(config, plan)
+        calls = []
+        searchsorted = np.searchsorted
+
+        def spy(edges, values, side):
+            calls.append(len(edges))
+            return searchsorted(edges, values, side=side)
+
+        monkeypatch.setattr(estimation.np, "searchsorted", spy)
+        coarse = [0.0, 0.5, 1.0]
+        curves = [
+            estimate_match_curve(records, coalition_id=1),
+            estimate_afford_curve(records, 1),
+            estimate_match_curve(records, coalition_id=2),
+            estimate_afford_curve(records, 2),
+            estimate_match_curve(records, coarse, coalition_id=1),
+            estimate_afford_curve(records, 1, bins=coarse),
+        ]
+        n_edges = len(plan.bin_edges)
+        assert calls == [n_edges, n_edges, 3]
+        monkeypatch.undo()
+        # each curve as counted from its own column and edges
+        for curve, k, hits in zip(
+            curves,
+            (0, 0, 1, 1, 0, 0),
+            [records.matched(), records.afford[(1, 0.0)], records.matched(), records.afford[(2, 0.0)]] * 2,
+        ):
+            values = records.values[:, :, k].ravel()
+            count, _ = np.histogram(values, curve.bin_edges)
+            hit, _ = np.histogram(values[hits.ravel()], curve.bin_edges)
+            assert np.array_equal(curve.count, count)
+            with np.errstate(invalid="ignore"):
+                assert np.array_equal(curve.probability, hit / count, equal_nan=True)
 
     def test_multi_coalition_requires_axis(self):
         config, plan = fig2(colleges=2, replications=2, n_students=400)

@@ -27,6 +27,7 @@ from noisymatch.matching import (
     deferred_acceptance,
     find_blocking_pairs,
     heap_deferred_acceptance,
+    stacked_deferred_acceptance,
     vectorised_deferred_acceptance,
 )
 from noisymatch.presets import fig1, fig2
@@ -364,6 +365,66 @@ class TestVectorisedPath:
             heap = heap_deferred_acceptance(sample_market(config, r), caps)
             assert np.array_equal(records.assignment[r], heap.assignment)
             assert np.array_equal(records.cutoffs[r], extract_cutoffs(heap))
+
+
+@st.composite
+def tie_heavy_stacks(draw):
+    """One to seven tie-heavy markets of one shape with shared capacities."""
+    n = draw(st.integers(1, 25))
+    c = draw(st.integers(1, 6))
+    grid = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+    caps = draw(st.lists(st.integers(1, 5), min_size=c, max_size=c))
+    markets = []
+    for _ in range(draw(st.integers(1, 7))):
+        scores = draw(st.lists(st.lists(grid, min_size=c, max_size=c), min_size=n, max_size=n))
+        prefs = [draw(st.permutations(range(c))) for _ in range(n)]
+        markets.append(make_market(prefs, scores))
+    return markets, caps
+
+
+class TestStackedPath:
+    @pytest.mark.parametrize(
+        "copies, max_examples", [(False, 200), (True, 25)], ids=["int16-colleges", "int32-colleges"]
+    )
+    def test_each_slot_equals_its_market_alone(self, copies, max_examples):
+        # with copies, the drawn markets repeat until the stack holds more
+        # than 32768 colleges, so the round sorts colleges as int32
+        @settings(max_examples=max_examples, deadline=None)
+        @given(tie_heavy_stacks())
+        def check(case):
+            markets, caps = case
+            k, c = len(markets), len(caps)
+            repeat = -(-(np.iinfo(np.int16).max + 2) // (k * c)) if copies else 1
+            assert (repeat * k * c > np.iinfo(np.int16).max + 1) == copies
+            prefs = np.stack([m.prefs for m in markets] * repeat).astype(np.int16)
+            scores = np.stack([m.scores for m in markets] * repeat)
+            assignment, cutoffs = stacked_deferred_acceptance(prefs, scores, caps)
+            n = markets[0].n_students
+            assignment = assignment.reshape(repeat, k, n)
+            cutoffs = cutoffs.reshape(repeat, k, c)
+            for r, market in enumerate(markets):
+                alone = heap_deferred_acceptance(market, caps)
+                assert (assignment[:, r] == alone.assignment).all()
+                assert (cutoffs[:, r] == alone.cutoffs).all()
+
+        check()
+
+    def test_one_market_is_matched_without_a_copy(self, monkeypatch):
+        market, caps = tied_market(n=600, colleges=40, seed=3)
+        market = dataclasses.replace(market, prefs=market.prefs.astype(np.int16))
+        seen = []
+        advance = matching._advance
+
+        def spy(rejected, n_colleges, prefs, scores, *rest):
+            seen.append((prefs, scores))
+            return advance(rejected, n_colleges, prefs, scores, *rest)
+
+        monkeypatch.setattr(matching, "_advance", spy)
+        vectorised_deferred_acceptance(market, caps, second_thread=False)
+        assert seen
+        for prefs, scores in seen:
+            assert np.shares_memory(prefs, market.prefs)
+            assert np.shares_memory(scores, market.scores)
 
 
 class TestNarrowPrefs:
