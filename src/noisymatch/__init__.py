@@ -43,6 +43,7 @@ from .market import (
     UniformValues,
     holder_exponent_check,
     sample_market,
+    sample_stack,
     v_s_threshold,
 )
 from .matching import UNMATCHED, Matching, deferred_acceptance, find_blocking_pairs

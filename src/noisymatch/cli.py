@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -124,13 +125,31 @@ def _curve_rows(curve_id: str, curve):
         )
 
 
+def _timings(seconds: dict, stage_seconds: dict) -> dict:
+    """Wall seconds of this run's steps, the replications' stage seconds
+    summed over stacks and workers, and peak resident memory."""
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    per_mib = 1 << (20 if sys.platform == "darwin" else 10)
+    peak = {
+        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / per_mib,
+        "workers_peak_rss_mib": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / per_mib,
+    }
+    out = {f"{step}_s": round(s, 4) for step, s in seconds.items()}
+    out.update({f"{stage}_s": round(s, 4) for stage, s in stage_seconds.items()})
+    out.update({key: round(mib, 1) for key, mib in peak.items()})
+    return out
+
+
 def run(doc: dict, out_dir: Path, threads: int) -> int:
     started = time.time()
     config, plan = dict_to_config(doc)
     digest = config_hash(config_to_dict(config, plan))
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    # ends of the replications, the curves and metrics, and the CSV writing
+    marks = [time.perf_counter()]
     records = run_replications(config, plan, threads=threads)
+    marks.append(time.perf_counter())
 
     curve_rows = []
     metric_rows = []
@@ -168,6 +187,8 @@ def run(doc: dict, out_dir: Path, threads: int) -> int:
                 (f"cutoff_mean_mean_c{coalition.id}", records.cutoffs[:, cols].mean())
             )
 
+    marks.append(time.perf_counter())
+
     outputs = []
     curves_path = out_dir / "curves.csv"
     _write_csv(
@@ -197,6 +218,8 @@ def run(doc: dict, out_dir: Path, threads: int) -> int:
             ),
         )
         outputs.append(cutoffs_path.name)
+    marks.append(time.perf_counter())
+    seconds = dict(zip(("replications", "curves", "output"), np.diff(marks).tolist()))
 
     manifest = {
         "config_hash": digest,
@@ -206,6 +229,7 @@ def run(doc: dict, out_dir: Path, threads: int) -> int:
         "wall_clock_seconds": round(time.time() - started, 3),
         "outputs": outputs,
         "effective_config": doc,
+        "timings": _timings(seconds, records.stage_seconds),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return EXIT_OK

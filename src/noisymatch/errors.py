@@ -19,3 +19,12 @@ class InsufficientTailMassError(ValueError):
 
 class ReplicationError(RuntimeError):
     """A module error raised inside a Monte Carlo replication, with its index."""
+
+    @classmethod
+    def naming(cls, replications: range, error: Exception) -> "ReplicationError":
+        """The error as raised by one replication, or by a stack of them."""
+        if len(replications) == 1:
+            where = f"replication {replications[0]}"
+        else:
+            where = f"replications {replications[0]}-{replications[-1]}"
+        return cls(f"{where}: {error}")

@@ -10,6 +10,7 @@ total capacity share).
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -18,7 +19,7 @@ import numpy as np
 
 from .cutoffs import afford_any_stacked
 from .errors import ConfigError, ReplicationError
-from .market import EconomyConfig, sample_market
+from .market import EconomyConfig, sample_stack
 from .matching import UNMATCHED, stacked_deferred_acceptance
 
 
@@ -126,6 +127,9 @@ class ReplicationRecords:
     afford: dict[tuple[int, float], np.ndarray]  # (coalition_id, eps) -> (R, N) bool
     cutoffs: np.ndarray | None  # (R, n_colleges)
     college_coalition: np.ndarray  # (n_colleges,) coalition position
+    # seconds spent sampling, matching and measuring affordability, summed
+    # over stacks and workers
+    stage_seconds: dict[str, float] = field(default_factory=dict, compare=False)
     # (value column, bin edges) -> bin of every student-observation
     _bins: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -156,13 +160,15 @@ def _afford_requests(plan: ExperimentPlan) -> list[tuple[int, float]]:
     )
 
 
-# A chunk of replications is matched in stacks of consecutive markets of at
-# most this many (student, college) cells, one call of
-# stacked_deferred_acceptance per stack; a larger market is stacked alone.
-# Stacking turns a chunk of tiny markets' heap loops into one numpy fixed
-# point, and bounds the stack's copied prefs and scores at 2.5 MiB.  Median
-# matching time per market, heap loop or one-market fixed point against a
-# stack of 2^18 cells (Python 3.11, numpy 2.4, 2-vCPU machine):
+# A chunk of replications is sampled and matched in stacks of consecutive
+# markets of at most this many (student, college) cells, one call of
+# sample_stack and of stacked_deferred_acceptance per stack; a larger market
+# is stacked alone.  Stacking turns a chunk of tiny markets' heap loops into
+# one numpy fixed point, and bounds the stack's prefs and scores at 2.5 MiB.
+# It equals market._BLOCK_CELLS, so a stack of small markets is sampled as
+# one block.  Median matching time per market, heap loop or one-market fixed
+# point against a stack of 2^18 cells (Python 3.11, numpy 2.4, 2-vCPU
+# machine):
 #   many-tiny,       n=200,  C=2     (400 cells, 375 a stack): 0.31 vs 0.08-0.13 ms
 #   attenuate-tiers, n=2000, C=20+20 (80,000 cells, 3 a stack): 8.3 vs 6.5 ms
 _STACK_CELLS = 1 << 18
@@ -174,7 +180,7 @@ def _run_chunk(
     """Sample, match and measure consecutive replications.
 
     Returns the chunk's values, assignment, afford and cutoffs, each with
-    one leading entry per replication.
+    one leading entry per replication, and the seconds of each stage.
     """
     per_stack = max(1, _STACK_CELLS // (config.n_students * config.n_colleges))
     return _concatenate(
@@ -186,26 +192,20 @@ def _run_chunk(
     )
 
 
+_STAGES = ("sample", "match", "afford")
+
+
 def _run_stack(config: EconomyConfig, plan: ExperimentPlan, stack: range, second_thread: bool):
-    """Sample a stack's replications, match them in one call, and measure
-    affordability on the whole stack."""
-    markets = []
-    for r in stack:
-        try:
-            markets.append(sample_market(config, r, second_thread=second_thread))
-        except (ConfigError, ValueError, RuntimeError) as e:
-            raise ReplicationError(f"replication {r}: {e}") from e
-    values = np.stack([m.values for m in markets])
-    if len(markets) == 1:
-        prefs, scores = markets[0].prefs[None], markets[0].scores[None]
-    else:
-        prefs = np.stack([m.prefs for m in markets])
-        scores = np.stack([m.scores for m in markets])
-    del markets
+    """Sample a stack's replications and match them in one call each, and
+    measure affordability on the whole stack."""
+    started = time.perf_counter()
+    values, prefs, scores = sample_stack(config, stack, second_thread=second_thread)
+    sampled = time.perf_counter()
     try:
         assignment, cuts = stacked_deferred_acceptance(
             prefs, scores, config.capacities(), second_thread=second_thread
         )
+        matched = time.perf_counter()
         afford = {}
         for coalition_id, eps in _afford_requests(plan):
             members = config.coalition_members(coalition_id)
@@ -217,13 +217,14 @@ def _run_stack(config: EconomyConfig, plan: ExperimentPlan, stack: range, second
             bars[slot, kept] = cuts[slot, kept]
             afford[(coalition_id, eps)] = afford_any_stacked(scores, bars)
     except (ConfigError, ValueError, RuntimeError) as e:
-        where = f"replication {stack[0]}" if len(stack) == 1 else f"replications {stack[0]}-{stack[-1]}"
-        raise ReplicationError(f"{where}: {e}") from e
-    return values, assignment, afford, cuts
+        raise ReplicationError.naming(stack, e) from e
+    seconds = np.diff([started, sampled, matched, time.perf_counter()])
+    return values, assignment, afford, cuts, dict(zip(_STAGES, seconds.tolist()))
 
 
 def _concatenate(parts, requests):
-    """Join (values, assignment, afford, cutoffs) parts along replications."""
+    """Join (values, assignment, afford, cutoffs, seconds) parts along
+    replications, summing the seconds."""
     if len(parts) == 1:
         return parts[0]
     return (
@@ -231,6 +232,7 @@ def _concatenate(parts, requests):
         np.concatenate([p[1] for p in parts]),
         {key: np.concatenate([p[2][key] for p in parts]) for key in requests},
         np.concatenate([p[3] for p in parts]),
+        {stage: sum(p[4][stage] for p in parts) for stage in _STAGES},
     )
 
 
@@ -255,7 +257,7 @@ def run_replications(
     Replication r draws its own RNG streams from (master_seed, r), so the
     result is identical whether replications run serially or in a pool.
     A serial run is one chunk of consecutive replications and a pool task
-    another; each chunk matches its markets in stacks of up to
+    another; each chunk samples and matches its markets in stacks of up to
     ``_STACK_CELLS`` cells, which leaves every replication's result as it
     would be alone.
     """
@@ -274,11 +276,11 @@ def run_replications(
     else:
         parts = [_run_chunk(config, plan, range(n))]
 
-    values, assignment, afford, cuts = _concatenate(parts, _afford_requests(plan))
+    values, assignment, afford, cuts, seconds = _concatenate(parts, _afford_requests(plan))
     if not plan.record_cutoffs:
         cuts = None
     return ReplicationRecords(
-        config, plan, values, assignment, afford, cuts, config.coalition_index()
+        config, plan, values, assignment, afford, cuts, config.coalition_index(), seconds
     )
 
 

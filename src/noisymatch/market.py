@@ -10,6 +10,7 @@ preferences, and noise.
 
 from __future__ import annotations
 
+import functools
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, OverdemandError
+from .errors import ConfigError, OverdemandError, ReplicationError
 from .noise import NoiseSpec
 
 STREAM_VALUES = 0
@@ -78,14 +79,137 @@ def prefs_dtype(n_colleges: int) -> np.dtype:
 
 
 def child_rng(master_seed: int, replication: int, stream: int) -> np.random.Generator:
-    """Independent generator for one (replication, stream) pair.
+    """Independent generator for one (replication, stream) pair: the
+    one-replication case of ``stream_rngs``.
 
     SeedSequence spawning keys guarantee non-overlapping streams, so
     replications can run concurrently without a shared RNG.
     """
-    return np.random.default_rng(
-        np.random.SeedSequence(master_seed, spawn_key=(replication, stream))
-    )
+    return stream_rngs(master_seed, range(replication, replication + 1), stream)[0]
+
+
+def stream_rngs(master_seed: int, replications: range, stream: int) -> list[np.random.Generator]:
+    """One stream's generator for each of consecutive replications.
+
+    Generator r is ``np.random.default_rng(np.random.SeedSequence(master_seed,
+    spawn_key=(r, stream)))``, draw for draw: the PCG64 seeds of the whole
+    range come from one vectorised pass of SeedSequence's mixing, so no
+    SeedSequence is built: about 3 us a generator instead of 28 us.
+    """
+    seed_words = _seed_words_type()
+    words = _seed_words(master_seed, replications, stream)
+    return [np.random.Generator(np.random.PCG64(seed_words(w))) for w in words]
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """The ISeedSequence that hands PCG64 the seed words ``_seed_words``
+    derived for it.  Made at first use: numpy imports numpy.random lazily,
+    and a process that samples nothing, such as the CLI's parent of a pool,
+    should not pay its start-up time and memory."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != _POOL_SIZE or np.dtype(dtype) != np.uint64:
+                raise ValueError("only PCG64's seed, four uint64 words, was derived")
+            return self.words
+
+    return SeedWords
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) hashes entropy into a
+# pool of four 32-bit words and expands the pool into seed words.  Its hash
+# constants advance once per hash, whatever the data, so the same steps run
+# on arrays of words, one entry per replication.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(value, hash_const: int):
+    """SeedSequence's hashmix of 32-bit words held in a Python int or a
+    uint64 array; returns the hash and the next hash constant."""
+    hash_next = hash_const * _MULT_A & _MASK32
+    value = (value ^ hash_const) * hash_next & _MASK32
+    return value ^ value >> 16, hash_next
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _mix_in(pool: list, word, hash_const: int) -> int:
+    """Mix one entropy word into every pool word; returns the hash constant."""
+    for i in range(_POOL_SIZE):
+        hashed, hash_const = _hashmix(word, hash_const)
+        pool[i] = _mix(pool[i], hashed)
+    return hash_const
+
+
+def _uint32_words(value: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative integer, [0] for 0."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _seed_words(master_seed: int, replications: range, stream: int) -> np.ndarray:
+    """(R, 4) uint64: ``SeedSequence(master_seed, spawn_key=(r, stream))
+    .generate_state(4, np.uint64)`` for every r of a range of step 1."""
+    if replications.step != 1:
+        raise ValueError(f"replications must be consecutive, got {replications!r}")
+    _uint32_words(replications.start)  # a negative index raises as numpy does
+    # a spawn key pads the seed's words with zeros to the pool size; the
+    # first four words and the pool's self-mixing are the same for every r
+    entropy = _uint32_words(master_seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    pool, hash_const = [], _INIT_A
+    for word in entropy[:_POOL_SIZE]:
+        hashed, hash_const = _hashmix(word, hash_const)
+        pool.append(hashed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in entropy[_POOL_SIZE:]:
+        hash_const = _mix_in(pool, word, hash_const)
+
+    state = np.empty((len(replications), 2 * _POOL_SIZE), dtype=np.uint64)
+    start, stop = replications.start, replications.stop
+    while start < stop:
+        # replications with as many 32-bit words mix in as many steps
+        n_words = len(_uint32_words(start))
+        end = min(stop, 1 << 32 * n_words)
+        reps = np.arange(start, end, dtype=np.uint64 if end <= 1 << 64 else object)
+        group, hash_group = list(pool), hash_const
+        for j in range(n_words):
+            word = (reps >> 32 * j & _MASK32).astype(np.uint64)
+            hash_group = _mix_in(group, word, hash_group)
+        _mix_in(group, stream, hash_group)
+        # generate_state: cycle through the pool, hashing with the B constants
+        hash_b = _INIT_B
+        for i in range(2 * _POOL_SIZE):
+            word = group[i % _POOL_SIZE] ^ hash_b
+            hash_b = hash_b * _MULT_B & _MASK32
+            word = word * hash_b & _MASK32
+            state[start - replications.start : end - replications.start, i] = word ^ word >> 16
+        start = end
+    # pairs of 32-bit words, low word first, make each uint64 seed word
+    return state[:, 0::2] | state[:, 1::2] << np.uint64(32)
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +383,10 @@ class PreferenceModel:
     kind: str = ""
 
     def sample_prefs(
-        self, rng: np.random.Generator, n: int, n_colleges: int, tiers: np.ndarray
+        self, rngs: Sequence[np.random.Generator], n: int, n_colleges: int, tiers: np.ndarray
     ) -> np.ndarray:
-        """(n, C) array of college indices, most preferred first, of
-        ``prefs_dtype(C)``."""
+        """(R, n, C) array of college indices, most preferred first, of
+        ``prefs_dtype(C)``: slot i holds the rankings drawn from rngs[i]."""
         raise NotImplementedError
 
     def check(self, n_colleges: int) -> None:
@@ -276,8 +400,8 @@ class PreferenceModel:
 class UniformRandomPreferences(PreferenceModel):
     kind = "uniform_random"
 
-    def sample_prefs(self, rng, n, n_colleges, tiers):
-        return _argsort_keys(rng, n, n_colleges)
+    def sample_prefs(self, rngs, n, n_colleges, tiers):
+        return _argsort_keys(rngs, n, n_colleges)
 
 
 @dataclass(frozen=True)
@@ -291,8 +415,9 @@ class CommonRanking(PreferenceModel):
                 f"preferences.ranking: must be a permutation of 0..{n_colleges - 1}"
             )
 
-    def sample_prefs(self, rng, n, n_colleges, tiers):
-        return np.tile(np.asarray(self.ranking, dtype=prefs_dtype(n_colleges)), (n, 1))
+    def sample_prefs(self, rngs, n, n_colleges, tiers):
+        ranking = np.asarray(self.ranking, dtype=prefs_dtype(n_colleges))
+        return np.tile(ranking, (len(rngs), n, 1))
 
     def to_dict(self):
         return {"kind": self.kind, "ranking": list(self.ranking)}
@@ -304,10 +429,10 @@ class TieredByCoalition(PreferenceModel):
 
     kind = "tiered_by_coalition"
 
-    def sample_prefs(self, rng, n, n_colleges, tiers):
+    def sample_prefs(self, rngs, n, n_colleges, tiers):
         # tiers are small integers; a U(0,1) jitter randomises within a tier
         # without ever crossing tier boundaries.
-        return _argsort_keys(rng, n, n_colleges, tiers)
+        return _argsort_keys(rngs, n, n_colleges, tiers)
 
 
 @dataclass(frozen=True)
@@ -334,10 +459,13 @@ class ExplicitSampler(PreferenceModel):
                     f"preferences.rankings: {r} is not a permutation of 0..{n_colleges - 1}"
                 )
 
-    def sample_prefs(self, rng, n, n_colleges, tiers):
+    def sample_prefs(self, rngs, n, n_colleges, tiers):
         table = np.asarray(self.rankings, dtype=prefs_dtype(n_colleges))
-        picks = rng.choice(len(table), size=n, p=np.asarray(self.probabilities))
-        return table[picks]
+        p = np.asarray(self.probabilities)
+        prefs = np.empty((len(rngs), n, n_colleges), dtype=table.dtype)
+        for i, rng in enumerate(rngs):
+            np.take(table, rng.choice(len(table), size=n, p=p), axis=0, out=prefs[i])
+        return prefs
 
     def to_dict(self):
         return {
@@ -347,20 +475,30 @@ class ExplicitSampler(PreferenceModel):
         }
 
 
-def _argsort_keys(rng, n, n_colleges, tiers=None):
-    """Rank every row of an (n, C) U(0, 1) key matrix, plus tiers, ascending.
+def _argsort_keys(rngs, n, n_colleges, tiers=None):
+    """Rank every row of each generator's (n, C) U(0, 1) key matrix, plus
+    tiers, ascending, into an (R, n, C) stack.
 
-    Keys are drawn in blocks of whole rows; the stream fills a matrix in
-    row-major order, so the blocks take the same keys, and each row sorts
-    alone, so the result equals one argsort over the full matrix.
+    Keys are drawn in blocks of at most ``_BLOCK_CELLS`` cells: several whole
+    markets when one fits, blocks of whole rows of one market otherwise.  A
+    stream fills its matrix in row-major order, so the blocks take the same
+    keys, and each row sorts alone, so one argsort of a block equals one
+    argsort per market.
     """
-    prefs = np.empty((n, n_colleges), dtype=prefs_dtype(n_colleges))
+    prefs = np.empty((len(rngs), n, n_colleges), dtype=prefs_dtype(n_colleges))
     rows = max(1, _BLOCK_CELLS // n_colleges)
-    for r0 in range(0, n, rows):
-        key = rng.random((min(rows, n - r0), n_colleges))
-        if tiers is not None:
-            key += tiers
-        prefs[r0 : r0 + len(key)] = np.argsort(key, axis=1)
+    reps, rows = max(1, rows // n), min(rows, n)
+    key = np.empty((min(reps, len(rngs)), rows, n_colleges))
+    for r0 in range(0, len(rngs), reps):
+        r1 = min(r0 + reps, len(rngs))
+        for s0 in range(0, n, rows):
+            s1 = min(s0 + rows, n)
+            block = key[: r1 - r0, : s1 - s0]
+            for rng, slot in zip(rngs[r0:r1], block):
+                rng.random(out=slot)
+            if tiers is not None:
+                block += tiers
+            prefs[r0:r1, s0:s1] = np.argsort(block, axis=2)
     return prefs
 
 
@@ -413,6 +551,8 @@ class EconomyConfig:
         object.__setattr__(self, "coalitions", tuple(self.coalitions))
         if self.n_students < 1:
             raise ConfigError(f"n_students: must be >= 1, got {self.n_students}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed: must be a non-negative integer, got {self.master_seed}")
         if not self.colleges:
             raise ConfigError("colleges: must be non-empty")
         if not self.coalitions:
@@ -503,61 +643,112 @@ class SampledMarket:
 def sample_market(
     config: EconomyConfig, replication: int = 0, *, second_thread: bool = True
 ) -> SampledMarket:
-    """Draw students, preferences, and noisy scores for one replication.
+    """Draw students, preferences, and noisy scores for one replication: the
+    one-replication case of ``sample_stack``."""
+    values, prefs, scores = sample_stack(
+        config, range(replication, replication + 1), second_thread=second_thread
+    )
+    return SampledMarket(values[0], prefs[0], scores[0], config.coalition_index(), replication)
+
+
+# what a failed draw may raise; a ReplicationError names its replication
+_DRAW_ERRORS = (ConfigError, ValueError, RuntimeError)
+
+
+def sample_stack(
+    config: EconomyConfig, replications: range, *, second_thread: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw students, preferences, and noisy scores for consecutive replications.
+
+    Returns the stack's (R, n, n_coalitions) values, (R, n, C) prefs and
+    (R, n, C) scores; slot i is replication replications[i], drawn from its
+    own three streams exactly as it would be alone.  Keys and noise are drawn
+    in blocks of at most ``_BLOCK_CELLS`` cells, so a stack of small markets
+    takes one argsort and one add, and a large market stacked alone takes
+    row blocks and college runs.
 
     The three streams are independent generators, so with ``second_thread``,
-    on a process that may use more than one CPU, a market of at least
+    on a process that may use more than one CPU, a stack of at least
     ``_PREFS_THREAD_MIN_CELLS`` cells draws its preferences on a helper
     thread while this one draws the scores.  Pass False where every core is
     already busy, as in a pool of processes.  The bytes are the same either
-    way.
+    way.  A draw that fails raises ReplicationError naming its replication;
+    the preference model draws the whole stack in one call, so its failure
+    names the stack's replications.
     """
     n = config.n_students
     n_colleges = config.n_colleges
     coal_idx = config.coalition_index()
+    seed = config.master_seed
 
-    rng_values = child_rng(config.master_seed, replication, STREAM_VALUES)
-    values = np.empty((n, len(config.coalitions)))
-    for k, coalition in enumerate(config.coalitions):
-        values[:, k] = coalition.values.sample(rng_values, n)
+    values = np.empty((len(replications), n, len(config.coalitions)))
+    for i, rng in enumerate(stream_rngs(seed, replications, STREAM_VALUES)):
+        try:
+            for k, coalition in enumerate(config.coalitions):
+                values[i, :, k] = coalition.values.sample(rng, n)
+        except _DRAW_ERRORS as e:
+            raise ReplicationError.naming(replications[i : i + 1], e) from e
 
-    rng_prefs = child_rng(config.master_seed, replication, STREAM_PREFS)
-    args = (rng_prefs, n, n_colleges, coal_idx)
-    if second_thread and n * n_colleges >= _PREFS_THREAD_MIN_CELLS and usable_cpus() > 1:
+    args = (config, replications, stream_rngs(seed, replications, STREAM_PREFS), coal_idx)
+    noise_rngs = stream_rngs(seed, replications, STREAM_NOISE)
+    cells = len(replications) * n * n_colleges
+    if second_thread and cells >= _PREFS_THREAD_MIN_CELLS and usable_cpus() > 1:
         with ThreadPoolExecutor(max_workers=1) as pool:
-            future = pool.submit(config.preferences.sample_prefs, *args)
+            future = pool.submit(_sample_prefs, *args)
             try:
-                scores = _sample_scores(config, replication, values, coal_idx)
+                scores = _sample_scores(config, replications, noise_rngs, values, coal_idx)
             finally:
                 # read it even when the scores fail, so its error is not lost
                 prefs = future.result()
     else:
-        prefs = config.preferences.sample_prefs(*args)
-        scores = _sample_scores(config, replication, values, coal_idx)
-    return SampledMarket(values, prefs, scores, coal_idx, replication)
+        prefs = _sample_prefs(*args)
+        scores = _sample_scores(config, replications, noise_rngs, values, coal_idx)
+    return values, prefs, scores
 
 
-def _sample_scores(config, replication, values, coal_idx):
-    """Coalition values plus the noise stream's draws, as an (n, C) matrix."""
-    n = config.n_students
-    rng_noise = child_rng(config.master_seed, replication, STREAM_NOISE)
-    scores = np.empty((n, config.n_colleges))
-    block = max(1, _BLOCK_CELLS // n)
-    # Walk runs of consecutive colleges of one coalition (by position, not by
-    # noise spec: equal specs may sit on different value columns).  A block of
-    # m colleges takes one draw of m * n; row j of it is what college c0 + j
-    # alone would have drawn next, so the noise stream is consumed in college
-    # order and the scores equal a per-college loop's bit for bit.
-    end = 0
+def _sample_prefs(config, replications, rngs, coal_idx):
+    try:
+        return config.preferences.sample_prefs(rngs, config.n_students, config.n_colleges, coal_idx)
+    except _DRAW_ERRORS as e:
+        raise ReplicationError.naming(replications, e) from e
+
+
+def _sample_scores(config, replications, rngs, values, coal_idx):
+    """Coalition values plus the noise streams' draws, as an (R, n, C) stack.
+
+    Blocks hold at most ``_BLOCK_CELLS`` cells: several whole markets when
+    one fits, runs of colleges of one market otherwise.
+    """
+    n_markets, n, _ = values.shape
+    scores = np.empty((n_markets, n, config.n_colleges))
+    cols = max(1, _BLOCK_CELLS // n)
+    reps = max(1, cols // config.n_colleges)
+    # runs of consecutive colleges of one coalition (by position, not by
+    # noise spec: equal specs may sit on different value columns)
+    runs, end = [], 0
     for pos, run in groupby(coal_idx.tolist()):
         start, end = end, end + len(list(run))
-        spec = config.coalitions[pos].noise
-        value = values[:, pos, None]
-        for c0 in range(start, end, block):
-            c1 = min(c0 + block, end)
-            if spec is None:
-                scores[:, c0:c1] = value
-            else:
-                noise = spec.sample(rng_noise, (c1 - c0) * n).reshape(c1 - c0, n)
-                np.add(value, noise.T, out=scores[:, c0:c1])
+        runs.append((pos, start, end))
+    for r0 in range(0, n_markets, reps):
+        r1 = min(r0 + reps, n_markets)
+        for pos, start, end in runs:
+            spec = config.coalitions[pos].noise
+            value = values[r0:r1, :, pos, None]
+            # A block of m colleges takes one draw of m * n per market; row j
+            # of it is what college c0 + j alone would have drawn next, so
+            # each noise stream is consumed in college order and the scores
+            # equal a per-college loop's bit for bit.
+            for c0 in range(start, end, cols):
+                c1 = min(c0 + cols, end)
+                if spec is None:
+                    scores[r0:r1, :, c0:c1] = value
+                    continue
+                draws = []
+                for i in range(r0, r1):
+                    try:
+                        draws.append(spec.sample(rngs[i], (c1 - c0) * n).reshape(c1 - c0, n))
+                    except _DRAW_ERRORS as e:
+                        raise ReplicationError.naming(replications[i : i + 1], e) from e
+                noise = draws[0][None] if len(draws) == 1 else np.stack(draws)
+                np.add(value, noise.transpose(0, 2, 1), out=scores[r0:r1, :, c0:c1])
     return scores

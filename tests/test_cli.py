@@ -285,6 +285,14 @@ class TestLoadTimeChecks:
         assert "override 'colleges.0.capacity=5': colleges is not an object" in err
         assert not out.exists()
 
+    def test_negative_master_seed_exits_three(self, tmp_path, capsys):
+        doc = small_doc()
+        doc["master_seed"] = -3
+        code, out = run_doc(doc, tmp_path)
+        assert code == EXIT_INVARIANT
+        assert "master_seed: must be a non-negative integer, got -3" in capsys.readouterr().err
+        assert not (out / "curves.csv").exists()
+
     def test_unbinned_coalition_is_not_checked(self):
         config, plan = fig2(colleges=2, replications=1)
         doc = config_to_dict(config, plan)
@@ -327,6 +335,27 @@ class TestCliContract:
         assert run_cli(*base, "--threads", "8", "--out-dir", str(many)) == EXIT_OK
         assert (one / "curves.csv").read_bytes() == (many / "curves.csv").read_bytes()
         assert (one / "metrics.csv").read_bytes() == (many / "metrics.csv").read_bytes()
+
+    def test_manifest_times_the_run_without_moving_a_csv_byte(self, tmp_path):
+        base = ("--preset", "fig2", "--colleges", "2", "--replications", "5", "--seed", "9")
+        runs = {t: tmp_path / f"t{t}" for t in (1, 2)}
+        for threads, out in runs.items():
+            assert run_cli(*base, "--threads", str(threads), "--out-dir", str(out)) == EXIT_OK
+        for name in ("curves.csv", "metrics.csv", "cutoffs.csv"):
+            assert (runs[1] / name).read_bytes() == (runs[2] / name).read_bytes()
+        keys = {
+            "replications_s", "sample_s", "match_s", "afford_s", "curves_s", "output_s",
+            "peak_rss_mib", "workers_peak_rss_mib",
+        }
+        for threads, out in runs.items():
+            timings = json.loads((out / "manifest.json").read_text())["timings"]
+            assert set(timings) == keys
+            assert all(isinstance(v, float) and v >= 0 for v in timings.values())
+            assert timings["peak_rss_mib"] > 0
+        serial = json.loads((runs[1] / "manifest.json").read_text())["timings"]
+        # one process: its stages run inside the replications' wall time
+        stages = serial["sample_s"] + serial["match_s"] + serial["afford_s"]
+        assert 0 < stages <= serial["replications_s"] + 1e-3
 
     def test_config_file_run(self, tmp_path):
         config, plan = fig1(colleges=3, replications=2)
@@ -385,7 +414,7 @@ class TestCliContract:
         self, preset_doc, curve, tmp_path, capsys, monkeypatch
     ):
         sampled = []
-        monkeypatch.setattr(estimation, "sample_market", lambda *a, **kw: sampled.append(a))
+        monkeypatch.setattr(estimation, "sample_stack", lambda *a, **kw: sampled.append(a))
         if preset_doc == "fig1":
             doc = small_doc()
         else:

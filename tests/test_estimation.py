@@ -1,5 +1,6 @@
 """Unit tests for the replication harness, curves, and metrics."""
 
+import itertools
 import tracemalloc
 from dataclasses import replace
 
@@ -31,6 +32,7 @@ from noisymatch.market import (
     UniformRandomPreferences,
     UniformValues,
     sample_market,
+    sample_stack,
 )
 from noisymatch.matching import UNMATCHED, deferred_acceptance, stacked_deferred_acceptance
 from noisymatch.noise import Pareto, Uniform
@@ -91,6 +93,22 @@ class TestTrimCoalition:
             assert trim_coalition(row, members, eps) == tuple(sorted(ranked[drop:]))
 
 
+class InlinePool:
+    """Runs a process pool's tasks in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *args, chunksize=1):
+        return map(fn, *args)
+
+
 class TestRunReplications:
     def test_matched_count_equals_seats(self):
         config, plan = small_pool()
@@ -107,41 +125,41 @@ class TestRunReplications:
 
     def test_only_the_serial_path_starts_a_prefs_thread(self, monkeypatch):
         # run the pool's tasks in this process to see what each one is asked
-        class InlinePool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *args, chunksize=1):
-                return map(fn, *args)
-
         asked = []
         matched = []
 
-        def spy(config, replication, *, second_thread):
-            asked.append(second_thread)
-            return sample_market(config, replication, second_thread=second_thread)
+        def spy(config, replications, *, second_thread):
+            asked.append((replications, second_thread))
+            return sample_stack(config, replications, second_thread=second_thread)
 
         def da_spy(prefs, scores, capacities, *, second_thread):
             matched.append((len(prefs), second_thread))
             return stacked_deferred_acceptance(prefs, scores, capacities, second_thread=second_thread)
 
         monkeypatch.setattr(estimation, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(estimation, "sample_market", spy)
+        monkeypatch.setattr(estimation, "sample_stack", spy)
         monkeypatch.setattr(estimation, "stacked_deferred_acceptance", da_spy)
         config, plan = small_pool(replications=3)
         serial = run_replications(config, plan, threads=1)
         # one stack of all three markets
-        assert asked == [True] * 3 and matched == [(3, True)]
+        assert asked == [(range(3), True)] and matched == [(3, True)]
         pooled = run_replications(config, plan, threads=2)
         # chunks of one replication each
-        assert asked[3:] == [False] * 3 and matched[1:] == [(1, False)] * 3
+        assert asked[1:] == [(range(r, r + 1), False) for r in range(3)]
+        assert matched[1:] == [(1, False)] * 3
         assert np.array_equal(serial.assignment, pooled.assignment)
+
+    @pytest.mark.parametrize("threads", [1, 2], ids=["one-chunk", "five-chunks"])
+    def test_stage_seconds_sum_over_stacks_and_chunks(self, threads, monkeypatch):
+        # a clock that ticks once a reading: a stack reads it four times, so
+        # each of its three stages takes one second
+        ticks = itertools.count()
+        monkeypatch.setattr(estimation, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(estimation, "_STACK_CELLS", 1)
+        monkeypatch.setattr(estimation.time, "perf_counter", lambda: float(next(ticks)))
+        config, plan = small_pool(replications=5)
+        records = run_replications(config, plan, threads=threads)
+        assert records.stage_seconds == {"sample": 5.0, "match": 5.0, "afford": 5.0}
 
     def test_pool_matches_serial(self):
         config, plan = small_pool(replications=4)
@@ -175,15 +193,27 @@ class TestRunReplications:
             assert np.array_equal(runs[0].cutoffs[r], alone.cutoffs)
 
     def test_sampling_failure_names_its_replication(self, monkeypatch):
-        def fail(config, replication, **kwargs):
-            if replication == 3:
-                raise ValueError("planted failure")
-            return sample_market(config, replication, **kwargs)
+        # one coalition: the fourth value draw is replication 3's, inside
+        # the one call that samples the stack of five
+        draws, stacks = [], []
+        sample = UniformValues.sample
 
-        monkeypatch.setattr(estimation, "sample_market", fail)
+        def fail(self, rng, n):
+            draws.append(n)
+            if len(draws) == 4:
+                raise ValueError("planted failure")
+            return sample(self, rng, n)
+
+        def spy(config, replications, **kwargs):
+            stacks.append(replications)
+            return sample_stack(config, replications, **kwargs)
+
+        monkeypatch.setattr(UniformValues, "sample", fail)
+        monkeypatch.setattr(estimation, "sample_stack", spy)
         config, plan = small_pool(replications=5)
         with pytest.raises(ReplicationError, match="^replication 3: planted failure$"):
             run_replications(config, plan)
+        assert stacks == [range(5)]
 
     @pytest.mark.parametrize(
         "stack_cells, where", [(None, "replications 0-4"), (1, "replication 0")]
@@ -213,7 +243,7 @@ class TestRunReplications:
         for stacks in (1, 4):
             tracemalloc.start()
             try:
-                values, assignment, afford, cuts = _run_chunk(
+                values, assignment, afford, cuts, _ = _run_chunk(
                     config, plan, range(stacks * per_stack), False
                 )
                 _, peak = tracemalloc.get_traced_memory()
@@ -237,7 +267,7 @@ class TestRunReplications:
     def test_bad_curve_coalition_fails_before_any_replication(self, curve, message, monkeypatch):
         config, plan = fig2(colleges=2, replications=2)
         sampled = []
-        monkeypatch.setattr(estimation, "sample_market", lambda *a, **kw: sampled.append(a))
+        monkeypatch.setattr(estimation, "sample_stack", lambda *a, **kw: sampled.append(a))
         bad_plan = replace(plan, curves=plan.curves + (curve,))
         where = rf"^plan\.curves\[{len(plan.curves)}\]\.coalition: "
         with pytest.raises(ConfigError, match=where + message + "$"):
@@ -297,7 +327,7 @@ class TestAffordability:
         if noise == "heavy":
             assert np.isinf(market.scores).any()
         cuts = extract_cutoffs(deferred_acceptance(market, config.capacities()))
-        _, _, afford, got_cuts = _run_chunk(config, plan, range(1))
+        _, _, afford, got_cuts, _ = _run_chunk(config, plan, range(1))
         assert np.array_equal(got_cuts[0], cuts)
         for k in (1, 2):
             for eps in self.TRIMS:
@@ -339,11 +369,12 @@ class TestAffordability:
         market = sample_market(config, 0)
         matching = deferred_acceptance(market, config.capacities())
         matched = matching.assignment[None], matching.cutoffs[None]
-        monkeypatch.setattr(estimation, "sample_market", lambda *args, **kwargs: market)
+        stack = market.values[None], market.prefs[None], market.scores[None]
+        monkeypatch.setattr(estimation, "sample_stack", lambda *args, **kwargs: stack)
         monkeypatch.setattr(estimation, "stacked_deferred_acceptance", lambda *a, **kw: matched)
         tracemalloc.start()
         try:
-            _, _, afford, _ = _run_chunk(config, plan, range(1))
+            _, _, afford, _, _ = _run_chunk(config, plan, range(1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -6,9 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
-from noisymatch.errors import ConfigError, OverdemandError
+from noisymatch.errors import ConfigError, OverdemandError, ReplicationError
 from noisymatch.market import (
     CapacityRegularityWarning,
     Coalition,
@@ -25,6 +27,7 @@ from noisymatch.market import (
     preferences_from_dict,
     prefs_dtype,
     sample_market,
+    sample_stack,
     v_s_threshold,
     values_from_dict,
     STREAM_NOISE,
@@ -120,24 +123,24 @@ class TestHolderCheck:
 
 class TestPreferenceModels:
     def test_uniform_random_rows_are_permutations(self, rng):
-        prefs = UniformRandomPreferences().sample_prefs(rng, 200, 7, np.zeros(7, int))
+        prefs = UniformRandomPreferences().sample_prefs([rng], 200, 7, np.zeros(7, int))[0]
         expected = np.arange(7)
         assert all(np.array_equal(np.sort(row), expected) for row in prefs)
 
     def test_common_ranking_shared(self, rng):
         model = CommonRanking(ranking=(2, 0, 1))
-        prefs = model.sample_prefs(rng, 10, 3, np.zeros(3, int))
+        prefs = model.sample_prefs([rng], 10, 3, np.zeros(3, int))[0]
         assert np.array_equal(prefs, np.tile([2, 0, 1], (10, 1)))
 
     def test_tiered_respects_coalition_order(self, rng):
         tiers = np.array([0, 0, 1, 1, 1])
-        prefs = TieredByCoalition().sample_prefs(rng, 500, 5, tiers)
+        prefs = TieredByCoalition().sample_prefs([rng], 500, 5, tiers)[0]
         # tier-0 colleges occupy the first two slots of every ranking
         assert (np.sort(prefs[:, :2], axis=1) == [0, 1]).all()
 
     def test_explicit_sampler_frequencies(self, rng):
         model = ExplicitSampler(rankings=((0, 1), (1, 0)), probabilities=(0.8, 0.2))
-        prefs = model.sample_prefs(rng, 20_000, 2, np.zeros(2, int))
+        prefs = model.sample_prefs([rng], 20_000, 2, np.zeros(2, int))[0]
         share_first = (prefs[:, 0] == 0).mean()
         assert share_first == pytest.approx(0.8, abs=0.01)
 
@@ -409,12 +412,14 @@ class TestBlockSortedPrefs:
 
     def test_fixed_rankings_share_the_sampled_dtype(self, rng):
         tiers = np.zeros(3, int)
-        common = CommonRanking(ranking=(2, 0, 1)).sample_prefs(rng, 4, 3, tiers)
+        rngs = [rng, rng]
+        common = CommonRanking(ranking=(2, 0, 1)).sample_prefs(rngs, 4, 3, tiers)
         explicit = ExplicitSampler(rankings=((0, 1, 2),), probabilities=(1.0,)).sample_prefs(
-            rng, 4, 3, tiers
+            rngs, 4, 3, tiers
         )
-        sampled = UniformRandomPreferences().sample_prefs(rng, 4, 3, tiers)
-        tiered = TieredByCoalition().sample_prefs(rng, 4, 3, tiers)
+        sampled = UniformRandomPreferences().sample_prefs(rngs, 4, 3, tiers)
+        tiered = TieredByCoalition().sample_prefs(rngs, 4, 3, tiers)
+        assert common.shape == explicit.shape == sampled.shape == tiered.shape == (2, 4, 3)
         assert common.dtype == explicit.dtype == sampled.dtype == tiered.dtype == prefs_dtype(3)
 
     def test_prefs_dtype_holds_every_college_index(self):
@@ -454,12 +459,12 @@ class TestPrefsThread:
         raised = []
         for threshold in (PATHS["serial"], PATHS["threaded"]):
             monkeypatch.setattr(market_module, "_PREFS_THREAD_MIN_CELLS", threshold)
-            with pytest.raises(ConfigError) as err:
+            with pytest.raises(ReplicationError) as err:
                 sample_market(config, 0)
-            raised.append((type(err.value), str(err.value)))
+            raised.append((str(err.value), type(err.value.__cause__)))
         assert ran_on[0] == threading.get_ident() != ran_on[1]
-        message = "preferences.ranking: must be a permutation of 0..1"
-        assert raised == [(ConfigError, message)] * 2
+        message = "replication 0: preferences.ranking: must be a permutation of 0..1"
+        assert raised == [(message, ConfigError)] * 2
 
     def test_error_on_the_thread_is_kept_when_the_scores_fail(self, monkeypatch):
         config = PREF_CONFIGS["uniform_random"]()
@@ -473,7 +478,7 @@ class TestPrefsThread:
         monkeypatch.setattr(UniformRandomPreferences, "sample_prefs", bad_ranking)
         monkeypatch.setattr(market_module, "_sample_scores", bad_scores)
         monkeypatch.setattr(market_module, "_PREFS_THREAD_MIN_CELLS", PATHS["threaded"])
-        with pytest.raises(ConfigError, match="preferences.ranking") as err:
+        with pytest.raises(ReplicationError, match="^replication 0: preferences.ranking") as err:
             sample_market(config, 0)
         assert isinstance(err.value.__context__, ValueError)
 
@@ -554,3 +559,161 @@ class TestSamplingMemory:
         held = market.values.nbytes + market.prefs.nbytes + market.scores.nbytes
         block = 8 * market_module._BLOCK_CELLS
         assert peak - held <= (2 * len(cpus) + 1) * block
+
+
+# seeds of one, two, three and five 32-bit words (the last has 40 digits)
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**39 + 7]
+# replication indices of one 32-bit word, and across the one-to-two and
+# two-to-three word edges
+REPLICATIONS = [range(0, 3), range(2**32 - 2, 2**32 + 2), range(2**64 - 1, 2**64 + 1)]
+
+
+def numpy_rng(master_seed, replication, stream):
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(replication, stream)))
+
+
+class TestStreams:
+    """Stream generators are numpy's SeedSequence generators, derived in one pass."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("replications", REPLICATIONS, ids=["one-word", "across-2^32", "across-2^64"])
+    def test_seed_words_and_draws_equal_numpy(self, seed, replications):
+        for stream in (STREAM_VALUES, STREAM_PREFS, STREAM_NOISE):
+            words = market_module._seed_words(seed, replications, stream)
+            want = [
+                np.random.SeedSequence(seed, spawn_key=(r, stream)).generate_state(4, np.uint64)
+                for r in replications
+            ]
+            assert words.dtype == np.uint64
+            assert np.array_equal(words, want)
+            rngs = market_module.stream_rngs(seed, replications, stream)
+            assert len(rngs) == len(replications)
+            for rng, r in zip(rngs, replications):
+                for gen in (rng, child_rng(seed, r, stream)):
+                    ref = numpy_rng(seed, r, stream)
+                    assert gen.random(5).tobytes() == ref.random(5).tobytes()
+                    assert gen.integers(0, 2**62, 3).tobytes() == ref.integers(0, 2**62, 3).tobytes()
+
+    def test_negative_seed_or_replication_raises_as_numpy_does(self):
+        for seed, replication in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="expected non-negative integer"):
+                np.random.SeedSequence(seed, spawn_key=(replication, 0))
+            with pytest.raises(ValueError, match="expected non-negative integer"):
+                child_rng(seed, replication, 0)
+
+    def test_config_rejects_a_negative_master_seed(self):
+        with pytest.raises(ConfigError, match=r"^master_seed: must be a non-negative integer, got -3$"):
+            one_pool_config(seed=-3)
+
+
+def reference_market(config, replication):
+    """One replication drawn the plain way: numpy's SeedSequence streams, one
+    noise draw per college, one argsort per row."""
+    n, n_colleges = config.n_students, config.n_colleges
+    coal_idx = config.coalition_index()
+    rng_values = numpy_rng(config.master_seed, replication, STREAM_VALUES)
+    values = np.empty((n, len(config.coalitions)))
+    for k, coalition in enumerate(config.coalitions):
+        values[:, k] = coalition.values.sample(rng_values, n)
+    rng_prefs = numpy_rng(config.master_seed, replication, STREAM_PREFS)
+    model = config.preferences
+    if isinstance(model, CommonRanking):
+        prefs = np.array([model.ranking] * n)
+    elif isinstance(model, ExplicitSampler):
+        picks = rng_prefs.choice(len(model.rankings), size=n, p=model.probabilities)
+        prefs = np.array([model.rankings[i] for i in picks])
+    else:
+        key = rng_prefs.random((n, n_colleges))
+        if isinstance(model, TieredByCoalition):
+            key = key + coal_idx
+        prefs = np.array([np.argsort(row) for row in key])
+    rng_noise = numpy_rng(config.master_seed, replication, STREAM_NOISE)
+    scores = values[:, coal_idx].copy()
+    for c in range(n_colleges):
+        spec = config.coalitions[coal_idx[c]].noise
+        if spec is not None:
+            scores[:, c] += spec.sample(rng_noise, n)
+    return values, prefs, scores
+
+
+@st.composite
+def stacked_configs(draw):
+    n_colleges = draw(st.integers(1, 6))
+    two = n_colleges > 1 and draw(st.booleans())
+    layout = [draw(st.integers(0, 1)) for _ in range(n_colleges)] if two else [0] * n_colleges
+    if two:
+        layout[draw(st.integers(1, n_colleges - 1))] = 1 - layout[0]  # both coalitions used
+    families = st.sampled_from(sorted(NOISE_FAMILIES))
+    noises = tuple(NOISE_FAMILIES[draw(families)] for _ in range(1 + two))
+    kind = draw(st.sampled_from(["uniform_random", "tiered_by_coalition", "common_ranking", "explicit"]))
+    if kind == "common_ranking":
+        model = CommonRanking(ranking=tuple(draw(st.permutations(range(n_colleges)))))
+    elif kind == "explicit":
+        rankings = (tuple(range(n_colleges)), tuple(draw(st.permutations(range(n_colleges)))))
+        model = ExplicitSampler(rankings=rankings, probabilities=(0.3, 0.7))
+    else:
+        model = preferences_from_dict({"kind": kind})
+    config = EconomyConfig(
+        n_students=draw(st.integers(n_colleges + 1, 30)),
+        colleges=tuple(College(id=i, capacity=1, coalition=k) for i, k in enumerate(layout)),
+        coalitions=tuple(
+            Coalition(id=k, values=UniformValues(0, 1), noise=noise) for k, noise in enumerate(noises)
+        ),
+        preferences=model,
+        master_seed=draw(st.sampled_from(SEEDS) | st.integers(0, 2**40)),
+    )
+    first = draw(st.sampled_from([0, 1, 7, 2**32 - 2]))
+    replications = range(first, first + draw(st.integers(1, 6)))
+    cells = len(replications) * config.n_students * n_colleges
+    # blocks of one cell, of part of a market, of some markets, or of all
+    block = draw(st.sampled_from([1, cells + 1]) | st.integers(1, cells))
+    return config, replications, block
+
+
+class TestSampleStack:
+    @settings(max_examples=300, deadline=None)
+    @given(stacked_configs(), st.booleans())
+    def test_every_slot_equals_its_replication_drawn_alone(self, case, threaded):
+        config, replications, block = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(market_module, "_BLOCK_CELLS", block)
+            if threaded:
+                mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+                mp.setattr(market_module, "_PREFS_THREAD_MIN_CELLS", 0)
+            values, prefs, scores = sample_stack(config, replications)
+        assert prefs.dtype == prefs_dtype(config.n_colleges)
+        assert len(values) == len(prefs) == len(scores) == len(replications)
+        for i, r in enumerate(replications):
+            want_values, want_prefs, want_scores = reference_market(config, r)
+            assert values[i].tobytes() == want_values.tobytes()
+            assert scores[i].tobytes() == want_scores.tobytes()
+            assert np.array_equal(prefs[i], want_prefs)
+
+    def test_blocks_hold_whole_markets_up_to_the_cap(self, monkeypatch):
+        # ten 30 x 3 markets under a 370-cell cap: keys and noise are drawn
+        # in blocks of four, four and two markets, one noise add per run
+        config = layout_config([0, 1, 0], (Uniform(0, 1), Gumbel(0.5, 2.0)), n=30)
+        markets = {"keys": [], "noise": []}
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def argsort(self, a, axis):
+                markets["keys"].append(len(a))
+                return np.argsort(a, axis=axis)
+
+            def add(self, x, y, out):
+                markets["noise"].append(len(out))
+                return np.add(x, y, out=out)
+
+        monkeypatch.setattr(market_module, "_BLOCK_CELLS", 4 * 90 + 10)
+        monkeypatch.setattr(market_module, "np", Numpy())
+        values, prefs, scores = sample_stack(config, range(2, 12))
+        monkeypatch.undo()
+        assert markets == {"keys": [4, 4, 2], "noise": [4] * 3 + [4] * 3 + [2] * 3}
+        for i, r in enumerate(range(2, 12)):
+            want_values, want_prefs, want_scores = reference_market(config, r)
+            assert values[i].tobytes() == want_values.tobytes()
+            assert scores[i].tobytes() == want_scores.tobytes()
+            assert np.array_equal(prefs[i], want_prefs)
