@@ -1,7 +1,6 @@
 """Simulator for stable matching markets where colleges act on noisy scores."""
 
 from .cutoffs import (
-    CutoffVector,
     check_market_clearing,
     demand_all,
     dense_cluster,

@@ -74,15 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _build_doc(args) -> dict:
     if args.preset is not None:
-        kwargs = {}
-        if args.colleges is not None:
-            kwargs["colleges"] = args.colleges
-        if args.noise is not None:
-            kwargs["noise"] = args.noise
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        if args.replications is not None:
-            kwargs["replications"] = args.replications
+        given = ("colleges", "noise", "seed", "replications")
+        kwargs = {key: getattr(args, key) for key in given if getattr(args, key) is not None}
         config, plan = preset(args.preset, **kwargs)
         doc = config_to_dict(config, plan)
     else:

@@ -11,7 +11,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, finite_number
 from .estimation import ExperimentPlan, curve_from_dict
 from .market import (
     Coalition,
@@ -58,13 +58,37 @@ def _integer(value, field: str) -> int:
     return int(value)
 
 
+_ID = (str, int, float, type(None))  # a coalition or college id: hashable
+# what a field must be, by the JSON types it may hold
+_TYPES = {list: "a list", dict: "an object", bool: "true or false", _ID: "a number or a string"}
+
+
+def _expect(value, kind, field: str):
+    """value when it is an instance of kind; else a ConfigError naming field."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{field}: must be {_TYPES[kind]}, got {value!r}")
+    return value
+
+
+def _objects(value, field: str) -> list[tuple[str, dict]]:
+    """Each object of a list, with its field name."""
+    items = enumerate(_expect(value, list, field))
+    return [(f"{field}[{i}]", _expect(item, dict, f"{field}[{i}]")) for i, item in items]
+
+
+def _curve(c: dict, path: str):
+    _expect(c.get("coalition"), _ID, f"{path}.coalition")
+    return curve_from_dict(c, path)
+
+
 def _coalition(k: dict, path: str) -> Coalition:
     try:
-        values = values_from_dict(k["values"])
-        noise = None if k.get("noise") is None else noise_from_dict(k["noise"])
+        values = values_from_dict(_expect(k["values"], dict, "values"))
+        noise = k.get("noise")
+        noise = None if noise is None else noise_from_dict(_expect(noise, dict, "noise"))
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from e
-    return Coalition(id=k["id"], values=values, noise=noise)
+    return Coalition(id=_expect(k["id"], _ID, f"{path}.id"), values=values, noise=noise)
 
 
 def _reject_unknown_fields(doc, canonical, path: str = "") -> None:
@@ -87,33 +111,29 @@ def _reject_unknown_fields(doc, canonical, path: str = "") -> None:
 
 def dict_to_config(doc: dict) -> tuple[EconomyConfig, ExperimentPlan]:
     try:
-        coalitions = tuple(
-            _coalition(k, f"coalitions[{i}]") for i, k in enumerate(doc["coalitions"])
-        )
+        coalitions = tuple(_coalition(k, at) for at, k in _objects(doc["coalitions"], "coalitions"))
         colleges = tuple(
             College(
-                id=c["id"],
+                id=_expect(c["id"], _ID, f"{at}.id"),
                 capacity=_integer(c["capacity"], f"colleges[{c['id']}].capacity"),
-                coalition=c["coalition"],
+                coalition=_expect(c["coalition"], _ID, f"{at}.coalition"),
             )
-            for c in doc["colleges"]
+            for at, c in _objects(doc["colleges"], "colleges")
         )
         config = EconomyConfig(
             n_students=_integer(doc["n_students"], "n_students"),
             colleges=colleges,
             coalitions=coalitions,
-            preferences=preferences_from_dict(doc["preferences"]),
+            preferences=preferences_from_dict(_expect(doc["preferences"], dict, "preferences")),
             master_seed=_integer(doc["master_seed"], "master_seed"),
-            capacity_alpha=float(doc.get("capacity_alpha", 1.0)),
+            capacity_alpha=finite_number(doc.get("capacity_alpha", 1.0), "capacity_alpha"),
         )
-        p = doc["plan"]
-        record_cutoffs = p.get("record_cutoffs", True)
-        if not isinstance(record_cutoffs, bool):
-            raise ConfigError(f"plan.record_cutoffs: must be true or false, got {record_cutoffs!r}")
+        p = _expect(doc["plan"], dict, "plan")
+        record_cutoffs = _expect(p.get("record_cutoffs", True), bool, "plan.record_cutoffs")
         plan = ExperimentPlan(
             replications=_integer(p["replications"], "plan.replications"),
-            bin_edges=tuple(p["bin_edges"]),
-            curves=tuple(curve_from_dict(c) for c in p.get("curves", [])),
+            bin_edges=tuple(_expect(p["bin_edges"], list, "plan.bin_edges")),
+            curves=tuple(_curve(c, at) for at, c in _objects(p.get("curves", []), "plan.curves")),
             record_cutoffs=record_cutoffs,
         )
     except KeyError as e:

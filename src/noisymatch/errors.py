@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finite-number check."""
+
+import math
+import numbers
 
 
 class ConfigError(ValueError):
@@ -28,3 +31,13 @@ class ReplicationError(RuntimeError):
         else:
             where = f"replications {replications[0]}-{replications[-1]}"
         return cls(f"{where}: {error}")
+
+
+def finite_number(value, field: str) -> float:
+    """value as a float when it is a finite real number (a bool is not);
+    otherwise a ConfigError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{field}: must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{field}: must be finite, got {value!r}")
+    return float(value)

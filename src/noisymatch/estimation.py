@@ -18,7 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .cutoffs import afford_any_stacked
-from .errors import ConfigError, ReplicationError
+from . import market
+from .errors import ConfigError, ReplicationError, finite_number
 from .market import EconomyConfig, sample_stack
 from .matching import UNMATCHED, stacked_deferred_acceptance
 
@@ -51,15 +52,15 @@ class AffordProbability:
 CurveRequest = MatchProbability | AffordProbability
 
 
-def curve_from_dict(d: dict) -> CurveRequest:
+def curve_from_dict(d: dict, field: str = "plan.curves") -> CurveRequest:
+    """The curve a config's ``field`` entry asks for."""
     kind = d.get("kind")
     if kind == "match":
         return MatchProbability(coalition_id=d.get("coalition"))
     if kind == "afford":
-        return AffordProbability(
-            coalition_id=d["coalition"], trim_epsilon=float(d.get("trim_epsilon", 0.0))
-        )
-    raise ConfigError(f"plan.curves: unknown curve kind {kind!r}")
+        epsilon = finite_number(d.get("trim_epsilon", 0.0), f"{field}.trim_epsilon")
+        return AffordProbability(coalition_id=d["coalition"], trim_epsilon=epsilon)
+    raise ConfigError(f"{field}: unknown curve kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -72,15 +73,12 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.replications < 1:
             raise ConfigError(f"plan.replications: must be >= 1, got {self.replications}")
-        edges = tuple(float(e) for e in self.bin_edges)
-        object.__setattr__(self, "bin_edges", edges)
+        # NaN compares false, so it would pass the increasing check below
+        edges = [finite_number(e, f"plan.bin_edges[{i}]") for i, e in enumerate(self.bin_edges)]
+        object.__setattr__(self, "bin_edges", tuple(edges))
         object.__setattr__(self, "curves", tuple(self.curves))
         if len(edges) < 2:
             raise ConfigError("plan.bin_edges: need at least two edges")
-        for i, e in enumerate(edges):
-            # NaN compares false, so it would pass the increasing check below
-            if not np.isfinite(e):
-                raise ConfigError(f"plan.bin_edges[{i}]: must be finite, got {e!r}")
         if any(b <= a for a, b in zip(edges, edges[1:])):
             raise ConfigError("plan.bin_edges: edges must be strictly increasing")
 
@@ -160,51 +158,30 @@ def _afford_requests(plan: ExperimentPlan) -> list[tuple[int, float]]:
     )
 
 
-# A chunk of replications is sampled and matched in stacks of consecutive
-# markets of at most this many (student, college) cells, one call of
-# sample_stack and of stacked_deferred_acceptance per stack; a larger market
-# is stacked alone.  Stacking turns a chunk of tiny markets' heap loops into
-# one numpy fixed point, and bounds the stack's prefs and scores at 2.5 MiB.
-# It equals market._BLOCK_CELLS, so a stack of small markets is sampled as
-# one block.  Median matching time per market, heap loop or one-market fixed
-# point against a stack of 2^18 cells (Python 3.11, numpy 2.4, 2-vCPU
-# machine):
-#   many-tiny,       n=200,  C=2     (400 cells, 375 a stack): 0.31 vs 0.08-0.13 ms
-#   attenuate-tiers, n=2000, C=20+20 (80,000 cells, 3 a stack): 8.3 vs 6.5 ms
-_STACK_CELLS = 1 << 18
-
-
-def _run_chunk(
-    config: EconomyConfig, plan: ExperimentPlan, replications: range, second_thread: bool = True
-):
-    """Sample, match and measure consecutive replications.
+def _run_chunk(config: EconomyConfig, plan: ExperimentPlan, replications: range):
+    """Sample, match and measure consecutive replications, in stacks of
+    consecutive markets of at most ``market._BLOCK_CELLS`` cells; a larger
+    market is stacked alone.
 
     Returns the chunk's values, assignment, afford and cutoffs, each with
     one leading entry per replication, and the seconds of each stage.
     """
-    per_stack = max(1, _STACK_CELLS // (config.n_students * config.n_colleges))
-    return _concatenate(
-        [
-            _run_stack(config, plan, replications[i : i + per_stack], second_thread)
-            for i in range(0, len(replications), per_stack)
-        ],
-        _afford_requests(plan),
-    )
+    per_stack = max(1, market._BLOCK_CELLS // (config.n_students * config.n_colleges))
+    stacks = [replications[i : i + per_stack] for i in range(0, len(replications), per_stack)]
+    return _concatenate([_run_stack(config, plan, s) for s in stacks], _afford_requests(plan))
 
 
 _STAGES = ("sample", "match", "afford")
 
 
-def _run_stack(config: EconomyConfig, plan: ExperimentPlan, stack: range, second_thread: bool):
+def _run_stack(config: EconomyConfig, plan: ExperimentPlan, stack: range):
     """Sample a stack's replications and match them in one call each, and
     measure affordability on the whole stack."""
     started = time.perf_counter()
-    values, prefs, scores = sample_stack(config, stack, second_thread=second_thread)
+    values, prefs, scores = sample_stack(config, stack)
     sampled = time.perf_counter()
     try:
-        assignment, cuts = stacked_deferred_acceptance(
-            prefs, scores, config.capacities(), second_thread=second_thread
-        )
+        assignment, cuts = stacked_deferred_acceptance(prefs, scores, config.capacities())
         matched = time.perf_counter()
         afford = {}
         for coalition_id, eps in _afford_requests(plan):
@@ -258,21 +235,21 @@ def run_replications(
     result is identical whether replications run serially or in a pool.
     A serial run is one chunk of consecutive replications and a pool task
     another; each chunk samples and matches its markets in stacks of up to
-    ``_STACK_CELLS`` cells, which leaves every replication's result as it
-    would be alone.
+    ``market._BLOCK_CELLS`` cells, which leaves every replication's result
+    as it would be alone.
     """
     _check_curves(config, plan)
     n = plan.replications
     if threads > 1 and n > 1:
         # about four chunks per worker: config and plan are pickled once per
         # chunk, each chunk returns a few stacked arrays, and the load still
-        # balances.  Each worker keeps a core busy, so none starts a second
-        # thread.
+        # balances.  Each worker keeps a core busy, so none starts a helper
+        # thread (market.helper_threads_allowed).
         size = max(1, n // (4 * threads))
         chunks = [range(i, min(i + size, n)) for i in range(0, n, size)]
         k = len(chunks)
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_run_chunk, [config] * k, [plan] * k, chunks, [False] * k))
+            parts = list(pool.map(_run_chunk, [config] * k, [plan] * k, chunks))
     else:
         parts = [_run_chunk(config, plan, range(n))]
 

@@ -11,6 +11,7 @@ preferences, and noise.
 from __future__ import annotations
 
 import functools
+import multiprocessing
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -20,21 +21,31 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, OverdemandError, ReplicationError
-from .noise import NoiseSpec
+from .errors import ConfigError, OverdemandError, ReplicationError, finite_number
+from .noise import NoiseSpec, from_kinds
 
 STREAM_VALUES = 0
 STREAM_PREFS = 1
 STREAM_NOISE = 2
 
-# Noise and preference keys are drawn at most this many cells at a time
-# (2 MiB of float64), so the float64 temporaries, and argsort's int64 result,
-# stay small next to the n x C score and preference matrices, and so do the
-# freed blocks malloc keeps in its arenas afterwards.  Median sample_market
-# time and tracemalloc's peak beyond the finished market, fig1 shape with
-# Pareto noise, blocks of 2^16 / 2^18 / 2^20 cells (Python 3.11, numpy 2.4,
-# 2-vCPU machine; taken when Pareto noise was drawn by rng.pareto, before
-# Pareto._draw's in-place expm1):
+# The one bound, in (student, college) cells, on every n x C block the
+# pipeline draws, stacks or compares at once:
+# - sampling draws noise and preference keys in blocks of at most this many
+#   cells (2 MiB of float64), so the float64 temporaries, and argsort's int64
+#   result, stay small next to the n x C score and preference matrices, and
+#   so do the freed blocks malloc keeps in its arenas afterwards;
+# - a chunk of replications is sampled and matched in stacks of consecutive
+#   markets of at most this many cells, one call of sample_stack and of
+#   stacked_deferred_acceptance per stack (a larger market is stacked alone),
+#   so a stack of small markets is sampled as one block, a chunk of tiny
+#   markets' heap loops becomes one numpy fixed point, and the stack's prefs
+#   and scores stay under 2.5 MiB;
+# - afford_any_stacked compares at most this many cells at a time, into one
+#   reused boolean block of 256 KiB.
+# Median sample_market time and tracemalloc's peak beyond the finished
+# market, fig1 shape with Pareto noise, blocks of 2^16 / 2^18 / 2^20 cells
+# (Python 3.11, numpy 2.4, 2-vCPU machine; taken when Pareto noise was drawn
+# by rng.pareto, before Pareto._draw's in-place expm1):
 #                           time (ms)             peak beyond market (MiB)
 #   n=2000,  C=100:      12 /   13 /   13         1.0 / 1.7 / 1.7
 #   n=8000,  C=128:      62 /   62 /   67         1.0 / 3.9 / 7.9
@@ -42,6 +53,14 @@ STREAM_NOISE = 2
 #     prefs thread:    1247 /  973 /  915         1.9 / 8.0 / 31.9
 # A rerun of 2^18 against 2^20 at n=20000, C=1000: 1430 vs 1395 ms serial,
 # 940 vs 930 ms with the preference thread.
+# Median matching time per market, heap loop or one-market fixed point
+# against a stack of 2^18 cells (same machine):
+#   many-tiny,       n=200,  C=2     (400 cells, 375 a stack): 0.31 vs 0.08-0.13 ms
+#   attenuate-tiers, n=2000, C=20+20 (80,000 cells, 3 a stack): 8.3 vs 6.5 ms
+# Median afford_any_stacked time per call, one n x C comparison and any()
+# against blocks of 2^16 / 2^18 / 2^20 cells, interleaved (same machine):
+#   fig2,        n=2000,  C=40:   0.20 vs 0.21 / 0.20 / 0.20 ms
+#   fig1 Pareto, n=20000, C=1000: 25.5 vs 25.4 / 24.7 / 24.4 ms
 _BLOCK_CELLS = 1 << 18
 
 # Markets of at least this many cells may draw the preference stream on a
@@ -67,6 +86,29 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def helper_threads_allowed() -> bool:
+    """Whether sampling and deferred acceptance may start a helper thread:
+    in a process that may run on more than one CPU and is not a pool worker,
+    whose siblings keep every core busy."""
+    return multiprocessing.parent_process() is None and usable_cpus() > 1
+
+
+def stack_blocks(shape: tuple[int, int, int], dtype):
+    """Blocks of at most ``_BLOCK_CELLS`` cells of an (R, n, C) stack, in
+    order: several whole markets when one fits, row blocks of one otherwise.
+    Yields each block's (markets, rows) index into the stack and a view, of
+    the block's shape, of one buffer of ``dtype`` reused for every block."""
+    n_markets, n, n_colleges = shape
+    rows = max(1, _BLOCK_CELLS // n_colleges)
+    reps, rows = max(1, rows // n), min(rows, n)
+    buffer = np.empty((min(reps, n_markets), rows, n_colleges), dtype=dtype)
+    for r0 in range(0, n_markets, reps):
+        r1 = min(r0 + reps, n_markets)
+        for s0 in range(0, n, rows):
+            s1 = min(s0 + rows, n)
+            yield (slice(r0, r1), slice(s0, s1)), buffer[: r1 - r0, : s1 - s0]
 
 
 def prefs_dtype(n_colleges: int) -> np.dtype:
@@ -242,6 +284,8 @@ class UniformValues(ValueDistribution):
     kind = "uniform"
 
     def __post_init__(self):
+        finite_number(self.lo, "values.lo")
+        finite_number(self.hi, "values.hi")
         if not self.hi > self.lo:
             raise ConfigError(f"values: hi must exceed lo, got lo={self.lo}, hi={self.hi}")
 
@@ -273,8 +317,13 @@ class PiecewiseLinearCdf(ValueDistribution):
     kind = "piecewise"
 
     def __post_init__(self):
-        ks = tuple((float(v), float(p)) for v, p in self.knots)
-        object.__setattr__(self, "knots", ks)
+        ks = []
+        for i, knot in enumerate(self.knots):
+            field = f"values.knots[{i}]"
+            if not isinstance(knot, (tuple, list, np.ndarray)) or len(knot) != 2:
+                raise ConfigError(f"{field}: must be a [value, probability] pair, got {knot!r}")
+            ks.append((finite_number(knot[0], field), finite_number(knot[1], field)))
+        object.__setattr__(self, "knots", tuple(ks))
         if len(ks) < 2:
             raise ConfigError("values.knots: need at least two knots")
         vs = [v for v, _ in ks]
@@ -313,16 +362,7 @@ _VALUE_KINDS = {"uniform": UniformValues, "piecewise": PiecewiseLinearCdf}
 
 
 def values_from_dict(d: dict) -> ValueDistribution:
-    d = dict(d)
-    kind = d.pop("kind", None)
-    if kind not in _VALUE_KINDS:
-        raise ConfigError(f"values.kind: unknown kind {kind!r}")
-    if kind == "piecewise":
-        d["knots"] = tuple(tuple(k) for k in d.get("knots", ()))
-    try:
-        return _VALUE_KINDS[kind](**d)
-    except TypeError as e:
-        raise ConfigError(f"values: bad parameters for {kind!r}: {e}") from e
+    return from_kinds(d, _VALUE_KINDS, "values")
 
 
 def v_s_threshold(dist: ValueDistribution, total_capacity_fraction: float) -> float:
@@ -446,6 +486,8 @@ class ExplicitSampler(PreferenceModel):
             raise ConfigError("preferences: rankings and probabilities differ in length")
         if not self.rankings:
             raise ConfigError("preferences.rankings: must be non-empty")
+        for i, p in enumerate(self.probabilities):
+            finite_number(p, f"preferences.probabilities[{i}]")
         if any(p < 0 for p in self.probabilities):
             raise ConfigError("preferences.probabilities: must be non-negative")
         if abs(sum(self.probabilities) - 1.0) > 1e-9:
@@ -479,43 +521,36 @@ def _argsort_keys(rngs, n, n_colleges, tiers=None):
     """Rank every row of each generator's (n, C) U(0, 1) key matrix, plus
     tiers, ascending, into an (R, n, C) stack.
 
-    Keys are drawn in blocks of at most ``_BLOCK_CELLS`` cells: several whole
-    markets when one fits, blocks of whole rows of one market otherwise.  A
-    stream fills its matrix in row-major order, so the blocks take the same
-    keys, and each row sorts alone, so one argsort of a block equals one
-    argsort per market.
+    Keys are drawn in the blocks of ``stack_blocks``.  A stream fills its
+    matrix in row-major order, so the blocks take the same keys, and each row
+    sorts alone, so one argsort of a block equals one argsort per market.
     """
     prefs = np.empty((len(rngs), n, n_colleges), dtype=prefs_dtype(n_colleges))
-    rows = max(1, _BLOCK_CELLS // n_colleges)
-    reps, rows = max(1, rows // n), min(rows, n)
-    key = np.empty((min(reps, len(rngs)), rows, n_colleges))
-    for r0 in range(0, len(rngs), reps):
-        r1 = min(r0 + reps, len(rngs))
-        for s0 in range(0, n, rows):
-            s1 = min(s0 + rows, n)
-            block = key[: r1 - r0, : s1 - s0]
-            for rng, slot in zip(rngs[r0:r1], block):
-                rng.random(out=slot)
-            if tiers is not None:
-                block += tiers
-            prefs[r0:r1, s0:s1] = np.argsort(block, axis=2)
+    for (reps, rows), block in stack_blocks(prefs.shape, float):
+        for rng, slot in zip(rngs[reps], block):
+            rng.random(out=slot)
+        if tiers is not None:
+            block += tiers
+        prefs[reps, rows] = np.argsort(block, axis=2)
     return prefs
 
 
 def preferences_from_dict(d: dict) -> PreferenceModel:
-    d = dict(d)
-    kind = d.pop("kind", None)
+    kind = d.get("kind")
     if kind == "uniform_random":
         return UniformRandomPreferences()
-    if kind == "common_ranking":
-        return CommonRanking(ranking=tuple(d.get("ranking", ())))
     if kind == "tiered_by_coalition":
         return TieredByCoalition()
-    if kind == "explicit":
-        return ExplicitSampler(
-            rankings=tuple(tuple(r) for r in d.get("rankings", ())),
-            probabilities=tuple(d.get("probabilities", ())),
-        )
+    try:
+        if kind == "common_ranking":
+            return CommonRanking(ranking=tuple(d.get("ranking", ())))
+        if kind == "explicit":
+            return ExplicitSampler(
+                rankings=tuple(tuple(r) for r in d.get("rankings", ())),
+                probabilities=tuple(d.get("probabilities", ())),
+            )
+    except TypeError as e:  # a number where a list belongs
+        raise ConfigError(f"preferences: bad parameters for {kind!r}: {e}") from e
     raise ConfigError(f"preferences.kind: unknown kind {kind!r}")
 
 
@@ -553,6 +588,8 @@ class EconomyConfig:
             raise ConfigError(f"n_students: must be >= 1, got {self.n_students}")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed: must be a non-negative integer, got {self.master_seed}")
+        if not finite_number(self.capacity_alpha, "capacity_alpha") > 0:
+            raise ConfigError(f"capacity_alpha: must be above 0, got {self.capacity_alpha!r}")
         if not self.colleges:
             raise ConfigError("colleges: must be non-empty")
         if not self.coalitions:
@@ -569,10 +606,8 @@ class EconomyConfig:
                 raise ConfigError(f"colleges[{c.id}].capacity: must be a positive integer")
             if c.coalition not in known:
                 raise ConfigError(f"colleges[{c.id}].coalition: unknown coalition {c.coalition!r}")
-        members = {k: 0 for k in known}
-        for c in self.colleges:
-            members[c.coalition] += 1
-        empty = [k for k, m in members.items() if m == 0]
+        used = {c.coalition for c in self.colleges}
+        empty = [k for k in known if k not in used]
         if empty:
             raise ConfigError(f"coalitions: no colleges reference coalition(s) {empty}")
         self.preferences.check(len(self.colleges))
@@ -640,14 +675,10 @@ class SampledMarket:
         return self.scores.shape[1]
 
 
-def sample_market(
-    config: EconomyConfig, replication: int = 0, *, second_thread: bool = True
-) -> SampledMarket:
+def sample_market(config: EconomyConfig, replication: int = 0) -> SampledMarket:
     """Draw students, preferences, and noisy scores for one replication: the
     one-replication case of ``sample_stack``."""
-    values, prefs, scores = sample_stack(
-        config, range(replication, replication + 1), second_thread=second_thread
-    )
+    values, prefs, scores = sample_stack(config, range(replication, replication + 1))
     return SampledMarket(values[0], prefs[0], scores[0], config.coalition_index(), replication)
 
 
@@ -656,7 +687,7 @@ _DRAW_ERRORS = (ConfigError, ValueError, RuntimeError)
 
 
 def sample_stack(
-    config: EconomyConfig, replications: range, *, second_thread: bool = True
+    config: EconomyConfig, replications: range
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw students, preferences, and noisy scores for consecutive replications.
 
@@ -667,17 +698,15 @@ def sample_stack(
     takes one argsort and one add, and a large market stacked alone takes
     row blocks and college runs.
 
-    The three streams are independent generators, so with ``second_thread``,
-    on a process that may use more than one CPU, a stack of at least
+    The three streams are independent generators, so where
+    ``helper_threads_allowed()``, a stack of at least
     ``_PREFS_THREAD_MIN_CELLS`` cells draws its preferences on a helper
-    thread while this one draws the scores.  Pass False where every core is
-    already busy, as in a pool of processes.  The bytes are the same either
+    thread while this one draws the scores.  The bytes are the same either
     way.  A draw that fails raises ReplicationError naming its replication;
     the preference model draws the whole stack in one call, so its failure
     names the stack's replications.
     """
     n = config.n_students
-    n_colleges = config.n_colleges
     coal_idx = config.coalition_index()
     seed = config.master_seed
 
@@ -691,8 +720,8 @@ def sample_stack(
 
     args = (config, replications, stream_rngs(seed, replications, STREAM_PREFS), coal_idx)
     noise_rngs = stream_rngs(seed, replications, STREAM_NOISE)
-    cells = len(replications) * n * n_colleges
-    if second_thread and cells >= _PREFS_THREAD_MIN_CELLS and usable_cpus() > 1:
+    cells = len(replications) * n * config.n_colleges
+    if cells >= _PREFS_THREAD_MIN_CELLS and helper_threads_allowed():
         with ThreadPoolExecutor(max_workers=1) as pool:
             future = pool.submit(_sample_prefs, *args)
             try:

@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .market import SampledMarket, prefs_dtype, usable_cpus
+from . import market as sampling
+from .market import SampledMarket, prefs_dtype
 
 UNMATCHED = -1
 
@@ -95,32 +96,51 @@ def matching_from_assignment(
 ) -> Matching:
     """The Matching of an assignment: a full college's cutoff is its lowest
     admitted score, and a college with a free seat gets -inf."""
-    matched = np.flatnonzero(assignment != UNMATCHED)
-    col = assignment[matched]
-    cap = np.asarray(capacities)
-    return Matching(assignment, _roster_cutoffs(col, scores[matched, col], cap), tuple(capacities))
+    student = np.flatnonzero(assignment != UNMATCHED)
+    col = assignment[student]
+    cutoffs, _ = _worst_admits(col, student, scores[student, col], capacities, len(assignment))
+    return Matching(assignment, cutoffs, tuple(capacities))
 
 
-def _roster_cutoffs(col: np.ndarray, admitted: np.ndarray, cap: np.ndarray) -> np.ndarray:
-    """Cutoffs of colleges 0 .. len(cap) - 1 from each admit's college and score."""
-    cutoffs = np.full(len(cap), np.inf)
-    np.minimum.at(cutoffs, col, admitted)
-    cutoffs[np.bincount(col, minlength=len(cap)) < cap] = -np.inf
-    return cutoffs
+def _worst_admits(col, student, score, cap, n_students) -> tuple[np.ndarray, np.ndarray]:
+    """(score, student) of each college's worst admit in a roster, where
+    admit i is ``student[i]`` at college ``col[i]`` with ``score[i]``: the
+    lowest score, then of the admits tied at it the highest index.  A
+    college with a free seat gets (-inf, n_students), which every student
+    clears."""
+    n_colleges = len(cap)
+    bar_score = np.full(n_colleges, np.inf)
+    np.minimum.at(bar_score, col, score)
+    tied = score == bar_score[col]
+    bar_student = np.full(n_colleges, -1, dtype=np.int64)
+    np.maximum.at(bar_student, col[tied], student[tied])
+    free = np.bincount(col, minlength=n_colleges) < cap
+    bar_score[free] = -np.inf
+    bar_student[free] = n_students
+    return bar_score, bar_student
 
 
-def deferred_acceptance(
-    market: SampledMarket, capacities: Sequence[int], *, second_thread: bool = True
-) -> Matching:
+def _clears(score, student, bar_score, bar_student, at) -> np.ndarray:
+    """Whether each score clears the bar of its college ``at``: a higher score,
+    or an equal one and a student index no higher than the bar's student (who
+    is that admit), read only when some score ties."""
+    bar = bar_score[at]
+    ok = score > bar
+    tie = score == bar
+    if tie.any():
+        ok |= tie & (student <= bar_student[at])
+    return ok
+
+
+def deferred_acceptance(market: SampledMarket, capacities: Sequence[int]) -> Matching:
     """Student-optimal stable matching for the sampled market.
 
     Small markets run the heap loop, large ones the vectorised cutoff
     fixed point; both return the same Matching.
-    ``second_thread`` is passed on to the vectorised path.
     """
     n, n_colleges = market.scores.shape
     if n * n_colleges >= VECTORISED_MIN_CELLS:
-        return vectorised_deferred_acceptance(market, capacities, second_thread=second_thread)
+        return vectorised_deferred_acceptance(market, capacities)
     return heap_deferred_acceptance(market, capacities)
 
 
@@ -165,27 +185,19 @@ def heap_deferred_acceptance(market: SampledMarket, capacities: Sequence[int]) -
     return matching_from_assignment(np.array(assignment, dtype=int), market.scores, caps)
 
 
-def vectorised_deferred_acceptance(
-    market: SampledMarket, capacities: Sequence[int], *, second_thread: bool = True
-) -> Matching:
+def vectorised_deferred_acceptance(market: SampledMarket, capacities: Sequence[int]) -> Matching:
     """Student-proposing deferred acceptance as a cutoff-raising fixed point:
     the one-market case of ``stacked_deferred_acceptance``.
 
     The market's prefs and scores are matched in place, without a copy.
     """
     caps = _capacity_list(capacities, market.n_colleges)
-    assignment, cutoffs = stacked_deferred_acceptance(
-        market.prefs[None], market.scores[None], caps, second_thread=second_thread
-    )
+    assignment, cutoffs = stacked_deferred_acceptance(market.prefs[None], market.scores[None], caps)
     return Matching(assignment[0], cutoffs[0], tuple(caps))
 
 
 def stacked_deferred_acceptance(
-    prefs: np.ndarray,
-    scores: np.ndarray,
-    capacities: Sequence[int],
-    *,
-    second_thread: bool = True,
+    prefs: np.ndarray, scores: np.ndarray, capacities: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Student-optimal stable matchings of R markets of one shape, in one pass.
 
@@ -211,11 +223,9 @@ def stacked_deferred_acceptance(
 
     Within a round the rejected students move independently: each reads
     only the round's cutoffs and writes only its own pos and college
-    entries.  So with ``second_thread``, on a process that may use more
-    than one CPU, a round that rejects at least ``_SCAN_SPLIT_MIN_STUDENTS``
-    students scans half of them on a helper thread.  Pass False where every
-    core is already busy, as in a pool of processes.  The result is the
-    same either way.
+    entries.  So where ``market.helper_threads_allowed()``, a round that
+    rejects at least ``_SCAN_SPLIT_MIN_STUDENTS`` students scans half of
+    them on a helper thread.  The result is the same either way.
 
     Returns the (R, n) assignment, in each slot's own college indices or
     UNMATCHED, and the (R, C) cutoffs: a full college's lowest admitted
@@ -245,7 +255,7 @@ def stacked_deferred_acceptance(
         college += first
     scan = (n_colleges, prefs, scores, row, first, cut_score, cut_student, pos, college)
 
-    split = second_thread and usable_cpus() > 1
+    split = sampling.helper_threads_allowed()
     with ThreadPoolExecutor(max_workers=1) if split else nullcontext() as helper:
         while True:
             load = np.bincount(college + 1, minlength=n_union + 1)[1:]
@@ -286,7 +296,7 @@ def stacked_deferred_acceptance(
 
     matched = np.flatnonzero(college != UNMATCHED)
     col = college[matched]
-    cutoffs = _roster_cutoffs(col, scores[at_union[matched] + col], cap)
+    cutoffs, _ = _worst_admits(col, matched, scores[at_union[matched] + col], cap, len(college))
     if first is not None:
         college[matched] -= first[matched]
     return college.reshape(n_markets, n), cutoffs.reshape(n_markets, n_colleges)
@@ -332,11 +342,7 @@ def _scan_window(
     sc = scores[base + cand]
     if first is not None:
         cand = cand + first[rejected, None]  # the slot's college index in the union
-    cs = cut_score[cand]
-    ok = sc > cs
-    tie = sc == cs
-    if tie.any():
-        ok |= tie & (rejected[:, None] <= cut_student[cand])
+    ok = _clears(sc, rejected[:, None], cut_score, cut_student, cand)
     first_hit = ok.argmax(axis=1)
     k = np.arange(len(rejected))
     found = ok[k, first_hit]
@@ -363,26 +369,14 @@ def find_blocking_pairs(matching: Matching, market: SampledMarket) -> list[tuple
 
     rank = np.empty((n, n_colleges), dtype=np.int64)
     rank[student[:, None], market.prefs] = np.arange(n_colleges)
-    held = assignment != UNMATCHED
-    assigned_rank = np.full(n, n_colleges)
-    assigned_rank[held] = rank[held, assignment[held]]
-
-    # each full college's worst admit: lowest score, then highest index; a
-    # college with a free seat keeps a bar of (-inf, n) that every student clears
-    matched = np.flatnonzero(held)
+    matched = np.flatnonzero(assignment != UNMATCHED)
     col = assignment[matched]
-    order = np.lexsort((-matched, scores[matched, col], col))
-    col, matched = col[order], matched[order]
-    first = np.diff(col, prepend=-1) != 0
-    worst = np.full(n_colleges, n)
-    worst[col[first]] = matched[first]
-    full = np.flatnonzero(np.bincount(col, minlength=n_colleges) >= matching.capacities)
-    bar_student = np.full(n_colleges, n)
-    bar_student[full] = worst[full]
-    bar_score = np.full(n_colleges, -np.inf)
-    bar_score[full] = scores[worst[full], full]
+    assigned_rank = np.full(n, n_colleges)
+    assigned_rank[matched] = rank[matched, col]
 
-    blocks = (rank < assigned_rank[:, None]) & (
-        (scores > bar_score) | ((scores == bar_score) & (student[:, None] < bar_student))
+    # each college's bar is its worst admit, or one every student clears
+    bar = _worst_admits(col, matched, scores[matched, col], matching.capacities, n)
+    blocks = (rank < assigned_rank[:, None]) & _clears(
+        scores, student[:, None], *bar, np.arange(n_colleges)
     )
     return [(int(s), int(c)) for s, c in np.argwhere(blocks)]

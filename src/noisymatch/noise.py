@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateVarianceError, InsufficientTailMassError
+from .errors import ConfigError, DegenerateVarianceError, InsufficientTailMassError, finite_number
 
 # Classification of a distribution is a finite-sample heuristic: the regimes
 # are asymptotic, so the thresholds below are calibrated to separate the
@@ -33,9 +33,17 @@ _MAX_CHUNK_DRAWS = 5_000_000
 
 
 class NoiseSpec:
-    """Base class for parametric noise distributions."""
+    """Base class for parametric noise distributions: every parameter must be
+    a finite number, and those named in ``positive`` must exceed 0."""
 
     kind: str = ""
+    positive: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            finite_number(value, f"{self.kind}.{name}")
+            if name in self.positive and not value > 0:
+                raise ConfigError(f"{self.kind}: {name} must be positive, got {name}={value}")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if n < 0:
@@ -70,6 +78,7 @@ class Uniform(NoiseSpec):
     kind = "uniform"
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.hi > self.lo:
             raise ConfigError(f"uniform: hi must exceed lo, got lo={self.lo}, hi={self.hi}")
 
@@ -91,10 +100,7 @@ class Gaussian(NoiseSpec):
     mean: float = 0.0
     sd: float = 1.0
     kind = "gaussian"
-
-    def __post_init__(self):
-        if not self.sd > 0:
-            raise ConfigError(f"gaussian: sd must be positive, got sd={self.sd}")
+    positive = ("sd",)
 
     def _draw(self, rng, n):
         return rng.normal(self.mean, self.sd, n)
@@ -113,10 +119,7 @@ class Gaussian(NoiseSpec):
 class Exponential(NoiseSpec):
     rate: float = 1.0
     kind = "exponential"
-
-    def __post_init__(self):
-        if not self.rate > 0:
-            raise ConfigError(f"exponential: rate must be positive, got rate={self.rate}")
+    positive = ("rate",)
 
     def _draw(self, rng, n):
         return rng.exponential(1.0 / self.rate, n)
@@ -136,10 +139,7 @@ class Gumbel(NoiseSpec):
     location: float = 0.0
     scale: float = 1.0
     kind = "gumbel"
-
-    def __post_init__(self):
-        if not self.scale > 0:
-            raise ConfigError(f"gumbel: scale must be positive, got scale={self.scale}")
+    positive = ("scale",)
 
     def _draw(self, rng, n):
         return rng.gumbel(self.location, self.scale, n)
@@ -161,12 +161,7 @@ class Pareto(NoiseSpec):
     shape: float = 2.0
     scale: float = 1.0
     kind = "pareto"
-
-    def __post_init__(self):
-        if not self.shape > 0:
-            raise ConfigError(f"pareto: shape must be positive, got shape={self.shape}")
-        if not self.scale > 0:
-            raise ConfigError(f"pareto: scale must be positive, got scale={self.scale}")
+    positive = ("shape", "scale")
 
     def _draw(self, rng, n):
         # (1 + rng.pareto(shape, n)) * scale, computed in place.  numpy's
@@ -198,14 +193,20 @@ _KINDS = {cls.kind: cls for cls in (Uniform, Gaussian, Exponential, Gumbel, Pare
 
 
 def noise_from_dict(d: dict) -> NoiseSpec:
+    return from_kinds(d, _KINDS, "noise")
+
+
+def from_kinds(d: dict, kinds: dict, field: str):
+    """The object of the class ``kinds[d["kind"]]``, built from d's other
+    entries; an unknown kind or parameter raises ConfigError naming field."""
     d = dict(d)
     kind = d.pop("kind", None)
-    if kind not in _KINDS:
-        raise ConfigError(f"noise.kind: unknown kind {kind!r}, expected one of {sorted(_KINDS)}")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{field}.kind: unknown kind {kind!r}, expected one of {sorted(kinds)}")
     try:
-        return _KINDS[kind](**d)
+        return kinds[kind](**d)
     except TypeError as e:
-        raise ConfigError(f"noise: bad parameters for {kind!r}: {e}") from e
+        raise ConfigError(f"{field}: bad parameters for {kind!r}: {e}") from e
 
 
 class MaxStat(NamedTuple):

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import multiprocessing
 import re
 
@@ -219,9 +220,96 @@ def run_doc(doc, tmp_path):
     return run_cli("--config", str(path), "--out-dir", str(out), "--threads", "1"), out
 
 
+def colleges_as_an_object(doc):
+    doc["colleges"] = {str(c["id"]): c for c in doc["colleges"]}
+
+
+# each wrong JSON type, and the start of the message that names its field
+WRONG_TYPES = {
+    "capacity_alpha": (
+        lambda d: d.update(capacity_alpha="abc"), "capacity_alpha: must be a number, got 'abc'"
+    ),
+    "coalition-id": (
+        lambda d: d["coalitions"][0].update(id=[1]),
+        "coalitions[0].id: must be a number or a string, got [1]",
+    ),
+    "bin_edges": (
+        lambda d: d["plan"].update(bin_edges="ab"), "plan.bin_edges: must be a list, got 'ab'"
+    ),
+    "trim_epsilon": (
+        lambda d: d["plan"]["curves"][1].update(trim_epsilon="x"),
+        "plan.curves[1].trim_epsilon: must be a number, got 'x'",
+    ),
+    "curves": (
+        lambda d: d["plan"].update(curves={"kind": "match"}), "plan.curves: must be a list, got {"
+    ),
+    "preferences": (
+        lambda d: d.update(preferences="uniform_random"),
+        "preferences: must be an object, got 'uniform_random'",
+    ),
+    "colleges": (colleges_as_an_object, "colleges: must be a list, got {"),
+    "noise": (
+        lambda d: d["coalitions"][0].update(noise=[1]),
+        "coalitions[0]: noise: must be an object, got [1]",
+    ),
+    "knots": (
+        lambda d: d["coalitions"][0].update(
+            values={"kind": "piecewise", "knots": [[0, 0], [1]]}
+        ),
+        "coalitions[0]: values.knots[1]: must be a [value, probability] pair, got [1]",
+    ),
+    "ranking": (
+        lambda d: d.update(preferences={"kind": "common_ranking", "ranking": 5}),
+        "preferences: bad parameters for 'common_ranking': ",
+    ),
+    "noise-kind": (
+        lambda d: d["coalitions"][0].update(noise={"kind": ["uniform"]}),
+        "coalitions[0]: noise.kind: unknown kind ['uniform']",
+    ),
+}
+
+# parameters that parse as numbers but are not finite (JSON's Infinity and NaN)
+NON_FINITE = {
+    "gaussian-sd": (
+        lambda d: d["coalitions"][0].update(noise={"kind": "gaussian", "mean": 0.0, "sd": math.inf}),
+        "coalitions[0]: gaussian.sd: must be finite, got inf",
+    ),
+    "uniform-noise-hi": (
+        lambda d: d["coalitions"][0].update(noise={"kind": "uniform", "lo": 0.0, "hi": math.inf}),
+        "coalitions[0]: uniform.hi: must be finite, got inf",
+    ),
+    "uniform-values-hi": (
+        lambda d: d["coalitions"][0].update(values={"kind": "uniform", "lo": 0.0, "hi": math.inf}),
+        "coalitions[0]: values.hi: must be finite, got inf",
+    ),
+    "probabilities": (
+        lambda d: d.update(
+            preferences={
+                "kind": "explicit", "rankings": [[0, 1], [1, 0]], "probabilities": [math.nan, 1.0]
+            }
+        ),
+        "preferences.probabilities[0]: must be finite, got nan",
+    ),
+    "capacity_alpha-nan": (
+        lambda d: d.update(capacity_alpha=math.nan), "capacity_alpha: must be finite, got nan"
+    ),
+}
+BAD_FIELDS = {**WRONG_TYPES, **NON_FINITE}
+
+
 class TestLoadTimeChecks:
     """Config invariants that need the colleges or the plan are checked when
     the file is loaded, before any replication runs."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_FIELDS))
+    def test_bad_field_exits_three_naming_it(self, case, tmp_path, capsys):
+        plant, message = BAD_FIELDS[case]
+        doc = small_doc()
+        plant(doc)
+        code, out = run_doc(doc, tmp_path)
+        assert code == EXIT_INVARIANT
+        assert f"invariant violation: {message}" in capsys.readouterr().err
+        assert not (out / "curves.csv").exists()
 
     def test_bad_ranking_exits_three(self, tmp_path, capsys, monkeypatch):
         # every market takes the threaded sampling path, were it reached

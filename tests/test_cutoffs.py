@@ -100,6 +100,17 @@ class TestMarketClearing:
             assert (check_market_clearing(market, cuts, caps) == 0).all()
             assert np.array_equal(demand_all(market, cuts), m.assignment)
 
+    def test_a_tie_at_a_full_college_s_cutoff_is_not_cleared(self):
+        # two students scored 0.5 for one seat: deferred acceptance gives it
+        # to the lower index, but both reach the cutoff, so demand does not
+        # reproduce the assignment
+        market = make_market([[0], [0]], [[0.5], [0.5]])
+        m = deferred_acceptance(market, [1])
+        assert m.assignment.tolist() == [0, UNMATCHED]
+        assert extract_cutoffs(m).tolist() == [0.5]
+        assert demand_all(market, m.cutoffs).tolist() == [0, 0]
+        assert check_market_clearing(market, m.cutoffs, [1]).tolist() == [1]
+
     def test_lowered_cutoffs_create_excess(self):
         market = make_market(
             [[0], [0], [0]], [[0.9], [0.6], [0.3]]

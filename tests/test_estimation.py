@@ -1,13 +1,16 @@
 """Unit tests for the replication harness, curves, and metrics."""
 
 import itertools
+import os
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from noisymatch import cutoffs, estimation
+from noisymatch import cutoffs, estimation, matching
+from noisymatch import market as market_module
 from noisymatch.errors import ConfigError, ReplicationError
 from noisymatch.estimation import (
     AffordProbability,
@@ -93,6 +96,26 @@ class TestTrimCoalition:
             assert trim_coalition(row, members, eps) == tuple(sorted(ranked[drop:]))
 
 
+def helper_threads_started(config, plan):
+    """Run one chunk with every helper-thread minimum at zero, on a process
+    that may use two CPUs, and list the modules that started a helper."""
+    started = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        mp.setattr(market_module, "_PREFS_THREAD_MIN_CELLS", 0)
+        mp.setattr(matching, "_SCAN_SPLIT_MIN_STUDENTS", 0)
+        for module in (market_module, matching):
+            pool = module.ThreadPoolExecutor
+
+            def spy(*args, pool=pool, name=module.__name__, **kwargs):
+                started.append(name)
+                return pool(*args, **kwargs)
+
+            mp.setattr(module, "ThreadPoolExecutor", spy)
+        _run_chunk(config, plan, range(plan.replications))
+    return started
+
+
 class InlinePool:
     """Runs a process pool's tasks in this process."""
 
@@ -123,18 +146,18 @@ class TestRunReplications:
         assert np.array_equal(a.assignment, b.assignment)
         assert np.array_equal(a.cutoffs, b.cutoffs)
 
-    def test_only_the_serial_path_starts_a_prefs_thread(self, monkeypatch):
+    def test_a_serial_run_is_one_stack_and_a_pool_task_one_chunk(self, monkeypatch):
         # run the pool's tasks in this process to see what each one is asked
         asked = []
         matched = []
 
-        def spy(config, replications, *, second_thread):
-            asked.append((replications, second_thread))
-            return sample_stack(config, replications, second_thread=second_thread)
+        def spy(config, replications):
+            asked.append(replications)
+            return sample_stack(config, replications)
 
-        def da_spy(prefs, scores, capacities, *, second_thread):
-            matched.append((len(prefs), second_thread))
-            return stacked_deferred_acceptance(prefs, scores, capacities, second_thread=second_thread)
+        def da_spy(prefs, scores, capacities):
+            matched.append(len(prefs))
+            return stacked_deferred_acceptance(prefs, scores, capacities)
 
         monkeypatch.setattr(estimation, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(estimation, "sample_stack", spy)
@@ -142,12 +165,20 @@ class TestRunReplications:
         config, plan = small_pool(replications=3)
         serial = run_replications(config, plan, threads=1)
         # one stack of all three markets
-        assert asked == [(range(3), True)] and matched == [(3, True)]
+        assert asked == [range(3)] and matched == [3]
         pooled = run_replications(config, plan, threads=2)
         # chunks of one replication each
-        assert asked[1:] == [(range(r, r + 1), False) for r in range(3)]
-        assert matched[1:] == [(1, False)] * 3
+        assert asked[1:] == [range(r, r + 1) for r in range(3)]
+        assert matched[1:] == [1] * 3
         assert np.array_equal(serial.assignment, pooled.assignment)
+
+    def test_only_the_serial_path_starts_a_helper_thread(self):
+        # InlinePool runs in this process, so only a real worker shows what
+        # a pool task decides
+        config, plan = small_pool(replications=2)
+        assert helper_threads_started(config, plan) == ["noisymatch.market", "noisymatch.matching"]
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(helper_threads_started, config, plan).result() == []
 
     @pytest.mark.parametrize("threads", [1, 2], ids=["one-chunk", "five-chunks"])
     def test_stage_seconds_sum_over_stacks_and_chunks(self, threads, monkeypatch):
@@ -155,7 +186,7 @@ class TestRunReplications:
         # each of its three stages takes one second
         ticks = itertools.count()
         monkeypatch.setattr(estimation, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(estimation, "_STACK_CELLS", 1)
+        monkeypatch.setattr(market_module, "_BLOCK_CELLS", 1)
         monkeypatch.setattr(estimation.time, "perf_counter", lambda: float(next(ticks)))
         config, plan = small_pool(replications=5)
         records = run_replications(config, plan, threads=threads)
@@ -175,7 +206,7 @@ class TestRunReplications:
         # R = 11 is not a multiple of any chunk size, and 1,600-cell markets
         # stack up to 163 to a stack; with a one-cell budget each stands alone
         if stack_cells is not None:
-            monkeypatch.setattr(estimation, "_STACK_CELLS", stack_cells)
+            monkeypatch.setattr(market_module, "_BLOCK_CELLS", stack_cells)
         config, plan = small_pool(replications=11)
         plan = replace(plan, curves=plan.curves + (AffordProbability(1, 0.5),))
         runs = [run_replications(config, plan, threads=t) for t in (1, 2, 3)]
@@ -223,28 +254,30 @@ class TestRunReplications:
             raise RuntimeError(f"planted failure in {len(prefs)}")
 
         if stack_cells is not None:
-            monkeypatch.setattr(estimation, "_STACK_CELLS", stack_cells)
+            monkeypatch.setattr(market_module, "_BLOCK_CELLS", stack_cells)
         monkeypatch.setattr(estimation, "stacked_deferred_acceptance", fail)
         config, plan = small_pool(replications=5)
         n = 5 if stack_cells is None else 1
         with pytest.raises(ReplicationError, match=f"^{where}: planted failure in {n}$"):
             run_replications(config, plan)
 
-    def test_stacks_bound_a_chunk_s_allocations(self):
+    def test_stacks_bound_a_chunk_s_allocations(self, monkeypatch):
         # numpy reports its buffers to tracemalloc.  A chunk holds its
         # outputs plus one stack at a time: the stack's copied prefs and
         # scores (10 bytes a cell) and the fixed point's arrays, at most
         # 24 int64 or float64 entries per student.  A chunk of four stacks
         # allocates no more beyond its outputs than a chunk of one.
+        # as in a pool worker, with no helper thread
+        monkeypatch.setattr(market_module, "helper_threads_allowed", lambda: False)
         config, plan = fig1(colleges=2, n_students=200, replications=1)
-        per_stack = estimation._STACK_CELLS // (200 * 2)
-        bound = 10 * estimation._STACK_CELLS + 24 * 8 * per_stack * 200
+        per_stack = market_module._BLOCK_CELLS // (200 * 2)
+        bound = 10 * market_module._BLOCK_CELLS + 24 * 8 * per_stack * 200
         beyond = []
         for stacks in (1, 4):
             tracemalloc.start()
             try:
                 values, assignment, afford, cuts, _ = _run_chunk(
-                    config, plan, range(stacks * per_stack), False
+                    config, plan, range(stacks * per_stack)
                 )
                 _, peak = tracemalloc.get_traced_memory()
             finally:
@@ -343,7 +376,7 @@ class TestAffordability:
     @pytest.mark.parametrize("rows", [1, 7], ids=["one-row", "seven-rows"])
     def test_row_blocks_match_kept_column_expression(self, rows, monkeypatch):
         # 600 students: seven rows per block leave a last block of five
-        monkeypatch.setattr(cutoffs, "_AFFORD_CELLS", rows * 40)
+        monkeypatch.setattr(market_module, "_BLOCK_CELLS", rows * 40)
         self.test_matches_kept_column_expression(20, "uniform")
 
     @pytest.mark.parametrize(
@@ -352,7 +385,7 @@ class TestAffordability:
     def test_stacked_blocks_match_the_whole_comparison(self, cells, monkeypatch):
         # seven markets: blocks of seven rows, of three whole markets (the
         # last holding one), or of all seven
-        monkeypatch.setattr(cutoffs, "_AFFORD_CELLS", cells)
+        monkeypatch.setattr(market_module, "_BLOCK_CELLS", cells)
         rng = np.random.default_rng(4)
         scores = rng.random((7, 600, 40))
         scores[0, :5] = np.inf

@@ -15,7 +15,7 @@ import os
 import numpy as np
 import pytest
 
-from noisymatch import cutoffs, market, matching
+from noisymatch import market, matching
 from noisymatch.cli import EXIT_OK, run
 from noisymatch.config_io import config_to_dict
 from noisymatch.presets import fig1, fig2
@@ -94,9 +94,8 @@ def test_csv_bytes_unchanged_with_every_scan_split(name, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_csv_bytes_unchanged_in_the_smallest_slices(name, tmp_path, monkeypatch):
-    # one student per scan slice, one college (noise) or one row (keys) per
-    # sampling block, and one row per affordability block
+    # one student per scan slice, one market per stack, one college (noise)
+    # or one row (keys) per sampling block, and one row per affordability block
     monkeypatch.setattr(matching, "_SCAN_CELLS", 1)
     monkeypatch.setattr(market, "_BLOCK_CELLS", 1)
-    monkeypatch.setattr(cutoffs, "_AFFORD_CELLS", 1)
     test_csv_bytes_unchanged(name, tmp_path)

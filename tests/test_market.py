@@ -1,6 +1,8 @@
 """Unit tests for economy configuration and market sampling."""
 
+import math
 import os
+import re
 import threading
 import tracemalloc
 
@@ -90,6 +92,21 @@ class TestValueDistributions:
             PiecewiseLinearCdf(knots=((0, 0), (1, 0.5), (2, 0.5), (3, 1)))
         with pytest.raises(ConfigError, match="start at 0"):
             PiecewiseLinearCdf(knots=((0, 0.1), (1, 1)))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "0"])
+    def test_value_parameters_must_be_finite_numbers(self, bad):
+        message = "must be finite" if isinstance(bad, float) else "must be a number"
+        with pytest.raises(ConfigError, match=rf"^values\.hi: {message}, got "):
+            UniformValues(0.0, bad)
+        with pytest.raises(ConfigError, match=rf"^values\.lo: {message}, got "):
+            UniformValues(bad, 1.0)
+        with pytest.raises(ConfigError, match=rf"^values\.knots\[1\]: {message}, got "):
+            PiecewiseLinearCdf(knots=((0, 0), (bad, 1)))
+
+    def test_knots_must_be_pairs(self):
+        match = r"^values\.knots\[1\]: must be a \[value, probability\] pair, got \[1\]$"
+        with pytest.raises(ConfigError, match=match):
+            values_from_dict({"kind": "piecewise", "knots": [[0, 0], [1]]})
 
     def test_piecewise_sampling_matches_cdf(self, rng):
         dist = PiecewiseLinearCdf(knots=((0, 0), (1, 0.8), (2, 1)))
@@ -190,6 +207,29 @@ class TestConfigValidation:
                 ),
                 preferences=UniformRandomPreferences(),
                 master_seed=1,
+            )
+
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [
+            (math.nan, "must be finite, got nan"),
+            (math.inf, "must be finite, got inf"),
+            ("2", "must be a number, got '2'"),
+            (0.0, "must be above 0, got 0.0"),
+            (-1.0, "must be above 0, got -1.0"),
+        ],
+        ids=["nan", "inf", "string", "zero", "negative"],
+    )
+    def test_capacity_alpha_must_be_finite_and_positive(self, alpha, message):
+        # NaN would turn the regularity warning off: no capacity exceeds NaN
+        with pytest.raises(ConfigError, match=rf"^capacity_alpha: {re.escape(message)}$"):
+            EconomyConfig(
+                n_students=100,
+                colleges=(College(id=0, capacity=60, coalition=0),),
+                coalitions=(Coalition(id=0, values=UniformValues(0, 1), noise=None),),
+                preferences=UniformRandomPreferences(),
+                master_seed=1,
+                capacity_alpha=alpha,
             )
 
     def test_capacity_regularity_warning(self):
@@ -500,7 +540,7 @@ class TestPrefsThread:
             assert_same_bytes(sample_market(config, 1), loop_sample_market(config, 1))
             assert started == [True] * threaded
 
-    def test_second_thread_false_stays_on_the_calling_thread(self, monkeypatch):
+    def test_without_helper_threads_prefs_stay_on_the_calling_thread(self, monkeypatch):
         config = PREF_CONFIGS["uniform_random"]()
         ran_on = []
         sample_prefs = UniformRandomPreferences.sample_prefs
@@ -511,7 +551,9 @@ class TestPrefsThread:
 
         monkeypatch.setattr(UniformRandomPreferences, "sample_prefs", spy)
         monkeypatch.setattr(market_module, "_PREFS_THREAD_MIN_CELLS", PATHS["threaded"])
-        serial = sample_market(config, 4, second_thread=False)
+        with monkeypatch.context() as mp:
+            mp.setattr(market_module, "helper_threads_allowed", lambda: False)
+            serial = sample_market(config, 4)
         threaded = sample_market(config, 4)
         assert ran_on[0] == threading.get_ident() != ran_on[1]
         assert_same_bytes(serial, loop_sample_market(config, 4))

@@ -7,6 +7,7 @@ one; the algorithm must reproduce it exactly.
 
 import dataclasses
 import itertools
+import multiprocessing
 import os
 import threading
 import tracemalloc
@@ -20,7 +21,7 @@ from noisymatch import matching
 from noisymatch.cutoffs import check_market_clearing, demand_all, extract_cutoffs
 from noisymatch.estimation import run_replications
 from noisymatch import market as market_module
-from noisymatch.market import SampledMarket, sample_market, usable_cpus
+from noisymatch.market import SampledMarket, helper_threads_allowed, sample_market, usable_cpus
 from noisymatch.matching import (
     UNMATCHED,
     VECTORISED_MIN_CELLS,
@@ -420,7 +421,7 @@ class TestStackedPath:
             return advance(rejected, n_colleges, prefs, scores, *rest)
 
         monkeypatch.setattr(matching, "_advance", spy)
-        vectorised_deferred_acceptance(market, caps, second_thread=False)
+        vectorised_deferred_acceptance(market, caps)
         assert seen
         for prefs, scores in seen:
             assert np.shares_memory(prefs, market.prefs)
@@ -468,6 +469,13 @@ def split_every_round(mp):
     mp.setattr(matching, "_SCAN_SPLIT_MIN_STUDENTS", 0)
 
 
+def serial_vectorised(market, caps):
+    """The vectorised path with no helper thread."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(market_module, "helper_threads_allowed", lambda: False)
+        return vectorised_deferred_acceptance(market, caps)
+
+
 def tied_market(n=3000, colleges=30, seed=5):
     """Scores on a 4-point grid, so many students tie at each cutoff."""
     rng = np.random.default_rng(seed)
@@ -492,7 +500,7 @@ class TestScanSplit:
     @pytest.mark.parametrize("name", sorted(SPLIT_MARKETS))
     def test_split_minimum_does_not_change_the_matching(self, name, monkeypatch):
         market, caps = SPLIT_MARKETS[name]()
-        serial = vectorised_deferred_acceptance(market, caps, second_thread=False)
+        serial = serial_vectorised(market, caps)
         split_every_round(monkeypatch)
         ran_on = []
         advance = matching._advance
@@ -528,7 +536,7 @@ class TestScanSplit:
         assert raised_on and caller not in raised_on
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
-    def test_helper_threads_need_a_second_cpu_and_the_flag(self, cpus, monkeypatch):
+    def test_helper_threads_need_a_second_cpu_and_the_predicate(self, cpus, monkeypatch):
         config, _ = fig1(colleges=100, noise="pareto", n_students=3000)
         split_every_round(monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
@@ -543,13 +551,22 @@ class TestScanSplit:
                 return pool(*args, **kwargs)
 
             monkeypatch.setattr(module, "ThreadPoolExecutor", spy)
-        market = sample_market(config, 2, second_thread=False)
-        deferred_acceptance(market, config.capacities(), second_thread=False)
+        # one patch of the predicate keeps both calls on this thread
+        with monkeypatch.context() as mp:
+            mp.setattr(market_module, "helper_threads_allowed", lambda: False)
+            market = sample_market(config, 2)
+            deferred_acceptance(market, config.capacities())
         assert started == []
         market = sample_market(config, 2)
         deferred_acceptance(market, config.capacities())
         both = ["noisymatch.market", "noisymatch.matching"]
         assert started == (both if len(cpus) > 1 else [])
+
+    def test_no_helper_threads_in_a_child_process(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert helper_threads_allowed()
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        assert not helper_threads_allowed()
 
     def test_usable_cpus_without_an_affinity_mask(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -566,7 +583,7 @@ class TestScanSplit:
 class TestSlicedScan:
     def test_slices_stay_under_the_cap_and_keep_the_matching(self, monkeypatch):
         market, caps = tied_market(n=600, colleges=40, seed=3)
-        whole = vectorised_deferred_acceptance(market, caps, second_thread=False)
+        whole = serial_vectorised(market, caps)
         steps = []
         scan_window = matching._scan_window
 
@@ -576,7 +593,7 @@ class TestSlicedScan:
 
         monkeypatch.setattr(matching, "_scan_window", spy)
         monkeypatch.setattr(matching, "_SCAN_CELLS", 64)
-        sliced = vectorised_deferred_acceptance(market, caps, second_thread=False)
+        sliced = serial_vectorised(market, caps)
         assert_same_matching(sliced, whole)
         assert all(rows <= max(1, 64 // window) for rows, window in steps)
         assert {8, 16, 32} <= {window for _, window in steps}

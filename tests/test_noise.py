@@ -128,6 +128,29 @@ class TestSampling:
         with pytest.raises(ConfigError, match=field):
             bad()
 
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            (Uniform, "hi"),
+            (Uniform, "lo"),
+            (Gaussian, "mean"),
+            (Gaussian, "sd"),
+            (Exponential, "rate"),
+            (Gumbel, "location"),
+            (Gumbel, "scale"),
+            (Pareto, "shape"),
+            (Pareto, "scale"),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, "1", True])
+    def test_every_parameter_must_be_a_finite_number(self, spec, field, bad):
+        kind = spec.kind
+        message = "must be finite" if isinstance(bad, float) else "must be a number"
+        with pytest.raises(ConfigError, match=rf"^{kind}\.{field}: {message}, got "):
+            spec(**{field: bad})
+        with pytest.raises(ConfigError, match=rf"^{kind}\.{field}: {message}, got "):
+            noise_from_dict({"kind": kind, field: bad})
+
     def test_serde_round_trip(self):
         for spec in ALL_SPECS:
             assert noise_from_dict(spec.to_dict()) == spec
