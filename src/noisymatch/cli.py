@@ -232,6 +232,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.threads is not None and args.threads < 1:
+            parser.error(f"--threads: must be at least 1, got {args.threads}")
     except SystemExit as e:
         return EXIT_PARSE if e.code not in (0, None) else EXIT_OK
     try:

@@ -115,7 +115,7 @@ def dict_to_config(doc: dict) -> tuple[EconomyConfig, ExperimentPlan]:
         colleges = tuple(
             College(
                 id=_expect(c["id"], _ID, f"{at}.id"),
-                capacity=_integer(c["capacity"], f"colleges[{c['id']}].capacity"),
+                capacity=_integer(c["capacity"], f"{at}.capacity"),
                 coalition=_expect(c["coalition"], _ID, f"{at}.coalition"),
             )
             for at, c in _objects(doc["colleges"], "colleges")

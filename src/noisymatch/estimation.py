@@ -238,6 +238,8 @@ def run_replications(
     ``market._BLOCK_CELLS`` cells, which leaves every replication's result
     as it would be alone.
     """
+    if threads < 1:
+        raise ValueError(f"threads: must be at least 1, got {threads}")
     _check_curves(config, plan)
     n = plan.replications
     if threads > 1 and n > 1:

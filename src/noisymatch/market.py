@@ -37,9 +37,8 @@ STREAM_NOISE = 2
 # - a chunk of replications is sampled and matched in stacks of consecutive
 #   markets of at most this many cells, one call of sample_stack and of
 #   stacked_deferred_acceptance per stack (a larger market is stacked alone),
-#   so a stack of small markets is sampled as one block, a chunk of tiny
-#   markets' heap loops becomes one numpy fixed point, and the stack's prefs
-#   and scores stay under 2.5 MiB;
+#   so a stack of small markets is sampled as one block and matched as one
+#   numpy fixed point, and the stack's prefs and scores stay under 2.5 MiB;
 # - afford_any_stacked compares at most this many cells at a time, into one
 #   reused boolean block of 256 KiB.
 # Median sample_market time and tracemalloc's peak beyond the finished
@@ -53,8 +52,8 @@ STREAM_NOISE = 2
 #     prefs thread:    1247 /  973 /  915         1.9 / 8.0 / 31.9
 # A rerun of 2^18 against 2^20 at n=20000, C=1000: 1430 vs 1395 ms serial,
 # 940 vs 930 ms with the preference thread.
-# Median matching time per market, heap loop or one-market fixed point
-# against a stack of 2^18 cells (same machine):
+# Median matching time per market, matched alone (many-tiny by the heap loop
+# that small markets then took) against a stack of 2^18 cells (same machine):
 #   many-tiny,       n=200,  C=2     (400 cells, 375 a stack): 0.31 vs 0.08-0.13 ms
 #   attenuate-tiers, n=2000, C=20+20 (80,000 cells, 3 a stack): 8.3 vs 6.5 ms
 # Median afford_any_stacked time per call, one n x C comparison and any()
@@ -118,16 +117,6 @@ def prefs_dtype(n_colleges: int) -> np.dtype:
     or intp, so a narrow type never wraps.
     """
     return np.dtype(np.int16 if n_colleges <= np.iinfo(np.int16).max + 1 else np.int32)
-
-
-def child_rng(master_seed: int, replication: int, stream: int) -> np.random.Generator:
-    """Independent generator for one (replication, stream) pair: the
-    one-replication case of ``stream_rngs``.
-
-    SeedSequence spawning keys guarantee non-overlapping streams, so
-    replications can run concurrently without a shared RNG.
-    """
-    return stream_rngs(master_seed, range(replication, replication + 1), stream)[0]
 
 
 def stream_rngs(master_seed: int, replications: range, stream: int) -> list[np.random.Generator]:
@@ -601,11 +590,11 @@ class EconomyConfig:
         if len(set(kids)) != len(kids):
             raise ConfigError("coalitions: ids must be unique")
         known = set(kids)
-        for c in self.colleges:
+        for i, c in enumerate(self.colleges):
             if int(c.capacity) != c.capacity or c.capacity < 1:
-                raise ConfigError(f"colleges[{c.id}].capacity: must be a positive integer")
+                raise ConfigError(f"colleges[{i}].capacity: must be a positive integer")
             if c.coalition not in known:
-                raise ConfigError(f"colleges[{c.id}].coalition: unknown coalition {c.coalition!r}")
+                raise ConfigError(f"colleges[{i}].coalition: unknown coalition {c.coalition!r}")
         used = {c.coalition for c in self.colleges}
         empty = [k for k in known if k not in used]
         if empty:

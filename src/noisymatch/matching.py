@@ -7,7 +7,6 @@ the algorithm and in the blocking-pair scan so the two never disagree.
 
 from __future__ import annotations
 
-import heapq
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -30,24 +29,11 @@ class Matching:
     capacities: tuple[int, ...]
 
 
-# Markets with at least this many (student, college) cells take the vectorised
-# path.  Median time per call on the same sampled markets (fig1 shape, Python
-# 3.11, numpy 2.4, 2-vCPU machine), heap loop against vectorised:
-#   n=200,   C=2      (400 cells): 0.31 ms vs 0.48 ms
-#   n=400,   C=4    (1,600 cells): 0.94 ms vs 1.02 ms
-#   n=400,   C=8    (3,200 cells): 1.21 ms vs 1.38 ms; n=800, C=4: 1.68 vs 1.39 ms
-#   n=800,   C=8    (6,400 cells): 2.81 ms vs 2.07 ms
-#   n=2000,  C=20+20 (80,000 cells, fig2): 24.8 ms vs 9.8 ms
-#   n=20000, C=1000 (20 M cells, Pareto noise): 14.2 s vs 0.8 s
-# Below the crossover, numpy's fixed cost per call and round outweighs the
-# Python loop.
-VECTORISED_MIN_CELLS = 4000
-
 # Rounds that reject at least this many students scan them on two threads.
 # numpy releases the GIL inside the gathers, comparisons and argmax of the scan,
 # so the halves overlap; on a small set the thread handoff and the GIL
 # taken between numpy calls cost more than they save.  Median time per call
-# of the vectorised path, serial scan against this minimum (against a split
+# of the fixed point, serial scan against this minimum (against a split
 # of every round), three sampled markets per shape, interleaved (Python
 # 3.11, numpy 2.4, 2-vCPU machine):
 #   fig2 uniform,  n=2000,  C=40   (80,000 cells, <= 1,500 rejected/round):
@@ -91,17 +77,6 @@ def _capacity_list(capacities: Sequence[int], n_colleges: int) -> list[int]:
     return [int(c) for c in caps]
 
 
-def matching_from_assignment(
-    assignment: np.ndarray, scores: np.ndarray, capacities: Sequence[int]
-) -> Matching:
-    """The Matching of an assignment: a full college's cutoff is its lowest
-    admitted score, and a college with a free seat gets -inf."""
-    student = np.flatnonzero(assignment != UNMATCHED)
-    col = assignment[student]
-    cutoffs, _ = _worst_admits(col, student, scores[student, col], capacities, len(assignment))
-    return Matching(assignment, cutoffs, tuple(capacities))
-
-
 def _worst_admits(col, student, score, cap, n_students) -> tuple[np.ndarray, np.ndarray]:
     """(score, student) of each college's worst admit in a roster, where
     admit i is ``student[i]`` at college ``col[i]`` with ``score[i]``: the
@@ -133,61 +108,8 @@ def _clears(score, student, bar_score, bar_student, at) -> np.ndarray:
 
 
 def deferred_acceptance(market: SampledMarket, capacities: Sequence[int]) -> Matching:
-    """Student-optimal stable matching for the sampled market.
-
-    Small markets run the heap loop, large ones the vectorised cutoff
-    fixed point; both return the same Matching.
-    """
-    n, n_colleges = market.scores.shape
-    if n * n_colleges >= VECTORISED_MIN_CELLS:
-        return vectorised_deferred_acceptance(market, capacities)
-    return heap_deferred_acceptance(market, capacities)
-
-
-def heap_deferred_acceptance(market: SampledMarket, capacities: Sequence[int]) -> Matching:
-    """Student-proposing deferred acceptance, one proposal at a time.
-
-    Each college keeps a min-heap of tentatively admitted students keyed by
-    (score, -student), so the worst admit pops first and a displaced student
-    resumes proposing from their next choice.
-    """
-    n, n_colleges = market.scores.shape
-    caps = _capacity_list(capacities, n_colleges)
-
-    prefs = market.prefs.tolist()
-    scores = market.scores.tolist()
-    heaps: list[list[tuple[float, int]]] = [[] for _ in range(n_colleges)]
-    next_choice = [0] * n
-    assignment = [UNMATCHED] * n
-
-    stack = list(range(n - 1, -1, -1))
-    while stack:
-        s = stack.pop()
-        row_prefs = prefs[s]
-        row_scores = scores[s]
-        while next_choice[s] < n_colleges:
-            c = row_prefs[next_choice[s]]
-            next_choice[s] += 1
-            entry = (row_scores[c], -s)
-            heap = heaps[c]
-            if len(heap) < caps[c]:
-                heapq.heappush(heap, entry)
-                assignment[s] = c
-                break
-            if entry > heap[0]:
-                _, neg_displaced = heapq.heapreplace(heap, entry)
-                displaced = -neg_displaced
-                assignment[displaced] = UNMATCHED
-                assignment[s] = c
-                stack.append(displaced)
-                break
-
-    return matching_from_assignment(np.array(assignment, dtype=int), market.scores, caps)
-
-
-def vectorised_deferred_acceptance(market: SampledMarket, capacities: Sequence[int]) -> Matching:
-    """Student-proposing deferred acceptance as a cutoff-raising fixed point:
-    the one-market case of ``stacked_deferred_acceptance``.
+    """Student-optimal stable matching for the sampled market: the
+    one-market case of ``stacked_deferred_acceptance``.
 
     The market's prefs and scores are matched in place, without a copy.
     """

@@ -34,14 +34,18 @@ from noisymatch.market import (
     College,
     CommonRanking,
     EconomyConfig,
-    SampledMarket,
     TieredByCoalition,
     UniformRandomPreferences,
     UniformValues,
     sample_market,
     v_s_threshold,
 )
-from noisymatch.matching import UNMATCHED, deferred_acceptance, find_blocking_pairs
+from noisymatch.matching import (
+    UNMATCHED,
+    deferred_acceptance,
+    find_blocking_pairs,
+    stacked_deferred_acceptance,
+)
 from noisymatch.noise import (
     DEFAULT_PROBE_GAP,
     Exponential,
@@ -219,15 +223,9 @@ def _profile_tables(prefs, n, c):
     return tables
 
 
-def _check_against_oracle(prefs_np, score_rows, tables, n, c, values, coal):
-    """DA must be stable and student-optimal versus the enumerated stable set."""
-    market = SampledMarket(
-        values=values,
-        prefs=prefs_np,
-        scores=np.array(score_rows, dtype=float),
-        college_coalition=coal,
-    )
-    got = deferred_acceptance(market, [1] * c).assignment.tolist()
+def _check_against_oracle(got, score_rows, tables, n):
+    """DA's assignment must be stable and student-optimal versus the
+    enumerated stable set."""
     stable_outs = []
     got_out = None
     for m, out, blockers in tables:
@@ -254,6 +252,10 @@ def _check_against_oracle(prefs_np, score_rows, tables, n, c, values, coal):
 def test_criterion_3_oracle_equivalence():
     """Exhaustive DA-versus-enumeration check on unit-capacity instances.
 
+    Each preference profile's score matrices are matched as one stack by
+    stacked_deferred_acceptance, the path every replication takes, and
+    each slot is checked against the enumeration.
+
     Families (all with scores drawn from a fixed 5-value grid):
       - C=1, N=1..5: every preference profile x every score matrix;
       - C=2, N=1..3: every preference profile x every score matrix,
@@ -267,15 +269,19 @@ def test_criterion_3_oracle_equivalence():
 
     def run_family(n, c, column_iter_factory):
         nonlocal checked, failures
-        values = np.zeros((n, 1))
-        coal = np.zeros(c, dtype=int)
         pref_profiles = list(itertools.product(list(itertools.permutations(range(c))), repeat=n))
         for prefs in pref_profiles:
             tables = _profile_tables(prefs, n, c)
-            prefs_np = np.array(prefs, dtype=int)
-            for columns in column_iter_factory():
-                score_rows = [tuple(columns[col][s] for col in range(c)) for s in range(n)]
-                if not _check_against_oracle(prefs_np, score_rows, tables, n, c, values, coal):
+            stack = [
+                [tuple(columns[col][s] for col in range(c)) for s in range(n)]
+                for columns in column_iter_factory()
+            ]
+            scores = np.array(stack, dtype=float)
+            assignment, _ = stacked_deferred_acceptance(
+                np.broadcast_to(np.array(prefs), scores.shape), scores, [1] * c
+            )
+            for got, score_rows in zip(assignment.tolist(), stack):
+                if not _check_against_oracle(got, score_rows, tables, n):
                     failures += 1
                 checked += 1
 

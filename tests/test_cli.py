@@ -124,7 +124,7 @@ def set_field(doc, field, value):
 
 
 INTEGER_FIELDS = {
-    "capacity": "colleges[1].capacity",
+    "capacity": "colleges[0].capacity",
     "n_students": "n_students",
     "replications": "plan.replications",
     "master_seed": "master_seed",
@@ -206,6 +206,28 @@ class TestUnknownFields:
         doc = small_doc()
         doc["coalitions"][0]["noise"]["shap"] = 2.0
         with pytest.raises(ConfigError, match=r"^coalitions\[0\]: noise: .*'shap'"):
+            dict_to_config(doc)
+
+
+class TestCollegeFields:
+    """A college's fields are named by its index in the list, whatever its id."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("capacity", 2.5, "colleges[1].capacity: must be an integer, got 2.5"),
+            ("capacity", 0, "colleges[1].capacity: must be a positive integer"),
+            ("coalition", 99, "colleges[1].coalition: unknown coalition 99"),
+        ],
+        ids=["not-an-integer", "not-positive", "unknown-coalition"],
+    )
+    def test_a_college_is_named_by_its_list_index(self, field, value, message):
+        # string ids, so a message that named the id would read colleges[b]
+        doc = small_doc()
+        for c, college_id in zip(doc["colleges"], ("a", "b")):
+            c["id"] = college_id
+        doc["colleges"][1][field] = value
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
             dict_to_config(doc)
 
 
@@ -462,6 +484,14 @@ class TestCliContract:
         assert run_cli("--bogus-flag") == EXIT_PARSE
         # removed: cutoffs.csv follows plan.record_cutoffs alone
         assert run_cli("--preset", "fig1", "--emit-cutoffs") == EXIT_PARSE
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_two(self, threads, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run_cli("--preset", "fig1", "--threads", threads, "--out-dir", str(out))
+        assert code == EXIT_PARSE
+        assert f"--threads: must be at least 1, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invariant_violation_exits_three(self, tmp_path):
         code = run_cli(

@@ -133,6 +133,12 @@ class InlinePool:
 
 
 class TestRunReplications:
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_raise(self, threads):
+        config, plan = fig1(colleges=2, replications=2)
+        with pytest.raises(ValueError, match=rf"^threads: must be at least 1, got {threads}$"):
+            run_replications(config, plan, threads=threads)
+
     def test_matched_count_equals_seats(self):
         config, plan = small_pool()
         records = run_replications(config, plan)

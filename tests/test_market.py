@@ -24,12 +24,12 @@ from noisymatch.market import (
     TieredByCoalition,
     UniformRandomPreferences,
     UniformValues,
-    child_rng,
     holder_exponent_check,
     preferences_from_dict,
     prefs_dtype,
     sample_market,
     sample_stack,
+    stream_rngs,
     v_s_threshold,
     values_from_dict,
     STREAM_NOISE,
@@ -299,8 +299,7 @@ class TestSampleMarket:
 
     def test_streams_do_not_overlap(self):
         # distinct replications draw from non-overlapping streams
-        a = child_rng(99, 0, STREAM_VALUES).random(10_000)
-        b = child_rng(99, 1, STREAM_VALUES).random(10_000)
+        a, b = (rng.random(10_000) for rng in stream_rngs(99, range(2), STREAM_VALUES))
         assert len(np.intersect1d(a, b)) == 0
 
     def test_pareto_noise_support(self):
@@ -315,15 +314,19 @@ def loop_sample_market(config, replication):
     draw per college, in college order."""
     n = config.n_students
     coal_idx = config.coalition_index()
-    rng_values = child_rng(config.master_seed, replication, STREAM_VALUES)
+
+    def child_stream(stream):
+        return stream_rngs(config.master_seed, range(replication, replication + 1), stream)[0]
+
+    rng_values = child_stream(STREAM_VALUES)
     values = np.empty((n, len(config.coalitions)))
     for k, coalition in enumerate(config.coalitions):
         values[:, k] = coalition.values.sample(rng_values, n)
-    key = child_rng(config.master_seed, replication, STREAM_PREFS).random((n, config.n_colleges))
+    key = child_stream(STREAM_PREFS).random((n, config.n_colleges))
     if isinstance(config.preferences, TieredByCoalition):
         key = coal_idx[None, :] + key
     prefs = np.argsort(key, axis=1)
-    rng_noise = child_rng(config.master_seed, replication, STREAM_NOISE)
+    rng_noise = child_stream(STREAM_NOISE)
     scores = values[:, coal_idx].copy()
     for c in range(config.n_colleges):
         spec = config.coalitions[coal_idx[c]].noise
@@ -631,7 +634,7 @@ class TestStreams:
             rngs = market_module.stream_rngs(seed, replications, stream)
             assert len(rngs) == len(replications)
             for rng, r in zip(rngs, replications):
-                for gen in (rng, child_rng(seed, r, stream)):
+                for gen in (rng, stream_rngs(seed, range(r, r + 1), stream)[0]):
                     ref = numpy_rng(seed, r, stream)
                     assert gen.random(5).tobytes() == ref.random(5).tobytes()
                     assert gen.integers(0, 2**62, 3).tobytes() == ref.integers(0, 2**62, 3).tobytes()
@@ -641,7 +644,7 @@ class TestStreams:
             with pytest.raises(ValueError, match="expected non-negative integer"):
                 np.random.SeedSequence(seed, spawn_key=(replication, 0))
             with pytest.raises(ValueError, match="expected non-negative integer"):
-                child_rng(seed, replication, 0)
+                stream_rngs(seed, range(replication, replication + 1), 0)
 
     def test_config_rejects_a_negative_master_seed(self):
         with pytest.raises(ConfigError, match=r"^master_seed: must be a non-negative integer, got -3$"):

@@ -2,10 +2,13 @@
 
 The oracle here enumerates every feasible matching of a tiny instance,
 filters to the stable ones by definition, and picks the student-optimal
-one; the algorithm must reproduce it exactly.
+one; the algorithm must reproduce it exactly.  On larger markets the
+reference is a heap loop that makes one proposal at a time and shares no
+code with the library's cutoff fixed point.
 """
 
 import dataclasses
+import heapq
 import itertools
 import multiprocessing
 import os
@@ -24,12 +27,10 @@ from noisymatch import market as market_module
 from noisymatch.market import SampledMarket, helper_threads_allowed, sample_market, usable_cpus
 from noisymatch.matching import (
     UNMATCHED,
-    VECTORISED_MIN_CELLS,
+    Matching,
     deferred_acceptance,
     find_blocking_pairs,
-    heap_deferred_acceptance,
     stacked_deferred_acceptance,
-    vectorised_deferred_acceptance,
 )
 from noisymatch.presets import fig1, fig2
 
@@ -82,6 +83,50 @@ def roster_minimum_cutoffs(assign, scores, caps):
         admitted = [scores[s][c] for s in range(len(assign)) if assign[s] == c]
         cutoffs.append(min(admitted) if len(admitted) == cap else -np.inf)
     return cutoffs
+
+
+def heap_deferred_acceptance(market, capacities):
+    """Reference: student-proposing deferred acceptance, one proposal at a time.
+
+    Each college keeps a min-heap of tentatively admitted students keyed by
+    (score, -student), so the worst admit pops first and a displaced student
+    resumes proposing from their next choice.  The cutoffs are the roster
+    minimum of the final assignment.
+    """
+    caps = [int(c) for c in capacities]
+    n, n_colleges = market.scores.shape
+    prefs = market.prefs.tolist()
+    scores = market.scores.tolist()
+    heaps = [[] for _ in range(n_colleges)]
+    next_choice = [0] * n
+    assignment = [UNMATCHED] * n
+
+    stack = list(range(n - 1, -1, -1))
+    while stack:
+        s = stack.pop()
+        while next_choice[s] < n_colleges:
+            c = prefs[s][next_choice[s]]
+            next_choice[s] += 1
+            entry = (scores[s][c], -s)
+            heap = heaps[c]
+            if len(heap) < caps[c]:
+                heapq.heappush(heap, entry)
+                assignment[s] = c
+                break
+            if entry > heap[0]:
+                _, neg_displaced = heapq.heapreplace(heap, entry)
+                assignment[-neg_displaced] = UNMATCHED
+                assignment[s] = c
+                stack.append(-neg_displaced)
+                break
+
+    cutoffs = roster_minimum_cutoffs(assignment, scores, caps)
+    return Matching(np.array(assignment, dtype=int), np.array(cutoffs), tuple(caps))
+
+
+def stacked_alone(market, capacities):
+    """stacked_deferred_acceptance on a stack of one market."""
+    return stacked_deferred_acceptance(market.prefs[None], market.scores[None], capacities)
 
 
 def enumerate_stable(prefs, scores, caps):
@@ -150,7 +195,7 @@ class TestHandInstances:
         opt = student_optimal(stable, prefs.tolist(), 2)
         assert tuple(m.assignment.tolist()) == opt
 
-    @pytest.mark.parametrize("da", [heap_deferred_acceptance, vectorised_deferred_acceptance])
+    @pytest.mark.parametrize("da", [heap_deferred_acceptance, deferred_acceptance])
     def test_exactly_filled_college_cuts_at_its_lowest_admit(self, da):
         # each college gets as many applicants as it has seats, so neither is
         # ever overdemanded; both are full, so neither cutoff is -inf
@@ -161,17 +206,16 @@ class TestHandInstances:
 
 
 class TestCapacities:
-    @pytest.mark.parametrize("da", [heap_deferred_acceptance, vectorised_deferred_acceptance])
+    @pytest.mark.parametrize("da", [deferred_acceptance, stacked_alone])
     @pytest.mark.parametrize("bad", [0, -1, 1.5, float("nan")])
     def test_bad_capacity_names_its_index(self, da, bad):
         market = make_market([[0, 1], [1, 0], [0, 1]], [[0.3, 0.8], [0.6, 0.4], [0.9, 0.2]])
         with pytest.raises(ValueError, match=r"^capacities\[1\]: must be a positive integer"):
             da(market, [1, bad])
 
-    @pytest.mark.parametrize("da", [heap_deferred_acceptance, vectorised_deferred_acceptance])
-    def test_integral_floats_are_accepted(self, da):
+    def test_integral_floats_are_accepted(self):
         market = make_market([[0, 1], [1, 0], [0, 1]], [[0.3, 0.8], [0.6, 0.4], [0.9, 0.2]])
-        assert da(market, [1.0, 1.0]).capacities == (1, 1)
+        assert deferred_acceptance(market, [1.0, 1.0]).capacities == (1, 1)
 
 
 class TestBlockingPairs:
@@ -224,27 +268,28 @@ class TestBlockingPairs:
 
 class TestOracleEquivalence:
     def test_exhaustive_small_grid(self):
-        # every preference profile x 3-level score grid at N=3, C=2, caps 1:
-        # DA output must be stable and student-optimal
+        # every preference profile x 3-level score grid at N=3, C=2, caps 1,
+        # each profile's grid matched as one stack: every slot must be
+        # stable and student-optimal
         levels = [0.1, 0.5, 0.9]
         n, c = 3, 2
         pref_options = list(itertools.permutations(range(c)))
+        grid = np.array(list(itertools.product(levels, repeat=n * c))).reshape(-1, n, c)
         checked = 0
         for prefs in itertools.product(pref_options, repeat=n):
-            for flat in itertools.product(levels, repeat=n * c):
-                scores = [list(flat[i * c : (i + 1) * c]) for i in range(n)]
-                market = make_market([list(p) for p in prefs], scores)
-                m = deferred_acceptance(market, [1, 1])
-                got = tuple(m.assignment.tolist())
-                stable = enumerate_stable([list(p) for p in prefs], scores, [1, 1])
-                assert got in stable
-                assert got == student_optimal(stable, [list(p) for p in prefs], c)
+            prefs = [list(p) for p in prefs]
+            stack = np.broadcast_to(np.array(prefs), grid.shape)
+            assignment, _ = stacked_deferred_acceptance(stack, grid, [1, 1])
+            for scores, got in zip(grid.tolist(), assignment.tolist()):
+                stable = enumerate_stable(prefs, scores, [1, 1])
+                assert tuple(got) in stable
+                assert tuple(got) == student_optimal(stable, prefs, c)
                 checked += 1
         assert checked == len(pref_options) ** n * len(levels) ** (n * c)
 
 
 # ---------------------------------------------------------------------------
-# the vectorised path against the heap loop
+# the fixed point against the heap loop
 
 
 @st.composite
@@ -284,19 +329,13 @@ def assert_same_matching(got, want):
     assert np.array_equal(got.cutoffs, want.cutoffs)
 
 
-def assert_roster_minimum(m, market, caps):
-    want = roster_minimum_cutoffs(m.assignment.tolist(), market.scores.tolist(), caps)
-    assert m.cutoffs.tolist() == want
-
-
 class TestVectorisedPath:
     @settings(max_examples=400, deadline=None)
     @given(tie_heavy_markets())
     def test_equals_heap_loop(self, case):
         market, caps = case
-        got = vectorised_deferred_acceptance(market, caps)
+        got = deferred_acceptance(market, caps)
         assert_same_matching(got, heap_deferred_acceptance(market, caps))
-        assert_roster_minimum(got, market, caps)
         assert find_blocking_pairs(got, market) == []
 
     @settings(max_examples=400, deadline=None)
@@ -305,9 +344,8 @@ class TestVectorisedPath:
         market, caps = case
         with pytest.MonkeyPatch.context() as mp:
             split_every_round(mp)
-            got = vectorised_deferred_acceptance(market, caps)
+            got = deferred_acceptance(market, caps)
         assert_same_matching(got, heap_deferred_acceptance(market, caps))
-        assert_roster_minimum(got, market, caps)
         assert find_blocking_pairs(got, market) == []
 
     @pytest.mark.parametrize("scan", ["whole", "sliced", "sliced-split"])
@@ -321,9 +359,8 @@ class TestVectorisedPath:
                 mp.setattr(matching, "_SCAN_CELLS", 1)
             if scan == "sliced-split":
                 split_every_round(mp)
-            got = vectorised_deferred_acceptance(market, caps)
+            got = deferred_acceptance(market, caps)
         assert_same_matching(got, heap_deferred_acceptance(market, caps))
-        assert_roster_minimum(got, market, caps)
         assert find_blocking_pairs(got, market) == []
 
     @settings(max_examples=300, deadline=None)
@@ -348,18 +385,8 @@ class TestVectorisedPath:
             got = find_blocking_pairs(dataclasses.replace(m, assignment=np.array(assign)), market)
             assert got == list(blocking_pairs_by_definition(assign, prefs, scores, caps))
 
-    def test_dispatch_by_market_size(self, monkeypatch):
-        calls = []
-        for name in ("heap_deferred_acceptance", "vectorised_deferred_acceptance"):
-            monkeypatch.setattr(matching, name, lambda m, c, name=name, **kw: calls.append(name))
-        for n, c in ((200, 2), (2000, 2)):  # 400 and 4000 cells
-            market = make_market(np.zeros((n, c), dtype=int), np.zeros((n, c)))
-            matching.deferred_acceptance(market, [1] * c)
-        assert calls == ["heap_deferred_acceptance", "vectorised_deferred_acceptance"]
-
     def test_run_replications_above_threshold(self):
         config, plan = fig1(colleges=100, noise="pareto", n_students=2000, replications=3)
-        assert config.n_students * config.n_colleges >= VECTORISED_MIN_CELLS
         records = run_replications(config, plan, threads=1)
         caps = config.capacities()
         for r in range(plan.replications):
@@ -421,7 +448,7 @@ class TestStackedPath:
             return advance(rejected, n_colleges, prefs, scores, *rest)
 
         monkeypatch.setattr(matching, "_advance", spy)
-        vectorised_deferred_acceptance(market, caps)
+        deferred_acceptance(market, caps)
         assert seen
         for prefs, scores in seen:
             assert np.shares_memory(prefs, market.prefs)
@@ -433,19 +460,18 @@ class TestNarrowPrefs:
     answer as on an int64 copy of the same market."""
 
     @pytest.mark.parametrize(
-        "n, colleges, vectorised",
-        [(40, 4, False), (2000, 10, True), (4000, 20, True)],
-        # 80,000 cells: a flat offset into prefs overflows int16
+        "n, colleges",
+        [(40, 4), (2000, 10), (4000, 20)],
+        # 160 and 20,000 cells; at 80,000 a flat offset into prefs overflows int16
         ids=["heap-size", "vector-size", "past-int16-offsets"],
     )
-    def test_consumers_agree_with_int64(self, n, colleges, vectorised):
+    def test_consumers_agree_with_int64(self, n, colleges):
         config, _ = fig1(colleges=colleges, noise="pareto", n_students=n, replications=1)
         market = sample_market(config, 1)
         wide = dataclasses.replace(market, prefs=market.prefs.astype(np.int64))
         assert market.prefs.dtype == np.int16
-        assert (n * colleges >= VECTORISED_MIN_CELLS) == vectorised
         caps = config.capacities()
-        for da in (deferred_acceptance, heap_deferred_acceptance, vectorised_deferred_acceptance):
+        for da in (heap_deferred_acceptance, deferred_acceptance):
             got = da(market, caps)
             assert_same_matching(got, da(wide, caps))
             assert find_blocking_pairs(got, market) == find_blocking_pairs(got, wide) == []
@@ -469,11 +495,11 @@ def split_every_round(mp):
     mp.setattr(matching, "_SCAN_SPLIT_MIN_STUDENTS", 0)
 
 
-def serial_vectorised(market, caps):
-    """The vectorised path with no helper thread."""
+def serial_deferred_acceptance(market, caps):
+    """The fixed point with no helper thread."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(market_module, "helper_threads_allowed", lambda: False)
-        return vectorised_deferred_acceptance(market, caps)
+        return deferred_acceptance(market, caps)
 
 
 def tied_market(n=3000, colleges=30, seed=5):
@@ -500,7 +526,7 @@ class TestScanSplit:
     @pytest.mark.parametrize("name", sorted(SPLIT_MARKETS))
     def test_split_minimum_does_not_change_the_matching(self, name, monkeypatch):
         market, caps = SPLIT_MARKETS[name]()
-        serial = serial_vectorised(market, caps)
+        serial = serial_deferred_acceptance(market, caps)
         split_every_round(monkeypatch)
         ran_on = []
         advance = matching._advance
@@ -512,7 +538,7 @@ class TestScanSplit:
         monkeypatch.setattr(matching, "_advance", spy)
         for split_min in (float("inf"), 0):
             monkeypatch.setattr(matching, "_SCAN_SPLIT_MIN_STUDENTS", split_min)
-            assert_same_matching(vectorised_deferred_acceptance(market, caps), serial)
+            assert_same_matching(deferred_acceptance(market, caps), serial)
         assert len(set(ran_on)) == 2
         if name == "score-ties":
             assert_same_matching(serial, heap_deferred_acceptance(market, caps))
@@ -532,7 +558,7 @@ class TestScanSplit:
 
         monkeypatch.setattr(matching, "_advance", fail_off_the_caller)
         with pytest.raises(RuntimeError, match="^scan failed on the helper$"):
-            vectorised_deferred_acceptance(market, caps)
+            deferred_acceptance(market, caps)
         assert raised_on and caller not in raised_on
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
@@ -583,7 +609,7 @@ class TestScanSplit:
 class TestSlicedScan:
     def test_slices_stay_under_the_cap_and_keep_the_matching(self, monkeypatch):
         market, caps = tied_market(n=600, colleges=40, seed=3)
-        whole = serial_vectorised(market, caps)
+        whole = serial_deferred_acceptance(market, caps)
         steps = []
         scan_window = matching._scan_window
 
@@ -593,7 +619,7 @@ class TestSlicedScan:
 
         monkeypatch.setattr(matching, "_scan_window", spy)
         monkeypatch.setattr(matching, "_SCAN_CELLS", 64)
-        sliced = serial_vectorised(market, caps)
+        sliced = serial_deferred_acceptance(market, caps)
         assert_same_matching(sliced, whole)
         assert all(rows <= max(1, 64 // window) for rows, window in steps)
         assert {8, 16, 32} <= {window for _, window in steps}
