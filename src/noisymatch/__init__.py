@@ -1,12 +1,6 @@
 """Simulator for stable matching markets where colleges act on noisy scores."""
 
-from .cutoffs import (
-    check_market_clearing,
-    demand_all,
-    dense_cluster,
-    extract_cutoffs,
-    rate_exponent,
-)
+from .cutoffs import check_market_clearing, demand_all, rate_exponent
 from .errors import (
     ConfigError,
     DegenerateVarianceError,

@@ -1,15 +1,15 @@
-"""Admission cutoffs, the demand map, and cutoff-based diagnostics.
+"""Admission bars, the demand map, and the decay-rate exponent.
 
-A cutoff vector is a plain float array with one entry per college: the
-minimum admitted score for a full college and -inf for an underfilled one.
-A student can afford a college when their score is at least its cutoff.
-With that half-open rule the demand of every student under the extracted
-cutoffs reproduces the deferred-acceptance assignment whenever there is no
-exact tie at a full college's cutoff: no student but the admit who sets it
-scores exactly the cutoff there.  Under continuous noise such a tie has
-probability zero.  With one, deferred acceptance gives the seat to the
-lower student index, while demand lets every tied student afford it: two
-students scored 0.5 for one seat are assigned [0, -1] but demand [0, 0].
+A college's bar is its worst admit (score, student), a Matching's
+``cutoffs`` and ``cut_students``; (-inf, n) with a free seat.  A student
+affords a college when they clear its bar by ``matching._clears``: a higher
+score, or an equal one and an index no higher than the bar's student.  The
+fixed point, the blocking-pair scan, demand and affordability share that
+one rule, so demand under a matching's bars is its assignment, ties
+included.  Pareto noise of shape 0.005 overflows to +inf in ~1 draw in 35;
+on fig1 (n=2000, C=100, R=20) every cutoff was then +inf, and only the index
+told an admit from a student rejected at the same score.  Bare float
+cutoffs take n as every bar student, so a score equal to its cutoff clears.
 """
 
 from __future__ import annotations
@@ -17,69 +17,68 @@ from __future__ import annotations
 import numpy as np
 
 from .market import SampledMarket, stack_blocks
-from .matching import UNMATCHED, Matching
+from .matching import UNMATCHED, Matching, _clears
 
 
 def extract_cutoffs(matching: Matching) -> np.ndarray:
     """Per-college minimum admitted score; -inf where seats stay empty."""
+    # kept for the benchmark's traced pass, its only caller
     return matching.cutoffs
 
 
 def afford_matrix(market: SampledMarket, cutoffs: np.ndarray) -> np.ndarray:
-    """(n_students, n_colleges) boolean affordability table."""
+    """(n_students, n_colleges) boolean table of score >= cutoff."""
+    # kept for the benchmark's traced pass, its only caller: the one half-open table left
     return market.scores >= np.asarray(cutoffs)[None, :]
 
 
-def afford_any_stacked(scores: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
-    """Per student of R markets, whether they afford at least one college
-    of their own market.
+def _cleared_blocks(scores: np.ndarray, cutoffs: np.ndarray, cut_students: np.ndarray):
+    """Whether each score of an (R, n, C) stack clears its college's bar in
+    its own market, in the blocks of ``stack_blocks``, so no n x C table is
+    built.  Yields each block's (markets, rows) index and its result."""
+    student = np.arange(scores.shape[1])
+    for (reps, rows), _ in stack_blocks(scores.shape, bool):
+        bars = cutoffs[reps, None], cut_students[reps, None]
+        yield (reps, rows), _clears(scores[reps, rows], student[rows, None], *bars, ...)
 
-    ``scores`` is an (R, n, C) stack and ``cutoffs`` (R, C); the result,
-    (R, n), equals ``(scores >= cutoffs[:, None]).any(axis=2)``.  Compares
-    in the blocks of ``stack_blocks``, so no n x C table is built.
+
+def afford_any_stacked(
+    scores: np.ndarray, cutoffs: np.ndarray, cut_students: np.ndarray
+) -> np.ndarray:
+    """Per student of R markets, whether they clear the bar of at least one
+    college of their own market.
+
+    ``scores`` is an (R, n, C) stack, and ``cutoffs`` and ``cut_students``
+    are (R, C) bars in each slot's own student indices.  A NaN cutoff bars
+    every score, +inf included.
     """
     out = np.empty(scores.shape[:2], dtype=bool)
-    for (reps, rows), block in stack_blocks(scores.shape, bool):
-        np.greater_equal(scores[reps, rows], cutoffs[reps, None], out=block)
-        block.any(axis=2, out=out[reps, rows])
+    for (reps, rows), cleared in _cleared_blocks(scores, cutoffs, cut_students):
+        cleared.any(axis=2, out=out[reps, rows])
     return out
 
 
-def demand_all(market: SampledMarket, cutoffs: np.ndarray) -> np.ndarray:
-    """Vectorised demand for every student (UNMATCHED when nothing affordable)."""
-    n = market.n_students
-    afford_by_rank = afford_matrix(market, cutoffs)[np.arange(n)[:, None], market.prefs]
-    first = afford_by_rank.argmax(axis=1)
-    chosen = market.prefs[np.arange(n), first]
-    return np.where(afford_by_rank.any(axis=1), chosen, UNMATCHED)
+def demand_all(market: SampledMarket, cutoffs: np.ndarray, cut_students: np.ndarray) -> np.ndarray:
+    """Each student's favourite college whose bar they clear, UNMATCHED when none."""
+    demand = np.empty(market.n_students, dtype=np.int64)
+    bars = np.asarray(cutoffs, dtype=float)[None], np.asarray(cut_students)[None]
+    for (_, rows), cleared in _cleared_blocks(market.scores[None], *bars):
+        prefs = market.prefs[rows]
+        k = np.arange(len(prefs))
+        by_rank = cleared[0][k[:, None], prefs]
+        first = by_rank.argmax(axis=1)
+        demand[rows] = np.where(by_rank[k, first], prefs[k, first], UNMATCHED)
+    return demand
 
 
-def check_market_clearing(market: SampledMarket, cutoffs: np.ndarray, capacities) -> np.ndarray:
+def check_market_clearing(
+    market: SampledMarket, cutoffs: np.ndarray, cut_students: np.ndarray, capacities
+) -> np.ndarray:
     """Demand count minus capacity per college; all zeros means clearing."""
     caps = np.asarray(capacities, dtype=int)
-    d = demand_all(market, cutoffs)
+    d = demand_all(market, cutoffs, cut_students)
     counts = np.bincount(d[d != UNMATCHED], minlength=len(caps))
     return counts - caps
-
-
-def dense_cluster(cutoffs: np.ndarray, delta: float, m_min: int) -> tuple[float | None, int]:
-    """Smallest cutoff value whose window [p, p+delta] holds >= m_min cutoffs.
-
-    Underfilled (-inf) entries are excluded.  The minimiser is always
-    attained at a cutoff value, so only those are scanned.
-    """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if m_min < 1:
-        raise ValueError(f"m_min must be >= 1, got {m_min}")
-    finite = np.sort(np.asarray(cutoffs)[np.isfinite(cutoffs)])
-    hi = np.searchsorted(finite, finite + delta, side="right")
-    counts = hi - np.arange(len(finite))
-    qualifying = np.nonzero(counts >= m_min)[0]
-    if len(qualifying) == 0:
-        return None, 0
-    i = qualifying[0]
-    return float(finite[i]), int(counts[i])
 
 
 def rate_exponent(beta: float, gamma: float) -> float:

@@ -89,10 +89,12 @@ def equal_width_edges(support: tuple[float, float], n_bins: int = 50) -> tuple[f
 
 
 def trim_coalition(cutoffs, college_indices, epsilon: float) -> tuple[int, ...]:
-    """Drop the floor(epsilon * |C|) members with the lowest cutoffs.
+    """Drop the floor(epsilon * |C| + 1e-9) members with the lowest cutoffs,
+    breaking ties toward the lower college index.
 
-    Ties break toward dropping the lower college index; the survivors are
-    exactly the ceil((1 - epsilon) * |C|) highest-cutoff colleges.
+    That keeps ceil((1 - epsilon) * |C|) members, or one fewer when
+    epsilon * |C| lies less than 1e-9 below an integer, so an epsilon within
+    about 1e-9 / |C| of 1 keeps none (1 - 1e-12 with |C| = 20 does).
     """
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
@@ -181,18 +183,20 @@ def _run_stack(config: EconomyConfig, plan: ExperimentPlan, stack: range):
     values, prefs, scores = sample_stack(config, stack)
     sampled = time.perf_counter()
     try:
-        assignment, cuts = stacked_deferred_acceptance(prefs, scores, config.capacities())
+        assignment, cuts, cut_students = stacked_deferred_acceptance(
+            prefs, scores, config.capacities()
+        )
         matched = time.perf_counter()
         afford = {}
         for coalition_id, eps in _afford_requests(plan):
             members = config.coalition_members(coalition_id)
-            # NaN bars the other colleges: no score, +inf included, is >= NaN.
-            # Comparing in place avoids copying the kept score columns.
+            # NaN bars the other colleges: no score, +inf included, reaches
+            # NaN.  Comparing in place avoids copying the kept score columns.
             bars = np.full(cuts.shape, np.nan)
             kept = _survivors(cuts, members, eps)
             slot = np.arange(len(cuts))[:, None]
             bars[slot, kept] = cuts[slot, kept]
-            afford[(coalition_id, eps)] = afford_any_stacked(scores, bars)
+            afford[(coalition_id, eps)] = afford_any_stacked(scores, bars, cut_students)
     except (ConfigError, ValueError, RuntimeError) as e:
         raise ReplicationError.naming(stack, e) from e
     seconds = np.diff([started, sampled, matched, time.perf_counter()])

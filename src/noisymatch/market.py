@@ -39,8 +39,8 @@ STREAM_NOISE = 2
 #   stacked_deferred_acceptance per stack (a larger market is stacked alone),
 #   so a stack of small markets is sampled as one block and matched as one
 #   numpy fixed point, and the stack's prefs and scores stay under 2.5 MiB;
-# - afford_any_stacked compares at most this many cells at a time, into one
-#   reused boolean block of 256 KiB.
+# - afford_any_stacked and demand_all compare at most this many cells with
+#   the colleges' bars at a time.
 # Median sample_market time and tracemalloc's peak beyond the finished
 # market, fig1 shape with Pareto noise, blocks of 2^16 / 2^18 / 2^20 cells
 # (Python 3.11, numpy 2.4, 2-vCPU machine; taken when Pareto noise was drawn
@@ -60,6 +60,8 @@ STREAM_NOISE = 2
 # against blocks of 2^16 / 2^18 / 2^20 cells, interleaved (same machine):
 #   fig2,        n=2000,  C=40:   0.20 vs 0.21 / 0.20 / 0.20 ms
 #   fig1 Pareto, n=20000, C=1000: 25.5 vs 25.4 / 24.7 / 24.4 ms
+# (taken with the one score >= cutoff comparison; the (score, student) bar,
+# whose tie branch runs in every block, takes the C=1000 call to ~70 ms)
 _BLOCK_CELLS = 1 << 18
 
 # Markets of at least this many cells may draw the preference stream on a

@@ -22,10 +22,11 @@ UNMATCHED = -1
 
 @dataclass(frozen=True)
 class Matching:
-    """A matching as its assignment and each college's admission cutoff."""
+    """A matching as its assignment and each college's (score, student) bar."""
 
     assignment: np.ndarray  # (n_students,) college index or UNMATCHED
     cutoffs: np.ndarray  # (n_colleges,) lowest admitted score; -inf with a free seat
+    cut_students: np.ndarray  # (n_colleges,) worst admit at that score; n with a free seat
     capacities: tuple[int, ...]
 
 
@@ -114,13 +115,13 @@ def deferred_acceptance(market: SampledMarket, capacities: Sequence[int]) -> Mat
     The market's prefs and scores are matched in place, without a copy.
     """
     caps = _capacity_list(capacities, market.n_colleges)
-    assignment, cutoffs = stacked_deferred_acceptance(market.prefs[None], market.scores[None], caps)
-    return Matching(assignment[0], cutoffs[0], tuple(caps))
+    stacked = stacked_deferred_acceptance(market.prefs[None], market.scores[None], caps)
+    return Matching(*(part[0] for part in stacked), tuple(caps))
 
 
 def stacked_deferred_acceptance(
     prefs: np.ndarray, scores: np.ndarray, capacities: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Student-optimal stable matchings of R markets of one shape, in one pass.
 
     ``prefs`` and ``scores`` are (R, n, C) stacks of the markets' matrices,
@@ -150,8 +151,8 @@ def stacked_deferred_acceptance(
     them on a helper thread.  The result is the same either way.
 
     Returns the (R, n) assignment, in each slot's own college indices or
-    UNMATCHED, and the (R, C) cutoffs: a full college's lowest admitted
-    score, -inf with a free seat.
+    UNMATCHED, and each college's worst admit as (R, C) cutoffs and cut
+    students (in the slot's own indices), -inf and n with a free seat.
     """
     n_markets, n, n_colleges = scores.shape
     cap = np.tile(np.asarray(_capacity_list(capacities, n_colleges), dtype=np.int64), n_markets)
@@ -218,10 +219,11 @@ def stacked_deferred_acceptance(
 
     matched = np.flatnonzero(college != UNMATCHED)
     col = college[matched]
-    cutoffs, _ = _worst_admits(col, matched, scores[at_union[matched] + col], cap, len(college))
+    # a college's admits all sit in one slot, so slot-local indices order them alike
+    cutoffs, cut_students = _worst_admits(col, matched % n, scores[at_union[matched] + col], cap, n)
     if first is not None:
         college[matched] -= first[matched]
-    return college.reshape(n_markets, n), cutoffs.reshape(n_markets, n_colleges)
+    return tuple(part.reshape(n_markets, -1) for part in (college, cutoffs, cut_students))
 
 
 def _advance(rejected, n_colleges, prefs, scores, row, first, cut_score, cut_student, pos, college):

@@ -15,12 +15,7 @@ import numpy as np
 import pytest
 
 from noisymatch.cli import EXIT_OK, main as cli_main
-from noisymatch.cutoffs import (
-    check_market_clearing,
-    demand_all,
-    extract_cutoffs,
-    rate_exponent,
-)
+from noisymatch.cutoffs import check_market_clearing, demand_all, rate_exponent
 from noisymatch.estimation import (
     amplification_metrics,
     attenuation_metrics,
@@ -170,9 +165,9 @@ def test_criterion_2_cutoff_characterization(small_economy_results):
     mismatches = 0
     worst_excess = 0
     for config, market, matching, _pairs in results:
-        cuts = extract_cutoffs(matching)
-        mismatches += int((demand_all(market, cuts) != matching.assignment).sum())
-        excess = check_market_clearing(market, cuts, config.capacities())
+        bar = matching.cutoffs, matching.cut_students
+        mismatches += int((demand_all(market, *bar) != matching.assignment).sum())
+        excess = check_market_clearing(market, *bar, config.capacities())
         worst_excess = max(worst_excess, int(np.abs(excess).max()))
     ok = mismatches == 0 and worst_excess == 0
     assert report(
@@ -277,9 +272,9 @@ def test_criterion_3_oracle_equivalence():
                 for columns in column_iter_factory()
             ]
             scores = np.array(stack, dtype=float)
-            assignment, _ = stacked_deferred_acceptance(
+            assignment = stacked_deferred_acceptance(
                 np.broadcast_to(np.array(prefs), scores.shape), scores, [1] * c
-            )
+            )[0]
             for got, score_rows in zip(assignment.tolist(), stack):
                 if not _check_against_oracle(got, score_rows, tables, n):
                     failures += 1

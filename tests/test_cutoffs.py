@@ -1,19 +1,21 @@
-"""Unit tests for cutoff extraction, demand, clearing, and diagnostics."""
+"""Unit tests for cutoffs, demand, clearing, and the decay-rate exponent."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from noisymatch.cutoffs import (
+    afford_any_stacked,
     check_market_clearing,
     demand_all,
-    dense_cluster,
-    extract_cutoffs,
     rate_exponent,
 )
-from noisymatch.matching import UNMATCHED, deferred_acceptance
-from test_matching import make_market
+from noisymatch.market import sample_market
+from noisymatch.matching import UNMATCHED, deferred_acceptance, stacked_deferred_acceptance
+from noisymatch.presets import fig2
+from test_matching import clears, heap_deferred_acceptance, make_market, tie_heavy_stacks
 
 
 def random_market(rng, n=None, c=None):
@@ -32,40 +34,51 @@ class TestExtractCutoffs:
             [[0]] * 4, [[0.9], [0.7], [0.8], [0.2]]
         )
         m = deferred_acceptance(market, [3])
-        assert extract_cutoffs(m).tolist() == [0.7]
+        assert m.cutoffs.tolist() == [0.7]
+        assert m.cut_students.tolist() == [1]
 
     def test_underfilled_is_minus_inf(self):
         market = make_market([[0, 1], [0, 1]], [[0.9, 0.1], [0.5, 0.2]])
         # student 1 loses college 0 and takes one of college 1's two seats
         m = deferred_acceptance(market, [1, 2])
         assert m.assignment.tolist() == [0, 1]
-        cuts = extract_cutoffs(m)
-        assert cuts[0] == 0.9
-        assert cuts[1] == -np.inf
+        assert m.cutoffs.tolist() == [0.9, -np.inf]
+        assert m.cut_students.tolist() == [0, 2]
+
+
+def every_student(market):
+    """Bar students for bare float cutoffs: n, which a score equal to the cutoff clears."""
+    return np.full(market.n_colleges, market.n_students)
 
 
 class TestDemand:
     def test_everything_affordable_takes_first_choice(self):
         market = make_market([[2, 0, 1]], [[0.1, 0.2, 0.3]])
         cuts = np.array([-np.inf, -np.inf, -np.inf])
-        assert demand_all(market, cuts).tolist() == [2]
+        assert demand_all(market, cuts, every_student(market)).tolist() == [2]
 
     def test_nothing_affordable_is_none(self):
         market = make_market([[0, 1]], [[0.5, 0.5]])
         cuts = np.array([1.5, 1.5])
-        assert demand_all(market, cuts).tolist() == [UNMATCHED]
+        assert demand_all(market, cuts, every_student(market)).tolist() == [UNMATCHED]
 
     def test_second_choice_when_first_unaffordable(self):
         market = make_market([[1, 0, 2]], [[0.8, 0.4, 0.9]])
         cuts = np.array([0.7, 0.9, 1.5])  # first choice (college 1) priced out
-        assert demand_all(market, cuts).tolist() == [0]
+        assert demand_all(market, cuts, every_student(market)).tolist() == [0]
 
     def test_demand_all_matches_scalar_demand(self, rng):
+        # scores and cutoffs on a 5-point grid, so scores tie the bars
         market, caps = random_market(rng, n=40, c=4)
-        cuts = rng.normal(0, 1, 4)
-        vec = demand_all(market, cuts)
+        market.scores[:] = rng.integers(0, 5, market.scores.shape) / 4
+        cuts = rng.integers(0, 5, 4) / 4
+        cut_students = rng.integers(0, 41, 4)
+        vec = demand_all(market, cuts, cut_students)
         for s in range(40):
-            affordable = [c for c in market.prefs[s] if market.scores[s, c] >= cuts[c]]
+            scores = market.scores[s]
+            affordable = [
+                c for c in market.prefs[s] if clears(scores[c], s, cuts[c], cut_students[c])
+            ]
             assert vec[s] == (affordable[0] if affordable else UNMATCHED)
 
     def test_raising_one_cutoff_never_improves_demand(self, rng):
@@ -74,11 +87,11 @@ class TestDemand:
             market, caps = random_market(rng)
             c = market.n_colleges
             cuts = rng.normal(0, 1, c)
-            before = demand_all(market, cuts)
+            before = demand_all(market, cuts, every_student(market))
             bumped = cuts.copy()
             j = int(rng.integers(0, c))
             bumped[j] += float(rng.exponential(1.0))
-            after = demand_all(market, bumped)
+            after = demand_all(market, bumped, every_student(market))
             rank = np.argsort(market.prefs, axis=1)
             n = market.n_students
             r_before = np.where(
@@ -96,79 +109,78 @@ class TestMarketClearing:
         for _ in range(15):
             market, caps = random_market(rng)
             m = deferred_acceptance(market, caps)
-            cuts = extract_cutoffs(m)
-            assert (check_market_clearing(market, cuts, caps) == 0).all()
-            assert np.array_equal(demand_all(market, cuts), m.assignment)
+            bar = m.cutoffs, m.cut_students
+            assert (check_market_clearing(market, *bar, caps) == 0).all()
+            assert np.array_equal(demand_all(market, *bar), m.assignment)
 
     def test_a_tie_at_a_full_college_s_cutoff_is_not_cleared(self):
         # two students scored 0.5 for one seat: deferred acceptance gives it
-        # to the lower index, but both reach the cutoff, so demand does not
-        # reproduce the assignment
+        # to the lower index, which is the bar's student, so only the admit
+        # clears the bar and demand reproduces the assignment
         market = make_market([[0], [0]], [[0.5], [0.5]])
         m = deferred_acceptance(market, [1])
         assert m.assignment.tolist() == [0, UNMATCHED]
-        assert extract_cutoffs(m).tolist() == [0.5]
-        assert demand_all(market, m.cutoffs).tolist() == [0, 0]
-        assert check_market_clearing(market, m.cutoffs, [1]).tolist() == [1]
+        assert m.cutoffs.tolist() == [0.5]
+        assert m.cut_students.tolist() == [0]
+        assert demand_all(market, m.cutoffs, m.cut_students).tolist() == [0, UNMATCHED]
+        assert check_market_clearing(market, m.cutoffs, m.cut_students, [1]).tolist() == [0]
 
     def test_lowered_cutoffs_create_excess(self):
         market = make_market(
             [[0], [0], [0]], [[0.9], [0.6], [0.3]]
         )
         m = deferred_acceptance(market, [1])
-        cuts = extract_cutoffs(m) - 1.0
-        excess = check_market_clearing(market, cuts, [1])
+        cuts = m.cutoffs - 1.0
+        excess = check_market_clearing(market, cuts, every_student(market), [1])
         assert excess[0] > 0
 
     def test_raised_cutoffs_zero_demand(self, rng):
         market, caps = random_market(rng, n=30, c=3)
         cuts = np.full(3, 100.0)
-        excess = check_market_clearing(market, cuts, caps)
+        excess = check_market_clearing(market, cuts, every_student(market), caps)
         assert excess.tolist() == [-c for c in caps]
 
 
-class TestDenseCluster:
-    def test_window_count_example(self):
-        p, count = dense_cluster(np.array([0.0, 0.01, 0.02, 5.0]), 0.05, 3)
-        assert p == 0.0 and count == 3
+class TestOneTieRule:
+    """Demand, clearing and affordability compare scores with the bars of
+    deferred acceptance by the fixed point's own rule, ties included."""
 
-    def test_no_qualifying_window(self):
-        assert dense_cluster(np.array([0.0, 1.0, 2.0, 3.0]), 0.5, 2) == (None, 0)
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_stacks())
+    def test_demand_and_affordability_reproduce_the_matching(self, case):
+        markets, caps = case
+        prefs = np.stack([m.prefs for m in markets])
+        scores = np.stack([m.scores for m in markets])
+        assignment, cuts, cut_students = stacked_deferred_acceptance(prefs, scores, caps)
+        n = len(markets[0].prefs)
+        for r, market in enumerate(markets):
+            # the heap reference reckons its bar students in plain Python
+            heap = heap_deferred_acceptance(market, caps)
+            assert cut_students[r].tolist() == heap.cut_students.tolist()
+            bar = cuts[r], cut_students[r]
+            assert demand_all(market, *bar).tolist() == assignment[r].tolist()
+            # every full college clears exactly; the others keep their free seats
+            excess = check_market_clearing(market, *bar, caps)
+            full = cut_students[r] < n
+            assert (excess[full] == 0).all() and (excess[~full] < 0).all()
+        # one coalition of every college at epsilon 0 keeps every bar
+        afford = afford_any_stacked(scores, cuts, cut_students)
+        assert np.array_equal(afford, assignment != UNMATCHED)
 
-    def test_uniform_cutoffs_have_low_dense_window(self, rng):
-        cuts = rng.random(1000)
-        p, count = dense_cluster(cuts, 0.1, 50)
-        assert p is not None and p <= 0.05
-        assert count >= 50
-
-    def test_ignores_underfilled_entries(self):
-        cuts = np.array([-np.inf, 0.5, 0.52, -np.inf])
-        p, count = dense_cluster(cuts, 0.05, 2)
-        assert p == 0.5 and count == 2
-
-    def test_parameter_domains(self):
-        with pytest.raises(ValueError):
-            dense_cluster(np.array([0.0]), 0.0, 1)
-        with pytest.raises(ValueError):
-            dense_cluster(np.array([0.0]), 0.1, 0)
-
-    @given(
-        st.lists(st.floats(-100, 100), min_size=1, max_size=200),
-        st.floats(0.01, 50),
-        st.integers(1, 20),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_agrees_with_quadratic_scan(self, cuts, delta, m_min):
-        cuts = np.asarray(cuts)
-        got = dense_cluster(cuts, delta, m_min)
-        # brute force: check every cutoff as a window start
-        best = None
-        for p in sorted(cuts):
-            count = int(((cuts >= p) & (cuts <= p + delta)).sum())
-            if count >= m_min:
-                best = (float(p), count)
-                break
-        assert got == (best if best is not None else (None, 0))
+    def test_demand_builds_no_n_by_c_table(self):
+        # numpy reports its buffers to tracemalloc; the smallest n x C array
+        # is a boolean one of n * C bytes
+        config, _ = fig2(colleges=100, n_students=20000, replications=1)
+        market = sample_market(config, 0)
+        m = deferred_acceptance(market, config.capacities())
+        tracemalloc.start()
+        try:
+            demand = demand_all(market, m.cutoffs, m.cut_students)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(demand, m.assignment)
+        assert peak < market.n_students * market.n_colleges
 
 
 class TestRateExponent:

@@ -27,7 +27,6 @@ from noisymatch.estimation import (
     steepest_ascent_bin,
     trim_coalition,
 )
-from noisymatch.cutoffs import extract_cutoffs
 from noisymatch.market import (
     Coalition,
     College,
@@ -40,6 +39,7 @@ from noisymatch.market import (
 from noisymatch.matching import UNMATCHED, deferred_acceptance, stacked_deferred_acceptance
 from noisymatch.noise import Pareto, Uniform
 from noisymatch.presets import fig1, fig2
+from test_matching import clears
 
 
 def small_pool(n=400, colleges=4, noise=Uniform(0, 1), seed=17, replications=5):
@@ -348,7 +348,7 @@ class TestAffordability:
 
     @pytest.mark.parametrize(
         "colleges, noise",
-        [(20, "uniform"), (1, "uniform"), (3, "heavy")],
+        [(20, "uniform"), (1, "uniform"), (10, "heavy")],
         ids=["fig2-20", "one-college", "infinite-scores"],
     )
     def test_matches_kept_column_expression(self, colleges, noise):
@@ -365,16 +365,23 @@ class TestAffordability:
         market = sample_market(config, 0)
         if noise == "heavy":
             assert np.isinf(market.scores).any()
-        cuts = extract_cutoffs(deferred_acceptance(market, config.capacities()))
+        matched = deferred_acceptance(market, config.capacities())
+        cuts = matched.cutoffs
+        if noise == "heavy":
+            # full colleges whose worst admit scored +inf, where students
+            # rejected at +inf tie the bar
+            assert np.isposinf(cuts).any()
         _, _, afford, got_cuts, _ = _run_chunk(config, plan, range(1))
         assert np.array_equal(got_cuts[0], cuts)
+        scores = market.scores.tolist()
         for k in (1, 2):
             for eps in self.TRIMS:
-                kept = list(trim_coalition(cuts, config.coalition_members(k), eps))
-                if kept:
-                    want = (market.scores[:, kept] >= cuts[kept]).any(axis=1)
-                else:
-                    want = np.zeros(config.n_students, dtype=bool)
+                kept = trim_coalition(cuts, config.coalition_members(k), eps)
+                bars = [(c, cuts[c], matched.cut_students[c]) for c in kept]
+                want = [
+                    any(clears(row[c], s, *bar) for c, *bar in bars)
+                    for s, row in enumerate(scores)
+                ]
                 assert afford[(k, eps)].dtype == bool
                 assert np.array_equal(afford[(k, eps)][0], want), (k, eps)
             assert not afford[(k, 1 - 1e-12)].any()
@@ -390,15 +397,25 @@ class TestAffordability:
     )
     def test_stacked_blocks_match_the_whole_comparison(self, cells, monkeypatch):
         # seven markets: blocks of seven rows, of three whole markets (the
-        # last holding one), or of all seven
+        # last holding one), or of all seven.  Scores and bars sit on a
+        # 41-point grid, so about one score in 41 ties its bar.
         monkeypatch.setattr(market_module, "_BLOCK_CELLS", cells)
         rng = np.random.default_rng(4)
-        scores = rng.random((7, 600, 40))
+        scores = rng.integers(0, 41, (7, 600, 40)) / 40
         scores[0, :5] = np.inf
-        bars = rng.uniform(0.9, 1.0, (7, 40))
+        bars = rng.integers(39, 41, (7, 40)) / 40
         bars[:, ::3] = np.nan
-        got = cutoffs.afford_any_stacked(scores, bars)
-        assert np.array_equal(got, (scores >= bars[:, None]).any(axis=2))
+        bars[0, 1] = np.inf
+        bar_students = rng.integers(0, 601, (7, 40))
+        got = cutoffs.afford_any_stacked(scores, bars, bar_students)
+        want = [
+            [
+                any(clears(sc, s, cut, who) for sc, cut, who in zip(row, bars[r], bar_students[r]))
+                for s, row in enumerate(market)
+            ]
+            for r, market in enumerate(scores.tolist())
+        ]
+        assert got.tolist() == want
         assert got.any() and not got.all()
 
     def test_builds_no_n_by_c_table(self, monkeypatch):
@@ -407,7 +424,7 @@ class TestAffordability:
         config, plan = fig2(colleges=100, n_students=20000, replications=1)
         market = sample_market(config, 0)
         matching = deferred_acceptance(market, config.capacities())
-        matched = matching.assignment[None], matching.cutoffs[None]
+        matched = matching.assignment[None], matching.cutoffs[None], matching.cut_students[None]
         stack = market.values[None], market.prefs[None], market.scores[None]
         monkeypatch.setattr(estimation, "sample_stack", lambda *args, **kwargs: stack)
         monkeypatch.setattr(estimation, "stacked_deferred_acceptance", lambda *a, **kw: matched)

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisymatch import matching
-from noisymatch.cutoffs import check_market_clearing, demand_all, extract_cutoffs
+from noisymatch.cutoffs import check_market_clearing, demand_all
 from noisymatch.estimation import run_replications
 from noisymatch import market as market_module
 from noisymatch.market import SampledMarket, helper_threads_allowed, sample_market, usable_cpus
@@ -56,6 +56,12 @@ def college_prefers(scores, c, s, t):
     return (scores[s][c], -s) > (scores[t][c], -t)
 
 
+def clears(score, student, cut, cut_student):
+    """Whether a student's score reaches a college's bar (cut, cut_student):
+    a higher score, or an equal one and an index no higher than the bar's."""
+    return score > cut or (score == cut and student <= cut_student)
+
+
 def blocking_pairs_by_definition(assign, prefs, scores, caps):
     """Yield every blocking pair of an assignment in (student, college) order."""
     n, n_colleges = len(prefs), len(caps)
@@ -85,13 +91,27 @@ def roster_minimum_cutoffs(assign, scores, caps):
     return cutoffs
 
 
+def roster_bar_students(assign, scores, caps):
+    """Of each full college's admits tied at its lowest score, the highest
+    index; n with a free seat."""
+    bars = []
+    for c, cap in enumerate(caps):
+        admitted = [s for s in range(len(assign)) if assign[s] == c]
+        if len(admitted) < cap:
+            bars.append(len(assign))
+        else:
+            low = min(scores[s][c] for s in admitted)
+            bars.append(max(s for s in admitted if scores[s][c] == low))
+    return bars
+
+
 def heap_deferred_acceptance(market, capacities):
     """Reference: student-proposing deferred acceptance, one proposal at a time.
 
     Each college keeps a min-heap of tentatively admitted students keyed by
     (score, -student), so the worst admit pops first and a displaced student
-    resumes proposing from their next choice.  The cutoffs are the roster
-    minimum of the final assignment.
+    resumes proposing from their next choice.  The cutoffs and bar students
+    are the roster minimum of the final assignment and its tied admits.
     """
     caps = [int(c) for c in capacities]
     n, n_colleges = market.scores.shape
@@ -121,7 +141,8 @@ def heap_deferred_acceptance(market, capacities):
                 break
 
     cutoffs = roster_minimum_cutoffs(assignment, scores, caps)
-    return Matching(np.array(assignment, dtype=int), np.array(cutoffs), tuple(caps))
+    bar_students = np.array(roster_bar_students(assignment, scores, caps), dtype=np.int64)
+    return Matching(np.array(assignment, dtype=int), np.array(cutoffs), bar_students, tuple(caps))
 
 
 def stacked_alone(market, capacities):
@@ -279,7 +300,7 @@ class TestOracleEquivalence:
         for prefs in itertools.product(pref_options, repeat=n):
             prefs = [list(p) for p in prefs]
             stack = np.broadcast_to(np.array(prefs), grid.shape)
-            assignment, _ = stacked_deferred_acceptance(stack, grid, [1, 1])
+            assignment = stacked_deferred_acceptance(stack, grid, [1, 1])[0]
             for scores, got in zip(grid.tolist(), assignment.tolist()):
                 stable = enumerate_stable(prefs, scores, [1, 1])
                 assert tuple(got) in stable
@@ -327,6 +348,8 @@ def assert_same_matching(got, want):
     assert got.assignment.dtype == want.assignment.dtype
     assert got.capacities == want.capacities
     assert np.array_equal(got.cutoffs, want.cutoffs)
+    assert np.array_equal(got.cut_students, want.cut_students)
+    assert got.cut_students.dtype == want.cut_students.dtype
 
 
 class TestVectorisedPath:
@@ -392,7 +415,7 @@ class TestVectorisedPath:
         for r in range(plan.replications):
             heap = heap_deferred_acceptance(sample_market(config, r), caps)
             assert np.array_equal(records.assignment[r], heap.assignment)
-            assert np.array_equal(records.cutoffs[r], extract_cutoffs(heap))
+            assert np.array_equal(records.cutoffs[r], heap.cutoffs)
 
 
 @st.composite
@@ -426,14 +449,16 @@ class TestStackedPath:
             assert (repeat * k * c > np.iinfo(np.int16).max + 1) == copies
             prefs = np.stack([m.prefs for m in markets] * repeat).astype(np.int16)
             scores = np.stack([m.scores for m in markets] * repeat)
-            assignment, cutoffs = stacked_deferred_acceptance(prefs, scores, caps)
+            assignment, cutoffs, cut_students = stacked_deferred_acceptance(prefs, scores, caps)
             n = markets[0].n_students
             assignment = assignment.reshape(repeat, k, n)
             cutoffs = cutoffs.reshape(repeat, k, c)
+            cut_students = cut_students.reshape(repeat, k, c)
             for r, market in enumerate(markets):
                 alone = heap_deferred_acceptance(market, caps)
                 assert (assignment[:, r] == alone.assignment).all()
                 assert (cutoffs[:, r] == alone.cutoffs).all()
+                assert (cut_students[:, r] == alone.cut_students).all()
 
         check()
 
@@ -477,11 +502,11 @@ class TestNarrowPrefs:
             assert find_blocking_pairs(got, market) == find_blocking_pairs(got, wide) == []
         empty = dataclasses.replace(got, assignment=np.full(n, UNMATCHED))
         assert find_blocking_pairs(empty, market) == find_blocking_pairs(empty, wide) != []
-        cuts = extract_cutoffs(got)
-        for bar in (cuts, cuts - 0.2, cuts + 0.2):
-            assert np.array_equal(demand_all(market, bar), demand_all(wide, bar))
+        for cuts in (got.cutoffs, got.cutoffs - 0.2, got.cutoffs + 0.2):
+            bar = cuts, got.cut_students
+            assert np.array_equal(demand_all(market, *bar), demand_all(wide, *bar))
             assert np.array_equal(
-                check_market_clearing(market, bar, caps), check_market_clearing(wide, bar, caps)
+                check_market_clearing(market, *bar, caps), check_market_clearing(wide, *bar, caps)
             )
 
 
