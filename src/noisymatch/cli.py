@@ -74,18 +74,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _build_doc(args) -> dict:
     if args.preset is not None:
-        given = ("colleges", "noise", "seed", "replications")
+        given = ("colleges", "noise")
         kwargs = {key: getattr(args, key) for key in given if getattr(args, key) is not None}
-        config, plan = preset(args.preset, **kwargs)
-        doc = config_to_dict(config, plan)
+        doc = config_to_dict(*preset(args.preset, **kwargs))
     else:
         doc = load_config_file(args.config)
         if args.noise is not None or args.colleges is not None:
             raise ConfigError("--noise/--colleges apply to presets only; use --set for files")
-        if args.seed is not None:
-            doc["master_seed"] = args.seed
-        if args.replications is not None:
-            doc.setdefault("plan", {})["replications"] = args.replications
+    if args.seed is not None:
+        doc["master_seed"] = args.seed
+    if args.replications is not None:
+        doc.setdefault("plan", {})["replications"] = args.replications
     return apply_overrides(doc, args.overrides)
 
 

@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 from .errors import ConfigError, finite_number
-from .estimation import ExperimentPlan, curve_from_dict
+from .estimation import ExperimentPlan, check_plan, curve_from_dict
 from .market import (
     Coalition,
     College,
@@ -139,26 +139,8 @@ def dict_to_config(doc: dict) -> tuple[EconomyConfig, ExperimentPlan]:
     except KeyError as e:
         raise ConfigError(f"config: missing required field {e.args[0]!r}") from e
     _reject_unknown_fields(doc, config_to_dict(config, plan))
-    _check_bin_edges(config, plan)
+    check_plan(config, plan)
     return config, plan
-
-
-def _check_bin_edges(config: EconomyConfig, plan: ExperimentPlan) -> None:
-    """Reject edges that do not span the values of every coalition a curve bins.
-
-    A value outside the edges would be counted in an end bin and skew it.
-    """
-    lo, hi = plan.bin_edges[0], plan.bin_edges[-1]
-    binned = {c.coalition_id for c in plan.curves}
-    if None in binned and len(config.coalitions) == 1:
-        binned.add(config.coalitions[0].id)
-    for i, k in enumerate(config.coalitions):
-        a, b = k.values.support()
-        if k.id in binned and not lo <= a <= b <= hi:
-            raise ConfigError(
-                f"plan.bin_edges: [{lo!r}, {hi!r}] does not cover the support "
-                f"[{a!r}, {b!r}] of coalitions[{i}].values"
-            )
 
 
 def canonical_json(doc: dict) -> str:

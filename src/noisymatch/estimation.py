@@ -89,13 +89,8 @@ def equal_width_edges(support: tuple[float, float], n_bins: int = 50) -> tuple[f
 
 
 def trim_coalition(cutoffs, college_indices, epsilon: float) -> tuple[int, ...]:
-    """Drop the floor(epsilon * |C| + 1e-9) members with the lowest cutoffs,
-    breaking ties toward the lower college index.
-
-    That keeps ceil((1 - epsilon) * |C|) members, or one fewer when
-    epsilon * |C| lies less than 1e-9 below an integer, so an epsilon within
-    about 1e-9 / |C| of 1 keeps none (1 - 1e-12 with |C| = 20 does).
-    """
+    """Drop the min(floor(epsilon * |C| + 1e-9), |C| - 1) members with the
+    lowest cutoffs, breaking ties toward the lower college index."""
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"epsilon must lie in [0, 1), got {epsilon}")
     kept = _survivors(np.asarray(cutoffs)[None], college_indices, epsilon)[0]
@@ -109,8 +104,8 @@ def _survivors(cutoffs: np.ndarray, college_indices, epsilon: float) -> np.ndarr
     """
     members = np.sort(np.asarray(college_indices, dtype=np.int64))
     # nudge before flooring so eps * |C| that is an integer up to float error
-    # (e.g. 0.3 * 10) lands on the intended count
-    drop = int(np.floor(epsilon * len(members) + 1e-9))
+    # (e.g. 0.3 * 10) lands on the intended count; one member always survives
+    drop = min(int(np.floor(epsilon * len(members) + 1e-9)), len(members) - 1)
     # a stable sort of the ascending members breaks cutoff ties by index
     ranked = members[np.argsort(cutoffs[:, members], axis=1, kind="stable")]
     return ranked[:, drop:]
@@ -217,17 +212,31 @@ def _concatenate(parts, requests):
     )
 
 
-def _check_curves(config: EconomyConfig, plan: ExperimentPlan) -> None:
-    """Reject curves naming a coalition they cannot bin, before any replication runs."""
-    ids = {k.id for k in config.coalitions}
+def check_plan(config: EconomyConfig, plan: ExperimentPlan) -> None:
+    """Reject a plan the config cannot run, before any replication does:
+    a curve naming a coalition it cannot bin, or edges that do not span
+    the values of every coalition a curve bins (a value outside the edges
+    would be counted in an end bin and skew it)."""
+    ids = [k.id for k in config.coalitions]
+    binned = set()
     for i, curve in enumerate(plan.curves):
         cid = curve.coalition_id
         where = f"plan.curves[{i}].coalition"
         if cid is None and isinstance(curve, MatchProbability):
             if len(ids) != 1:
                 raise ConfigError(f"{where}: required for multi-coalition economies")
+            cid = ids[0]
         elif cid not in ids:
             raise ConfigError(f"{where}: coalition {cid!r} has no colleges")
+        binned.add(cid)
+    lo, hi = plan.bin_edges[0], plan.bin_edges[-1]
+    for i, k in enumerate(config.coalitions):
+        a, b = k.values.support()
+        if k.id in binned and not lo <= a <= b <= hi:
+            raise ConfigError(
+                f"plan.bin_edges: [{lo!r}, {hi!r}] does not cover the support "
+                f"[{a!r}, {b!r}] of coalitions[{i}].values"
+            )
 
 
 def run_replications(
@@ -244,7 +253,7 @@ def run_replications(
     """
     if threads < 1:
         raise ValueError(f"threads: must be at least 1, got {threads}")
-    _check_curves(config, plan)
+    check_plan(config, plan)
     n = plan.replications
     if threads > 1 and n > 1:
         # about four chunks per worker: config and plan are pickled once per

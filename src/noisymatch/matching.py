@@ -161,21 +161,15 @@ def stacked_deferred_acceptance(
     n_union = n_markets * n_colleges
     # flat offset of each student's row in prefs and in scores
     row = np.arange(n_markets * n, dtype=np.int64) * n_colleges
-    if n_markets > 1:
-        first = np.repeat(np.arange(n_markets, dtype=np.int64) * n_colleges, n)  # slot's college 0
-        at_union = row - first  # scores row offset for a union college index
-    else:
-        first = None
-        at_union = row
+    first = np.repeat(np.arange(n_markets, dtype=np.int64) * n_colleges, n)  # slot's college 0
+    at_union = row - first  # scores row offset for a union college index
     # up to 32768 colleges, numpy's stable sort of an int16 key is a radix sort
     college_key = prefs_dtype(n_union)
 
     cut_score = np.full(n_union, -np.inf)
     cut_student = np.full(n_union, n_markets * n, dtype=np.int64)
     pos = np.zeros(n_markets * n, dtype=np.int64)  # list position of each current proposal
-    college = prefs[row].astype(np.int64)  # current proposal, UNMATCHED once the list runs out
-    if first is not None:
-        college += first
+    college = prefs[row] + first  # current proposal, UNMATCHED once the list runs out
     scan = (n_colleges, prefs, scores, row, first, cut_score, cut_student, pos, college)
 
     split = sampling.helper_threads_allowed()
@@ -221,8 +215,7 @@ def stacked_deferred_acceptance(
     col = college[matched]
     # a college's admits all sit in one slot, so slot-local indices order them alike
     cutoffs, cut_students = _worst_admits(col, matched % n, scores[at_union[matched] + col], cap, n)
-    if first is not None:
-        college[matched] -= first[matched]
+    college[matched] -= first[matched]
     return tuple(part.reshape(n_markets, -1) for part in (college, cutoffs, cut_students))
 
 
@@ -264,8 +257,7 @@ def _scan_window(
     base = row[rejected, None]
     cand = prefs[base + at]
     sc = scores[base + cand]
-    if first is not None:
-        cand = cand + first[rejected, None]  # the slot's college index in the union
+    cand = cand + first[rejected, None]  # the slot's college index in the union
     ok = _clears(sc, rejected[:, None], cut_score, cut_student, cand)
     first_hit = ok.argmax(axis=1)
     k = np.arange(len(rejected))

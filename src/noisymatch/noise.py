@@ -296,31 +296,21 @@ def long_tail_ratio(
     x: float,
     d: float,
     *,
-    method: str = "auto",
     rng: np.random.Generator | None = None,
     samples: int = 200_000,
 ) -> RatioEstimate:
     """Conditional survival ratio Pr[X > x + d | X > x].
 
-    Closed form (stderr 0) when the spec admits one and method is "auto";
-    otherwise a Monte Carlo estimate with its binomial standard error.
+    The closed form (stderr 0) without an rng; with one, a Monte Carlo
+    estimate from ``samples`` draws with its binomial standard error.
     """
     if d <= 0:
         raise ConfigError(f"d must be positive, got {d}")
-    if method not in ("auto", "closed", "empirical"):
-        raise ConfigError(f"method: unknown method {method!r}")
-    if method in ("auto", "closed"):
-        try:
-            denom = spec.survival(x)
-        except NotImplementedError:
-            if method == "closed":
-                raise
-        else:
-            if denom <= 0.0:
-                raise InsufficientTailMassError(f"Pr[X > {x}] = 0 for {spec!r}")
-            return RatioEstimate(spec.survival(x + d) / denom, 0.0)
     if rng is None:
-        raise ConfigError("empirical long_tail_ratio requires an rng")
+        denom = spec.survival(x)
+        if denom <= 0.0:
+            raise InsufficientTailMassError(f"Pr[X > {x}] = 0 for {spec!r}")
+        return RatioEstimate(spec.survival(x + d) / denom, 0.0)
     draws = spec.sample(rng, samples)
     tail = draws > x
     n_tail = int(tail.sum())

@@ -54,6 +54,39 @@ def split_seats(total: int, count: int) -> list[int]:
     return [base + 1 if i < rem else base for i in range(count)]
 
 
+def _build(coalitions, preferences, curves, *, noise, seed, replications, n_students, bins):
+    """A preset with one coalition per (seats, college count) pair, its
+    seats split equally, colleges numbered from 1 across coalitions in
+    order, and U(0, 1) values and the same noise in every coalition."""
+    colleges = []
+    for k, (seats, count) in enumerate(coalitions, start=1):
+        if count < 1:
+            raise ConfigError(f"colleges: must be >= 1, got {count}")
+        first = len(colleges) + 1
+        colleges += [
+            College(id=first + i, capacity=cap, coalition=k)
+            for i, cap in enumerate(split_seats(seats, count))
+        ]
+    spec = noise_from_token(noise)
+    config = EconomyConfig(
+        n_students=n_students,
+        colleges=tuple(colleges),
+        coalitions=tuple(
+            Coalition(id=k, values=UniformValues(0.0, 1.0), noise=spec)
+            for k in range(1, len(coalitions) + 1)
+        ),
+        preferences=preferences,
+        master_seed=seed,
+    )
+    plan = ExperimentPlan(
+        replications=replications,
+        bin_edges=equal_width_edges((0.0, 1.0), bins),
+        curves=curves,
+        record_cutoffs=True,
+    )
+    return config, plan
+
+
 def fig1(
     *,
     colleges: int = 100,
@@ -61,30 +94,15 @@ def fig1(
     seed: int = DEFAULT_SEED,
     replications: int = DEFAULT_REPLICATIONS,
     n_students: int = DEFAULT_STUDENTS,
-    total_seats: int | None = None,
     bins: int = DEFAULT_BINS,
 ) -> tuple[EconomyConfig, ExperimentPlan]:
-    if colleges < 1:
-        raise ConfigError(f"colleges: must be >= 1, got {colleges}")
-    seats = total_seats if total_seats is not None else n_students // 2
-    spec = noise_from_token(noise)
-    config = EconomyConfig(
-        n_students=n_students,
-        colleges=tuple(
-            College(id=i + 1, capacity=cap, coalition=1)
-            for i, cap in enumerate(split_seats(seats, colleges))
-        ),
-        coalitions=(Coalition(id=1, values=UniformValues(0.0, 1.0), noise=spec),),
-        preferences=UniformRandomPreferences(),
-        master_seed=seed,
+    """One coalition of `colleges` colleges holding n_students // 2 seats."""
+    return _build(
+        [(n_students // 2, colleges)],
+        UniformRandomPreferences(),
+        (MatchProbability(coalition_id=1), AffordProbability(coalition_id=1)),
+        noise=noise, seed=seed, replications=replications, n_students=n_students, bins=bins,
     )
-    plan = ExperimentPlan(
-        replications=replications,
-        bin_edges=equal_width_edges((0.0, 1.0), bins),
-        curves=(MatchProbability(coalition_id=1), AffordProbability(coalition_id=1)),
-        record_cutoffs=True,
-    )
-    return config, plan
 
 
 def fig2(
@@ -97,39 +115,17 @@ def fig2(
     bins: int = DEFAULT_BINS,
 ) -> tuple[EconomyConfig, ExperimentPlan]:
     """Two coalitions of `colleges` colleges each; coalition 1 preferred."""
-    if colleges < 1:
-        raise ConfigError(f"colleges: must be >= 1, got {colleges}")
-    spec = noise_from_token(noise)
-    seats_1 = split_seats(n_students // 4, colleges)
-    seats_2 = split_seats(n_students // 2, colleges)
-    cols = [
-        College(id=i + 1, capacity=cap, coalition=1) for i, cap in enumerate(seats_1)
-    ] + [
-        College(id=colleges + i + 1, capacity=cap, coalition=2)
-        for i, cap in enumerate(seats_2)
-    ]
-    config = EconomyConfig(
-        n_students=n_students,
-        colleges=tuple(cols),
-        coalitions=(
-            Coalition(id=1, values=UniformValues(0.0, 1.0), noise=spec),
-            Coalition(id=2, values=UniformValues(0.0, 1.0), noise=spec),
-        ),
-        preferences=TieredByCoalition(),
-        master_seed=seed,
-    )
-    plan = ExperimentPlan(
-        replications=replications,
-        bin_edges=equal_width_edges((0.0, 1.0), bins),
-        curves=(
+    return _build(
+        [(n_students // 4, colleges), (n_students // 2, colleges)],
+        TieredByCoalition(),
+        (
             MatchProbability(coalition_id=1),
             MatchProbability(coalition_id=2),
             AffordProbability(coalition_id=1, trim_epsilon=0.05),
             AffordProbability(coalition_id=2, trim_epsilon=0.05),
         ),
-        record_cutoffs=True,
+        noise=noise, seed=seed, replications=replications, n_students=n_students, bins=bins,
     )
-    return config, plan
 
 
 def preset(name: str, **overrides) -> tuple[EconomyConfig, ExperimentPlan]:

@@ -505,7 +505,7 @@ def test_criterion_9_tail_diagnostics():
     probe_xs = empirical_quantiles(Exponential(1.0), [0.9, 0.99, 0.999], 100_000, rng)
     for x in probe_xs:
         est = long_tail_ratio(
-            Exponential(1.0), float(x), 1.0, method="empirical", rng=rng, samples=400_000
+            Exponential(1.0), float(x), 1.0, rng=rng, samples=400_000
         )
         exp_detail.append(f"{est.ratio:.4f}±{est.stderr:.4f}")
         if abs(est.ratio - math.exp(-1.0)) > 3 * est.stderr:

@@ -395,12 +395,39 @@ class TestLoadTimeChecks:
         assert "override 'colleges.0.capacity=5': colleges is not an object" in err
         assert not out.exists()
 
-    def test_negative_master_seed_exits_three(self, tmp_path, capsys):
+    # where a run takes one value: a flag on a preset, the file, a flag on a
+    # file, or --set
+    SOURCES = ("preset-flag", "config-file", "config-flag", "set")
+
+    @staticmethod
+    def run_with(source, flag, key, value, tmp_path):
+        path, out = tmp_path / "econ.json", tmp_path / "o"
         doc = small_doc()
-        doc["master_seed"] = -3
-        code, out = run_doc(doc, tmp_path)
+        if source == "config-file":
+            doc = apply_overrides(doc, [f"{key}={value}"])
+        path.write_text(json.dumps(doc))
+        argv = {
+            "preset-flag": ("--preset", "fig1", "--colleges", "2", flag, str(value)),
+            "config-file": ("--config", str(path)),
+            "config-flag": ("--config", str(path), flag, str(value)),
+            "set": ("--preset", "fig1", "--colleges", "2", "--set", f"{key}={value}"),
+        }[source]
+        return run_cli(*argv, "--threads", "1", "--out-dir", str(out)), out
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_negative_master_seed_exits_three(self, source, tmp_path, capsys):
+        code, out = self.run_with(source, "--seed", "master_seed", -3, tmp_path)
         assert code == EXIT_INVARIANT
-        assert "master_seed: must be a non-negative integer, got -3" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "invariant violation: master_seed: must be a non-negative integer, got -3\n"
+        assert not (out / "curves.csv").exists()
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_zero_replications_exits_three(self, source, tmp_path, capsys):
+        code, out = self.run_with(source, "--replications", "plan.replications", 0, tmp_path)
+        assert code == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert err == "invariant violation: plan.replications: must be >= 1, got 0\n"
         assert not (out / "curves.csv").exists()
 
     def test_unbinned_coalition_is_not_checked(self):
@@ -520,16 +547,20 @@ class TestCliContract:
         assert "replication 0: planted failure" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "preset_doc, curve",
+        "preset_doc, curve, message",
         [
-            ("fig1", {"kind": "afford", "coalition": 999, "trim_epsilon": 0.0}),
-            ("fig1", {"kind": "match", "coalition": 999}),
-            ("fig2", {"kind": "match", "coalition": None}),
+            (
+                "fig1",
+                {"kind": "afford", "coalition": 999, "trim_epsilon": 0.0},
+                "coalition 999 has no colleges",
+            ),
+            ("fig1", {"kind": "match", "coalition": 999}, "coalition 999 has no colleges"),
+            ("fig2", {"kind": "match", "coalition": None}, "required for multi-coalition economies"),
         ],
         ids=["afford-unknown", "match-unknown", "match-none-multi"],
     )
     def test_curve_naming_a_bad_coalition_exits_three(
-        self, preset_doc, curve, tmp_path, capsys, monkeypatch
+        self, preset_doc, curve, message, tmp_path, capsys, monkeypatch
     ):
         sampled = []
         monkeypatch.setattr(estimation, "sample_stack", lambda *a, **kw: sampled.append(a))
@@ -540,9 +571,13 @@ class TestCliContract:
             doc = config_to_dict(config, plan)
         i = len(doc["plan"]["curves"])
         doc["plan"]["curves"].append(curve)
+        # the file fails to load, with the message run_replications gives
+        message = f"plan.curves[{i}].coalition: {message}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            dict_to_config(doc)
         code, out = run_doc(doc, tmp_path)
         assert code == EXIT_INVARIANT
-        assert f"plan.curves[{i}].coalition: " in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert sampled == []
         assert not (out / "curves.csv").exists()
 

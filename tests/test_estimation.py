@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import re
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -73,10 +74,12 @@ class TestTrimCoalition:
         assert len(kept) == 19 and 0 not in kept
 
     def test_cardinality_is_ceiling(self):
-        for eps in (0.0, 0.1, 0.3, 0.55, 0.999):
+        for eps in (0.0, 0.1, 0.3, 0.55, 0.999, 1 - 1e-12):
             for size in (1, 3, 10, 17):
                 kept = trim_coalition(np.arange(float(size)), range(size), eps)
-                assert len(kept) == int(np.ceil((1 - eps) * size - 1e-9))
+                # ceil((1 - eps) * size) is at least 1 for any eps < 1; the
+                # nudge that absorbs float error takes it to 0 near eps = 1
+                assert len(kept) == max(1, int(np.ceil((1 - eps) * size - 1e-9)))
                 assert set(kept) <= set(range(size))
 
     def test_epsilon_domain(self):
@@ -294,23 +297,38 @@ class TestRunReplications:
         assert max(beyond) <= bound
         assert beyond[1] <= 1.1 * beyond[0]
 
+    # fig2's plan has four curves, so an added one is plan.curves[4]
+    ADDED = "plan.curves[4].coalition: "
+
     @pytest.mark.parametrize(
-        "curve, message",
+        "curve, values, message",
         [
-            (AffordProbability(coalition_id=999), "coalition 999 has no colleges"),
-            (MatchProbability(coalition_id=999), "coalition 999 has no colleges"),
-            (MatchProbability(), "required for multi-coalition economies"),
+            (AffordProbability(999), None, ADDED + "coalition 999 has no colleges"),
+            (MatchProbability(999), None, ADDED + "coalition 999 has no colleges"),
+            (MatchProbability(), None, ADDED + "required for multi-coalition economies"),
+            # coalition 2, which the plan bins on edges [0, 1], takes U(0, 2) values
+            (
+                None,
+                UniformValues(0.0, 2.0),
+                "plan.bin_edges: [0.0, 1.0] does not cover the support [0.0, 2.0] "
+                "of coalitions[1].values",
+            ),
         ],
-        ids=["afford-unknown", "match-unknown", "match-none-multi"],
+        ids=["afford-unknown", "match-unknown", "match-none-multi", "edges-short"],
     )
-    def test_bad_curve_coalition_fails_before_any_replication(self, curve, message, monkeypatch):
+    def test_bad_curve_coalition_fails_before_any_replication(
+        self, curve, values, message, monkeypatch
+    ):
         config, plan = fig2(colleges=2, replications=2)
         sampled = []
         monkeypatch.setattr(estimation, "sample_stack", lambda *a, **kw: sampled.append(a))
-        bad_plan = replace(plan, curves=plan.curves + (curve,))
-        where = rf"^plan\.curves\[{len(plan.curves)}\]\.coalition: "
-        with pytest.raises(ConfigError, match=where + message + "$"):
-            run_replications(config, bad_plan)
+        if curve is not None:
+            plan = replace(plan, curves=plan.curves + (curve,))
+        if values is not None:
+            first, second = config.coalitions
+            config = replace(config, coalitions=(first, replace(second, values=values)))
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_replications(config, plan)
         assert sampled == []
 
     def test_single_college_serial_dictatorship_oracle(self):
@@ -384,7 +402,12 @@ class TestAffordability:
                 ]
                 assert afford[(k, eps)].dtype == bool
                 assert np.array_equal(afford[(k, eps)][0], want), (k, eps)
-            assert not afford[(k, 1 - 1e-12)].any()
+            # a trim of nearly 1 keeps one member, the one with the top
+            # cutoff (the higher index among ties), and affords by its bar
+            top = max(config.coalition_members(k), key=lambda c: (cuts[c], c))
+            bar = (cuts[top], matched.cut_students[top])
+            want = [clears(row[top], s, *bar) for s, row in enumerate(scores)]
+            assert np.array_equal(afford[(k, 1 - 1e-12)][0], want)
 
     @pytest.mark.parametrize("rows", [1, 7], ids=["one-row", "seven-rows"])
     def test_row_blocks_match_kept_column_expression(self, rows, monkeypatch):

@@ -298,12 +298,12 @@ class TestLongTailRatio:
     def test_empirical_matches_closed_form(self, rng):
         spec = Exponential(1.0)
         for x in (0.5, 1.0, 2.0):
-            est = long_tail_ratio(spec, x=x, d=1.0, method="empirical", rng=rng)
+            est = long_tail_ratio(spec, x=x, d=1.0, rng=rng)
             assert abs(est.ratio - math.exp(-1.0)) < 3 * est.stderr
 
     def test_empirical_zero_denominator(self, rng):
         with pytest.raises(InsufficientTailMassError):
-            long_tail_ratio(Uniform(0, 1), x=2.0, d=0.1, method="empirical", rng=rng)
+            long_tail_ratio(Uniform(0, 1), x=2.0, d=0.1, rng=rng)
 
     def test_bad_gap_rejected(self):
         with pytest.raises(ConfigError, match="d"):
