@@ -26,7 +26,6 @@ from .config_io import (
 )
 from .errors import ConfigError
 from .estimation import (
-    AffordProbability,
     MatchProbability,
     amplification_metrics,
     attenuation_metrics,
@@ -151,57 +150,43 @@ def run(doc: dict, out_dir: Path, threads: int) -> int:
     metric_rows.append(("matched_share", matched_share))
 
     for request in plan.curves:
+        cid = request.coalition_id
         if isinstance(request, MatchProbability):
-            cid = request.coalition_id
             curve = estimate_match_curve(records, coalition_id=cid)
             curve_id = f"match_value{cid}" if cid is not None else "match"
+            if single:
+                v_s = v_s_threshold(config.coalitions[0].values, s_total)
+                att = attenuation_metrics(curve, v_s)
+                metric_rows.append(("v_s", v_s))
+                metric_rows.append(("below_mass", att.below_mass))
+                metric_rows.append(("step_deviation", att.step_deviation))
+                metric_rows.append(("sup_deviation", amplification_metrics(curve, s_total)))
         else:
-            cid = request.coalition_id
             curve = estimate_afford_curve(records, cid, request.trim_epsilon)
             curve_id = f"afford_c{cid}_trim{request.trim_epsilon:g}"
-        curve_rows.extend(_curve_rows(curve_id, curve))
-        if isinstance(request, MatchProbability) and single:
-            v_s = v_s_threshold(config.coalitions[0].values, s_total)
-            att = attenuation_metrics(curve, v_s)
-            metric_rows.append(("v_s", v_s))
-            metric_rows.append(("below_mass", att.below_mass))
-            metric_rows.append(("step_deviation", att.step_deviation))
-            metric_rows.append(("sup_deviation", amplification_metrics(curve, s_total)))
-        if isinstance(request, AffordProbability):
             metric_rows.append((f"{curve_id}_step_location", steepest_ascent_bin(curve)))
+        curve_rows.extend(_curve_rows(curve_id, curve))
 
     if records.cutoffs is not None:
-        for k, coalition in enumerate(config.coalitions):
-            cols = records.college_coalition == k
-            per_rep_min = records.cutoffs[:, cols].min(axis=1)
-            metric_rows.append((f"cutoff_min_mean_c{coalition.id}", per_rep_min.mean()))
-            metric_rows.append(
-                (f"cutoff_mean_mean_c{coalition.id}", records.cutoffs[:, cols].mean())
-            )
-
+        for coalition in config.coalitions:
+            cuts = records.cutoffs[:, config.coalition_members(coalition.id)]
+            metric_rows.append((f"cutoff_min_mean_c{coalition.id}", cuts.min(axis=1).mean()))
+            metric_rows.append((f"cutoff_mean_mean_c{coalition.id}", cuts.mean()))
     marks.append(time.perf_counter())
 
-    outputs = []
-    curves_path = out_dir / "curves.csv"
-    _write_csv(
-        curves_path,
-        ["curve_id", "replication_set", "bin_lo", "bin_hi", "probability", "stderr", "count"],
-        curve_rows,
-    )
-    outputs.append(curves_path.name)
-
-    metrics_path = out_dir / "metrics.csv"
-    _write_csv(
-        metrics_path,
-        ["metric", "value", "config_hash"],
-        [(name, value, digest) for name, value in metric_rows],
-    )
-    outputs.append(metrics_path.name)
-
+    # the CSVs in the order they are written and listed: header and rows
+    tables = {
+        "curves.csv": (
+            ["curve_id", "replication_set", "bin_lo", "bin_hi", "probability", "stderr", "count"],
+            curve_rows,
+        ),
+        "metrics.csv": (
+            ["metric", "value", "config_hash"],
+            [(name, value, digest) for name, value in metric_rows],
+        ),
+    }
     if records.cutoffs is not None:
-        cutoffs_path = out_dir / "cutoffs.csv"
-        _write_csv(
-            cutoffs_path,
+        tables["cutoffs.csv"] = (
             ["replication", "college_id", "coalition_id", "cutoff"],
             (
                 (r, config.colleges[c].id, config.colleges[c].coalition, records.cutoffs[r, c])
@@ -209,7 +194,8 @@ def run(doc: dict, out_dir: Path, threads: int) -> int:
                 for c in range(config.n_colleges)
             ),
         )
-        outputs.append(cutoffs_path.name)
+    for name, (header, rows) in tables.items():
+        _write_csv(out_dir / name, header, rows)
     marks.append(time.perf_counter())
     seconds = dict(zip(("replications", "curves", "output"), np.diff(marks).tolist()))
 
@@ -219,7 +205,7 @@ def run(doc: dict, out_dir: Path, threads: int) -> int:
         "tool_version": __version__,
         "tie_break": "score descending, exact ties to the lower student index",
         "wall_clock_seconds": round(time.time() - started, 3),
-        "outputs": outputs,
+        "outputs": list(tables),
         "effective_config": doc,
         "timings": _timings(seconds, records.stage_seconds),
     }

@@ -13,14 +13,14 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .cutoffs import afford_any_stacked
-from . import market
 from .errors import ConfigError, ReplicationError, finite_number
-from .market import EconomyConfig, sample_stack
+from .market import EconomyConfig, markets_per_stack, sample_stack
 from .matching import UNMATCHED, stacked_deferred_acceptance
 
 
@@ -58,6 +58,8 @@ def curve_from_dict(d: dict, field: str = "plan.curves") -> CurveRequest:
     if kind == "match":
         return MatchProbability(coalition_id=d.get("coalition"))
     if kind == "afford":
+        if "coalition" not in d:
+            raise ConfigError(f"{field}.coalition: missing required field")
         epsilon = finite_number(d.get("trim_epsilon", 0.0), f"{field}.trim_epsilon")
         return AffordProbability(coalition_id=d["coalition"], trim_epsilon=epsilon)
     raise ConfigError(f"{field}: unknown curve kind {kind!r}")
@@ -121,7 +123,6 @@ class ReplicationRecords:
     assignment: np.ndarray  # (R, N) college index or UNMATCHED
     afford: dict[tuple[int, float], np.ndarray]  # (coalition_id, eps) -> (R, N) bool
     cutoffs: np.ndarray | None  # (R, n_colleges)
-    college_coalition: np.ndarray  # (n_colleges,) coalition position
     # seconds spent sampling, matching and measuring affordability, summed
     # over stacks and workers
     stage_seconds: dict[str, float] = field(default_factory=dict, compare=False)
@@ -139,14 +140,8 @@ class ReplicationRecords:
         """(R, N) coalition position of the assigned college, UNMATCHED when none."""
         safe = np.clip(self.assignment, 0, None)
         return np.where(
-            self.assignment != UNMATCHED, self.college_coalition[safe], UNMATCHED
+            self.assignment != UNMATCHED, self.config.coalition_index()[safe], UNMATCHED
         )
-
-    def coalition_position(self, coalition_id) -> int:
-        for k, coalition in enumerate(self.config.coalitions):
-            if coalition.id == coalition_id:
-                return k
-        raise ConfigError(f"unknown coalition id {coalition_id!r}")
 
 
 def _afford_requests(plan: ExperimentPlan) -> list[tuple[int, float]]:
@@ -155,25 +150,16 @@ def _afford_requests(plan: ExperimentPlan) -> list[tuple[int, float]]:
     )
 
 
-def _run_chunk(config: EconomyConfig, plan: ExperimentPlan, replications: range):
-    """Sample, match and measure consecutive replications, in stacks of
-    consecutive markets of at most ``market._BLOCK_CELLS`` cells; a larger
-    market is stacked alone.
-
-    Returns the chunk's values, assignment, afford and cutoffs, each with
-    one leading entry per replication, and the seconds of each stage.
-    """
-    per_stack = max(1, market._BLOCK_CELLS // (config.n_students * config.n_colleges))
-    stacks = [replications[i : i + per_stack] for i in range(0, len(replications), per_stack)]
-    return _concatenate([_run_stack(config, plan, s) for s in stacks], _afford_requests(plan))
-
-
 _STAGES = ("sample", "match", "afford")
 
 
 def _run_stack(config: EconomyConfig, plan: ExperimentPlan, stack: range):
-    """Sample a stack's replications and match them in one call each, and
-    measure affordability on the whole stack."""
+    """Sample a stack of consecutive replications, match it in one call and
+    measure affordability on the whole stack.
+
+    Returns the stack's values, assignment, afford and cutoffs, each with
+    one leading entry per replication, and the seconds of each stage.
+    """
     started = time.perf_counter()
     values, prefs, scores = sample_stack(config, stack)
     sampled = time.perf_counter()
@@ -201,8 +187,6 @@ def _run_stack(config: EconomyConfig, plan: ExperimentPlan, stack: range):
 def _concatenate(parts, requests):
     """Join (values, assignment, afford, cutoffs, seconds) parts along
     replications, summing the seconds."""
-    if len(parts) == 1:
-        return parts[0]
     return (
         np.concatenate([p[0] for p in parts]),
         np.concatenate([p[1] for p in parts]),
@@ -217,22 +201,22 @@ def check_plan(config: EconomyConfig, plan: ExperimentPlan) -> None:
     a curve naming a coalition it cannot bin, or edges that do not span
     the values of every coalition a curve bins (a value outside the edges
     would be counted in an end bin and skew it)."""
-    ids = [k.id for k in config.coalitions]
     binned = set()
     for i, curve in enumerate(plan.curves):
         cid = curve.coalition_id
         where = f"plan.curves[{i}].coalition"
         if cid is None and isinstance(curve, MatchProbability):
-            if len(ids) != 1:
+            if len(config.coalitions) != 1:
                 raise ConfigError(f"{where}: required for multi-coalition economies")
-            cid = ids[0]
-        elif cid not in ids:
-            raise ConfigError(f"{where}: coalition {cid!r} has no colleges")
-        binned.add(cid)
+            cid = config.coalitions[0].id
+        try:
+            binned.add(config.coalition_position(cid))
+        except ConfigError as e:
+            raise ConfigError(f"{where}: {e}") from e
     lo, hi = plan.bin_edges[0], plan.bin_edges[-1]
     for i, k in enumerate(config.coalitions):
         a, b = k.values.support()
-        if k.id in binned and not lo <= a <= b <= hi:
+        if i in binned and not lo <= a <= b <= hi:
             raise ConfigError(
                 f"plan.bin_edges: [{lo!r}, {hi!r}] does not cover the support "
                 f"[{a!r}, {b!r}] of coalitions[{i}].values"
@@ -245,35 +229,36 @@ def run_replications(
     """Run every replication and stack the records in replication order.
 
     Replication r draws its own RNG streams from (master_seed, r), so the
-    result is identical whether replications run serially or in a pool.
-    A serial run is one chunk of consecutive replications and a pool task
-    another; each chunk samples and matches its markets in stacks of up to
-    ``market._BLOCK_CELLS`` cells, which leaves every replication's result
-    as it would be alone.
+    result is identical however replications are grouped.  The run cuts
+    them once into stacks of consecutive markets of at most
+    ``markets_per_stack`` markets (a larger market stands alone), samples
+    and matches each stack in one call, and joins the stacks once, which
+    leaves every replication's result as it would be alone.
     """
     if threads < 1:
         raise ValueError(f"threads: must be at least 1, got {threads}")
     check_plan(config, plan)
     n = plan.replications
-    if threads > 1 and n > 1:
-        # about four chunks per worker: config and plan are pickled once per
-        # chunk, each chunk returns a few stacked arrays, and the load still
-        # balances.  Each worker keeps a core busy, so none starts a helper
-        # thread (market.helper_threads_allowed).
-        size = max(1, n // (4 * threads))
-        chunks = [range(i, min(i + size, n)) for i in range(0, n, size)]
-        k = len(chunks)
+    pooled = threads > 1 and n > 1
+    size = markets_per_stack(config.n_students, config.n_colleges)
+    if pooled:
+        # stacks of at most a quarter of a worker's share balance the load;
+        # pool.map sends them in about four batches a worker, each pickling
+        # config and plan once.  Each worker keeps a core busy, so none
+        # starts a helper thread (market.helper_threads_allowed).
+        size = min(size, max(1, n // (4 * threads)))
+    stacks = [range(i, min(i + size, n)) for i in range(0, n, size)]
+    if pooled:
+        batch = max(1, len(stacks) // (4 * threads))
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_run_chunk, [config] * k, [plan] * k, chunks))
+            parts = list(pool.map(partial(_run_stack, config, plan), stacks, chunksize=batch))
     else:
-        parts = [_run_chunk(config, plan, range(n))]
+        parts = [_run_stack(config, plan, stack) for stack in stacks]
 
     values, assignment, afford, cuts, seconds = _concatenate(parts, _afford_requests(plan))
     if not plan.record_cutoffs:
         cuts = None
-    return ReplicationRecords(
-        config, plan, values, assignment, afford, cuts, config.coalition_index(), seconds
-    )
+    return ReplicationRecords(config, plan, values, assignment, afford, cuts, seconds)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +309,7 @@ def _bin_index(records: ReplicationRecords, coalition_id, bins) -> tuple[np.ndar
             raise ConfigError("coalition_id is required for multi-coalition economies")
         column = 0
     else:
-        column = records.coalition_position(coalition_id)
+        column = records.config.coalition_position(coalition_id)
     key = (column, edges.tobytes())
     if key not in records._bins:
         values = records.values[:, :, column].ravel()

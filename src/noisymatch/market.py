@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import multiprocessing
+import numbers
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -34,11 +35,12 @@ STREAM_NOISE = 2
 #   cells (2 MiB of float64), so the float64 temporaries, and argsort's int64
 #   result, stay small next to the n x C score and preference matrices, and
 #   so do the freed blocks malloc keeps in its arenas afterwards;
-# - a chunk of replications is sampled and matched in stacks of consecutive
-#   markets of at most this many cells, one call of sample_stack and of
-#   stacked_deferred_acceptance per stack (a larger market is stacked alone),
-#   so a stack of small markets is sampled as one block and matched as one
-#   numpy fixed point, and the stack's prefs and scores stay under 2.5 MiB;
+# - a run's replications are sampled and matched in stacks of consecutive
+#   markets of at most this many cells (markets_per_stack), one call of
+#   sample_stack and of stacked_deferred_acceptance per stack (a larger
+#   market is stacked alone), so a stack of small markets is sampled as one
+#   block and matched as one numpy fixed point, and the stack's prefs and
+#   scores stay under 2.5 MiB;
 # - afford_any_stacked and demand_all compare at most this many cells with
 #   the colleges' bars at a time.
 # Median sample_market time and tracemalloc's peak beyond the finished
@@ -96,14 +98,20 @@ def helper_threads_allowed() -> bool:
     return multiprocessing.parent_process() is None and usable_cpus() > 1
 
 
+def markets_per_stack(n_students: int, n_colleges: int) -> int:
+    """Markets of n x C cells that fit in ``_BLOCK_CELLS`` cells; one when
+    none does, so a larger market stands alone."""
+    return max(1, _BLOCK_CELLS // (n_students * n_colleges))
+
+
 def stack_blocks(shape: tuple[int, int, int], dtype):
     """Blocks of at most ``_BLOCK_CELLS`` cells of an (R, n, C) stack, in
     order: several whole markets when one fits, row blocks of one otherwise.
     Yields each block's (markets, rows) index into the stack and a view, of
     the block's shape, of one buffer of ``dtype`` reused for every block."""
     n_markets, n, n_colleges = shape
-    rows = max(1, _BLOCK_CELLS // n_colleges)
-    reps, rows = max(1, rows // n), min(rows, n)
+    reps = markets_per_stack(n, n_colleges)
+    rows = min(max(1, _BLOCK_CELLS // n_colleges), n)
     buffer = np.empty((min(reps, n_markets), rows, n_colleges), dtype=dtype)
     for r0 in range(0, n_markets, reps):
         r1 = min(r0 + reps, n_markets)
@@ -441,7 +449,7 @@ class CommonRanking(PreferenceModel):
     kind = "common_ranking"
 
     def check(self, n_colleges):
-        if sorted(self.ranking) != list(range(n_colleges)):
+        if not _permutes(self.ranking, n_colleges, "preferences.ranking"):
             raise ConfigError(
                 f"preferences.ranking: must be a permutation of 0..{n_colleges - 1}"
             )
@@ -485,9 +493,8 @@ class ExplicitSampler(PreferenceModel):
             raise ConfigError("preferences.probabilities: must sum to 1")
 
     def check(self, n_colleges):
-        want = list(range(n_colleges))
-        for r in self.rankings:
-            if sorted(r) != want:
+        for j, r in enumerate(self.rankings):
+            if not _permutes(r, n_colleges, f"preferences.rankings[{j}]"):
                 raise ConfigError(
                     f"preferences.rankings: {r} is not a permutation of 0..{n_colleges - 1}"
                 )
@@ -506,6 +513,16 @@ class ExplicitSampler(PreferenceModel):
             "rankings": [list(r) for r in self.rankings],
             "probabilities": list(self.probabilities),
         }
+
+
+def _permutes(ranking, n_colleges: int, field: str) -> bool:
+    """Whether ranking orders the colleges 0..n_colleges-1, each once.  An
+    entry that is not an integer (a bool, a float or a string) is an error
+    naming ``field[i]``, not a college."""
+    for i, c in enumerate(ranking):
+        if isinstance(c, bool) or not isinstance(c, numbers.Integral):
+            raise ConfigError(f"{field}[{i}]: must be an integer, got {c!r}")
+    return sorted(ranking) == list(range(n_colleges))
 
 
 def _argsort_keys(rngs, n, n_colleges, tiers=None):
@@ -585,6 +602,11 @@ class EconomyConfig:
             raise ConfigError("colleges: must be non-empty")
         if not self.coalitions:
             raise ConfigError("coalitions: must be non-empty")
+        # NaN equals no id, itself included, so it would pass as unique
+        for field, items in (("colleges", self.colleges), ("coalitions", self.coalitions)):
+            for i, item in enumerate(items):
+                if isinstance(item.id, float):
+                    finite_number(item.id, f"{field}[{i}].id")
         ids = [c.id for c in self.colleges]
         if len(set(ids)) != len(ids):
             raise ConfigError("colleges: ids must be unique")
@@ -627,17 +649,22 @@ class EconomyConfig:
     def total_capacity(self) -> int:
         return int(sum(c.capacity for c in self.colleges))
 
+    def coalition_position(self, coalition_id) -> int:
+        """Position, in config order, of the coalition with this id; every
+        coalition has colleges, so any other id has none."""
+        for k, coalition in enumerate(self.coalitions):
+            if coalition.id == coalition_id:
+                return k
+        raise ConfigError(f"coalition {coalition_id!r} has no colleges")
+
     def coalition_index(self) -> np.ndarray:
-        """Coalition position (by config order) of each college."""
-        pos = {k.id: i for i, k in enumerate(self.coalitions)}
-        return np.array([pos[c.coalition] for c in self.colleges], dtype=int)
+        """coalition_position of each college, from one dict, not C scans."""
+        position = {k.id: i for i, k in enumerate(self.coalitions)}
+        return np.array([position[c.coalition] for c in self.colleges], dtype=int)
 
     def coalition_members(self, coalition_id) -> np.ndarray:
         """College indices belonging to one coalition."""
-        out = [i for i, c in enumerate(self.colleges) if c.coalition == coalition_id]
-        if not out:
-            raise ConfigError(f"coalition {coalition_id!r} has no colleges")
-        return np.array(out, dtype=int)
+        return np.flatnonzero(self.coalition_index() == self.coalition_position(coalition_id))
 
 
 @dataclass(frozen=True)
@@ -742,7 +769,7 @@ def _sample_scores(config, replications, rngs, values, coal_idx):
     n_markets, n, _ = values.shape
     scores = np.empty((n_markets, n, config.n_colleges))
     cols = max(1, _BLOCK_CELLS // n)
-    reps = max(1, cols // config.n_colleges)
+    reps = markets_per_stack(n, config.n_colleges)
     # runs of consecutive colleges of one coalition (by position, not by
     # noise spec: equal specs may sit on different value columns)
     runs, end = [], 0

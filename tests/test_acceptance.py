@@ -438,7 +438,7 @@ def test_criterion_7_noiseless_cutoffs(fig2_runs):
     config, records, elapsed = fig2_runs["none"]
     # the coalition-level cutoff is the lowest member cutoff: the marginal
     # admitted student's value, the finite analog of the shared frontier
-    coal = records.college_coalition
+    coal = records.config.coalition_index()
     cut_1 = records.cutoffs[:, coal == 0].min(axis=1).mean()
     cut_2 = records.cutoffs[:, coal == 1].min(axis=1).mean()
     ok = abs(cut_1 - 0.75) <= 0.02 and abs(cut_2 - 1.0 / 3.0) <= 0.02 and elapsed < 30.0

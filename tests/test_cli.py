@@ -288,7 +288,37 @@ WRONG_TYPES = {
         lambda d: d["coalitions"][0].update(noise={"kind": ["uniform"]}),
         "coalitions[0]: noise.kind: unknown kind ['uniform']",
     ),
+    # a ranking holds college indices: true, 1.0 and "1" are not one
+    "ranking-bool": (
+        lambda d: d.update(preferences={"kind": "common_ranking", "ranking": [True, False]}),
+        "preferences.ranking[0]: must be an integer, got True",
+    ),
+    "ranking-float": (
+        lambda d: d.update(preferences={"kind": "common_ranking", "ranking": [0, 1.0]}),
+        "preferences.ranking[1]: must be an integer, got 1.0",
+    ),
+    "ranking-string": (
+        lambda d: d.update(preferences={"kind": "common_ranking", "ranking": ["1", "0"]}),
+        "preferences.ranking[0]: must be an integer, got '1'",
+    ),
+    "rankings-float": (
+        lambda d: d.update(
+            preferences={
+                "kind": "explicit", "rankings": [[0, 1], [1.0, 0]], "probabilities": [0.5, 0.5]
+            }
+        ),
+        "preferences.rankings[1][0]: must be an integer, got 1.0",
+    ),
 }
+
+
+def college_ids(value):
+    def plant(doc):
+        for college in doc["colleges"]:
+            college["id"] = value
+
+    return plant
+
 
 # parameters that parse as numbers but are not finite (JSON's Infinity and NaN)
 NON_FINITE = {
@@ -315,6 +345,13 @@ NON_FINITE = {
     "capacity_alpha-nan": (
         lambda d: d.update(capacity_alpha=math.nan), "capacity_alpha: must be finite, got nan"
     ),
+    # NaN equals no id, so two colleges with id NaN would pass as unique
+    "college-ids-nan": (college_ids(math.nan), "colleges[0].id: must be finite, got nan"),
+    "college-ids-inf": (college_ids(-math.inf), "colleges[0].id: must be finite, got -inf"),
+    "coalition-id-inf": (
+        lambda d: d["coalitions"][0].update(id=math.inf),
+        "coalitions[0].id: must be finite, got inf",
+    ),
 }
 BAD_FIELDS = {**WRONG_TYPES, **NON_FINITE}
 
@@ -331,6 +368,15 @@ class TestLoadTimeChecks:
         code, out = run_doc(doc, tmp_path)
         assert code == EXIT_INVARIANT
         assert f"invariant violation: {message}" in capsys.readouterr().err
+        assert not (out / "curves.csv").exists()
+
+    def test_afford_curve_without_a_coalition_exits_three_naming_it(self, tmp_path, capsys):
+        doc = small_doc()
+        doc["plan"]["curves"].append({"kind": "afford"})
+        code, out = run_doc(doc, tmp_path)
+        assert code == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert err == "invariant violation: plan.curves[2].coalition: missing required field\n"
         assert not (out / "curves.csv").exists()
 
     def test_bad_ranking_exits_three(self, tmp_path, capsys, monkeypatch):
@@ -533,7 +579,7 @@ class TestCliContract:
     )
     def test_replication_failure_in_pool_exits_one(self, tmp_path, capsys, monkeypatch):
         # every worker fails; the first failing replication in order is
-        # replication 0, in a chunk (and so a stack) of its own
+        # replication 0, in a stack of its own
         def fail(prefs, scores, capacities, **kwargs):
             raise RuntimeError("planted failure")
 

@@ -22,7 +22,6 @@ from noisymatch.estimation import (
     attenuation_metrics,
     equal_width_edges,
     estimate_afford_curve,
-    _run_chunk,
     estimate_match_curve,
     run_replications,
     steepest_ascent_bin,
@@ -100,8 +99,9 @@ class TestTrimCoalition:
 
 
 def helper_threads_started(config, plan):
-    """Run one chunk with every helper-thread minimum at zero, on a process
-    that may use two CPUs, and list the modules that started a helper."""
+    """Run the replications serially with every helper-thread minimum at
+    zero, on a process that may use two CPUs, and list the modules that
+    started a helper."""
     started = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -115,12 +115,15 @@ def helper_threads_started(config, plan):
                 return pool(*args, **kwargs)
 
             mp.setattr(module, "ThreadPoolExecutor", spy)
-        _run_chunk(config, plan, range(plan.replications))
+        run_replications(config, plan)
     return started
 
 
 class InlinePool:
-    """Runs a process pool's tasks in this process."""
+    """Runs a process pool's tasks in this process, and keeps the batch
+    size of each map."""
+
+    chunksizes = []
 
     def __init__(self, max_workers):
         pass
@@ -132,6 +135,7 @@ class InlinePool:
         return False
 
     def map(self, fn, *args, chunksize=1):
+        self.chunksizes.append(chunksize)
         return map(fn, *args)
 
 
@@ -155,10 +159,11 @@ class TestRunReplications:
         assert np.array_equal(a.assignment, b.assignment)
         assert np.array_equal(a.cutoffs, b.cutoffs)
 
-    def test_a_serial_run_is_one_stack_and_a_pool_task_one_chunk(self, monkeypatch):
+    def test_a_serial_run_is_one_stack_and_a_pool_task_a_capped_stack(self, monkeypatch):
         # run the pool's tasks in this process to see what each one is asked
         asked = []
         matched = []
+        monkeypatch.setattr(InlinePool, "chunksizes", [])
 
         def spy(config, replications):
             asked.append(replications)
@@ -176,10 +181,24 @@ class TestRunReplications:
         # one stack of all three markets
         assert asked == [range(3)] and matched == [3]
         pooled = run_replications(config, plan, threads=2)
-        # chunks of one replication each
+        # stacks of one replication each, capped at max(1, 3 // (4 * 2))
         assert asked[1:] == [range(r, r + 1) for r in range(3)]
         assert matched[1:] == [1] * 3
         assert np.array_equal(serial.assignment, pooled.assignment)
+        # 40 markets on 2 workers: the cap binds at 40 // (4 * 2) = 5, far
+        # below the 163 markets a stack may hold, and 8 stacks go one a batch
+        del asked[:], matched[:]
+        config, plan = small_pool(replications=40)
+        assert market_module.markets_per_stack(config.n_students, config.n_colleges) == 163
+        pooled = run_replications(config, plan, threads=2)
+        assert asked == [range(r, r + 5) for r in range(0, 40, 5)] and matched == [5] * 8
+        assert InlinePool.chunksizes == [1, 1]
+        # markets that stand alone make 40 stacks, sent in batches of 5
+        monkeypatch.setattr(market_module, "_BLOCK_CELLS", 1)
+        del asked[:]
+        run_replications(config, plan, threads=2)
+        assert asked == [range(r, r + 1) for r in range(40)]
+        assert InlinePool.chunksizes[-1] == 5
 
     def test_only_the_serial_path_starts_a_helper_thread(self):
         # InlinePool runs in this process, so only a real worker shows what
@@ -212,8 +231,9 @@ class TestRunReplications:
 
     @pytest.mark.parametrize("stack_cells", [None, 1], ids=["stacked", "one-a-stack"])
     def test_records_equal_across_threads(self, stack_cells, monkeypatch):
-        # R = 11 is not a multiple of any chunk size, and 1,600-cell markets
-        # stack up to 163 to a stack; with a one-cell budget each stands alone
+        # 1,600-cell markets stack up to 163 to a stack, so R = 11 is one
+        # stack serially and stacks of one on 2 or 3 workers; with a one-cell
+        # budget each stands alone
         if stack_cells is not None:
             monkeypatch.setattr(market_module, "_BLOCK_CELLS", stack_cells)
         config, plan = small_pool(replications=11)
@@ -270,29 +290,29 @@ class TestRunReplications:
         with pytest.raises(ReplicationError, match=f"^{where}: planted failure in {n}$"):
             run_replications(config, plan)
 
-    def test_stacks_bound_a_chunk_s_allocations(self, monkeypatch):
-        # numpy reports its buffers to tracemalloc.  A chunk holds its
-        # outputs plus one stack at a time: the stack's copied prefs and
-        # scores (10 bytes a cell) and the fixed point's arrays, at most
-        # 24 int64 or float64 entries per student.  A chunk of four stacks
-        # allocates no more beyond its outputs than a chunk of one.
+    def test_stacks_bound_a_run_s_allocations(self, monkeypatch):
+        # numpy reports its buffers to tracemalloc.  A run holds its
+        # stacks' outputs plus one stack at a time: the stack's copied prefs
+        # and scores (10 bytes a cell) and the fixed point's arrays, at most
+        # 24 int64 or float64 entries per student.  A run of four stacks
+        # allocates no more beyond its outputs than a run of one.
         # as in a pool worker, with no helper thread
         monkeypatch.setattr(market_module, "helper_threads_allowed", lambda: False)
         config, plan = fig1(colleges=2, n_students=200, replications=1)
-        per_stack = market_module._BLOCK_CELLS // (200 * 2)
+        per_stack = market_module.markets_per_stack(200, 2)
         bound = 10 * market_module._BLOCK_CELLS + 24 * 8 * per_stack * 200
         beyond = []
         for stacks in (1, 4):
             tracemalloc.start()
             try:
-                values, assignment, afford, cuts, _ = _run_chunk(
-                    config, plan, range(stacks * per_stack)
+                records = run_replications(
+                    config, replace(plan, replications=stacks * per_stack)
                 )
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            held = values.nbytes + assignment.nbytes + cuts.nbytes
-            held += sum(a.nbytes for a in afford.values())
+            held = records.values.nbytes + records.assignment.nbytes + records.cutoffs.nbytes
+            held += sum(a.nbytes for a in records.afford.values())
             beyond.append(peak - held)
         assert max(beyond) <= bound
         assert beyond[1] <= 1.1 * beyond[0]
@@ -360,7 +380,7 @@ class TestRunReplications:
 
 
 class TestAffordability:
-    """A chunk compares scores with per-college bars instead of copying columns."""
+    """A stack compares scores with per-college bars instead of copying columns."""
 
     TRIMS = (0.0, 0.05, 0.5, 1 - 1e-12)
 
@@ -389,7 +409,7 @@ class TestAffordability:
             # full colleges whose worst admit scored +inf, where students
             # rejected at +inf tie the bar
             assert np.isposinf(cuts).any()
-        _, _, afford, got_cuts, _ = _run_chunk(config, plan, range(1))
+        _, _, afford, got_cuts, _ = estimation._run_stack(config, plan, range(1))
         assert np.array_equal(got_cuts[0], cuts)
         scores = market.scores.tolist()
         for k in (1, 2):
@@ -453,7 +473,7 @@ class TestAffordability:
         monkeypatch.setattr(estimation, "stacked_deferred_acceptance", lambda *a, **kw: matched)
         tracemalloc.start()
         try:
-            _, _, afford, _, _ = _run_chunk(config, plan, range(1))
+            _, _, afford, _, _ = estimation._run_stack(config, plan, range(1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -99,3 +99,22 @@ def test_csv_bytes_unchanged_in_the_smallest_slices(name, tmp_path, monkeypatch)
     monkeypatch.setattr(matching, "_SCAN_CELLS", 1)
     monkeypatch.setattr(market, "_BLOCK_CELLS", 1)
     test_csv_bytes_unchanged(name, tmp_path)
+
+
+# sha256 of (curves.csv, metrics.csv, cutoffs.csv), seed 7: 700 markets of
+# 200 x 2 cells, up to 655 a stack.  One worker runs stacks of 655 and 45;
+# pooled, the stacks are capped at 700 // (4 * threads): 87 on 2 workers,
+# 58 on 3.
+POOLED = (
+    "44d1eee61f69aac462eb9c7fa6822967f0a49a772479c693a48b52c966e3e694",
+    "a7ff552d4c6a837ab6c9f80b26abacdcfc5f8678322d625e03d36128cf86877b",
+    "7cead0891b8479c4b340a2939a41ed987302813bd136493aef8b39fc21cd5f17",
+)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_csv_bytes_unchanged_in_pooled_stacks(threads, tmp_path):
+    config, plan = fig1(colleges=2, noise="uniform", n_students=200, replications=700)
+    assert run(config_to_dict(config, plan), tmp_path, threads) == EXIT_OK
+    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in OUTPUTS)
+    assert got == POOLED, f"CSV bytes changed (numpy {np.__version__})"

@@ -5,6 +5,7 @@ import os
 import re
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -575,13 +576,50 @@ class TestPrefsThread:
     )
     def test_config_rejects_a_ranking_that_is_not_a_permutation(self, model, message):
         with pytest.raises(ConfigError, match=message):
-            EconomyConfig(
-                n_students=10,
-                colleges=(College(id=0, capacity=2, coalition=0), College(id=1, capacity=2, coalition=0)),
-                coalitions=(Coalition(id=0, values=UniformValues(0, 1), noise=Uniform(0, 1)),),
-                preferences=model,
-                master_seed=1,
-            )
+            two_college_config(model)
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [
+            (CommonRanking(ranking=(True, False)), r"^preferences\.ranking\[0\]: .* got True$"),
+            (CommonRanking(ranking=(1, 0.0)), r"^preferences\.ranking\[1\]: .* got 0\.0$"),
+            (CommonRanking(ranking=("1", "0")), r"^preferences\.ranking\[0\]: .* got '1'$"),
+            (
+                ExplicitSampler(rankings=((0, 1), (1.0, 0)), probabilities=(0.5, 0.5)),
+                r"^preferences\.rankings\[1\]\[0\]: must be an integer, got 1\.0$",
+            ),
+        ],
+        ids=["bool", "float", "string", "explicit-float"],
+    )
+    def test_config_rejects_a_ranking_entry_that_is_not_an_integer(self, model, message):
+        with pytest.raises(ConfigError, match=message):
+            two_college_config(model)
+
+    def test_config_rejects_non_finite_ids(self):
+        # two NaNs are unequal, so two colleges with id NaN pass as unique
+        config = two_college_config(UniformRandomPreferences())
+        nans = tuple(College(id=float("nan"), capacity=2, coalition=0) for _ in range(2))
+        with pytest.raises(ConfigError, match=r"^colleges\[0\]\.id: must be finite, got nan$"):
+            replace(config, colleges=nans)
+        colleges = tuple(replace(c, coalition=-np.inf) for c in config.colleges)
+        coalitions = (replace(config.coalitions[0], id=-np.inf),)
+        with pytest.raises(ConfigError, match=r"^coalitions\[0\]\.id: must be finite, got -inf$"):
+            replace(config, colleges=colleges, coalitions=coalitions)
+
+    def test_numpy_integers_rank(self):
+        ranking = tuple(np.array([1, 0]))
+        config = two_college_config(CommonRanking(ranking=ranking))
+        assert sample_market(config, 0).prefs[0].tolist() == [1, 0]
+
+
+def two_college_config(preferences):
+    return EconomyConfig(
+        n_students=10,
+        colleges=(College(id=0, capacity=2, coalition=0), College(id=1, capacity=2, coalition=0)),
+        coalitions=(Coalition(id=0, values=UniformValues(0, 1), noise=Uniform(0, 1)),),
+        preferences=preferences,
+        master_seed=1,
+    )
 
 
 class TestSamplingMemory:
