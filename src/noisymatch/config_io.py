@@ -65,7 +65,8 @@ _TYPES = {list: "a list", dict: "an object", bool: "true or false", _ID: "a numb
 
 def _expect(value, kind, field: str):
     """value when it is an instance of kind; else a ConfigError naming field."""
-    if not isinstance(value, kind):
+    # a bool is an int, but true is neither a number nor an id
+    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise ConfigError(f"{field}: must be {_TYPES[kind]}, got {value!r}")
     return value
 

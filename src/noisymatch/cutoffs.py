@@ -10,12 +10,23 @@ included.  Pareto noise of shape 0.005 overflows to +inf in ~1 draw in 35;
 on fig1 (n=2000, C=100, R=20) every cutoff was then +inf, and only the index
 told an admit from a student rejected at the same score.  Bare float
 cutoffs take n as every bar student, so a score equal to its cutoff clears.
+
+Affordability of a set K of colleges is read off the matching that set the
+bars (``afford_from_matching``): true for a student matched into K, false
+for an unmatched student, and the bar comparison against K's bars only for a
+student matched to a college outside K.  This is exact because every
+preference model ranks every college, and a college's bar only rises during
+the fixed point.  So an unmatched student was turned away by every college,
+each time by a bar no higher than its final one, and fails every final bar;
+with a free seat anywhere, no student is unmatched.  A matched student is
+one of their college's admits, so they clear its bar, the worst admit's.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import market as sampling
 from .market import SampledMarket, stack_blocks
 from .matching import UNMATCHED, Matching, _clears
 
@@ -50,12 +61,49 @@ def afford_any_stacked(
 
     ``scores`` is an (R, n, C) stack, and ``cutoffs`` and ``cut_students``
     are (R, C) bars in each slot's own student indices.  A NaN cutoff bars
-    every score, +inf included.
+    every score, +inf included.  Runs read affordability off the matching
+    instead (``afford_from_matching``); this comparison of every score is
+    the reference the tests hold it to.
     """
     out = np.empty(scores.shape[:2], dtype=bool)
     for (reps, rows), cleared in _cleared_blocks(scores, cutoffs, cut_students):
         cleared.any(axis=2, out=out[reps, rows])
     return out
+
+
+def afford_from_matching(
+    scores: np.ndarray,
+    assignment: np.ndarray,
+    cutoffs: np.ndarray,
+    cut_students: np.ndarray,
+    kept: np.ndarray,
+) -> np.ndarray:
+    """Per student of R markets, whether they clear the bar of some college
+    of ``kept[r]`` in their own market, where the bars are those of the
+    matching ``assignment``: ``afford_any_stacked`` with NaN bars off kept.
+
+    ``kept`` is an (R, k) array of college indices, and the rest are the
+    (R, n, C) scores, (R, n) assignment and (R, C) bars of the stacked fixed
+    point.  A student matched into kept affords it and an unmatched student
+    affords nothing (see the module docstring); only the students matched
+    elsewhere are compared with kept's bars, in chunks of at most
+    ``_BLOCK_CELLS // 8`` cells, so a chunk's gathered float64 and index
+    temporaries stay near the size of one boolean block of ``stack_blocks``.
+    """
+    n_markets, _, n_colleges = scores.shape
+    slot = np.arange(n_markets)[:, None]
+    # the last column stands for UNMATCHED (-1), which is in no set
+    member = np.zeros((n_markets, n_colleges + 1), dtype=bool)
+    member[slot, kept] = True
+    afford = member[slot, assignment]
+    reps, students = np.nonzero((assignment != UNMATCHED) & ~afford)
+    bar_score, bar_student = cutoffs[slot, kept], cut_students[slot, kept]
+    rows = max(1, sampling._BLOCK_CELLS // 8 // kept.shape[1])
+    for i in range(0, len(reps), rows):
+        r, s = reps[i : i + rows], students[i : i + rows]
+        score = scores[r[:, None], s[:, None], kept[r]]
+        afford[r, s] = _clears(score, s[:, None], bar_score, bar_student, r).any(axis=1)
+    return afford
 
 
 def demand_all(market: SampledMarket, cutoffs: np.ndarray, cut_students: np.ndarray) -> np.ndarray:

@@ -301,6 +301,23 @@ WRONG_TYPES = {
         lambda d: d.update(preferences={"kind": "common_ranking", "ranking": ["1", "0"]}),
         "preferences.ranking[0]: must be an integer, got '1'",
     ),
+    # a bool is an int in Python, but true names no college or coalition
+    "college-id-bool": (
+        lambda d: d["colleges"][0].update(id=True),
+        "colleges[0].id: must be a number or a string, got True",
+    ),
+    "college-coalition-bool": (
+        lambda d: d["colleges"][1].update(coalition=True),
+        "colleges[1].coalition: must be a number or a string, got True",
+    ),
+    "coalition-id-bool": (
+        lambda d: d["coalitions"][0].update(id=True),
+        "coalitions[0].id: must be a number or a string, got True",
+    ),
+    "curve-coalition-bool": (
+        lambda d: d["plan"]["curves"].append({"kind": "match", "coalition": True}),
+        "plan.curves[2].coalition: must be a number or a string, got True",
+    ),
     "rankings-float": (
         lambda d: d.update(
             preferences={

@@ -5,13 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisymatch.cutoffs import (
     afford_any_stacked,
+    afford_from_matching,
     check_market_clearing,
     demand_all,
     rate_exponent,
 )
+from noisymatch.estimation import _survivors
 from noisymatch.market import sample_market
 from noisymatch.matching import UNMATCHED, deferred_acceptance, stacked_deferred_acceptance
 from noisymatch.presets import fig2
@@ -141,6 +144,14 @@ class TestMarketClearing:
         assert excess.tolist() == [-c for c in caps]
 
 
+def kept_bars(cuts, kept):
+    """(R, C) cutoffs with NaN, which no score reaches, off each row's kept colleges."""
+    bars = np.full(cuts.shape, np.nan)
+    slot = np.arange(len(cuts))[:, None]
+    bars[slot, kept] = cuts[slot, kept]
+    return bars
+
+
 class TestOneTieRule:
     """Demand, clearing and affordability compare scores with the bars of
     deferred acceptance by the fixed point's own rule, ties included."""
@@ -166,6 +177,45 @@ class TestOneTieRule:
         # one coalition of every college at epsilon 0 keeps every bar
         afford = afford_any_stacked(scores, cuts, cut_students)
         assert np.array_equal(afford, assignment != UNMATCHED)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_stacks(), st.data())
+    def test_afford_read_off_the_matching_equals_the_bar_comparison(self, case, data):
+        # every college of the stack in one of up to three coalitions, each
+        # trimmed by its own epsilon; unmatched students, students matched
+        # at trimmed colleges and students matched outside the coalition
+        # all occur among the examples
+        markets, caps = case
+        prefs = np.stack([m.prefs for m in markets])
+        scores = np.stack([m.scores for m in markets])
+        assignment, cuts, cut_students = stacked_deferred_acceptance(prefs, scores, caps)
+        split = data.draw(st.lists(st.integers(0, 2), min_size=len(caps), max_size=len(caps)))
+        for k in set(split):
+            members = [c for c, j in enumerate(split) if j == k]
+            eps = data.draw(st.sampled_from([0.0, 0.2, 0.5, 0.9]))
+            kept = _survivors(cuts, members, eps)
+            want = afford_any_stacked(scores, kept_bars(cuts, kept), cut_students)
+            got = afford_from_matching(scores, assignment, cuts, cut_students, kept)
+            assert got.dtype == bool
+            assert np.array_equal(got, want)
+
+    def test_students_matched_at_trimmed_colleges_are_compared(self):
+        # fig2 under heavy-tailed noise, coalition 2 trimmed by half: some
+        # students sit at a trimmed college and afford a kept one or not
+        config, _ = fig2(colleges=10, n_students=600, replications=1, noise="pareto")
+        market = sample_market(config, 0)
+        m = deferred_acceptance(market, config.capacities())
+        members = config.coalition_members(2)
+        kept = _survivors(m.cutoffs[None], members, 0.5)
+        bars = kept_bars(m.cutoffs[None], kept)
+        want = afford_any_stacked(market.scores[None], bars, m.cut_students[None])[0]
+        got = afford_from_matching(
+            market.scores[None], m.assignment[None], m.cutoffs[None], m.cut_students[None], kept
+        )[0]
+        assert np.array_equal(got, want)
+        trimmed = np.isin(m.assignment, np.setdiff1d(members, kept[0]))
+        assert got[trimmed].any() and not got[trimmed].all()
+        assert not got[m.assignment == UNMATCHED].any()
 
     def test_demand_builds_no_n_by_c_table(self):
         # numpy reports its buffers to tracemalloc; the smallest n x C array

@@ -12,6 +12,7 @@ import pytest
 
 from noisymatch import cutoffs, estimation, matching
 from noisymatch import market as market_module
+from noisymatch.config_io import config_to_dict, dict_to_config
 from noisymatch.errors import ConfigError, ReplicationError
 from noisymatch.estimation import (
     AffordProbability,
@@ -480,6 +481,25 @@ class TestAffordability:
         assert afford
         assert peak < market.n_students * market.n_colleges
 
+    @pytest.mark.parametrize("noise", ["uniform", "pareto"])
+    def test_fig1_plan_makes_no_bar_comparison(self, noise, monkeypatch):
+        # fig1's one afford curve asks for its one coalition untrimmed: every
+        # matched student is matched into it, so no score meets a bar
+        config, plan = fig1(colleges=40, noise=noise, n_students=2000, replications=3)
+        _, _, compared, _, _ = estimation._run_stack(config, plan, range(3))
+
+        def bar_comparison(*args):
+            raise AssertionError("compared a score with a bar")
+
+        monkeypatch.setattr(cutoffs, "_clears", bar_comparison)
+        _, assignment, afford, _, _ = estimation._run_stack(config, plan, range(3))
+        assert np.array_equal(afford[(1, 0.0)], assignment != UNMATCHED)
+        assert np.array_equal(afford[(1, 0.0)], compared[(1, 0.0)])
+        # fig2's trimmed curves compare the students matched elsewhere
+        config, plan = fig2(colleges=10, noise=noise, n_students=600, replications=1)
+        with pytest.raises(AssertionError, match="compared a score with a bar"):
+            estimation._run_stack(config, plan, range(1))
+
 
 class TestCurves:
     def test_noiseless_step(self):
@@ -541,13 +561,13 @@ class TestCurves:
         plan = replace(plan, curves=(AffordProbability(1), AffordProbability(2)))
         records = run_replications(config, plan)
         calls = []
-        searchsorted = np.searchsorted
+        bin_of = estimation._bin_of
 
-        def spy(edges, values, side):
+        def spy(values, edges):
             calls.append(len(edges))
-            return searchsorted(edges, values, side=side)
+            return bin_of(values, edges)
 
-        monkeypatch.setattr(estimation.np, "searchsorted", spy)
+        monkeypatch.setattr(estimation, "_bin_of", spy)
         coarse = [0.0, 0.5, 1.0]
         curves = [
             estimate_match_curve(records, coalition_id=1),
@@ -588,6 +608,52 @@ def hand_curve(edges, probs, counts):
     counts = np.asarray(counts, dtype=int)
     se = np.sqrt(np.clip(probs * (1 - probs), 0, 1) / np.maximum(counts, 1))
     return MatchCurve(edges, probs, se, counts)
+
+
+class TestBinIndex:
+    """_bin_of is searchsorted(edges, values, "right") - 1 clipped to the bins."""
+
+    @staticmethod
+    def searchsorted_bins(values, edges):
+        idx = np.searchsorted(edges, values, side="right") - 1
+        return np.clip(idx, 0, len(edges) - 2)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            np.linspace(0.0, 1.0, 51),
+            np.linspace(-3.7, 12.1, 8),
+            np.array([0.0, 1e-9, 0.5, 0.5000001, 0.9, 1.0]),
+            np.array([0.0, 0.001, 0.002, 0.003, 1.0]),
+            np.array([-1.0, 1.0]),
+        ],
+        ids=["fig1", "equal-width-off-zero", "clustered", "one-wide-bin", "one-bin"],
+    )
+    def test_equals_searchsorted(self, edges, rng):
+        lo, hi = edges[0], edges[-1]
+        span = hi - lo
+        values = np.concatenate(
+            [
+                rng.uniform(lo - span, hi + span, 20_000),
+                rng.uniform(lo, lo + span * 0.01, 2_000),
+                # on every edge, and one ulp to either side of it
+                edges,
+                np.nextafter(edges, -np.inf),
+                np.nextafter(edges, np.inf),
+            ]
+        )
+        got = estimation._bin_of(values, edges)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, self.searchsorted_bins(values, edges))
+
+    def test_equals_searchsorted_on_random_edges(self, rng):
+        for _ in range(200):
+            edges = np.unique(rng.random(int(rng.integers(2, 40))) ** 4 * 5 - 1)
+            if len(edges) < 2:
+                continue
+            values = np.concatenate([rng.uniform(-2, 5, 500), edges, np.nextafter(edges, 9)])
+            got = estimation._bin_of(values, edges)
+            assert np.array_equal(got, self.searchsorted_bins(values, edges))
 
 
 class TestMetrics:
@@ -644,3 +710,33 @@ class TestPlanValidation:
     def test_trim_epsilon_domain(self):
         with pytest.raises(ConfigError, match="trim_epsilon"):
             AffordProbability(coalition_id=1, trim_epsilon=1.0)
+
+    # fig2's plan: match 1, match 2, afford (1, 0.05), afford (2, 0.05)
+    @pytest.mark.parametrize(
+        "preset, curve, first",
+        [
+            (fig2, AffordProbability(1, 0.05), 2),
+            (fig2, MatchProbability(2), 1),
+            # the one coalition of fig1, by id and by default
+            (fig1, MatchProbability(), 0),
+            (fig1, AffordProbability(1, 0), 1),
+        ],
+        ids=["afford", "match", "match-default-coalition", "afford-integer-trim"],
+    )
+    def test_a_repeated_curve_is_rejected(self, preset, curve, first, monkeypatch):
+        config, plan = preset(colleges=2, replications=2, n_students=400)
+        plan = replace(plan, curves=plan.curves + (curve,))
+        where = f"plan.curves[{len(plan.curves) - 1}]: repeats plan.curves[{first}]"
+        message = f"^{re.escape(where)}$"
+        with pytest.raises(ConfigError, match=message):
+            dict_to_config(config_to_dict(config, plan))
+        sampled = []
+        monkeypatch.setattr(estimation, "sample_stack", lambda *a, **kw: sampled.append(a))
+        with pytest.raises(ConfigError, match=message):
+            run_replications(config, plan)
+        assert sampled == []
+
+    def test_curves_that_differ_in_trim_are_kept(self):
+        config, plan = fig2(colleges=2, replications=2, n_students=400)
+        plan = replace(plan, curves=plan.curves + (AffordProbability(1, 0.0),))
+        assert dict_to_config(config_to_dict(config, plan))[1] == plan

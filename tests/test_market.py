@@ -474,6 +474,78 @@ class TestBlockSortedPrefs:
         assert np.iinfo(prefs_dtype(32768)).max == 32767
 
 
+class PlantedKeys:
+    """A stand-in generator whose random() hands out a fixed key matrix in
+    order, as a stream fills its matrix row by row."""
+
+    def __init__(self, keys):
+        self.keys, self.at = keys.ravel(), 0
+
+    def random(self, out):
+        out[...] = self.keys[self.at : self.at + out.size].reshape(out.shape)
+        self.at += out.size
+
+
+# one column short of the packed sort, its first width, and amplify-large's
+PACKED_WIDTHS = {
+    "argsort": market_module._PACKED_RANK_MIN_COLLEGES - 1,
+    "packed": market_module._PACKED_RANK_MIN_COLLEGES,
+    "packed-1000": 1000,
+}
+
+
+class TestPackedRanking:
+    """Rows of at least _PACKED_RANK_MIN_COLLEGES colleges are ranked by one
+    uint64 sort; the ranks must equal np.argsort's, ties included."""
+
+    @staticmethod
+    def tiers(n_colleges, tiered):
+        # two coalitions, interleaved, as TieredByCoalition adds them
+        return np.arange(n_colleges) % 2 if tiered else None
+
+    @pytest.mark.parametrize("tiered", [False, True], ids=["uniform", "tiered"])
+    @pytest.mark.parametrize("width", sorted(PACKED_WIDTHS))
+    @pytest.mark.parametrize("n", [40, 300], ids=["markets-per-block", "row-blocks"])
+    def test_ranks_equal_argsort(self, n, width, tiered):
+        c = PACKED_WIDTHS[width]
+        tiers = self.tiers(c, tiered)
+        got = market_module._argsort_keys(stream_rngs(3, range(4), STREAM_PREFS), n, c, tiers)
+        for rng, prefs in zip(stream_rngs(3, range(4), STREAM_PREFS), got):
+            key = rng.random((n, c))
+            if tiered:
+                key += tiers
+            assert np.array_equal(prefs, np.argsort(key, axis=1))
+
+    @pytest.mark.parametrize("tiered", [False, True], ids=["uniform", "tiered"])
+    @pytest.mark.parametrize("width", sorted(PACKED_WIDTHS))
+    def test_planted_ties_rank_as_argsort_does(self, width, tiered, rng):
+        c, n = PACKED_WIDTHS[width], 600
+        keys = rng.random((n, c))
+        rows = rng.choice(n, 60, replace=False)
+        for i, row in enumerate(rows):
+            a, b = sorted(rng.choice(c, 2, replace=False))
+            if i % 3 == 0:  # an exact tie
+                keys[row, a] = keys[row, b]
+            elif i % 3 == 1:  # keys one ulp apart, the larger first: equal once truncated
+                keys[row, a] = np.nextafter(keys[row, b], 2.0)
+            else:  # a run of equal keys, 0.0 among them
+                keys[row, rng.choice(c, 20, replace=False)] = 0.0 if i % 2 else keys[row, a]
+        keys[rows[0]] = keys[rows[0], 0]  # a row of one key
+        tiers = self.tiers(c, tiered)
+        want = np.argsort(keys if tiers is None else keys + tiers, axis=1)
+        got = market_module._argsort_keys([PlantedKeys(keys)], n, c, tiers)[0]
+        assert np.array_equal(got, want)
+        if c >= market_module._PACKED_RANK_MIN_COLLEGES:
+            # the index bits alone would put the larger key of a truncated
+            # tie first, so the rows above need the argsort fallback
+            b = (c - 1).bit_length()
+            key = keys if tiers is None else keys + tiers
+            packed = key.view(np.uint64) >> (b - 1) << b | np.arange(c, dtype=np.uint64)
+            alone = np.sort(packed, axis=1) & ((1 << b) - 1)
+            assert not np.array_equal(alone, want)
+            assert np.array_equal(np.delete(alone, rows, 0), np.delete(want, rows, 0))
+
+
 @pytest.mark.usefixtures("two_cpus")
 class TestPrefsThread:
     @pytest.mark.parametrize("model", sorted(PREF_CONFIGS))
