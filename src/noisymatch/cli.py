@@ -93,12 +93,16 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _formatted(rows):
+    return ([_fmt(x) for x in row] for row in rows)
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write the header and rows, whose cells are already text or ints."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(x) for x in row])
+        w.writerows(rows)
 
 
 def _curve_rows(curve_id: str, curve):
@@ -178,20 +182,22 @@ def run(doc: dict, out_dir: Path, threads: int) -> int:
     tables = {
         "curves.csv": (
             ["curve_id", "replication_set", "bin_lo", "bin_hi", "probability", "stderr", "count"],
-            curve_rows,
+            _formatted(curve_rows),
         ),
         "metrics.csv": (
             ["metric", "value", "config_hash"],
-            [(name, value, digest) for name, value in metric_rows],
+            _formatted((name, value, digest) for name, value in metric_rows),
         ),
     }
     if records.cutoffs is not None:
+        # one row per (replication, college): repr of a Python float is _fmt's text
+        heads = [(_fmt(c.id), _fmt(c.coalition)) for c in config.colleges]
         tables["cutoffs.csv"] = (
             ["replication", "college_id", "coalition_id", "cutoff"],
             (
-                (r, config.colleges[c].id, config.colleges[c].coalition, records.cutoffs[r, c])
-                for r in range(records.n_replications)
-                for c in range(config.n_colleges)
+                (r, *head, repr(cut))
+                for r, cuts in enumerate(records.cutoffs.tolist())
+                for head, cut in zip(heads, cuts)
             ),
         )
     for name, (header, rows) in tables.items():

@@ -62,8 +62,9 @@ STREAM_NOISE = 2
 # against blocks of 2^16 / 2^18 / 2^20 cells, interleaved (same machine):
 #   fig2,        n=2000,  C=40:   0.20 vs 0.21 / 0.20 / 0.20 ms
 #   fig1 Pareto, n=20000, C=1000: 25.5 vs 25.4 / 24.7 / 24.4 ms
-# (taken with the one score >= cutoff comparison; the (score, student) bar,
-# whose tie branch runs in every block, takes the C=1000 call to ~70 ms)
+# (taken with the one score >= cutoff comparison; the (score, student) bar
+# takes the C=1000 call to ~52 ms, comparing indices only at the tie cells,
+# and took it to ~67 ms when the index comparison ran over every block)
 _BLOCK_CELLS = 1 << 18
 
 # Markets of at least this many cells may draw the preference stream on a
@@ -88,8 +89,9 @@ _PREFS_THREAD_MIN_CELLS = 1 << 20
 #   C                 8     40    64    100   128   129   150   200   256   500   1000  3000
 #   AVX-512 argsort   1.30  1.00  1.09  0.87  0.99  0.57  0.60  0.67  0.74  0.64  0.67  0.61
 #   without X86_V4    1.20  0.75  0.88  0.79  1.14  0.51  0.61  0.77  0.93  0.76  0.84  0.71
-# So many-tiny (C=2) and attenuate-tiers (C=40) keep argsort, and
-# amplify-large (C=1000) takes the packed sort.
+# So attenuate-tiers (C=40) keeps argsort and amplify-large (C=1000) takes
+# the packed sort.  Rows of two colleges (many-tiny) need neither: one
+# comparison ranks them, ~0.2 ms for 75,000 rows against ~3 ms of argsort.
 _PACKED_RANK_MIN_COLLEGES = 129
 
 
@@ -545,8 +547,9 @@ def _argsort_keys(rngs, n, n_colleges, tiers=None):
     Keys are drawn in the blocks of ``stack_blocks``.  A stream fills its
     matrix in row-major order, so the blocks take the same keys, and each row
     sorts alone, so one argsort of a block equals one argsort per market.
-    Rows of at least ``_PACKED_RANK_MIN_COLLEGES`` colleges are ranked by
-    ``_packed_rank``, which gives argsort's bytes.
+    Rows of two colleges are ranked by one comparison, and rows of at least
+    ``_PACKED_RANK_MIN_COLLEGES`` colleges by ``_packed_rank``; both give
+    argsort's bytes.
     """
     prefs = np.empty((len(rngs), n, n_colleges), dtype=prefs_dtype(n_colleges))
     packed = n_colleges >= _PACKED_RANK_MIN_COLLEGES
@@ -555,7 +558,11 @@ def _argsort_keys(rngs, n, n_colleges, tiers=None):
             rng.random(out=slot)
         if tiers is not None:
             block += tiers
-        if packed:
+        if n_colleges == 2:
+            # argsort of a pair: the second first only when its key is lower
+            np.less(block[..., 1], block[..., 0], out=prefs[reps, rows, 0])
+            np.logical_not(prefs[reps, rows, 0], out=prefs[reps, rows, 1])
+        elif packed:
             _packed_rank(block, prefs[reps, rows])
         else:
             prefs[reps, rows] = np.argsort(block, axis=2)

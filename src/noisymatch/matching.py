@@ -96,15 +96,20 @@ def _worst_admits(col, student, score, cap, n_students) -> tuple[np.ndarray, np.
     return bar_score, bar_student
 
 
-def _clears(score, student, bar_score, bar_student, at) -> np.ndarray:
+def _clears(score, student, bar_score, bar_student, at, out=None) -> np.ndarray:
     """Whether each score clears the bar of its college ``at``: a higher score,
     or an equal one and a student index no higher than the bar's student (who
-    is that admit), read only when some score ties."""
+    is that admit), read only at the cells where the score ties.  Written
+    into ``out`` when given."""
     bar = bar_score[at]
-    ok = score > bar
-    tie = score == bar
-    if tie.any():
-        ok |= tie & (student <= bar_student[at])
+    ok = np.greater(score, bar, out=out)
+    tie = np.flatnonzero(score == bar)
+    if len(tie):
+        # flat indices, then one index array per axis: np.nonzero of an
+        # n-d block takes ~30 times as long as np.flatnonzero
+        tie = np.unravel_index(tie, ok.shape)
+        student, bar_student = np.broadcast_arrays(student, bar_student[at], ok)[:2]
+        ok[tie] = student[tie] <= bar_student[tie]
     return ok
 
 
@@ -163,8 +168,6 @@ def stacked_deferred_acceptance(
     row = np.arange(n_markets * n, dtype=np.int64) * n_colleges
     first = np.repeat(np.arange(n_markets, dtype=np.int64) * n_colleges, n)  # slot's college 0
     at_union = row - first  # scores row offset for a union college index
-    # up to 32768 colleges, numpy's stable sort of an int16 key is a radix sort
-    college_key = prefs_dtype(n_union)
 
     cut_score = np.full(n_union, -np.inf)
     cut_student = np.full(n_union, n_markets * n, dtype=np.int64)
@@ -182,14 +185,7 @@ def stacked_deferred_acceptance(
             who = np.flatnonzero(np.append(over, False)[college])  # UNMATCHED reads the False
             col = college[who]
             sc = scores[at_union[who] + col]
-            # order by (college, score descending, student): who is ascending,
-            # so a stable sort by score keeps equal scores in student order
-            neg = -sc
-            order = np.argsort(neg)
-            ranked = neg[order]
-            if (ranked[1:] == ranked[:-1]).any():
-                order = np.argsort(neg, kind="stable")
-            order = order[np.argsort(col[order].astype(college_key), kind="stable")]
+            order = _line_order(col, sc, n_union)
             who, col, sc = who[order], col[order], sc[order]
             # each demander's place in its college's line: col is sorted, and
             # the overdemanded colleges' loads give where each line starts
@@ -217,6 +213,41 @@ def stacked_deferred_acceptance(
     cutoffs, cut_students = _worst_admits(col, matched % n, scores[at_union[matched] + col], cap, n)
     college[matched] -= first[matched]
     return tuple(part.reshape(n_markets, -1) for part in (college, cutoffs, cut_students))
+
+
+_LOW_63 = np.uint64((1 << 63) - 1)
+
+
+def _line_order(col: np.ndarray, score: np.ndarray, n_colleges: int) -> np.ndarray:
+    """Order of a round's demanders by (college, score descending, student),
+    where demander i proposes to college ``col[i]`` of ``n_colleges`` with
+    ``score[i]``, and the demanders are in ascending student order.
+
+    One argsort of a packed uint64 key: the college in the top b =
+    bit_length(n_colleges - 1) bits, and below it the score's bits mapped
+    to an unsigned integer that sorts in descending score order, less its
+    b lowest.  Where no two keys are equal they order the demanders as the
+    full (college, score) pairs do, and that order is unique.  Two equal
+    keys (equal scores, +inf from overflow among them, or scores equal
+    once truncated) send the round to a stable sort by score, which keeps
+    equal scores in student order, and then a stable sort by college.
+    """
+    b = (n_colleges - 1).bit_length()
+    # + 0.0 turns -0.0 into 0.0, so the two tie as == says
+    bits = (score + 0.0).view(np.uint64)
+    # a negative score keeps its bits, whose magnitude sorts it descending;
+    # a non-negative one flips all but the sign bit, and sorts first
+    key = bits ^ (((bits >> 63) - 1) & _LOW_63)
+    key >>= b
+    if b:
+        key |= col.astype(np.uint64) << (64 - b)
+    order = np.argsort(key)
+    ranked = key[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        order = np.argsort(-score, kind="stable")
+        # up to 32768 colleges, numpy's stable sort of an int16 key is a radix sort
+        order = order[np.argsort(col[order].astype(prefs_dtype(n_colleges)), kind="stable")]
+    return order
 
 
 def _advance(rejected, n_colleges, prefs, scores, row, first, cut_score, cut_student, pos, college):

@@ -557,6 +557,49 @@ class TestCliContract:
         stages = serial["sample_s"] + serial["match_s"] + serial["afford_s"]
         assert 0 < stages <= serial["replications_s"] + 1e-3
 
+    # Pareto noise of shape 0.005 overflows to +inf, so the college of two
+    # seats cuts at +inf in both replications.  Every model ranks every
+    # college and seats are fewer than students, so no run leaves a seat
+    # free: the -inf of a free seat is planted in the records.
+    CUTOFF_ROWS = {
+        "overflow": (
+            b"0,1,1,inf\r\n"
+            b"0,2,1,5.115818437629411e+127\r\n"
+            b"0,3,1,1.2056105880880297e+121\r\n"
+            b"1,1,1,inf\r\n"
+            b"1,2,1,8.222590507535226e+130\r\n"
+            b"1,3,1,2.071606037100616e+151\r\n"
+        ),
+        "free-seat": (
+            b"0,1,1,1.1139867216696904\r\n"
+            b"0,2,1,1.0112950747343297\r\n"
+            b"1,1,1,-inf\r\n"
+            b"1,2,1,0.9414419803773142\r\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CUTOFF_ROWS))
+    def test_cutoffs_csv_rows_pin_their_text(self, case, tmp_path, monkeypatch):
+        if case == "overflow":
+            doc = config_to_dict(*fig1(colleges=3, n_students=200, replications=2, noise="pareto"))
+            doc["coalitions"][0]["noise"]["shape"] = 0.005
+            for college, seats in zip(doc["colleges"], (2, 40, 40)):
+                college["capacity"] = seats
+        else:
+            doc = config_to_dict(*fig1(colleges=2, n_students=200, replications=2, noise="gaussian"))
+            real = estimation.run_replications
+
+            def free_seat(config, plan, threads):
+                records = real(config, plan, threads=threads)
+                records.cutoffs[1, 0] = -math.inf
+                return records
+
+            monkeypatch.setattr("noisymatch.cli.run_replications", free_seat)
+        code, out = run_doc(doc, tmp_path)
+        assert code == EXIT_OK
+        header = b"replication,college_id,coalition_id,cutoff\r\n"
+        assert (out / "cutoffs.csv").read_bytes() == header + self.CUTOFF_ROWS[case]
+
     def test_config_file_run(self, tmp_path):
         config, plan = fig1(colleges=3, replications=2)
         doc = config_to_dict(config, plan)

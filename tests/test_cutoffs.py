@@ -217,10 +217,11 @@ class TestOneTieRule:
         assert got[trimmed].any() and not got[trimmed].all()
         assert not got[m.assignment == UNMATCHED].any()
 
-    def test_demand_builds_no_n_by_c_table(self):
-        # numpy reports its buffers to tracemalloc; the smallest n x C array
-        # is a boolean one of n * C bytes
-        config, _ = fig2(colleges=100, n_students=20000, replications=1)
+    @staticmethod
+    def demand_peak(colleges_per_coalition):
+        """tracemalloc's peak over demand_all on a fig2 market of 20000
+        students, and the market's n * C."""
+        config, _ = fig2(colleges=colleges_per_coalition, n_students=20000, replications=1)
         market = sample_market(config, 0)
         m = deferred_acceptance(market, config.capacities())
         tracemalloc.start()
@@ -230,7 +231,20 @@ class TestOneTieRule:
         finally:
             tracemalloc.stop()
         assert np.array_equal(demand, m.assignment)
-        assert peak < market.n_students * market.n_colleges
+        return peak, market.n_students * market.n_colleges
+
+    def test_demand_builds_no_n_by_c_table(self):
+        # numpy reports its buffers to tracemalloc; the smallest n x C array
+        # is a boolean one of n * C bytes
+        peak, cells = self.demand_peak(100)
+        assert peak < cells
+
+    def test_demand_gathers_in_row_slices(self):
+        # at 100 colleges n * C bytes is 2 MB: the block's booleans, its tie
+        # cells and the booleans gathered in preference order, a row slice
+        # at a time, must stay under that
+        peak, cells = self.demand_peak(50)
+        assert peak < cells
 
 
 class TestRateExponent:

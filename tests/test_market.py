@@ -546,6 +546,41 @@ class TestPackedRanking:
             assert np.array_equal(np.delete(alone, rows, 0), np.delete(want, rows, 0))
 
 
+class TestPairRanking:
+    """Rows of two colleges are ranked by one comparison; the ranks must
+    equal np.argsort's, equal keys going to the lower index."""
+
+    @pytest.mark.parametrize(
+        "tiers", [None, [0, 1], [1, 0]], ids=["uniform", "tiered", "tiered-reversed"]
+    )
+    def test_ranks_equal_argsort(self, tiers, rng):
+        keys = rng.random((600, 2))
+        keys[::7, 1] = keys[::7, 0]  # exact ties
+        keys[3::7] = 0.0
+        keys[5::7, 1] = np.nextafter(keys[5::7, 0], 2.0)
+        keys[6::7, 0] = np.nextafter(keys[6::7, 1], 2.0)
+        tiers = None if tiers is None else np.array(tiers)
+        want = np.argsort(keys if tiers is None else keys + tiers, axis=1)
+        # 600 rows of two keys span one stack block of markets of 200 students
+        stack = [PlantedKeys(keys[i : i + 200]) for i in range(0, 600, 200)]
+        got = market_module._argsort_keys(stack, 200, 2, tiers)
+        assert got.dtype == np.int16
+        assert np.array_equal(got.reshape(600, 2), want)
+        if tiers is None:  # the planted ties are real
+            assert (want[::7] == [0, 1]).all() and (want[3::7] == [0, 1]).all()
+
+    @pytest.mark.parametrize("model", ["uniform_random", "tiered_by_coalition"])
+    def test_sampled_prefs_equal_the_argsort_reference(self, model):
+        # two coalitions of one college each: the tier decides every row
+        if model == "uniform_random":
+            config = one_pool_config(n=300, colleges=2)
+        else:
+            config = two_pool_config(n=300, per_coalition=1)
+        for r in range(3):
+            prefs = sample_market(config, r).prefs
+            assert np.array_equal(prefs, loop_sample_market(config, r)[1])
+
+
 @pytest.mark.usefixtures("two_cpus")
 class TestPrefsThread:
     @pytest.mark.parametrize("model", sorted(PREF_CONFIGS))

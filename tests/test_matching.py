@@ -480,6 +480,75 @@ class TestStackedPath:
             assert np.shares_memory(scores, market.scores)
 
 
+def line_order_by_two_sorts(col, score):
+    """Demanders by (college, score descending, student) in plain Python:
+    a stable sort by score, then a stable sort by college."""
+    by_score = sorted(range(len(col)), key=lambda i: -score[i])
+    return sorted(by_score, key=lambda i: col[i])
+
+
+# what a round may see at a demander's score: the tie-heavy grid value, its
+# negation (-0.0 from 0.0), +inf from Pareto overflow, the next float up
+# (equal to the grid value once the packed key drops its low bits), or a
+# Gaussian draw, of either sign
+SCORE_OPS = (
+    lambda x, rng: x,
+    lambda x, rng: -x,
+    lambda x, rng: np.inf,
+    lambda x, rng: np.nextafter(x, np.inf),
+    lambda x, rng: rng.normal(),
+)
+
+
+@st.composite
+def round_demanders(draw):
+    """A round's demanders: about half the students of a tie_heavy_stacks
+    stack, in ascending order, each at a college of a union of up to 2^17
+    colleges with its score changed by one of SCORE_OPS."""
+    markets, _ = draw(tie_heavy_stacks())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, c = markets[0].scores.shape
+    n_union = draw(st.sampled_from([len(markets) * c, 2**15 + 1, 2**17]))
+    spread = n_union // (len(markets) * c)  # the drawn colleges spread over the union
+    col, score = [], []
+    for r, market in enumerate(markets):
+        for s in np.flatnonzero(rng.random(n) < 0.5):
+            college = int(market.prefs[s, rng.integers(c)])
+            op = SCORE_OPS[rng.integers(len(SCORE_OPS))]
+            col.append((r * c + college) * spread)
+            score.append(float(op(market.scores[s, college], rng)))
+    return np.array(col, dtype=np.int64), np.array(score), n_union
+
+
+class TestLineOrder:
+    """A round orders its demanders with one packed uint64 argsort, falling
+    back to two stable sorts when two packed keys are equal."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(round_demanders())
+    def test_equals_two_sorts(self, case):
+        col, score, n_union = case
+        got = matching._line_order(col, score, n_union)
+        assert got.tolist() == line_order_by_two_sorts(col.tolist(), score.tolist())
+
+    @pytest.mark.parametrize(
+        "score, want",
+        [
+            ([0.5, np.nextafter(0.5, 1.0)], [1, 0]),  # equal once truncated, lower first
+            ([-0.0, 0.0], [0, 1]),  # equal by ==, so in student order
+            ([0.0, -0.0], [0, 1]),
+            ([np.inf, np.inf], [0, 1]),  # Pareto overflow
+            ([-1.5, -0.5], [1, 0]),
+            ([-np.inf, 3.0], [1, 0]),
+        ],
+        ids=["next-float", "minus-zero-first", "plus-zero-first", "overflow", "negative", "minus-inf"],
+    )
+    @pytest.mark.parametrize("n_union", [1, 2, 2**17])
+    def test_two_demanders_at_one_college(self, score, want, n_union):
+        col = np.full(2, n_union - 1, dtype=np.int64)
+        assert matching._line_order(col, np.array(score), n_union).tolist() == want
+
+
 class TestNarrowPrefs:
     """Sampled markets carry int16 prefs; every consumer must give the same
     answer as on an int64 copy of the same market."""
