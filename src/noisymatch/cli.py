@@ -76,6 +76,7 @@ def _build_doc(args) -> dict:
         given = ("colleges", "noise")
         kwargs = {key: getattr(args, key) for key in given if getattr(args, key) is not None}
         doc = config_to_dict(*preset(args.preset, **kwargs))
+        _warn_fixed_seats(args.preset, doc, args.overrides)
     else:
         doc = load_config_file(args.config)
         if args.noise is not None or args.colleges is not None:
@@ -85,6 +86,22 @@ def _build_doc(args) -> dict:
     if args.replications is not None:
         doc.setdefault("plan", {})["replications"] = args.replications
     return apply_overrides(doc, args.overrides)
+
+
+def _warn_fixed_seats(name: str, doc: dict, overrides: list[str]) -> None:
+    """Warn that ``--set n_students=...`` leaves a preset's seats as built.
+
+    ``--set`` edits the finished document, whose capacities the preset
+    split for its own student count; the run goes on as asked.
+    """
+    seats = sum(college["capacity"] for college in doc["colleges"])
+    for item in overrides:
+        if item.partition("=")[0] == "n_students":
+            print(
+                f"warning: --set {item} keeps preset {name}'s {seats} seats; build the point "
+                f"with presets.{name}(n_students=...) or a config file",
+                file=sys.stderr,
+            )
 
 
 def _fmt(x) -> str:

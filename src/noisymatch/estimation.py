@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Sequence
@@ -20,7 +21,7 @@ import numpy as np
 
 from .cutoffs import afford_from_matching
 from .errors import ConfigError, ReplicationError, finite_number
-from .market import EconomyConfig, markets_per_stack, sample_stack
+from .market import EconomyConfig, markets_per_stack, prefs_dtype, sample_stack
 from .matching import UNMATCHED, stacked_deferred_acceptance
 
 
@@ -119,14 +120,16 @@ class ReplicationRecords:
 
     config: EconomyConfig
     plan: ExperimentPlan
-    values: np.ndarray  # (R, N, n_coalitions)
-    assignment: np.ndarray  # (R, N) college index or UNMATCHED
+    values: np.ndarray  # (R, N, n_coalitions) float64
+    # (R, N) college index or UNMATCHED, in market.prefs_dtype(n_colleges)
+    assignment: np.ndarray
     afford: dict[tuple[int, float], np.ndarray]  # (coalition_id, eps) -> (R, N) bool
-    cutoffs: np.ndarray | None  # (R, n_colleges)
+    cutoffs: np.ndarray | None  # (R, n_colleges) float64, None unless plan.record_cutoffs
     # seconds spent sampling, matching and measuring affordability, summed
     # over stacks and workers
     stage_seconds: dict[str, float] = field(default_factory=dict, compare=False)
-    # (value column, bin edges) -> bin of every student-observation
+    # (value column, bin edges) -> bin of every student-observation, in the
+    # narrowest unsigned type that holds the last bin
     _bins: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -157,8 +160,9 @@ def _run_stack(config: EconomyConfig, plan: ExperimentPlan, stack: range):
     """Sample a stack of consecutive replications, match it in one call and
     read affordability off the matching.
 
-    Returns the stack's values, assignment, afford and cutoffs, each with
-    one leading entry per replication, and the seconds of each stage.
+    Returns the stack's values, assignment (in ``prefs_dtype(C)``), afford
+    and cutoffs (None unless the plan records them), each with one leading
+    entry per replication, and the seconds of each stage.
     """
     started = time.perf_counter()
     values, prefs, scores = sample_stack(config, stack)
@@ -177,19 +181,11 @@ def _run_stack(config: EconomyConfig, plan: ExperimentPlan, stack: range):
     except (ConfigError, ValueError, RuntimeError) as e:
         raise ReplicationError.naming(stack, e) from e
     seconds = np.diff([started, sampled, matched, time.perf_counter()])
+    # UNMATCHED = -1 fits the signed type of the college indices
+    assignment = assignment.astype(prefs_dtype(config.n_colleges))
+    if not plan.record_cutoffs:
+        cuts = None
     return values, assignment, afford, cuts, dict(zip(_STAGES, seconds.tolist()))
-
-
-def _concatenate(parts, requests):
-    """Join (values, assignment, afford, cutoffs, seconds) parts along
-    replications, summing the seconds."""
-    return (
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-        {key: np.concatenate([p[2][key] for p in parts]) for key in requests},
-        np.concatenate([p[3] for p in parts]),
-        {stage: sum(p[4][stage] for p in parts) for stage in _STAGES},
-    )
 
 
 def check_plan(config: EconomyConfig, plan: ExperimentPlan) -> None:
@@ -234,8 +230,9 @@ def run_replications(
     result is identical however replications are grouped.  The run cuts
     them once into stacks of consecutive markets of at most
     ``markets_per_stack`` markets (a larger market stands alone), samples
-    and matches each stack in one call, and joins the stacks once, which
-    leaves every replication's result as it would be alone.
+    and matches each stack in one call, and copies each stack's result into
+    the records' rows as it arrives, so the records are the only arrays of
+    their size this process holds.
     """
     if threads < 1:
         raise ValueError(f"threads: must be at least 1, got {threads}")
@@ -250,16 +247,32 @@ def run_replications(
         # starts a helper thread (market.helper_threads_allowed).
         size = min(size, max(1, n // (4 * threads)))
     stacks = [range(i, min(i + size, n)) for i in range(0, n, size)]
-    if pooled:
-        batch = max(1, len(stacks) // (4 * threads))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(partial(_run_stack, config, plan), stacks, chunksize=batch))
-    else:
-        parts = [_run_stack(config, plan, stack) for stack in stacks]
 
-    values, assignment, afford, cuts, seconds = _concatenate(parts, _afford_requests(plan))
-    if not plan.record_cutoffs:
-        cuts = None
+    shape = (n, config.n_students)
+    values = np.empty(shape + (len(config.coalitions),))
+    assignment = np.empty(shape, dtype=prefs_dtype(config.n_colleges))
+    afford = {key: np.empty(shape, dtype=bool) for key in _afford_requests(plan)}
+    cuts = np.empty((n, config.n_colleges)) if plan.record_cutoffs else None
+    seconds = dict.fromkeys(_STAGES, 0.0)
+    run = partial(_run_stack, config, plan)
+    with ExitStack() as scope:
+        if pooled:
+            pool = scope.enter_context(ProcessPoolExecutor(max_workers=threads))
+            batch = max(1, len(stacks) // (4 * threads))
+            parts = pool.map(run, stacks, chunksize=batch)
+        else:
+            parts = map(run, stacks)
+        # pool.map yields in stack order and drops each result once yielded
+        for stack, (v, a, f, c, s) in zip(stacks, parts):
+            rows = slice(stack.start, stack.stop)
+            values[rows] = v
+            assignment[rows] = a
+            for key, hits in f.items():
+                afford[key][rows] = hits
+            if cuts is not None:
+                cuts[rows] = c
+            for stage in _STAGES:
+                seconds[stage] += s[stage]
     return ReplicationRecords(config, plan, values, assignment, afford, cuts, seconds)
 
 
@@ -288,10 +301,23 @@ class MatchCurve:
         return np.diff(self.bin_edges)
 
 
-def _binned_curve(idx: np.ndarray, hits: np.ndarray, edges: np.ndarray) -> MatchCurve:
+def _binned_curve(bins: np.ndarray, edges: np.ndarray, flags: np.ndarray, miss) -> MatchCurve:
+    """The curve of observations in ``bins``: an observation is a hit where
+    its entry of the flat ``flags`` is not ``miss``.
+
+    Observations are tallied _BIN_CHUNK at a time by one integer bincount
+    of 2 * bin + hit, so no temporary grows with the observations.
+    """
     n_bins = len(edges) - 1
-    count = np.bincount(idx, minlength=n_bins).astype(int)
-    hit_count = np.bincount(idx, weights=hits.astype(float), minlength=n_bins)
+    tally = np.zeros(2 * n_bins, dtype=np.int64)  # a bin's misses, then its hits
+    for start in range(0, len(bins), _BIN_CHUNK):
+        rows = slice(start, start + _BIN_CHUNK)
+        key = bins[rows].astype(np.intp)
+        key <<= 1
+        key += flags[rows] != miss
+        tally += np.bincount(key, minlength=2 * n_bins)
+    hit_count = tally[1::2]
+    count = tally[0::2] + hit_count
     with np.errstate(invalid="ignore", divide="ignore"):
         p = np.where(count > 0, hit_count / np.maximum(count, 1), np.nan)
         se = np.where(count > 0, np.sqrt(p * (1.0 - p) / np.maximum(count, 1)), np.nan)
@@ -300,10 +326,11 @@ def _binned_curve(idx: np.ndarray, hits: np.ndarray, edges: np.ndarray) -> Match
 
 def _bin_index(records: ReplicationRecords, coalition_id, bins) -> tuple[np.ndarray, np.ndarray]:
     """The edges, and the bin of every student-observation's value in the
-    coalition's column.  A value outside the edges counts in the end bin.
+    coalition's column, in the narrowest unsigned type that holds the last
+    bin.  A value outside the edges counts in the end bin.
 
-    Computed once per (column, edges) and kept on the records, so the
-    curves of one column share it.
+    Computed once per (column, edges), _BIN_CHUNK values at a time, and
+    kept on the records, so the curves of one column share it.
     """
     edges = np.asarray(bins if bins is not None else records.plan.bin_edges, dtype=float)
     if coalition_id is None:
@@ -314,17 +341,25 @@ def _bin_index(records: ReplicationRecords, coalition_id, bins) -> tuple[np.ndar
         column = records.config.coalition_position(coalition_id)
     key = (column, edges.tobytes())
     if key not in records._bins:
-        records._bins[key] = _bin_of(records.values[:, :, column].ravel(), edges)
+        # a view: each chunk of a column is read in place, never copied whole
+        observed = records.values.reshape(-1, records.values.shape[2])[:, column]
+        cache = np.empty(len(observed), dtype=np.min_scalar_type(len(edges) - 2))
+        for start in range(0, len(cache), _BIN_CHUNK):
+            rows = slice(start, start + _BIN_CHUNK)
+            cache[rows] = _bin_of(observed[rows], edges)
+        records._bins[key] = cache
     return edges, records._bins[key]
 
 
-# _bin_of bins this many values at a time, so its temporaries stay near
-# 0.4 MiB beside the int64 bins it returns.  Median time and tracemalloc
-# peak per call on many-tiny's count of values (600,000, U(0, 1)) and 51
-# equal-width edges, 30 interleaved calls (Python 3.11, numpy 2.4, 2-vCPU
-# machine), for chunks of 2^12 / 2^14 / 2^16 / 2^18 / 2^20 (all at once):
-#   5.5 / 4.1 / 4.2 / 6.6 / 7.7 ms,  4.7 / 5.0 / 5.8 / 9.6 / 14.9 MiB;
-# np.searchsorted took 34 ms and 4.6 MiB.  A larger peak shows in the CLI
+# The bins are found and counted this many values at a time, so their
+# temporaries stay near 0.4 MiB beside the narrow bin cache.  Median time
+# and tracemalloc peak of a match and an afford curve from an empty cache,
+# on many-tiny's count of values (600,000, U(0, 1), one uint8 cache of
+# 0.57 MiB) and 51 equal-width edges, 30 interleaved runs (Python 3.11,
+# numpy 2.4, 2-vCPU machine), for chunks of 2^12 / 2^14 / 2^16 / 2^18 /
+# 2^20 (all at once):
+#   10.4 / 7.1 / 7.4 / 9.5 / 14.6 ms,  0.68 / 0.98 / 2.20 / 7.08 / 15.45 MiB.
+# np.searchsorted alone took 29 ms.  A larger peak shows in the CLI
 # process's peak RSS, which is that of the curves on many-tiny.
 _BIN_CHUNK = 1 << 14
 
@@ -343,18 +378,14 @@ def _bin_of(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     # each bin's edges; the end bins are open outward
     lower = np.concatenate(([-np.inf], edges[1:-1]))
     upper = np.concatenate((edges[1:-1], [np.inf]))
-    idx = np.empty(len(values), dtype=np.intp)
-    for start in range(0, len(values), _BIN_CHUNK):
-        v, bins = values[start : start + _BIN_CHUNK], idx[start : start + _BIN_CHUNK]
-        guess = (v - edges[0]) * scale
-        bins[...] = np.clip(guess, 0, last, out=guess)
-        while True:
-            up, down = v >= upper[bins], v < lower[bins]
-            if not (up.any() or down.any()):
-                break
-            bins += up
-            bins -= down
-    return idx
+    guess = (values - edges[0]) * scale
+    bins = np.clip(guess, 0, last, out=guess).astype(np.intp)
+    while True:
+        up, down = values >= upper[bins], values < lower[bins]
+        if not (up.any() or down.any()):
+            return bins
+        bins += up
+        bins -= down
 
 
 def estimate_match_curve(
@@ -365,7 +396,7 @@ def estimate_match_curve(
 ) -> MatchCurve:
     """Fraction of student-observations matched anywhere, per value bin."""
     edges, idx = _bin_index(records, coalition_id, bins)
-    return _binned_curve(idx, records.matched().ravel(), edges)
+    return _binned_curve(idx, edges, records.assignment.reshape(-1), UNMATCHED)
 
 
 def estimate_afford_curve(
@@ -382,7 +413,7 @@ def estimate_afford_curve(
             f"at trim_epsilon={trim_epsilon}; add the curve to the plan"
         )
     edges, idx = _bin_index(records, coalition_id, bins)
-    return _binned_curve(idx, records.afford[key].ravel(), edges)
+    return _binned_curve(idx, edges, records.afford[key].reshape(-1), False)
 
 
 # ---------------------------------------------------------------------------

@@ -633,6 +633,19 @@ class TestCliContract:
         )
         assert code == EXIT_INVARIANT
 
+    def test_set_n_students_on_a_preset_warns_and_runs(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = run_cli(
+            "--preset", "fig1", "--set", "n_students=4000", "--colleges", "10",
+            "--replications", "1", "--threads", "1", "--out-dir", str(out),
+        )
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == (
+            "warning: --set n_students=4000 keeps preset fig1's 1000 seats; build the point "
+            "with presets.fig1(n_students=...) or a config file\n"
+        )
+        assert "matched_share,0.25," in (out / "metrics.csv").read_text()
+
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
         reason="the planted failure reaches the workers only through fork",
@@ -696,6 +709,19 @@ class TestCliContract:
         assert not (tmp_path / "o" / "cutoffs.csv").exists()
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["effective_config"]["plan"]["record_cutoffs"] is False
+
+    def test_unrecorded_cutoffs_through_a_pool(self, tmp_path):
+        doc = small_doc()
+        doc["plan"]["record_cutoffs"] = False
+        doc["plan"]["replications"] = 8
+        config, plan = dict_to_config(doc)
+        assert estimation.run_replications(config, plan, threads=2).cutoffs is None
+        outs = {threads: tmp_path / f"t{threads}" for threads in (1, 2)}
+        for threads, out in outs.items():
+            assert run(doc, out, threads) == EXIT_OK
+            assert not (out / "cutoffs.csv").exists()
+        for name in ("curves.csv", "metrics.csv"):
+            assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes()
 
     def test_effective_config_recorded(self, tmp_path):
         out = tmp_path / "run"

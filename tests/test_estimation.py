@@ -1,6 +1,8 @@
 """Unit tests for the replication harness, curves, and metrics."""
 
+import functools
 import itertools
+import multiprocessing
 import os
 import re
 import tracemalloc
@@ -318,6 +320,47 @@ class TestRunReplications:
         assert max(beyond) <= bound
         assert beyond[1] <= 1.1 * beyond[0]
 
+    def test_a_pooled_run_holds_the_records_once(self):
+        # numpy reports its buffers to tracemalloc, and a pool's results are
+        # unpickled in this process.  The records are allocated once and
+        # each batch is copied into its rows as it arrives.  While a batch
+        # is unpickled it is held up to three times over (the received
+        # message, each array's pickled bytes and the array), and each of
+        # the two workers may have one batch in flight, so the bound allows
+        # six batches beside the records and 1 MiB.  Keeping the results
+        # and joining them would hold the records twice.
+        assert market_module.markets_per_stack(200, 2) >= 500
+        config, plan = fig1(colleges=2, n_students=200, replications=4000)
+        tracemalloc.start()
+        try:
+            records = run_replications(config, plan, threads=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = records.values.nbytes + records.assignment.nbytes + records.cutoffs.nbytes
+        held += sum(a.nbytes for a in records.afford.values())
+        # stacks of 4000 // (4 * 2) = 500 markets, sent one a batch
+        batch = held // 8
+        assert peak <= held + 6 * batch + (1 << 20)
+
+    def test_a_spawned_pool_gives_the_serial_records(self, monkeypatch):
+        # workers that import the package afresh, as on macOS and under
+        # Python 3.14's forkserver default, get nothing through fork
+        spawn = functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
+        )
+        monkeypatch.setattr(estimation, "ProcessPoolExecutor", spawn)
+        config, plan = fig1(colleges=2, n_students=200, replications=64)
+        serial = run_replications(config, plan, threads=1)
+        pooled = run_replications(config, plan, threads=2)
+        assert serial.assignment.dtype == pooled.assignment.dtype == np.int16
+        assert np.array_equal(serial.values, pooled.values)
+        assert np.array_equal(serial.assignment, pooled.assignment)
+        assert np.array_equal(serial.cutoffs, pooled.cutoffs)
+        assert serial.afford.keys() == pooled.afford.keys() == {(1, 0.0)}
+        for key in serial.afford:
+            assert np.array_equal(serial.afford[key], pooled.afford[key])
+
     # fig2's plan has four curves, so an added one is plan.curves[4]
     ADDED = "plan.curves[4].coalition: "
 
@@ -555,6 +598,28 @@ class TestCurves:
         records = run_replications(config, plan)
         with pytest.raises(ConfigError, match="not recorded"):
             estimate_afford_curve(records, 1, 0.25)
+
+    def test_curves_count_in_chunks_beside_a_narrow_cache(self):
+        # numpy reports its buffers to tracemalloc.  300,000 observations
+        # make 19 chunks; the cache holds one uint8 bin for each, and
+        # binning or counting a chunk takes under 32 bytes a value
+        config, plan = fig1(colleges=2, n_students=200, replications=1500)
+        records = run_replications(config, plan)
+        slack = 32 * estimation._BIN_CHUNK + (64 << 10)
+        tracemalloc.start()
+        try:
+            estimate_match_curve(records)
+            _, cold = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            estimate_afford_curve(records, 1)
+            _, warm = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        (cache,) = records._bins.values()
+        assert cold <= records.n_replications * 200 + slack
+        assert warm - before <= slack
+        assert cache.dtype == np.uint8 and cache.nbytes == 300_000
 
     def test_each_column_is_binned_once_per_edges(self, monkeypatch):
         config, plan = fig2(colleges=2, replications=3, n_students=400)
