@@ -35,7 +35,7 @@ from .estimation import (
     steepest_ascent_bin,
 )
 from .market import usable_cpus, v_s_threshold
-from .presets import PRESET_NAMES, preset
+from .presets import NOISE_TOKENS, PRESET_NAMES, preset
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the master seed")
     p.add_argument("--replications", type=int, help="override the replication count")
     p.add_argument("--colleges", type=int, help="preset only: college count (per coalition for fig2)")
-    p.add_argument("--noise", help="preset only: uniform|exponential|pareto|gaussian|gumbel|none")
+    p.add_argument("--noise", help=f"preset only: {'|'.join(NOISE_TOKENS)}")
     p.add_argument(
         "--threads", type=int, default=None,
         help="worker processes (default: the CPUs this process may use)",

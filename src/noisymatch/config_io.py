@@ -1,26 +1,80 @@
-"""Config file schema, canonicalisation, and hashing.
+"""The config document, its canonical form and its hash.
 
-Configs are JSON documents.  Hashing always goes through the canonical
-form (sorted keys, compact separators), so field order in the file never
-changes the hash.
+Configs are JSON documents; this module alone reads and writes them.  A
+noise, value, preference or curve entry names its class by ``kind`` in
+KINDS.  Hashing goes through the canonical form (sorted keys, compact
+separators), so field order in the file never changes the hash.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .errors import ConfigError, finite_number
-from .estimation import ExperimentPlan, check_plan, curve_from_dict
+from .estimation import AffordProbability, ExperimentPlan, MatchProbability, check_plan
 from .market import (
-    Coalition,
-    College,
-    EconomyConfig,
-    preferences_from_dict,
-    values_from_dict,
+    Coalition, College, CommonRanking, EconomyConfig, ExplicitSampler, PiecewiseLinearCdf,
+    TieredByCoalition, UniformRandomPreferences, UniformValues,
 )
-from .noise import noise_from_dict
+from .noise import Exponential, Gaussian, Gumbel, Pareto, Uniform
+
+# each field of the document that holds a kind entry -> {kind: class}
+KINDS = {
+    field: {cls.kind: cls for cls in classes}
+    for field, classes in (
+        ("noise", (Uniform, Gaussian, Exponential, Gumbel, Pareto)),
+        ("values", (UniformValues, PiecewiseLinearCdf)),
+        (
+            "preferences",
+            (UniformRandomPreferences, CommonRanking, TieredByCoalition, ExplicitSampler),
+        ),
+        ("plan.curves", (MatchProbability, AffordProbability)),
+    )
+}
+
+# a class field whose key in the document differs from its name
+_KEYS = {"coalition_id": "coalition"}
+
+
+def build_kind(field: str, entry: dict, path: str | None = None):
+    """The object of the class ``entry["kind"]`` names in KINDS[field], each
+    field from its key, lists as tuples.  A key no field has is left for
+    _reject_unknown_fields; other faults raise ConfigError naming ``path``."""
+    path = path or field
+    kinds = KINDS[field]
+    kind = entry.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{path}.kind: unknown kind {kind!r}, expected one of {sorted(kinds)}")
+    cls = kinds[kind]
+    args = {}
+    for f in fields(cls):
+        key = _KEYS.get(f.name, f.name)
+        if key in entry:
+            value = entry[key]
+            # annotations are strings here (from __future__ import annotations)
+            if f.type.startswith("tuple"):
+                value = _tuples(_expect(value, list, f"{path}.{key}"))
+            args[f.name] = value
+        elif f.default is MISSING:
+            raise ConfigError(f"{path}.{key}: missing required field")
+    return cls(**args)
+
+
+def kind_entry(obj) -> dict:
+    """obj's entry: its kind and each field under its key, tuples as lists."""
+    keyed = {_KEYS.get(f.name, f.name): _lists(getattr(obj, f.name)) for f in fields(obj)}
+    return {"kind": obj.kind, **keyed}
+
+
+def _tuples(value):
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
+def _lists(value):
+    return list(map(_lists, value)) if isinstance(value, tuple) else value
 
 
 def config_to_dict(config: EconomyConfig, plan: ExperimentPlan) -> dict:
@@ -31,20 +85,22 @@ def config_to_dict(config: EconomyConfig, plan: ExperimentPlan) -> dict:
         "coalitions": [
             {
                 "id": k.id,
-                "values": k.values.to_dict(),
-                "noise": None if k.noise is None else k.noise.to_dict(),
+                "values": kind_entry(k.values),
+                "noise": None if k.noise is None else kind_entry(k.noise),
             }
             for k in config.coalitions
         ],
+        # written out, not by kind_entry: a generic writer over every
+        # college doubled dict_to_config's time on a 1000-college document
         "colleges": [
             {"id": c.id, "capacity": c.capacity, "coalition": c.coalition}
             for c in config.colleges
         ],
-        "preferences": config.preferences.to_dict(),
+        "preferences": kind_entry(config.preferences),
         "plan": {
             "replications": plan.replications,
             "bin_edges": list(plan.bin_edges),
-            "curves": [c.to_dict() for c in plan.curves],
+            "curves": [kind_entry(c) for c in plan.curves],
             "record_cutoffs": plan.record_cutoffs,
         },
     }
@@ -78,15 +134,18 @@ def _objects(value, field: str) -> list[tuple[str, dict]]:
 
 
 def _curve(c: dict, path: str):
+    """A plan.curves entry: its coalition an id, its trim_epsilon a number."""
     _expect(c.get("coalition"), _ID, f"{path}.coalition")
-    return curve_from_dict(c, path)
+    if "trim_epsilon" in c:
+        finite_number(c["trim_epsilon"], f"{path}.trim_epsilon")
+    return build_kind("plan.curves", c, path)
 
 
 def _coalition(k: dict, path: str) -> Coalition:
     try:
-        values = values_from_dict(_expect(k["values"], dict, "values"))
+        values = build_kind("values", _expect(k["values"], dict, "values"))
         noise = k.get("noise")
-        noise = None if noise is None else noise_from_dict(_expect(noise, dict, "noise"))
+        noise = None if noise is None else build_kind("noise", _expect(noise, dict, "noise"))
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from e
     return Coalition(id=_expect(k["id"], _ID, f"{path}.id"), values=values, noise=noise)
@@ -125,7 +184,7 @@ def dict_to_config(doc: dict) -> tuple[EconomyConfig, ExperimentPlan]:
             n_students=_integer(doc["n_students"], "n_students"),
             colleges=colleges,
             coalitions=coalitions,
-            preferences=preferences_from_dict(_expect(doc["preferences"], dict, "preferences")),
+            preferences=build_kind("preferences", _expect(doc["preferences"], dict, "preferences")),
             master_seed=_integer(doc["master_seed"], "master_seed"),
             capacity_alpha=finite_number(doc.get("capacity_alpha", 1.0), "capacity_alpha"),
         )
@@ -153,7 +212,12 @@ def config_hash(doc: dict) -> str:
 
 
 def load_config_file(path: str | Path) -> dict:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as e:  # a missing path or a directory, say
+        raise ConfigError(f"config file {path}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config file {path}: not UTF-8 at byte {e.start}: {e.reason}") from e
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:

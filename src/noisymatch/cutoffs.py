@@ -43,17 +43,6 @@ def afford_matrix(market: SampledMarket, cutoffs: np.ndarray) -> np.ndarray:
     return market.scores >= np.asarray(cutoffs)[None, :]
 
 
-def _cleared_blocks(scores: np.ndarray, cutoffs: np.ndarray, cut_students: np.ndarray):
-    """Whether each score of an (R, n, C) stack clears its college's bar in
-    its own market, in the blocks of ``stack_blocks``, so no n x C table is
-    built.  Yields each block's (markets, rows) index and its result, in one
-    buffer reused for every block."""
-    student = np.arange(scores.shape[1])
-    for (reps, rows), buffer in stack_blocks(scores.shape, bool):
-        bars = cutoffs[reps, None], cut_students[reps, None]
-        yield (reps, rows), _clears(scores[reps, rows], student[rows, None], *bars, ..., out=buffer)
-
-
 def afford_any_stacked(
     scores: np.ndarray, cutoffs: np.ndarray, cut_students: np.ndarray
 ) -> np.ndarray:
@@ -65,9 +54,15 @@ def afford_any_stacked(
     every score, +inf included.  Runs read affordability off the matching
     instead (``afford_from_matching``); this comparison of every score is
     the reference the tests hold it to.
+
+    The scores are compared in the blocks of ``stack_blocks``, in one
+    boolean buffer, so no n x C table is built.
     """
     out = np.empty(scores.shape[:2], dtype=bool)
-    for (reps, rows), cleared in _cleared_blocks(scores, cutoffs, cut_students):
+    student = np.arange(scores.shape[1])
+    for (reps, rows), buffer in stack_blocks(scores.shape, bool):
+        bars = cutoffs[reps, None], cut_students[reps, None]
+        cleared = _clears(scores[reps, rows], student[rows, None], *bars, ..., out=buffer)
         cleared.any(axis=2, out=out[reps, rows])
     return out
 
@@ -110,21 +105,22 @@ def afford_from_matching(
 def demand_all(market: SampledMarket, cutoffs: np.ndarray, cut_students: np.ndarray) -> np.ndarray:
     """Each student's favourite college whose bar they clear, UNMATCHED when none.
 
-    Each block's booleans are read in preference order in row slices of at
-    most ``_BLOCK_CELLS // 8`` cells, so the gathered booleans and their
-    index temporaries stay small beside the block.
+    Students are compared with the bars, and their booleans read in
+    preference order, in row slices of at most ``_BLOCK_CELLS // 8`` cells,
+    so the booleans and their index temporaries stay small.
     """
     demand = np.empty(market.n_students, dtype=np.int64)
-    bars = np.asarray(cutoffs, dtype=float)[None], np.asarray(cut_students)[None]
+    bars = np.asarray(cutoffs, dtype=float), np.asarray(cut_students)
+    student = np.arange(market.n_students)
     step = max(1, sampling._BLOCK_CELLS // 8 // market.n_colleges)
-    for (_, rows), cleared in _cleared_blocks(market.scores[None], *bars):
-        for s0 in range(rows.start, rows.stop, step):
-            s1 = min(s0 + step, rows.stop)
-            prefs = market.prefs[s0:s1]
-            k = np.arange(len(prefs))
-            by_rank = cleared[0, s0 - rows.start : s1 - rows.start][k[:, None], prefs]
-            first = by_rank.argmax(axis=1)
-            demand[s0:s1] = np.where(by_rank[k, first], prefs[k, first], UNMATCHED)
+    for s0 in range(0, market.n_students, step):
+        rows = slice(s0, s0 + step)
+        prefs = market.prefs[rows]
+        k = np.arange(len(prefs))
+        cleared = _clears(market.scores[rows], student[rows, None], *bars, ...)
+        by_rank = cleared[k[:, None], prefs]
+        first = by_rank.argmax(axis=1)
+        demand[rows] = np.where(by_rank[k, first], prefs[k, first], UNMATCHED)
     return demand
 
 

@@ -30,9 +30,7 @@ class MatchProbability:
     """Probability of matching anywhere, binned against one coalition's value."""
 
     coalition_id: int | None = None
-
-    def to_dict(self):
-        return {"kind": "match", "coalition": self.coalition_id}
+    kind = "match"
 
 
 @dataclass(frozen=True)
@@ -41,29 +39,16 @@ class AffordProbability:
 
     coalition_id: int
     trim_epsilon: float = 0.0
+    kind = "afford"
 
     def __post_init__(self):
-        if not 0.0 <= self.trim_epsilon < 1.0:
-            raise ConfigError(f"trim_epsilon must lie in [0, 1), got {self.trim_epsilon}")
-
-    def to_dict(self):
-        return {"kind": "afford", "coalition": self.coalition_id, "trim_epsilon": self.trim_epsilon}
+        epsilon = finite_number(self.trim_epsilon, "trim_epsilon")
+        if not 0.0 <= epsilon < 1.0:
+            raise ConfigError(f"trim_epsilon must lie in [0, 1), got {epsilon}")
+        object.__setattr__(self, "trim_epsilon", epsilon)
 
 
 CurveRequest = MatchProbability | AffordProbability
-
-
-def curve_from_dict(d: dict, field: str = "plan.curves") -> CurveRequest:
-    """The curve a config's ``field`` entry asks for."""
-    kind = d.get("kind")
-    if kind == "match":
-        return MatchProbability(coalition_id=d.get("coalition"))
-    if kind == "afford":
-        if "coalition" not in d:
-            raise ConfigError(f"{field}.coalition: missing required field")
-        epsilon = finite_number(d.get("trim_epsilon", 0.0), f"{field}.trim_epsilon")
-        return AffordProbability(coalition_id=d["coalition"], trim_epsilon=epsilon)
-    raise ConfigError(f"{field}: unknown curve kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -238,15 +223,17 @@ def run_replications(
         raise ValueError(f"threads: must be at least 1, got {threads}")
     check_plan(config, plan)
     n = plan.replications
-    pooled = threads > 1 and n > 1
     size = markets_per_stack(config.n_students, config.n_colleges)
-    if pooled:
+    if threads > 1:
         # stacks of at most a quarter of a worker's share balance the load;
         # pool.map sends them in about four batches a worker, each pickling
         # config and plan once.  Each worker keeps a core busy, so none
         # starts a helper thread (market.helper_threads_allowed).
         size = min(size, max(1, n // (4 * threads)))
     stacks = [range(i, min(i + size, n)) for i in range(0, n, size)]
+    # a fork pool starts every worker at the first submit, so no more than
+    # there are stacks
+    workers = min(threads, len(stacks))
 
     shape = (n, config.n_students)
     values = np.empty(shape + (len(config.coalitions),))
@@ -256,9 +243,9 @@ def run_replications(
     seconds = dict.fromkeys(_STAGES, 0.0)
     run = partial(_run_stack, config, plan)
     with ExitStack() as scope:
-        if pooled:
-            pool = scope.enter_context(ProcessPoolExecutor(max_workers=threads))
-            batch = max(1, len(stacks) // (4 * threads))
+        if workers > 1:
+            pool = scope.enter_context(ProcessPoolExecutor(max_workers=workers))
+            batch = max(1, len(stacks) // (4 * workers))
             parts = pool.map(run, stacks, chunksize=batch)
         else:
             parts = map(run, stacks)

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, OverdemandError, ReplicationError, finite_number
-from .noise import NoiseSpec, from_kinds
+from .noise import NoiseSpec
 
 STREAM_VALUES = 0
 STREAM_PREFS = 1
@@ -287,9 +287,6 @@ class ValueDistribution:
     def support(self) -> tuple[float, float]:
         raise NotImplementedError
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class UniformValues(ValueDistribution):
@@ -314,9 +311,6 @@ class UniformValues(ValueDistribution):
 
     def support(self):
         return (self.lo, self.hi)
-
-    def to_dict(self):
-        return {"kind": self.kind, "lo": self.lo, "hi": self.hi}
 
 
 @dataclass(frozen=True)
@@ -367,16 +361,6 @@ class PiecewiseLinearCdf(ValueDistribution):
 
     def support(self):
         return (self.knots[0][0], self.knots[-1][0])
-
-    def to_dict(self):
-        return {"kind": self.kind, "knots": [list(k) for k in self.knots]}
-
-
-_VALUE_KINDS = {"uniform": UniformValues, "piecewise": PiecewiseLinearCdf}
-
-
-def values_from_dict(d: dict) -> ValueDistribution:
-    return from_kinds(d, _VALUE_KINDS, "values")
 
 
 def v_s_threshold(dist: ValueDistribution, total_capacity_fraction: float) -> float:
@@ -446,9 +430,6 @@ class PreferenceModel:
     def check(self, n_colleges: int) -> None:
         """Raise ConfigError when the model cannot rank n_colleges colleges."""
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind}
-
 
 @dataclass(frozen=True)
 class UniformRandomPreferences(PreferenceModel):
@@ -472,9 +453,6 @@ class CommonRanking(PreferenceModel):
     def sample_prefs(self, rngs, n, n_colleges, tiers):
         ranking = np.asarray(self.ranking, dtype=prefs_dtype(n_colleges))
         return np.tile(ranking, (len(rngs), n, 1))
-
-    def to_dict(self):
-        return {"kind": self.kind, "ranking": list(self.ranking)}
 
 
 @dataclass(frozen=True)
@@ -522,18 +500,13 @@ class ExplicitSampler(PreferenceModel):
             np.take(table, rng.choice(len(table), size=n, p=p), axis=0, out=prefs[i])
         return prefs
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "rankings": [list(r) for r in self.rankings],
-            "probabilities": list(self.probabilities),
-        }
-
 
 def _permutes(ranking, n_colleges: int, field: str) -> bool:
     """Whether ranking orders the colleges 0..n_colleges-1, each once.  An
     entry that is not an integer (a bool, a float or a string) is an error
-    naming ``field[i]``, not a college."""
+    naming ``field[i]``, not a college; so is a ranking that is not a list."""
+    if not isinstance(ranking, (tuple, list, np.ndarray)):
+        raise ConfigError(f"{field}: must be a list, got {ranking!r}")
     for i, c in enumerate(ranking):
         if isinstance(c, bool) or not isinstance(c, numbers.Integral):
             raise ConfigError(f"{field}[{i}]: must be an integer, got {c!r}")
@@ -592,25 +565,6 @@ def _packed_rank(keys: np.ndarray, out: np.ndarray) -> None:
     tied = (packed[..., 1:] == packed[..., :-1]).any(axis=-1)
     if tied.any():
         out[tied] = np.argsort(keys[tied], axis=-1)
-
-
-def preferences_from_dict(d: dict) -> PreferenceModel:
-    kind = d.get("kind")
-    if kind == "uniform_random":
-        return UniformRandomPreferences()
-    if kind == "tiered_by_coalition":
-        return TieredByCoalition()
-    try:
-        if kind == "common_ranking":
-            return CommonRanking(ranking=tuple(d.get("ranking", ())))
-        if kind == "explicit":
-            return ExplicitSampler(
-                rankings=tuple(tuple(r) for r in d.get("rankings", ())),
-                probabilities=tuple(d.get("probabilities", ())),
-            )
-    except TypeError as e:  # a number where a list belongs
-        raise ConfigError(f"preferences: bad parameters for {kind!r}: {e}") from e
-    raise ConfigError(f"preferences.kind: unknown kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

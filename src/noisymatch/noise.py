@@ -28,22 +28,30 @@ DEFAULT_BETA_MIN = 0.25
 DEFAULT_RATIO_MIN = 0.95
 DEFAULT_PROBE_QUANTILES = (0.9, 0.99, 0.999)
 DEFAULT_PROBE_GAP = 0.1
+# tail_report's sample sizes: the maximum of n draws for each n, and the
+# draws whose quantiles place the survival-ratio probes
+_N_GRID = (10, 100, 1000, 10_000)
+_PROBE_SAMPLES = 100_000
+# how far a ratio may move against the trend and still count as monotone
+_RATIO_TOL = 1e-9
 
 _MAX_CHUNK_DRAWS = 5_000_000
 
 
 class NoiseSpec:
     """Base class for parametric noise distributions: every parameter must be
-    a finite number, and those named in ``positive`` must exceed 0."""
+    a finite number, stored as a float, and those named in ``positive`` must
+    exceed 0."""
 
     kind: str = ""
     positive: tuple[str, ...] = ()
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            finite_number(value, f"{self.kind}.{name}")
+            value = finite_number(value, f"{self.kind}.{name}")
             if name in self.positive and not value > 0:
                 raise ConfigError(f"{self.kind}: {name} must be positive, got {name}={value}")
+            object.__setattr__(self, name, value)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if n < 0:
@@ -64,11 +72,6 @@ class NoiseSpec:
     def support(self) -> tuple[float, float]:
         """(lower, upper) bounds of the support; infinite where unbounded."""
         raise NotImplementedError
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        out.update({k: float(v) for k, v in self.__dict__.items()})
-        return out
 
 
 @dataclass(frozen=True)
@@ -189,26 +192,6 @@ class Pareto(NoiseSpec):
         return (self.scale, math.inf)
 
 
-_KINDS = {cls.kind: cls for cls in (Uniform, Gaussian, Exponential, Gumbel, Pareto)}
-
-
-def noise_from_dict(d: dict) -> NoiseSpec:
-    return from_kinds(d, _KINDS, "noise")
-
-
-def from_kinds(d: dict, kinds: dict, field: str):
-    """The object of the class ``kinds[d["kind"]]``, built from d's other
-    entries; an unknown kind or parameter raises ConfigError naming field."""
-    d = dict(d)
-    kind = d.pop("kind", None)
-    if not isinstance(kind, str) or kind not in kinds:
-        raise ConfigError(f"{field}.kind: unknown kind {kind!r}, expected one of {sorted(kinds)}")
-    try:
-        return kinds[kind](**d)
-    except TypeError as e:
-        raise ConfigError(f"{field}: bad parameters for {kind!r}: {e}") from e
-
-
 class MaxStat(NamedTuple):
     n: int
     mean_max: float
@@ -320,50 +303,37 @@ def long_tail_ratio(
     return RatioEstimate(r, math.sqrt(max(r * (1.0 - r), 1e-12) / n_tail))
 
 
-def classify_tail(
-    beta_hat: float,
-    hazard_ratios: Sequence[tuple[float, float]],
-    *,
-    beta_min: float = DEFAULT_BETA_MIN,
-    ratio_min: float = DEFAULT_RATIO_MIN,
-    tol: float = 1e-9,
-) -> TailClass:
+def classify_tail(beta_hat: float, hazard_ratios: Sequence[tuple[float, float]]) -> TailClass:
     """Classify from the beta estimate and the survival-ratio sequence.
 
-    Max-concentrating needs a clearly positive beta and decaying ratios;
-    long-tailed needs ratios that rise with x and exceed ratio_min at the
-    deepest probe.  Everything else is labelled intermediate.
+    Max-concentrating needs a beta above DEFAULT_BETA_MIN and decaying
+    ratios; long-tailed needs ratios that rise with x and exceed
+    DEFAULT_RATIO_MIN at the deepest probe.  Everything else is labelled
+    intermediate.
     """
     ratios = [r for _, r in hazard_ratios]
-    decaying = all(b <= a + tol for a, b in zip(ratios, ratios[1:]))
-    rising = all(b >= a - tol for a, b in zip(ratios, ratios[1:]))
-    if beta_hat > beta_min and decaying:
+    decaying = all(b <= a + _RATIO_TOL for a, b in zip(ratios, ratios[1:]))
+    rising = all(b >= a - _RATIO_TOL for a, b in zip(ratios, ratios[1:]))
+    if beta_hat > DEFAULT_BETA_MIN and decaying:
         return TailClass.MAX_CONCENTRATING
-    if ratios and ratios[-1] > ratio_min and rising:
+    if ratios and ratios[-1] > DEFAULT_RATIO_MIN and rising:
         return TailClass.LONG_TAILED
     return TailClass.INTERMEDIATE
 
 
 def tail_report(
-    spec: NoiseSpec,
-    rng: np.random.Generator,
-    *,
-    n_grid: Sequence[int] = (10, 100, 1000, 10_000),
-    replications: int = 2000,
-    probe_quantiles: Sequence[float] = DEFAULT_PROBE_QUANTILES,
-    probe_gap: float = DEFAULT_PROBE_GAP,
-    probe_samples: int = 100_000,
-    beta_min: float = DEFAULT_BETA_MIN,
-    ratio_min: float = DEFAULT_RATIO_MIN,
+    spec: NoiseSpec, rng: np.random.Generator, *, replications: int = 2000
 ) -> TailReport:
-    """Run both diagnostics and classify the distribution."""
-    stats = max_order_stats(spec, n_grid, replications, rng)
+    """Run both diagnostics and classify the distribution: beta from the
+    maximum of n draws over _N_GRID, and the survival ratio over a gap of
+    DEFAULT_PROBE_GAP at the DEFAULT_PROBE_QUANTILES of _PROBE_SAMPLES draws."""
+    stats = max_order_stats(spec, _N_GRID, replications, rng)
     beta_hat, beta_stderr = beta_from_stats(stats)
-    probes = empirical_quantiles(spec, probe_quantiles, probe_samples, rng)
+    probes = empirical_quantiles(spec, DEFAULT_PROBE_QUANTILES, _PROBE_SAMPLES, rng)
     ratios = tuple(
-        (float(x), float(long_tail_ratio(spec, x, probe_gap).ratio)) for x in probes
+        (float(x), float(long_tail_ratio(spec, x, DEFAULT_PROBE_GAP).ratio)) for x in probes
     )
-    cls = classify_tail(beta_hat, ratios, beta_min=beta_min, ratio_min=ratio_min)
+    cls = classify_tail(beta_hat, ratios)
     return TailReport(beta_hat, beta_stderr, ratios, cls, tuple(stats))
 
 

@@ -9,6 +9,7 @@ independent uniform values per coalition.
 
 from __future__ import annotations
 
+from .config_io import KINDS
 from .errors import ConfigError
 from .estimation import AffordProbability, ExperimentPlan, MatchProbability, equal_width_edges
 from .market import (
@@ -19,7 +20,7 @@ from .market import (
     UniformRandomPreferences,
     UniformValues,
 )
-from .noise import Exponential, Gaussian, Gumbel, NoiseSpec, Pareto, Uniform
+from .noise import NoiseSpec, Pareto
 
 PRESET_NAMES = ("fig1", "fig2")
 
@@ -28,24 +29,18 @@ DEFAULT_REPLICATIONS = 100
 DEFAULT_STUDENTS = 2000
 DEFAULT_BINS = 50
 
-# Exponential rate defaults to 1; the benchmark definition leaves it open.
-_NOISE_TOKENS = {
-    "uniform": lambda: Uniform(0.0, 1.0),
-    "exponential": lambda: Exponential(1.0),
-    "pareto": lambda: Pareto(2.0, 0.3),
-    "gaussian": lambda: Gaussian(0.0, 1.0),
-    "gumbel": lambda: Gumbel(0.0, 1.0),
-    "none": lambda: None,
-}
+# --noise's tokens: each noise kind at its defaults, Pareto at scale 0.3,
+# and none.  The exponential rate of 1 is a default; the benchmark
+# definition leaves it open.
+NOISE_TOKENS = {kind: cls() for kind, cls in KINDS["noise"].items()}
+NOISE_TOKENS.update(pareto=Pareto(scale=0.3), none=None)
 
 
 def noise_from_token(token: str) -> NoiseSpec | None:
     key = token.strip().lower()
-    if key not in _NOISE_TOKENS:
-        raise ConfigError(
-            f"noise: unknown token {token!r}, expected one of {sorted(_NOISE_TOKENS)}"
-        )
-    return _NOISE_TOKENS[key]()
+    if key not in NOISE_TOKENS:
+        raise ConfigError(f"noise: unknown token {token!r}, expected one of {sorted(NOISE_TOKENS)}")
+    return NOISE_TOKENS[key]
 
 
 def split_seats(total: int, count: int) -> list[int]:

@@ -10,16 +10,18 @@ import pytest
 
 from noisymatch.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, main, run
 from noisymatch.config_io import (
+    KINDS,
     apply_overrides,
     canonical_json,
     config_hash,
     config_to_dict,
     dict_to_config,
+    kind_entry,
 )
 from noisymatch import estimation
 from noisymatch import market as market_module
 from noisymatch.errors import ConfigError
-from noisymatch.presets import fig1, fig2, noise_from_token, preset, split_seats
+from noisymatch.presets import NOISE_TOKENS, fig1, fig2, noise_from_token, preset, split_seats
 
 
 class TestPresets:
@@ -43,13 +45,18 @@ class TestPresets:
 
     def test_noise_tokens(self):
         assert noise_from_token("none") is None
-        assert noise_from_token("pareto").to_dict() == {
+        assert kind_entry(noise_from_token("pareto")) == {
             "kind": "pareto",
             "shape": 2.0,
             "scale": 0.3,
         }
         with pytest.raises(ConfigError, match="noise"):
             noise_from_token("lognormal")
+
+    def test_noise_tokens_are_the_noise_kinds_and_none(self):
+        assert list(NOISE_TOKENS) == [*KINDS["noise"], "none"]
+        for kind, spec in NOISE_TOKENS.items():
+            assert spec is None if kind == "none" else spec.kind == kind
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="preset"):
@@ -101,6 +108,109 @@ class TestConfigRoundTrip:
     def test_missing_field_diagnostics(self):
         with pytest.raises(ConfigError, match="missing required field"):
             dict_to_config({"n_students": 10})
+
+
+# the README's "Config file" example
+README_DOC = {
+    "n_students": 2000,
+    "master_seed": 7,
+    "capacity_alpha": 1.0,
+    "coalitions": [
+        {
+            "id": 1,
+            "values": {"kind": "uniform", "lo": 0.0, "hi": 1.0},
+            "noise": {"kind": "pareto", "shape": 2.0, "scale": 0.3},
+        }
+    ],
+    "colleges": [{"id": 1, "capacity": 10, "coalition": 1}],
+    "preferences": {"kind": "uniform_random"},
+    "plan": {
+        "replications": 100,
+        "bin_edges": [0.0, 0.25, 0.5, 0.75, 1.0],
+        "curves": [
+            {"kind": "match", "coalition": 1},
+            {"kind": "afford", "coalition": 1, "trim_epsilon": 0.05},
+        ],
+        "record_cutoffs": True,
+    },
+}
+
+
+def integer_doc():
+    """The README example with every number it may hold as an integer."""
+    doc = copy.deepcopy(README_DOC)
+    doc["coalitions"][0]["noise"] = {"kind": "pareto", "shape": 2, "scale": 1}
+    doc["coalitions"][0]["values"] = {"kind": "uniform", "lo": 0, "hi": 1}
+    doc["plan"]["curves"][1]["trim_epsilon"] = 0
+    doc["plan"]["bin_edges"] = [0, 1]
+    doc["capacity_alpha"] = 1
+    return doc
+
+
+# one entry of every kind, each field given, as the canonical form writes it
+KIND_ENTRIES = {
+    "noise": [
+        {"kind": "uniform", "lo": -1.0, "hi": 2.0},
+        {"kind": "gaussian", "mean": 0.5, "sd": 2.0},
+        {"kind": "exponential", "rate": 3.0},
+        {"kind": "gumbel", "location": 0.25, "scale": 0.5},
+        {"kind": "pareto", "shape": 1.5, "scale": 0.3},
+    ],
+    "values": [
+        {"kind": "uniform", "lo": 0, "hi": 1},
+        {"kind": "piecewise", "knots": [[0.0, 0.0], [0.5, 0.75], [1.0, 1.0]]},
+    ],
+    "preferences": [
+        {"kind": "uniform_random"},
+        {"kind": "common_ranking", "ranking": [1, 0]},
+        {"kind": "tiered_by_coalition"},
+        {"kind": "explicit", "rankings": [[0, 1], [1, 0]], "probabilities": [0.25, 0.75]},
+    ],
+    "plan.curves": [
+        {"kind": "match", "coalition": 1},
+        {"kind": "afford", "coalition": 1, "trim_epsilon": 0.1},
+    ],
+}
+
+
+def with_entry(field, entry):
+    doc = small_doc()
+    if field == "plan.curves":
+        doc["plan"]["curves"] = [entry]
+    elif field == "preferences":
+        doc["preferences"] = entry
+    else:
+        doc["coalitions"][0][field] = entry
+    return doc
+
+
+class TestConfigHash:
+    """config_hash of the canonical form, as metrics.csv carries it, for
+    documents whose hashes earlier versions wrote."""
+
+    def test_readme_example(self):
+        digest = config_hash(config_to_dict(*dict_to_config(copy.deepcopy(README_DOC))))
+        assert digest == "43dc03e3efcd05f7fef0ed215ea960e991b92e7249ce92a8a54663f08f2ed2eb"
+
+    def test_readme_example_with_integers(self):
+        # noise parameters and trim_epsilon are floated, values' ends kept
+        digest = config_hash(config_to_dict(*dict_to_config(integer_doc())))
+        assert digest == "b95c68421c7aedaa97f3b0ebde91cd85caca82c801d87b86c06875795f6631da"
+
+    def test_every_kind_in_the_table_has_a_case(self):
+        assert {f: sorted(e["kind"] for e in entries) for f, entries in KIND_ENTRIES.items()} == {
+            f: sorted(kinds) for f, kinds in KINDS.items()
+        }
+
+    @pytest.mark.parametrize(
+        "field, entry",
+        [(f, e) for f, entries in KIND_ENTRIES.items() for e in entries],
+        ids=[f"{f}-{e['kind']}" for f, entries in KIND_ENTRIES.items() for e in entries],
+    )
+    def test_every_kind_round_trips(self, field, entry):
+        doc = with_entry(field, entry)
+        canonical = config_to_dict(*dict_to_config(copy.deepcopy(doc)))
+        assert canonical_json(canonical) == canonical_json(doc)
 
 
 def small_doc():
@@ -171,6 +281,11 @@ MISSPELLINGS = {
         d["plan"]["curves"][1], "trim_epsilon", "trim_epsilonn"
     ),
     "preferences.ranking": lambda d: d["preferences"].update(ranking=[1, 0]),
+    "preferences.rankings": lambda d: d.update(
+        preferences={"kind": "common_ranking", "ranking": [1, 0], "rankings": [[1, 0]]}
+    ),
+    "coalitions[0].values.mid": lambda d: d["coalitions"][0]["values"].update(mid=0.5),
+    "plan.curves[0].trim_epsilon": lambda d: d["plan"]["curves"][0].update(trim_epsilon=0.1),
     "seed": lambda d: d.update(seed=3),
 }
 
@@ -205,7 +320,8 @@ class TestUnknownFields:
     def test_unknown_noise_parameter_names_the_coalition(self):
         doc = small_doc()
         doc["coalitions"][0]["noise"]["shap"] = 2.0
-        with pytest.raises(ConfigError, match=r"^coalitions\[0\]: noise: .*'shap'"):
+        # the one unknown-key rule: named by its dotted path, as every kind's are
+        with pytest.raises(ConfigError, match=r"^coalitions\[0\]\.noise\.shap: unknown field$"):
             dict_to_config(doc)
 
 
@@ -278,11 +394,12 @@ WRONG_TYPES = {
         lambda d: d["coalitions"][0].update(
             values={"kind": "piecewise", "knots": [[0, 0], [1]]}
         ),
-        "coalitions[0]: values.knots[1]: must be a [value, probability] pair, got [1]",
+        # the document's lists arrive as tuples
+        "coalitions[0]: values.knots[1]: must be a [value, probability] pair, got (1,)",
     ),
     "ranking": (
         lambda d: d.update(preferences={"kind": "common_ranking", "ranking": 5}),
-        "preferences: bad parameters for 'common_ranking': ",
+        "preferences.ranking: must be a list, got 5",
     ),
     "noise-kind": (
         lambda d: d["coalitions"][0].update(noise={"kind": ["uniform"]}),
@@ -370,7 +487,30 @@ NON_FINITE = {
         "coalitions[0].id: must be finite, got inf",
     ),
 }
-BAD_FIELDS = {**WRONG_TYPES, **NON_FINITE}
+# a kind's field without a default, left out, or a list that is not one
+KIND_FIELDS = {
+    "knots-missing": (
+        lambda d: d["coalitions"][0].update(values={"kind": "piecewise"}),
+        "coalitions[0]: values.knots: missing required field",
+    ),
+    "ranking-missing": (
+        lambda d: d.update(preferences={"kind": "common_ranking"}),
+        "preferences.ranking: missing required field",
+    ),
+    "probabilities-not-a-list": (
+        lambda d: d.update(
+            preferences={"kind": "explicit", "rankings": [[0, 1]], "probabilities": 1}
+        ),
+        "preferences.probabilities: must be a list, got 1",
+    ),
+    "rankings-entry-not-a-list": (
+        lambda d: d.update(
+            preferences={"kind": "explicit", "rankings": [5, [0, 1]], "probabilities": [0.5, 0.5]}
+        ),
+        "preferences.rankings[0]: must be a list, got 5",
+    ),
+}
+BAD_FIELDS = {**WRONG_TYPES, **NON_FINITE, **KIND_FIELDS}
 
 
 class TestLoadTimeChecks:
@@ -608,6 +748,25 @@ class TestCliContract:
         out = tmp_path / "run"
         assert run_cli("--config", str(path), "--out-dir", str(out), "--threads", "1") == EXIT_OK
         assert (out / "curves.csv").exists()
+
+    @pytest.mark.parametrize(
+        "name, reason",
+        [
+            ("missing.json", "No such file or directory"),
+            ("a-directory", "Is a directory"),
+            ("latin1.json", "not UTF-8 at byte 12: invalid continuation byte"),
+        ],
+        ids=["missing", "directory", "latin-1"],
+    )
+    def test_unreadable_config_file_exits_two(self, name, reason, tmp_path, capsys):
+        path = tmp_path / name
+        if name == "a-directory":
+            path.mkdir()
+        elif name == "latin1.json":
+            path.write_bytes('{"tag": "caf\u00e9"}'.encode("latin-1"))
+        code = run_cli("--config", str(path), "--out-dir", str(tmp_path / "o"), "--threads", "1")
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: config file {path}: {reason}\n"
 
     def test_parse_errors_exit_two(self, tmp_path):
         assert run_cli("--preset", "nope", "--out-dir", str(tmp_path)) == EXIT_PARSE

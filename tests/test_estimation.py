@@ -123,13 +123,14 @@ def helper_threads_started(config, plan):
 
 
 class InlinePool:
-    """Runs a process pool's tasks in this process, and keeps the batch
-    size of each map."""
+    """Runs a process pool's tasks in this process, and keeps the worker
+    count of each pool and the batch size of each map."""
 
+    workers = []
     chunksizes = []
 
     def __init__(self, max_workers):
-        pass
+        self.workers.append(max_workers)
 
     def __enter__(self):
         return self
@@ -202,6 +203,20 @@ class TestRunReplications:
         run_replications(config, plan, threads=2)
         assert asked == [range(r, r + 1) for r in range(40)]
         assert InlinePool.chunksizes[-1] == 5
+
+    def test_a_pool_starts_no_more_workers_than_stacks(self, monkeypatch):
+        # a fork pool starts all its workers at the first submit
+        monkeypatch.setattr(estimation, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(InlinePool, "workers", [])
+        config, plan = fig1(colleges=2, n_students=200, replications=2)
+        run_replications(config, plan, threads=4)
+        # two stacks of one market each
+        assert InlinePool.workers == [2]
+        run_replications(config, replace(plan, replications=5), threads=3)
+        assert InlinePool.workers == [2, 3]
+        # one stack runs in this process
+        run_replications(config, replace(plan, replications=1), threads=4)
+        assert InlinePool.workers == [2, 3]
 
     def test_only_the_serial_path_starts_a_helper_thread(self):
         # InlinePool runs in this process, so only a real worker shows what

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from noisymatch.config_io import build_kind, kind_entry
 from noisymatch.errors import ConfigError, OverdemandError, ReplicationError
 from noisymatch.market import (
     CapacityRegularityWarning,
@@ -26,13 +27,11 @@ from noisymatch.market import (
     UniformRandomPreferences,
     UniformValues,
     holder_exponent_check,
-    preferences_from_dict,
     prefs_dtype,
     sample_market,
     sample_stack,
     stream_rngs,
     v_s_threshold,
-    values_from_dict,
     STREAM_NOISE,
     STREAM_PREFS,
     STREAM_VALUES,
@@ -105,9 +104,10 @@ class TestValueDistributions:
             PiecewiseLinearCdf(knots=((0, 0), (bad, 1)))
 
     def test_knots_must_be_pairs(self):
-        match = r"^values\.knots\[1\]: must be a \[value, probability\] pair, got \[1\]$"
+        # the document's lists arrive as tuples
+        match = r"^values\.knots\[1\]: must be a \[value, probability\] pair, got \(1,\)$"
         with pytest.raises(ConfigError, match=match):
-            values_from_dict({"kind": "piecewise", "knots": [[0, 0], [1]]})
+            build_kind("values", {"kind": "piecewise", "knots": [[0, 0], [1]]})
 
     def test_piecewise_sampling_matches_cdf(self, rng):
         dist = PiecewiseLinearCdf(knots=((0, 0), (1, 0.8), (2, 1)))
@@ -117,7 +117,7 @@ class TestValueDistributions:
 
     def test_serde(self):
         for dist in (UniformValues(0, 1), PiecewiseLinearCdf(knots=((0, 0), (2, 1)))):
-            assert values_from_dict(dist.to_dict()) == dist
+            assert build_kind("values", kind_entry(dist)) == dist
 
 
 class TestHolderCheck:
@@ -173,7 +173,7 @@ class TestPreferenceModels:
             TieredByCoalition(),
             ExplicitSampler(rankings=((0, 1),), probabilities=(1.0,)),
         ):
-            assert preferences_from_dict(model.to_dict()) == model
+            assert build_kind("preferences", kind_entry(model)) == model
 
 
 class TestConfigValidation:
@@ -842,7 +842,7 @@ def stacked_configs(draw):
         rankings = (tuple(range(n_colleges)), tuple(draw(st.permutations(range(n_colleges)))))
         model = ExplicitSampler(rankings=rankings, probabilities=(0.3, 0.7))
     else:
-        model = preferences_from_dict({"kind": kind})
+        model = build_kind("preferences", {"kind": kind})
     config = EconomyConfig(
         n_students=draw(st.integers(n_colleges + 1, 30)),
         colleges=tuple(College(id=i, capacity=1, coalition=k) for i, k in enumerate(layout)),

@@ -30,9 +30,9 @@ from noisymatch.noise import (
     estimate_beta,
     long_tail_ratio,
     max_order_stats,
-    noise_from_dict,
     tail_report,
 )
+from noisymatch.config_io import build_kind, kind_entry
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -149,13 +149,13 @@ class TestSampling:
         with pytest.raises(ConfigError, match=rf"^{kind}\.{field}: {message}, got "):
             spec(**{field: bad})
         with pytest.raises(ConfigError, match=rf"^{kind}\.{field}: {message}, got "):
-            noise_from_dict({"kind": kind, field: bad})
+            build_kind("noise", {"kind": kind, field: bad})
 
     def test_serde_round_trip(self):
         for spec in ALL_SPECS:
-            assert noise_from_dict(spec.to_dict()) == spec
+            assert build_kind("noise", kind_entry(spec)) == spec
         with pytest.raises(ConfigError, match="kind"):
-            noise_from_dict({"kind": "cauchy"})
+            build_kind("noise", {"kind": "cauchy"})
 
 
 class TestClosedForms:
