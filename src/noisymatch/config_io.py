@@ -114,7 +114,7 @@ def _integer(value, field: str) -> int:
     return int(value)
 
 
-_ID = (str, int, float, type(None))  # a coalition or college id: hashable
+_ID = (str, int, float)  # a coalition or college id: hashable, and never null
 # what a field must be, by the JSON types it may hold
 _TYPES = {list: "a list", dict: "an object", bool: "true or false", _ID: "a number or a string"}
 
@@ -134,8 +134,10 @@ def _objects(value, field: str) -> list[tuple[str, dict]]:
 
 
 def _curve(c: dict, path: str):
-    """A plan.curves entry: its coalition an id, its trim_epsilon a number."""
-    _expect(c.get("coalition"), _ID, f"{path}.coalition")
+    """A plan.curves entry: its coalition an id or null (a match curve's
+    default, as config_to_dict writes it), its trim_epsilon a number."""
+    if c.get("coalition") is not None:
+        _expect(c["coalition"], _ID, f"{path}.coalition")
     if "trim_epsilon" in c:
         finite_number(c["trim_epsilon"], f"{path}.trim_epsilon")
     return build_kind("plan.curves", c, path)

@@ -4,12 +4,13 @@ A college's bar is its worst admit (score, student), a Matching's
 ``cutoffs`` and ``cut_students``; (-inf, n) with a free seat.  A student
 affords a college when they clear its bar by ``matching._clears``: a higher
 score, or an equal one and an index no higher than the bar's student.  The
-fixed point, the blocking-pair scan, demand and affordability share that
-one rule, so demand under a matching's bars is its assignment, ties
-included.  Pareto noise of shape 0.005 overflows to +inf in ~1 draw in 35;
-on fig1 (n=2000, C=100, R=20) every cutoff was then +inf, and only the index
-told an admit from a student rejected at the same score.  Bare float
-cutoffs take n as every bar student, so a score equal to its cutoff clears.
+fixed point, affordability, and demand and the blocking-pair scan (both
+through ``matching._cleared_in_order``) share that one rule, so demand
+under a matching's bars is its assignment, ties included.  Pareto noise of
+shape 0.005 overflows to +inf in ~1 draw in 35; on fig1 (n=2000, C=100,
+R=20) every cutoff was then +inf, and only the index told an admit from a
+student rejected at the same score.  Bare float cutoffs take n as every
+bar student, so a score equal to its cutoff clears.
 
 Affordability of a set K of colleges is read off the matching that set the
 bars (``afford_from_matching``): true for a student matched into K, false
@@ -27,8 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import market as sampling
-from .market import SampledMarket, stack_blocks
-from .matching import UNMATCHED, Matching, _clears
+from .market import SampledMarket
+from .matching import UNMATCHED, Matching, _cleared_in_order, _clears
 
 
 def extract_cutoffs(matching: Matching) -> np.ndarray:
@@ -43,30 +44,6 @@ def afford_matrix(market: SampledMarket, cutoffs: np.ndarray) -> np.ndarray:
     return market.scores >= np.asarray(cutoffs)[None, :]
 
 
-def afford_any_stacked(
-    scores: np.ndarray, cutoffs: np.ndarray, cut_students: np.ndarray
-) -> np.ndarray:
-    """Per student of R markets, whether they clear the bar of at least one
-    college of their own market.
-
-    ``scores`` is an (R, n, C) stack, and ``cutoffs`` and ``cut_students``
-    are (R, C) bars in each slot's own student indices.  A NaN cutoff bars
-    every score, +inf included.  Runs read affordability off the matching
-    instead (``afford_from_matching``); this comparison of every score is
-    the reference the tests hold it to.
-
-    The scores are compared in the blocks of ``stack_blocks``, in one
-    boolean buffer, so no n x C table is built.
-    """
-    out = np.empty(scores.shape[:2], dtype=bool)
-    student = np.arange(scores.shape[1])
-    for (reps, rows), buffer in stack_blocks(scores.shape, bool):
-        bars = cutoffs[reps, None], cut_students[reps, None]
-        cleared = _clears(scores[reps, rows], student[rows, None], *bars, ..., out=buffer)
-        cleared.any(axis=2, out=out[reps, rows])
-    return out
-
-
 def afford_from_matching(
     scores: np.ndarray,
     assignment: np.ndarray,
@@ -76,7 +53,7 @@ def afford_from_matching(
 ) -> np.ndarray:
     """Per student of R markets, whether they clear the bar of some college
     of ``kept[r]`` in their own market, where the bars are those of the
-    matching ``assignment``: ``afford_any_stacked`` with NaN bars off kept.
+    matching ``assignment``: ``demand_all != UNMATCHED`` with NaN bars off kept.
 
     ``kept`` is an (R, k) array of college indices, and the rest are the
     (R, n, C) scores, (R, n) assignment and (R, C) bars of the stacked fixed
@@ -84,7 +61,7 @@ def afford_from_matching(
     affords nothing (see the module docstring); only the students matched
     elsewhere are compared with kept's bars, in chunks of at most
     ``_BLOCK_CELLS // 8`` cells, so a chunk's gathered float64 and index
-    temporaries stay near the size of one boolean block of ``stack_blocks``.
+    temporaries stay near ``_BLOCK_CELLS`` bytes.
     """
     n_markets, _, n_colleges = scores.shape
     slot = np.arange(n_markets)[:, None]
@@ -105,22 +82,15 @@ def afford_from_matching(
 def demand_all(market: SampledMarket, cutoffs: np.ndarray, cut_students: np.ndarray) -> np.ndarray:
     """Each student's favourite college whose bar they clear, UNMATCHED when none.
 
-    Students are compared with the bars, and their booleans read in
-    preference order, in row slices of at most ``_BLOCK_CELLS // 8`` cells,
-    so the booleans and their index temporaries stay small.
+    Reads the first cleared choice of each row slice of
+    ``matching._cleared_in_order``, so no n x C table is built.
     """
     demand = np.empty(market.n_students, dtype=np.int64)
     bars = np.asarray(cutoffs, dtype=float), np.asarray(cut_students)
-    student = np.arange(market.n_students)
-    step = max(1, sampling._BLOCK_CELLS // 8 // market.n_colleges)
-    for s0 in range(0, market.n_students, step):
-        rows = slice(s0, s0 + step)
-        prefs = market.prefs[rows]
+    for rows, prefs, cleared in _cleared_in_order(market, *bars):
         k = np.arange(len(prefs))
-        cleared = _clears(market.scores[rows], student[rows, None], *bars, ...)
-        by_rank = cleared[k[:, None], prefs]
-        first = by_rank.argmax(axis=1)
-        demand[rows] = np.where(by_rank[k, first], prefs[k, first], UNMATCHED)
+        first = cleared.argmax(axis=1)
+        demand[rows] = np.where(cleared[k, first], prefs[k, first], UNMATCHED)
     return demand
 
 

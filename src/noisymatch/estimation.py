@@ -175,10 +175,10 @@ def _run_stack(config: EconomyConfig, plan: ExperimentPlan, stack: range):
 
 def check_plan(config: EconomyConfig, plan: ExperimentPlan) -> None:
     """Reject a plan the config cannot run, before any replication does:
-    a curve naming a coalition it cannot bin, a curve asked for twice
-    (it would be written twice), or edges that do not span the values of
-    every coalition a curve bins (a value outside the edges would be
-    counted in an end bin and skew it)."""
+    a curve naming a coalition it cannot bin, a curve asked for twice (it
+    would be written twice; trims that print alike in its id count as one),
+    or edges that do not span the values of every coalition a curve bins
+    (a value outside the edges would be counted in an end bin and skew it)."""
     first = {}  # (kind, coalition position, trim) -> index of its first listing
     for i, curve in enumerate(plan.curves):
         cid = curve.coalition_id
@@ -191,7 +191,8 @@ def check_plan(config: EconomyConfig, plan: ExperimentPlan) -> None:
             position = config.coalition_position(cid)
         except ConfigError as e:
             raise ConfigError(f"{where}: {e}") from e
-        key = (type(curve), position, getattr(curve, "trim_epsilon", None))
+        trim = f"{curve.trim_epsilon:g}" if isinstance(curve, AffordProbability) else None
+        key = (type(curve), position, trim)
         if key in first:
             raise ConfigError(f"plan.curves[{i}]: repeats plan.curves[{first[key]}]")
         first[key] = i

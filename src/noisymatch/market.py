@@ -41,8 +41,9 @@ STREAM_NOISE = 2
 #   market is stacked alone), so a stack of small markets is sampled as one
 #   block and matched as one numpy fixed point, and the stack's prefs and
 #   scores stay under 2.5 MiB;
-# - afford_any_stacked and demand_all compare at most this many cells with
-#   the colleges' bars at a time.
+# - demand and the blocking-pair scan compare at most an eighth of this
+#   many cells with the colleges' bars at a time
+#   (matching._cleared_in_order), and afford_from_matching gathers as many.
 # Median sample_market time and tracemalloc's peak beyond the finished
 # market, fig1 shape with Pareto noise, blocks of 2^16 / 2^18 / 2^20 cells
 # (Python 3.11, numpy 2.4, 2-vCPU machine; taken when Pareto noise was drawn
@@ -58,13 +59,6 @@ STREAM_NOISE = 2
 # that small markets then took) against a stack of 2^18 cells (same machine):
 #   many-tiny,       n=200,  C=2     (400 cells, 375 a stack): 0.31 vs 0.08-0.13 ms
 #   attenuate-tiers, n=2000, C=20+20 (80,000 cells, 3 a stack): 8.3 vs 6.5 ms
-# Median afford_any_stacked time per call, one n x C comparison and any()
-# against blocks of 2^16 / 2^18 / 2^20 cells, interleaved (same machine):
-#   fig2,        n=2000,  C=40:   0.20 vs 0.21 / 0.20 / 0.20 ms
-#   fig1 Pareto, n=20000, C=1000: 25.5 vs 25.4 / 24.7 / 24.4 ms
-# (taken with the one score >= cutoff comparison; the (score, student) bar
-# takes the C=1000 call to ~52 ms, comparing indices only at the tie cells,
-# and took it to ~67 ms when the index comparison ran over every block)
 _BLOCK_CELLS = 1 << 18
 
 # Markets of at least this many cells may draw the preference stream on a
@@ -620,7 +614,10 @@ class EconomyConfig:
             raise ConfigError("coalitions: ids must be unique")
         known = set(kids)
         for i, c in enumerate(self.colleges):
-            if int(c.capacity) != c.capacity or c.capacity < 1:
+            # inf % 1 and nan % 1 are nan, so neither passes for an integer; nor does True
+            cap = c.capacity
+            real = isinstance(cap, numbers.Real) and not isinstance(cap, bool)
+            if not (real and cap % 1 == 0 and cap >= 1):
                 raise ConfigError(f"colleges[{i}].capacity: must be a positive integer")
             if c.coalition not in known:
                 raise ConfigError(f"colleges[{i}].coalition: unknown coalition {c.coalition!r}")

@@ -96,13 +96,12 @@ def _worst_admits(col, student, score, cap, n_students) -> tuple[np.ndarray, np.
     return bar_score, bar_student
 
 
-def _clears(score, student, bar_score, bar_student, at, out=None) -> np.ndarray:
+def _clears(score, student, bar_score, bar_student, at) -> np.ndarray:
     """Whether each score clears the bar of its college ``at``: a higher score,
     or an equal one and a student index no higher than the bar's student (who
-    is that admit), read only at the cells where the score ties.  Written
-    into ``out`` when given."""
+    is that admit), read only at the cells where the score ties."""
     bar = bar_score[at]
-    ok = np.greater(score, bar, out=out)
+    ok = np.greater(score, bar)
     tie = np.flatnonzero(score == bar)
     if len(tie):
         # flat indices, then one index array per axis: np.nonzero of an
@@ -111,6 +110,19 @@ def _clears(score, student, bar_score, bar_student, at, out=None) -> np.ndarray:
         student, bar_student = np.broadcast_arrays(student, bar_student[at], ok)[:2]
         ok[tie] = student[tie] <= bar_student[tie]
     return ok
+
+
+def _cleared_in_order(market: SampledMarket, bar_score, bar_student):
+    """Each row slice of at most ``_BLOCK_CELLS // 8`` cells of the market:
+    its rows, its prefs, and whether each student clears (``_clears``) the
+    bar of each college on their list, in preference order.  No n x C table."""
+    student = np.arange(market.n_students)
+    step = max(1, sampling._BLOCK_CELLS // 8 // market.n_colleges)
+    for s0 in range(0, market.n_students, step):
+        rows = slice(s0, s0 + step)
+        prefs = market.prefs[rows]
+        cleared = _clears(market.scores[rows], student[rows, None], bar_score, bar_student, ...)
+        yield rows, prefs, cleared[np.arange(len(prefs))[:, None], prefs]
 
 
 def deferred_acceptance(market: SampledMarket, capacities: Sequence[int]) -> Matching:
@@ -309,21 +321,18 @@ def find_blocking_pairs(matching: Matching, market: SampledMarket) -> list[tuple
     ranks below the student.  Reads only the assignment and capacities, so
     it certifies any assignment; empty output certifies stability.
     """
-    scores = market.scores
-    n, n_colleges = scores.shape
     assignment = matching.assignment
-    student = np.arange(n)
-
-    rank = np.empty((n, n_colleges), dtype=np.int64)
-    rank[student[:, None], market.prefs] = np.arange(n_colleges)
     matched = np.flatnonzero(assignment != UNMATCHED)
     col = assignment[matched]
-    assigned_rank = np.full(n, n_colleges)
-    assigned_rank[matched] = rank[matched, col]
-
     # each college's bar is its worst admit, or one every student clears
-    bar = _worst_admits(col, matched, scores[matched, col], matching.capacities, n)
-    blocks = (rank < assigned_rank[:, None]) & _clears(
-        scores, student[:, None], *bar, np.arange(n_colleges)
-    )
-    return [(int(s), int(c)) for s, c in np.argwhere(blocks)]
+    score = market.scores[matched, col]
+    bar = _worst_admits(col, matched, score, matching.capacities, market.n_students)
+    pairs = []
+    for rows, prefs, cleared in _cleared_in_order(market, *bar):
+        # the colleges listed before the student's own; all of them when unmatched
+        own_or_later = np.logical_or.accumulate(prefs == assignment[rows, None], axis=1)
+        s, k = np.nonzero(cleared & ~own_or_later)
+        s, c = s + rows.start, prefs[s, k]
+        order = np.lexsort((c, s))
+        pairs += zip(s[order].tolist(), c[order].tolist())
+    return pairs

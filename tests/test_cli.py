@@ -431,6 +431,19 @@ WRONG_TYPES = {
         lambda d: d["coalitions"][0].update(id=True),
         "coalitions[0].id: must be a number or a string, got True",
     ),
+    # null names no college or coalition either
+    "college-id-null": (
+        lambda d: d["colleges"][0].update(id=None),
+        "colleges[0].id: must be a number or a string, got None",
+    ),
+    "college-coalition-null": (
+        lambda d: d["colleges"][1].update(coalition=None),
+        "colleges[1].coalition: must be a number or a string, got None",
+    ),
+    "coalition-id-null": (
+        lambda d: d["coalitions"][0].update(id=None),
+        "coalitions[0].id: must be a number or a string, got None",
+    ),
     "curve-coalition-bool": (
         lambda d: d["plan"]["curves"].append({"kind": "match", "coalition": True}),
         "plan.curves[2].coalition: must be a number or a string, got True",
@@ -834,8 +847,13 @@ class TestCliContract:
             ),
             ("fig1", {"kind": "match", "coalition": 999}, "coalition 999 has no colleges"),
             ("fig2", {"kind": "match", "coalition": None}, "required for multi-coalition economies"),
+            (
+                "fig1",
+                {"kind": "afford", "coalition": None, "trim_epsilon": 0.0},
+                "coalition None has no colleges",
+            ),
         ],
-        ids=["afford-unknown", "match-unknown", "match-none-multi"],
+        ids=["afford-unknown", "match-unknown", "match-none-multi", "afford-none"],
     )
     def test_curve_naming_a_bad_coalition_exits_three(
         self, preset_doc, curve, message, tmp_path, capsys, monkeypatch

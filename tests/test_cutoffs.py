@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisymatch.cutoffs import (
-    afford_any_stacked,
     afford_from_matching,
     check_market_clearing,
     demand_all,
@@ -152,6 +151,14 @@ def kept_bars(cuts, kept):
     return bars
 
 
+def afford_any(markets, cutoffs, cut_students):
+    """(R, n) whether each student of each market clears some college's bar,
+    by demand under the (R, C) bars; a NaN cutoff bars every score."""
+    return np.array(
+        [demand_all(m, cutoffs[r], cut_students[r]) != UNMATCHED for r, m in enumerate(markets)]
+    )
+
+
 class TestOneTieRule:
     """Demand, clearing and affordability compare scores with the bars of
     deferred acceptance by the fixed point's own rule, ties included."""
@@ -175,7 +182,7 @@ class TestOneTieRule:
             full = cut_students[r] < n
             assert (excess[full] == 0).all() and (excess[~full] < 0).all()
         # one coalition of every college at epsilon 0 keeps every bar
-        afford = afford_any_stacked(scores, cuts, cut_students)
+        afford = afford_any(markets, cuts, cut_students)
         assert np.array_equal(afford, assignment != UNMATCHED)
 
     @settings(max_examples=300, deadline=None)
@@ -194,7 +201,7 @@ class TestOneTieRule:
             members = [c for c, j in enumerate(split) if j == k]
             eps = data.draw(st.sampled_from([0.0, 0.2, 0.5, 0.9]))
             kept = _survivors(cuts, members, eps)
-            want = afford_any_stacked(scores, kept_bars(cuts, kept), cut_students)
+            want = afford_any(markets, kept_bars(cuts, kept), cut_students)
             got = afford_from_matching(scores, assignment, cuts, cut_students, kept)
             assert got.dtype == bool
             assert np.array_equal(got, want)
@@ -208,7 +215,7 @@ class TestOneTieRule:
         members = config.coalition_members(2)
         kept = _survivors(m.cutoffs[None], members, 0.5)
         bars = kept_bars(m.cutoffs[None], kept)
-        want = afford_any_stacked(market.scores[None], bars, m.cut_students[None])[0]
+        want = afford_any([market], bars, m.cut_students[None])[0]
         got = afford_from_matching(
             market.scores[None], m.assignment[None], m.cutoffs[None], m.cut_students[None], kept
         )[0]

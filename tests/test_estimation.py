@@ -42,7 +42,7 @@ from noisymatch.market import (
 from noisymatch.matching import UNMATCHED, deferred_acceptance, stacked_deferred_acceptance
 from noisymatch.noise import Pareto, Uniform
 from noisymatch.presets import fig1, fig2
-from test_matching import clears
+from test_matching import clears, make_market
 
 
 def small_pool(n=400, colleges=4, noise=Uniform(0, 1), seed=17, replications=5):
@@ -358,6 +358,19 @@ class TestRunReplications:
         batch = held // 8
         assert peak <= held + 6 * batch + (1 << 20)
 
+    def test_a_pool_trims_as_a_serial_run_does(self):
+        # fig2's two coalitions each trimmed by 0.05: the trimmed sets are
+        # chosen inside each worker, from that worker's stacks' cutoffs
+        config, plan = fig2(colleges=3, n_students=400, replications=40)
+        serial = run_replications(config, plan, threads=1)
+        pooled = run_replications(config, plan, threads=2)
+        assert np.array_equal(serial.values, pooled.values)
+        assert np.array_equal(serial.assignment, pooled.assignment)
+        assert np.array_equal(serial.cutoffs, pooled.cutoffs)
+        assert serial.afford.keys() == pooled.afford.keys() == {(1, 0.05), (2, 0.05)}
+        for key in serial.afford:
+            assert np.array_equal(serial.afford[key], pooled.afford[key])
+
     def test_a_spawned_pool_gives_the_serial_records(self, monkeypatch):
         # workers that import the package afresh, as on macOS and under
         # Python 3.14's forkserver default, get nothing through fork
@@ -495,12 +508,12 @@ class TestAffordability:
         self.test_matches_kept_column_expression(20, "uniform")
 
     @pytest.mark.parametrize(
-        "cells", [7 * 40, 3 * 600 * 40, 1 << 18], ids=["row-blocks", "three-markets", "default"]
+        "cells", [1, 8 * 7 * 40, 1 << 18], ids=["one-row", "row-blocks", "default"]
     )
     def test_stacked_blocks_match_the_whole_comparison(self, cells, monkeypatch):
-        # seven markets: blocks of seven rows, of three whole markets (the
-        # last holding one), or of all seven.  Scores and bars sit on a
-        # 41-point grid, so about one score in 41 ties its bar.
+        # seven markets, each compared by demand_all in row slices of one
+        # row, of seven (the last holding five), or of all 600.  Scores and
+        # bars sit on a 41-point grid, so about one score in 41 ties its bar.
         monkeypatch.setattr(market_module, "_BLOCK_CELLS", cells)
         rng = np.random.default_rng(4)
         scores = rng.integers(0, 41, (7, 600, 40)) / 40
@@ -509,7 +522,14 @@ class TestAffordability:
         bars[:, ::3] = np.nan
         bars[0, 1] = np.inf
         bar_students = rng.integers(0, 601, (7, 40))
-        got = cutoffs.afford_any_stacked(scores, bars, bar_students)
+        prefs = rng.permuted(np.broadcast_to(np.arange(40), scores.shape), axis=2)
+        got = np.array(
+            [
+                cutoffs.demand_all(make_market(prefs[r], scores[r]), bars[r], bar_students[r])
+                != UNMATCHED
+                for r in range(len(scores))
+            ]
+        )
         want = [
             [
                 any(clears(sc, s, cut, who) for sc, cut, who in zip(row, bars[r], bar_students[r]))
@@ -800,8 +820,13 @@ class TestPlanValidation:
             # the one coalition of fig1, by id and by default
             (fig1, MatchProbability(), 0),
             (fig1, AffordProbability(1, 0), 1),
+            # 0.05 and 0.05000001 both name the curve afford_c1_trim0.05
+            (fig2, AffordProbability(1, 0.05000001), 2),
         ],
-        ids=["afford", "match", "match-default-coalition", "afford-integer-trim"],
+        ids=[
+            "afford", "match", "match-default-coalition", "afford-integer-trim",
+            "afford-trims-print-alike",
+        ],
     )
     def test_a_repeated_curve_is_rejected(self, preset, curve, first, monkeypatch):
         config, plan = preset(colleges=2, replications=2, n_students=400)

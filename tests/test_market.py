@@ -233,6 +233,25 @@ class TestConfigValidation:
                 capacity_alpha=alpha,
             )
 
+    @pytest.mark.parametrize(
+        "capacity", [math.inf, math.nan, True, 2.5, 0, "3"],
+        ids=["inf", "nan", "bool", "fraction", "zero", "string"],
+    )
+    def test_capacity_must_be_a_positive_integer(self, capacity):
+        # a preset or library caller reaches EconomyConfig without config_io's checks
+        message = re.escape("colleges[1].capacity: must be a positive integer")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            EconomyConfig(
+                n_students=100,
+                colleges=(
+                    College(id=0, capacity=2, coalition=0),
+                    College(id=1, capacity=capacity, coalition=0),
+                ),
+                coalitions=(Coalition(id=0, values=UniformValues(0, 1), noise=None),),
+                preferences=UniformRandomPreferences(),
+                master_seed=1,
+            )
+
     def test_capacity_regularity_warning(self):
         with pytest.warns(CapacityRegularityWarning):
             EconomyConfig(

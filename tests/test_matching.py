@@ -264,6 +264,21 @@ class TestBlockingPairs:
         empty = dataclasses.replace(m, assignment=np.array([UNMATCHED, UNMATCHED]))
         assert find_blocking_pairs(empty, market) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
+    def test_builds_no_n_by_c_table(self):
+        # numpy reports its buffers to tracemalloc; the smallest n x C array
+        # is a boolean one of n * C bytes
+        config, _ = fig1(colleges=100, noise="pareto", n_students=20000)
+        market = sample_market(config, 0)
+        m = deferred_acceptance(market, config.capacities())
+        tracemalloc.start()
+        try:
+            pairs = find_blocking_pairs(m, market)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pairs == []
+        assert peak <= market.n_students * market.n_colleges
+
     def test_capacity_exactness(self, rng):
         for _ in range(10):
             n = int(rng.integers(30, 120))
