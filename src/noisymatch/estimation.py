@@ -132,10 +132,11 @@ class ReplicationRecords:
         )
 
 
-def _afford_requests(plan: ExperimentPlan) -> list[tuple[int, float]]:
-    return sorted(
-        {(c.coalition_id, c.trim_epsilon) for c in plan.curves if isinstance(c, AffordProbability)}
-    )
+def _afford_requests(plan: ExperimentPlan) -> list[tuple]:
+    """The plan's distinct (coalition id, trim) pairs in plan order; ids of
+    mixed types do not sort, and the order only keys a dict."""
+    curves = [c for c in plan.curves if isinstance(c, AffordProbability)]
+    return list(dict.fromkeys((c.coalition_id, c.trim_epsilon) for c in curves))
 
 
 _STAGES = ("sample", "match", "afford")
@@ -414,18 +415,16 @@ class AttenuationMetrics:
     step_deviation: float
 
 
-def attenuation_metrics(
-    curve: MatchCurve, v_s: float, *, margin: float | None = None
-) -> AttenuationMetrics:
+def attenuation_metrics(curve: MatchCurve, v_s: float) -> AttenuationMetrics:
     """How far the curve is from a perfect step at the admission frontier.
 
     below_mass integrates the curve against the empirical value weights
     over bins entirely below v_s (the mass of matched students who should
     not have matched); step_deviation is the worst gap to the 0/1 step,
-    ignoring bins within one margin of the discontinuity.
+    ignoring bins whose midpoint lies within the widest bin's width of the
+    discontinuity.
     """
-    if margin is None:
-        margin = float(curve.bin_width.max())
+    margin = float(curve.bin_width.max())
     total = curve.count.sum()
     below = curve.bin_edges[1:] <= v_s + 1e-12
     ok = curve.count > 0

@@ -142,9 +142,10 @@ def stream_rngs(master_seed: int, replications: range, stream: int) -> list[np.r
     """One stream's generator for each of consecutive replications.
 
     Generator r is ``np.random.default_rng(np.random.SeedSequence(master_seed,
-    spawn_key=(r, stream)))``, draw for draw: the PCG64 seeds of the whole
-    range come from one vectorised pass of SeedSequence's mixing, so no
-    SeedSequence is built: about 3 us a generator instead of 28 us.
+    spawn_key=(r, stream)))``, draw for draw: numpy mixes the master seed
+    once, and the spawn keys of the whole range are mixed into its pool in
+    one vectorised pass, so one SeedSequence is built a call, not one a
+    generator: about 3 us a generator instead of 28 us.
     """
     seed_words = _seed_words_type()
     words = _seed_words(master_seed, replications, stream)
@@ -174,9 +175,13 @@ def _seed_words_type() -> type:
 
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx) hashes entropy into a
-# pool of four 32-bit words and expands the pool into seed words.  Its hash
-# constants advance once per hash, whatever the data, so the same steps run
-# on arrays of words, one entry per replication.
+# pool of four 32-bit words and expands the pool into seed words.  With a
+# spawn key (r, stream), the entropy is the master seed's words, padded with
+# zeros to the pool size, then r's words and the stream.  numpy mixes the
+# seed's part, the same for every r: SeedSequence(master_seed).pool.  The
+# code mixes only the spawn key's words into copies of that pool.  The hash
+# constants advance once per hash, whatever the data, so these steps run on
+# arrays of words, one entry per replication.
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -184,36 +189,21 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-def _hashmix(value, hash_const: int):
-    """SeedSequence's hashmix of 32-bit words held in a Python int or a
-    uint64 array; returns the hash and the next hash constant."""
-    hash_next = hash_const * _MULT_A & _MASK32
-    value = (value ^ hash_const) * hash_next & _MASK32
-    return value ^ value >> 16, hash_next
-
-
-def _mix(x, y):
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ result >> 16
+def _n_words(value: int) -> int:
+    """How many 32-bit words SeedSequence splits a non-negative integer into."""
+    return max(1, -(-value.bit_length() // 32))
 
 
 def _mix_in(pool: list, word, hash_const: int) -> int:
-    """Mix one entropy word into every pool word; returns the hash constant."""
+    """Mix one entropy word, a Python int or a uint64 array of 32-bit words,
+    into every pool word by SeedSequence's hashmix and mix; returns the next
+    hash constant."""
     for i in range(_POOL_SIZE):
-        hashed, hash_const = _hashmix(word, hash_const)
-        pool[i] = _mix(pool[i], hashed)
+        hash_next = hash_const * _MULT_A & _MASK32
+        hashed = (word ^ hash_const) * hash_next & _MASK32
+        mixed = (_MIX_MULT_L * pool[i] - _MIX_MULT_R * (hashed ^ hashed >> 16)) & _MASK32
+        pool[i], hash_const = mixed ^ mixed >> 16, hash_next
     return hash_const
-
-
-def _uint32_words(value: int) -> list[int]:
-    """Little-endian 32-bit words of a non-negative integer, [0] for 0."""
-    if value < 0:
-        raise ValueError("expected non-negative integer")
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
 
 
 def _seed_words(master_seed: int, replications: range, stream: int) -> np.ndarray:
@@ -221,28 +211,19 @@ def _seed_words(master_seed: int, replications: range, stream: int) -> np.ndarra
     .generate_state(4, np.uint64)`` for every r of a range of step 1."""
     if replications.step != 1:
         raise ValueError(f"replications must be consecutive, got {replications!r}")
-    _uint32_words(replications.start)  # a negative index raises as numpy does
-    # a spawn key pads the seed's words with zeros to the pool size; the
-    # first four words and the pool's self-mixing are the same for every r
-    entropy = _uint32_words(master_seed)
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    pool, hash_const = [], _INIT_A
-    for word in entropy[:_POOL_SIZE]:
-        hashed, hash_const = _hashmix(word, hash_const)
-        pool.append(hashed)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], hashed)
-    for word in entropy[_POOL_SIZE:]:
-        hash_const = _mix_in(pool, word, hash_const)
+    if replications.start < 0:
+        raise ValueError("expected non-negative integer")  # as numpy raises
+    master_seed = int(master_seed)
+    pool = np.random.SeedSequence(master_seed).pool.tolist()
+    # 4 initial hashes, 12 self-mixes and 4 for each seed word past the fourth
+    hashes = 4 * max(_n_words(master_seed), _POOL_SIZE)
+    hash_const = _INIT_A * pow(_MULT_A, hashes, 1 << 32) & _MASK32
 
     state = np.empty((len(replications), 2 * _POOL_SIZE), dtype=np.uint64)
     start, stop = replications.start, replications.stop
     while start < stop:
         # replications with as many 32-bit words mix in as many steps
-        n_words = len(_uint32_words(start))
+        n_words = _n_words(start)
         end = min(stop, 1 << 32 * n_words)
         reps = np.arange(start, end, dtype=np.uint64 if end <= 1 << 64 else object)
         group, hash_group = list(pool), hash_const
@@ -376,13 +357,10 @@ class HolderReport:
 
 
 def holder_exponent_check(
-    dist: ValueDistribution,
-    gamma: float,
-    delta_grid: Sequence[float],
-    *,
-    v_grid_size: int = 201,
+    dist: ValueDistribution, gamma: float, delta_grid: Sequence[float]
 ) -> HolderReport:
-    """Check interval masses against K * delta**gamma over a (v, delta) grid.
+    """Check interval masses against K * delta**gamma over a (v, delta) grid:
+    v at the distribution's 0, 0.5, ..., 100 % quantiles (201 points).
 
     K is fitted at the coarsest delta, so the check asks whether smaller
     intervals keep at most the same normalised mass; a density spike or a
@@ -394,7 +372,7 @@ def holder_exponent_check(
     if not deltas or deltas[0] <= 0:
         raise ValueError("delta_grid must contain positive values")
     lo, hi = dist.support()
-    vs = np.asarray(dist.quantile(np.linspace(0.0, 1.0, v_grid_size)), dtype=float)
+    vs = np.asarray(dist.quantile(np.linspace(0.0, 1.0, 201)), dtype=float)
     vs = np.unique(np.clip(vs, lo, hi))
     d_max = deltas[-1]
     k = float(np.max(dist.cdf(vs + d_max) - dist.cdf(vs)) / d_max**gamma)
@@ -591,6 +569,13 @@ class EconomyConfig:
     def __post_init__(self):
         object.__setattr__(self, "colleges", tuple(self.colleges))
         object.__setattr__(self, "coalitions", tuple(self.coalitions))
+        # a bool is an Integral, and a numpy integer is stored as the int it
+        # equals, so it hashes and samples as the int does
+        for field in ("n_students", "master_seed"):
+            value = getattr(self, field)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{field}: must be an integer, got {value!r}")
+            object.__setattr__(self, field, int(value))
         if self.n_students < 1:
             raise ConfigError(f"n_students: must be >= 1, got {self.n_students}")
         if self.master_seed < 0:
@@ -601,18 +586,21 @@ class EconomyConfig:
             raise ConfigError("colleges: must be non-empty")
         if not self.coalitions:
             raise ConfigError("coalitions: must be non-empty")
-        # NaN equals no id, itself included, so it would pass as unique
         for field, items in (("colleges", self.colleges), ("coalitions", self.coalitions)):
+            # NaN equals no id, itself included, so it would pass as unique
             for i, item in enumerate(items):
                 if isinstance(item.id, float):
                     finite_number(item.id, f"{field}[{i}].id")
-        ids = [c.id for c in self.colleges]
-        if len(set(ids)) != len(ids):
-            raise ConfigError("colleges: ids must be unique")
-        kids = [k.id for k in self.coalitions]
-        if len(set(kids)) != len(kids):
-            raise ConfigError("coalitions: ids must be unique")
-        known = set(kids)
+            if len({item.id for item in items}) != len(items):
+                raise ConfigError(f"{field}: ids must be unique")
+            # the outputs name ids by str(id), and 1 and "1" are distinct ids
+            first = {}
+            for i, item in enumerate(items):
+                j = first.setdefault(str(item.id), i)
+                if j != i:
+                    message = f"prints as {item.id}, like {field}[{j}].id"
+                    raise ConfigError(f"{field}[{i}].id: {message}")
+        known = {k.id for k in self.coalitions}
         for i, c in enumerate(self.colleges):
             # inf % 1 and nan % 1 are nan, so neither passes for an integer; nor does True
             cap = c.capacity

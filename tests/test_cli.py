@@ -523,7 +523,28 @@ KIND_FIELDS = {
         "preferences.rankings[0]: must be a list, got 5",
     ),
 }
-BAD_FIELDS = {**WRONG_TYPES, **NON_FINITE, **KIND_FIELDS}
+
+
+def second_coalition_called(cid):
+    def plant(doc):
+        doc["coalitions"].append({**doc["coalitions"][0], "id": cid})
+        doc["colleges"][1]["coalition"] = cid
+
+    return plant
+
+
+# distinct ids that print alike would write one output name twice
+ALIKE_IDS = {
+    "coalition-id-prints-alike": (
+        second_coalition_called("1"),
+        "coalitions[1].id: prints as 1, like coalitions[0].id",
+    ),
+    "college-id-prints-alike": (
+        lambda d: d["colleges"][1].update(id="1"),
+        "colleges[1].id: prints as 1, like colleges[0].id",
+    ),
+}
+BAD_FIELDS = {**WRONG_TYPES, **NON_FINITE, **KIND_FIELDS, **ALIKE_IDS}
 
 
 class TestLoadTimeChecks:
@@ -709,6 +730,37 @@ class TestCliContract:
         # one process: its stages run inside the replications' wall time
         stages = serial["sample_s"] + serial["match_s"] + serial["afford_s"]
         assert 0 < stages <= serial["replications_s"] + 1e-3
+
+    def test_mixed_id_types_run_as_integer_ids_do(self, tmp_path):
+        # fig2 with coalition 2 called "b", on two workers against one: only
+        # the names it prints move
+        doc = config_to_dict(*fig2(colleges=3, n_students=400, replications=40, seed=3))
+        mixed = copy.deepcopy(doc)
+        mixed["coalitions"][1]["id"] = "b"
+        for item in mixed["colleges"] + mixed["plan"]["curves"]:
+            if item["coalition"] == 2:
+                item["coalition"] = "b"
+        runs = {}
+        for name, d, threads in (("int", doc, "1"), ("mixed", mixed, "2")):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(d))
+            runs[name] = tmp_path / name
+            argv = ("--config", str(path), "--out-dir", str(runs[name]), "--threads", threads)
+            assert run_cli(*argv) == EXIT_OK
+
+        def rows(name, csv_name):
+            return [line.split(",") for line in (runs[name] / csv_name).read_text().splitlines()]
+
+        def renamed(metric):
+            return re.sub(r"(value|_c)2(?=_|$)", r"\1b", metric)
+
+        curves = [[renamed(curve), *rest] for curve, *rest in rows("int", "curves.csv")]
+        assert rows("mixed", "curves.csv") == curves
+        # the config hash differs; the names and values do not
+        metrics = [[renamed(metric), value] for metric, value, _ in rows("int", "metrics.csv")]
+        assert [row[:2] for row in rows("mixed", "metrics.csv")] == metrics
+        cuts = [[r, c, "b" if k == "2" else k, cut] for r, c, k, cut in rows("int", "cutoffs.csv")]
+        assert rows("mixed", "cutoffs.csv") == cuts
 
     # Pareto noise of shape 0.005 overflows to +inf, so the college of two
     # seats cuts at +inf in both replications.  Every model ranks every

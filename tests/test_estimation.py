@@ -45,6 +45,20 @@ from noisymatch.presets import fig1, fig2
 from test_matching import clears, make_market
 
 
+def rename_coalition(config, plan, old, new):
+    """The config and plan with coalition ``old`` called ``new`` everywhere."""
+    def rename(cid):
+        return new if cid == old else cid
+
+    config = replace(
+        config,
+        colleges=tuple(replace(c, coalition=rename(c.coalition)) for c in config.colleges),
+        coalitions=tuple(replace(k, id=rename(k.id)) for k in config.coalitions),
+    )
+    curves = tuple(replace(c, coalition_id=rename(c.coalition_id)) for c in plan.curves)
+    return config, replace(plan, curves=curves)
+
+
 def small_pool(n=400, colleges=4, noise=Uniform(0, 1), seed=17, replications=5):
     seats = n // 2 // colleges
     config = EconomyConfig(
@@ -358,16 +372,18 @@ class TestRunReplications:
         batch = held // 8
         assert peak <= held + 6 * batch + (1 << 20)
 
-    def test_a_pool_trims_as_a_serial_run_does(self):
+    @pytest.mark.parametrize("second", [2, "b"])
+    def test_a_pool_trims_as_a_serial_run_does(self, second):
         # fig2's two coalitions each trimmed by 0.05: the trimmed sets are
-        # chosen inside each worker, from that worker's stacks' cutoffs
-        config, plan = fig2(colleges=3, n_students=400, replications=40)
+        # chosen inside each worker, from that worker's stacks' cutoffs; ids
+        # of mixed types, which do not sort, run as integer ids do
+        config, plan = rename_coalition(*fig2(colleges=3, n_students=400, replications=40), 2, second)
         serial = run_replications(config, plan, threads=1)
         pooled = run_replications(config, plan, threads=2)
         assert np.array_equal(serial.values, pooled.values)
         assert np.array_equal(serial.assignment, pooled.assignment)
         assert np.array_equal(serial.cutoffs, pooled.cutoffs)
-        assert serial.afford.keys() == pooled.afford.keys() == {(1, 0.05), (2, 0.05)}
+        assert serial.afford.keys() == pooled.afford.keys() == {(1, 0.05), (second, 0.05)}
         for key in serial.afford:
             assert np.array_equal(serial.afford[key], pooled.afford[key])
 

@@ -770,8 +770,9 @@ class TestSamplingMemory:
         assert peak - held <= (2 * len(cpus) + 1) * block
 
 
-# seeds of one, two, three and five 32-bit words (the last has 40 digits)
-SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**39 + 7]
+# seeds of one, two, three, four, five and seven 32-bit words (10**39 + 7
+# has 40 digits; 2**127 + 5 is the last seed with no word past the pool)
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**127 + 5, 10**39 + 7, 2**200 + 3]
 # replication indices of one 32-bit word, and across the one-to-two and
 # two-to-three word edges
 REPLICATIONS = [range(0, 3), range(2**32 - 2, 2**32 + 2), range(2**64 - 1, 2**64 + 1)]
@@ -813,6 +814,25 @@ class TestStreams:
     def test_config_rejects_a_negative_master_seed(self):
         with pytest.raises(ConfigError, match=r"^master_seed: must be a non-negative integer, got -3$"):
             one_pool_config(seed=-3)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("master_seed", True), ("master_seed", 7.5), ("master_seed", 7.0), ("n_students", 20.0)],
+        ids=["seed-bool", "seed-fraction", "seed-float", "students-float"],
+    )
+    def test_config_takes_integers_only(self, field, value):
+        # a preset or library caller reaches EconomyConfig without config_io's checks
+        message = re.escape(f"{field}: must be an integer, got {value!r}")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            replace(one_pool_config(n=20, colleges=2), **{field: value})
+
+    def test_a_numpy_seed_samples_as_the_int_does(self):
+        config = one_pool_config(n=40, colleges=2, seed=np.int64(7))
+        assert type(config.master_seed) is int
+        want = sample_market(one_pool_config(n=40, colleges=2, seed=7), 3)
+        got = sample_market(config, 3)
+        for field in ("values", "prefs", "scores"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
 
 def reference_market(config, replication):
