@@ -46,14 +46,12 @@ from .noise import (
     Gumbel,
     NoiseSpec,
     Pareto,
-    TailClass,
-    TailReport,
     Uniform,
-    classify_tail,
+    continuum_regime,
     estimate_beta,
     long_tail_ratio,
     max_order_stats,
-    tail_report,
+    shared_cutoff,
 )
 
 __version__ = "0.1.0"

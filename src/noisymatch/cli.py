@@ -137,18 +137,20 @@ def _curve_rows(curve_id: str, curve):
         )
 
 
-def _timings(seconds: dict, stage_seconds: dict) -> dict:
+def _timings(seconds: dict, stage_seconds: dict, pooled: bool) -> dict:
     """Wall seconds of this run's steps, the replications' stage seconds
     summed over stacks and workers, and peak resident memory."""
     # ru_maxrss is in KiB on Linux and in bytes on macOS
     per_mib = 1 << (20 if sys.platform == "darwin" else 10)
-    peak = {
-        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / per_mib,
-        "workers_peak_rss_mib": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / per_mib,
-    }
+    peak = {"peak_rss_mib": resource.RUSAGE_SELF}
+    # the largest reaped child is a worker only when a pool ran; without one,
+    # RUSAGE_CHILDREN reports what launched this process, since it survives exec
+    if pooled:
+        peak["workers_peak_rss_mib"] = resource.RUSAGE_CHILDREN
     out = {f"{step}_s": round(s, 4) for step, s in seconds.items()}
     out.update({f"{stage}_s": round(s, 4) for stage, s in stage_seconds.items()})
-    out.update({key: round(mib, 1) for key, mib in peak.items()})
+    for key, who in peak.items():
+        out[key] = round(resource.getrusage(who).ru_maxrss / per_mib, 1)
     return out
 
 
@@ -230,7 +232,7 @@ def run(doc: dict, out_dir: Path, threads: int) -> int:
         "wall_clock_seconds": round(time.time() - started, 3),
         "outputs": list(tables),
         "effective_config": doc,
-        "timings": _timings(seconds, records.stage_seconds),
+        "timings": _timings(seconds, records.stage_seconds, records.workers > 1),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return EXIT_OK

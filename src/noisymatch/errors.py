@@ -41,3 +41,9 @@ def finite_number(value, field: str) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"{field}: must be finite, got {value!r}")
     return float(value)
+
+
+def positive_integer(value) -> bool:
+    # not a bool, nor inf or nan, whose remainder by 1 is nan
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and value % 1 == 0 and value >= 1

@@ -113,6 +113,8 @@ class ReplicationRecords:
     # seconds spent sampling, matching and measuring affordability, summed
     # over stacks and workers
     stage_seconds: dict[str, float] = field(default_factory=dict, compare=False)
+    # processes that ran the stacks: 1 is this one, more a pool's workers
+    workers: int = field(default=1, compare=False)
     # (value column, bin edges) -> bin of every student-observation, in the
     # narrowest unsigned type that holds the last bin
     _bins: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -262,7 +264,7 @@ def run_replications(
                 cuts[rows] = c
             for stage in _STAGES:
                 seconds[stage] += s[stage]
-    return ReplicationRecords(config, plan, values, assignment, afford, cuts, seconds)
+    return ReplicationRecords(config, plan, values, assignment, afford, cuts, seconds, workers)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, OverdemandError, ReplicationError, finite_number
+from .errors import ConfigError, OverdemandError, ReplicationError, finite_number, positive_integer
 from .noise import NoiseSpec
 
 STREAM_VALUES = 0
@@ -602,10 +602,7 @@ class EconomyConfig:
                     raise ConfigError(f"{field}[{i}].id: {message}")
         known = {k.id for k in self.coalitions}
         for i, c in enumerate(self.colleges):
-            # inf % 1 and nan % 1 are nan, so neither passes for an integer; nor does True
-            cap = c.capacity
-            real = isinstance(cap, numbers.Real) and not isinstance(cap, bool)
-            if not (real and cap % 1 == 0 and cap >= 1):
+            if not positive_integer(c.capacity):
                 raise ConfigError(f"colleges[{i}].capacity: must be a positive integer")
             if c.coalition not in known:
                 raise ConfigError(f"colleges[{i}].coalition: unknown coalition {c.coalition!r}")

@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import market as sampling
+from .errors import positive_integer
 from .market import SampledMarket, prefs_dtype
 
 UNMATCHED = -1
@@ -73,7 +74,7 @@ def _capacity_list(capacities: Sequence[int], n_colleges: int) -> list[int]:
     if len(caps) != n_colleges:
         raise ValueError(f"capacities: expected {n_colleges} entries, got {len(caps)}")
     for i, c in enumerate(caps):
-        if not (c >= 1 and float(c).is_integer()):
+        if not positive_integer(c):
             raise ValueError(f"capacities[{i}]: must be a positive integer, got {c!r}")
     return [int(c) for c in caps]
 

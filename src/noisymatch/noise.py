@@ -1,15 +1,16 @@
 """Noise distributions and tail-regime diagnostics.
 
 A noise spec is a small frozen dataclass with a sampler and, for every
-built-in family, closed-form survival and quantile functions.  The
+built-in family, closed-form log-survival and quantile functions.  The
 diagnostics in this module probe the two tail regimes that drive market
-behaviour: how fast the maximum of n draws concentrates, and whether the
-conditional survival ratio Pr[X > x+d | X > x] approaches 1.
+behaviour: how fast the maximum of n draws concentrates, whether the
+conditional survival ratio Pr[X > x+d | X > x] approaches 1, and, exactly
+in the continuum, whether a market's match curve sharpens into a step or
+flattens as colleges are added.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import statistics
 from dataclasses import dataclass
@@ -19,23 +20,25 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateVarianceError, InsufficientTailMassError, finite_number
 
-# Classification of a distribution is a finite-sample heuristic: the regimes
-# are asymptotic, so the thresholds below are calibrated to separate the
-# bundled example families cleanly, not derived from first principles.
-CLASSIFIER_NOTE = "threshold-based finite-sample heuristic"
-
-DEFAULT_BETA_MIN = 0.25
-DEFAULT_RATIO_MIN = 0.95
-DEFAULT_PROBE_QUANTILES = (0.9, 0.99, 0.999)
 DEFAULT_PROBE_GAP = 0.1
-# tail_report's sample sizes: the maximum of n draws for each n, and the
-# draws whose quantiles place the survival-ratio probes
-_N_GRID = (10, 100, 1000, 10_000)
-_PROBE_SAMPLES = 100_000
-# how far a ratio may move against the trend and still count as monotone
-_RATIO_TOL = 1e-9
+# beyond this many standard deviations (Gaussian) or scales (Gumbel) the
+# log-survival takes its asymptotic form: erfc nears underflow by z ~ 37,
+# and e^(-z)/2 is below rounding against z
+_DEEP_Z = 30.0
+# the continuum averages over this many equal-mass values, quantiles at
+# (i + 1/2) / _CONTINUUM_GRID
+_CONTINUUM_GRID = 20_000
+# continuum_regime compares a market at these college counts, and calls a
+# relative fall of at least _REGIME_FALL a trend: from 10^2 to 10^6 colleges
+# exponential noise's sup_deviation moves 0.4 %, Gaussian's below_mass falls
+# 35 % and Pareto(2, 0.3)'s sup_deviation falls 100-fold
+_REGIME_COLLEGES = (10**2, 10**6)
+_REGIME_FALL = 0.1
 
 _MAX_CHUNK_DRAWS = 5_000_000
+
+# numpy has no erfc: math.erfc elementwise, ~100 ns an argument
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 class NoiseSpec:
@@ -61,8 +64,8 @@ class NoiseSpec:
     def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         raise NotImplementedError
 
-    def survival(self, x: float) -> float:
-        """Pr[X > x]."""
+    def log_survival(self, x):
+        """log Pr[X > x], elementwise; -inf where no mass lies above x."""
         raise NotImplementedError
 
     def quantile(self, q: float) -> float:
@@ -88,8 +91,9 @@ class Uniform(NoiseSpec):
     def _draw(self, rng, n):
         return rng.uniform(self.lo, self.hi, n)
 
-    def survival(self, x):
-        return float(np.clip((self.hi - x) / (self.hi - self.lo), 0.0, 1.0))
+    def log_survival(self, x):
+        with np.errstate(divide="ignore"):
+            return np.log(np.clip((self.hi - np.asarray(x, float)) / (self.hi - self.lo), 0, 1))
 
     def quantile(self, q):
         return self.lo + q * (self.hi - self.lo)
@@ -108,8 +112,16 @@ class Gaussian(NoiseSpec):
     def _draw(self, rng, n):
         return rng.normal(self.mean, self.sd, n)
 
-    def survival(self, x):
-        return 0.5 * math.erfc((x - self.mean) / (self.sd * math.sqrt(2.0)))
+    def log_survival(self, x):
+        z = (np.asarray(x, dtype=float) - self.mean) / self.sd
+        # Pr[Z > |z|], which keeps its relative precision on either side
+        tail = 0.5 * _erfc(np.abs(z) / math.sqrt(2.0))
+        # past _DEEP_Z, Mills' ratio series: phi(z)/z (1 - 1/z^2 + 3/z^4 - 15/z^6 ...)
+        d = np.maximum(z, _DEEP_Z)
+        w = 1.0 / (d * d)
+        deep = np.log1p(w * (3 * w - 1 - 15 * w * w)) - np.log(d * math.sqrt(2 * math.pi)) - d * d / 2
+        with np.errstate(divide="ignore"):
+            return np.where(z > _DEEP_Z, deep, np.where(z > 0, np.log(tail), np.log1p(-tail)))
 
     def quantile(self, q):
         return statistics.NormalDist(self.mean, self.sd).inv_cdf(q)
@@ -127,8 +139,8 @@ class Exponential(NoiseSpec):
     def _draw(self, rng, n):
         return rng.exponential(1.0 / self.rate, n)
 
-    def survival(self, x):
-        return 1.0 if x <= 0 else math.exp(-self.rate * x)
+    def log_survival(self, x):
+        return -self.rate * np.maximum(x, 0.0)
 
     def quantile(self, q):
         return -math.log1p(-q) / self.rate
@@ -147,8 +159,14 @@ class Gumbel(NoiseSpec):
     def _draw(self, rng, n):
         return rng.gumbel(self.location, self.scale, n)
 
-    def survival(self, x):
-        return -math.expm1(-math.exp(-(x - self.location) / self.scale))
+    def log_survival(self, x):
+        z = (np.asarray(x, dtype=float) - self.location) / self.scale
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            # S = 1 - e^(-u) for the cumulative hazard u, through log1p
+            # where S is near 1 and expm1 where it is small
+            u = np.exp(-z)
+            near = np.where(u > 1, np.log1p(-np.exp(-u)), np.log(-np.expm1(-u)))
+            return np.where(z > _DEEP_Z, -z - u / 2, near)
 
     def quantile(self, q):
         return self.location - self.scale * math.log(-math.log(q))
@@ -182,8 +200,8 @@ class Pareto(NoiseSpec):
         x *= self.scale
         return x
 
-    def survival(self, x):
-        return 1.0 if x <= self.scale else (self.scale / x) ** self.shape
+    def log_survival(self, x):
+        return self.shape * (math.log(self.scale) - np.log(np.maximum(x, self.scale)))
 
     def quantile(self, q):
         return self.scale * (1.0 - q) ** (-1.0 / self.shape)
@@ -203,22 +221,6 @@ class RatioEstimate(NamedTuple):
     stderr: float
 
 
-class TailClass(str, enum.Enum):
-    MAX_CONCENTRATING = "MaxConcentrating"
-    LONG_TAILED = "LongTailed"
-    INTERMEDIATE = "Intermediate"
-
-
-@dataclass(frozen=True)
-class TailReport:
-    beta_hat: float
-    beta_stderr: float
-    hazard_ratios: tuple[tuple[float, float], ...]
-    classification: TailClass
-    max_mean_curve: tuple[MaxStat, ...]
-    note: str = CLASSIFIER_NOTE
-
-
 def max_order_stats(
     spec: NoiseSpec,
     n_grid: Sequence[int],
@@ -232,14 +234,12 @@ def max_order_stats(
     for n in n_grid:
         if n < 1:
             raise ConfigError(f"n_grid entries must be >= 1, got {n}")
-        maxima = np.empty(replications)
-        done = 0
         chunk = max(1, _MAX_CHUNK_DRAWS // n)
-        while done < replications:
-            k = min(chunk, replications - done)
-            draws = spec.sample(rng, k * n).reshape(k, n)
-            maxima[done : done + k] = draws.max(axis=1)
-            done += k
+        blocks = []
+        for start in range(0, replications, chunk):
+            k = min(chunk, replications - start)
+            blocks.append(spec.sample(rng, k * n).reshape(k, n).max(axis=1))
+        maxima = np.concatenate(blocks)
         out.append(MaxStat(int(n), float(maxima.mean()), float(maxima.var(ddof=1))))
     return out
 
@@ -264,14 +264,11 @@ def beta_from_stats(stats: Sequence[MaxStat]) -> tuple[float, float]:
     vs = np.array([s.var_max for s in stats], dtype=float)
     if np.any(vs <= 0):
         raise DegenerateVarianceError("var_max is zero for some n (point-mass distribution?)")
-    x = np.log(ns)
-    y = np.log(vs)
-    xc = x - x.mean()
-    slope = float(xc @ (y - y.mean()) / (xc @ xc))
-    resid = (y - y.mean()) - slope * xc
-    dof = len(x) - 2
-    stderr = float(np.sqrt((resid @ resid) / dof / (xc @ xc))) if dof > 0 else math.nan
-    return -slope, stderr
+    xc, yc = (np.log(a) - np.log(a).mean() for a in (ns, vs))
+    slope = float(xc @ yc / (xc @ xc))
+    resid = yc - slope * xc
+    # three distinct n leave at least one degree of freedom
+    return -slope, float(np.sqrt((resid @ resid) / (len(xc) - 2) / (xc @ xc)))
 
 
 def long_tail_ratio(
@@ -290,51 +287,16 @@ def long_tail_ratio(
     if d <= 0:
         raise ConfigError(f"d must be positive, got {d}")
     if rng is None:
-        denom = spec.survival(x)
-        if denom <= 0.0:
+        log_denom = spec.log_survival(x)
+        if log_denom == -math.inf:
             raise InsufficientTailMassError(f"Pr[X > {x}] = 0 for {spec!r}")
-        return RatioEstimate(spec.survival(x + d) / denom, 0.0)
+        return RatioEstimate(float(np.exp(spec.log_survival(x + d) - log_denom)), 0.0)
     draws = spec.sample(rng, samples)
-    tail = draws > x
-    n_tail = int(tail.sum())
-    if n_tail == 0:
+    tail = draws[draws > x]
+    if tail.size == 0:
         raise InsufficientTailMassError(f"no draws above x={x} in {samples} samples")
-    r = float((draws[tail] > x + d).mean())
-    return RatioEstimate(r, math.sqrt(max(r * (1.0 - r), 1e-12) / n_tail))
-
-
-def classify_tail(beta_hat: float, hazard_ratios: Sequence[tuple[float, float]]) -> TailClass:
-    """Classify from the beta estimate and the survival-ratio sequence.
-
-    Max-concentrating needs a beta above DEFAULT_BETA_MIN and decaying
-    ratios; long-tailed needs ratios that rise with x and exceed
-    DEFAULT_RATIO_MIN at the deepest probe.  Everything else is labelled
-    intermediate.
-    """
-    ratios = [r for _, r in hazard_ratios]
-    decaying = all(b <= a + _RATIO_TOL for a, b in zip(ratios, ratios[1:]))
-    rising = all(b >= a - _RATIO_TOL for a, b in zip(ratios, ratios[1:]))
-    if beta_hat > DEFAULT_BETA_MIN and decaying:
-        return TailClass.MAX_CONCENTRATING
-    if ratios and ratios[-1] > DEFAULT_RATIO_MIN and rising:
-        return TailClass.LONG_TAILED
-    return TailClass.INTERMEDIATE
-
-
-def tail_report(
-    spec: NoiseSpec, rng: np.random.Generator, *, replications: int = 2000
-) -> TailReport:
-    """Run both diagnostics and classify the distribution: beta from the
-    maximum of n draws over _N_GRID, and the survival ratio over a gap of
-    DEFAULT_PROBE_GAP at the DEFAULT_PROBE_QUANTILES of _PROBE_SAMPLES draws."""
-    stats = max_order_stats(spec, _N_GRID, replications, rng)
-    beta_hat, beta_stderr = beta_from_stats(stats)
-    probes = empirical_quantiles(spec, DEFAULT_PROBE_QUANTILES, _PROBE_SAMPLES, rng)
-    ratios = tuple(
-        (float(x), float(long_tail_ratio(spec, x, DEFAULT_PROBE_GAP).ratio)) for x in probes
-    )
-    cls = classify_tail(beta_hat, ratios)
-    return TailReport(beta_hat, beta_stderr, ratios, cls, tuple(stats))
+    r = float((tail > x + d).mean())
+    return RatioEstimate(r, math.sqrt(max(r * (1.0 - r), 1e-12) / tail.size))
 
 
 def empirical_quantiles(
@@ -345,3 +307,51 @@ def empirical_quantiles(
 ) -> np.ndarray:
     draws = spec.sample(rng, samples)
     return np.quantile(draws, np.asarray(quantiles))
+
+
+def shared_cutoff(noise: NoiseSpec, values, n_colleges: int, share: float) -> float:
+    """The one cutoff P at which ``n_colleges`` symmetric colleges fill the
+    seat ``share`` of a continuum of students with the value law ``values``:
+    a student of value v clears each bar with probability S(P - v) and
+    matches when they clear any (Azevedo & Leshno 2016)."""
+    if noise is None or not (0.0 < share < 1.0 and n_colleges >= 1):
+        got = f"noise={noise!r}, share={share!r}, n_colleges={n_colleges!r}"
+        raise ConfigError(f"need a noise, share in (0, 1) and n_colleges >= 1; got {got}")
+    v = _value_grid(values)
+    # at lo every value clears a bar with probability >= share; at hi the
+    # top value clears one with share / C, so at most the share matches
+    lo = v[0] + noise.quantile(1.0 - share)
+    hi = v[-1] + noise.quantile(1.0 - share / n_colleges)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        # more than the share matching at mid puts P above it
+        over = _match_probability(noise, v, n_colleges, mid).mean() > share
+        lo, hi = (mid, hi) if over else (lo, mid)
+    return float(mid)
+
+
+def continuum_regime(noise: NoiseSpec, values, share: float) -> str:
+    """``"attenuating"`` when the continuum market's below_mass (matched mass
+    below v_s) falls as colleges go from 10^2 to 10^6, ``"amplifying"`` when
+    its sup_deviation (largest distance from the flat ``share``) falls, else
+    ``"boundary"``, as for max-stable Gumbel noise.  It draws nothing."""
+    v = _value_grid(values)
+    first, last = (
+        _match_probability(noise, v, c, shared_cutoff(noise, values, c, share))
+        for c in _REGIME_COLLEGES
+    )
+    below = v < values.quantile(1.0 - share)
+    if below @ last <= (1.0 - _REGIME_FALL) * (below @ first):
+        return "attenuating"
+    if np.abs(last - share).max() <= (1.0 - _REGIME_FALL) * np.abs(first - share).max():
+        return "amplifying"
+    return "boundary"
+
+
+def _value_grid(values) -> np.ndarray:
+    return values.quantile((np.arange(_CONTINUUM_GRID) + 0.5) / _CONTINUUM_GRID)
+
+
+def _match_probability(noise, v, n_colleges, cutoff) -> np.ndarray:
+    # 1 - (1 - S(cutoff - v))^C at each value, through log S
+    with np.errstate(divide="ignore"):
+        return -np.expm1(n_colleges * np.log1p(-np.exp(noise.log_survival(cutoff - v))))

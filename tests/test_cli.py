@@ -719,17 +719,27 @@ class TestCliContract:
             assert (runs[1] / name).read_bytes() == (runs[2] / name).read_bytes()
         keys = {
             "replications_s", "sample_s", "match_s", "afford_s", "curves_s", "output_s",
-            "peak_rss_mib", "workers_peak_rss_mib",
+            "peak_rss_mib",
         }
+        # five stacks start a pool of two at --threads 2, and no pool at 1
+        pooled = {1: set(), 2: {"workers_peak_rss_mib"}}
         for threads, out in runs.items():
             timings = json.loads((out / "manifest.json").read_text())["timings"]
-            assert set(timings) == keys
+            assert set(timings) == keys | pooled[threads]
             assert all(isinstance(v, float) and v >= 0 for v in timings.values())
             assert timings["peak_rss_mib"] > 0
         serial = json.loads((runs[1] / "manifest.json").read_text())["timings"]
         # one process: its stages run inside the replications' wall time
         stages = serial["sample_s"] + serial["match_s"] + serial["afford_s"]
         assert 0 < stages <= serial["replications_s"] + 1e-3
+
+    def test_one_stack_on_two_threads_reports_no_workers(self, tmp_path):
+        # one replication is one stack, which runs in this process at any
+        # --threads, so no worker's memory is reported
+        argv = ("--preset", "fig1", "--colleges", "2", "--replications", "1", "--threads", "2")
+        assert run_cli(*argv, "--out-dir", str(tmp_path)) == EXIT_OK
+        timings = json.loads((tmp_path / "manifest.json").read_text())["timings"]
+        assert "peak_rss_mib" in timings and "workers_peak_rss_mib" not in timings
 
     def test_mixed_id_types_run_as_integer_ids_do(self, tmp_path):
         # fig2 with coalition 2 called "b", on two workers against one: only

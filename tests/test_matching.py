@@ -10,6 +10,7 @@ code with the library's cutoff fixed point.
 import dataclasses
 import heapq
 import itertools
+import math
 import multiprocessing
 import os
 import threading
@@ -228,7 +229,7 @@ class TestHandInstances:
 
 class TestCapacities:
     @pytest.mark.parametrize("da", [deferred_acceptance, stacked_alone])
-    @pytest.mark.parametrize("bad", [0, -1, 1.5, float("nan")])
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, float("nan"), True, "3", math.inf, 2.5])
     def test_bad_capacity_names_its_index(self, da, bad):
         market = make_market([[0, 1], [1, 0], [0, 1]], [[0.3, 0.8], [0.6, 0.4], [0.9, 0.2]])
         with pytest.raises(ValueError, match=r"^capacities\[1\]: must be a positive integer"):

@@ -1,7 +1,8 @@
 """Unit tests for the noise distributions and tail diagnostics.
 
 Expected values come from independent routes: closed-form order-statistic
-formulas, quadrature, and hand arithmetic on the survival functions.
+formulas, quadrature, scipy's log-survival functions, hand arithmetic on the
+survival functions, and the exact continuum regime table.
 """
 
 import math
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
 from noisymatch.errors import (
     ConfigError,
@@ -23,16 +24,16 @@ from noisymatch.noise import (
     Gaussian,
     Gumbel,
     Pareto,
-    TailClass,
     Uniform,
     beta_from_stats,
-    classify_tail,
+    continuum_regime,
     estimate_beta,
     long_tail_ratio,
     max_order_stats,
-    tail_report,
+    shared_cutoff,
 )
 from noisymatch.config_io import build_kind, kind_entry
+from noisymatch.market import UniformValues
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -164,13 +165,78 @@ class TestClosedForms:
     def test_survival_inverts_quantile(self, spec_index, q):
         spec = ALL_SPECS[spec_index]
         x = spec.quantile(q)
-        assert spec.survival(x) == pytest.approx(1.0 - q, abs=1e-9)
+        assert math.exp(spec.log_survival(x)) == pytest.approx(1.0 - q, abs=1e-9)
 
     def test_samples_stay_in_support(self, rng):
         for spec in ALL_SPECS:
             lo, hi = spec.support()
             draws = spec.sample(rng, 10_000)
             assert draws.min() >= lo and draws.max() <= hi
+
+
+class TestLogSurvival:
+    @pytest.mark.parametrize(
+        "spec, reference, x",
+        [
+            (Uniform(-2.0, 3.0), stats.uniform(-2.0, 5.0), np.linspace(-3.0, 4.0, 701)),
+            (Gaussian(0.0, 1.0), stats.norm(), np.linspace(-10.0, 40.0, 50_001)),
+            (Gaussian(2.0, 3.0), stats.norm(2.0, 3.0), np.linspace(-30.0, 120.0, 15_001)),
+            (Exponential(1.5), stats.expon(scale=1 / 1.5), np.linspace(-5.0, 700.0, 7051)),
+            (Gumbel(0.0, 1.0), stats.gumbel_r(), np.linspace(-8.0, 700.0, 70_801)),
+            (Gumbel(1.0, 2.0), stats.gumbel_r(1.0, 2.0), np.linspace(-15.0, 1400.0, 14_151)),
+            (Pareto(2.0, 0.3), stats.pareto(2.0, scale=0.3), np.geomspace(0.1, 1e150, 3001)),
+        ],
+        ids=["uniform", "gaussian", "gaussian-2-3", "exponential", "gumbel", "gumbel-1-2", "pareto"],
+    )
+    def test_equals_scipy_where_scipy_is_finite(self, spec, reference, x):
+        # on either side of the mean or mode, and across the Gaussian's
+        # switch to its asymptotic series at 30 standard deviations
+        got = spec.log_survival(x)
+        want = reference.logsf(x)
+        finite = np.isfinite(want)
+        assert finite.mean() > 0.5
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-11, atol=0)
+        assert np.array_equal(np.isneginf(got), np.isneginf(want))
+
+    def test_deep_tail_hand_forms(self):
+        # where scipy's own logsf reads -inf, the hand forms: -z for Gumbel,
+        # shape log(scale / x) for Pareto
+        assert stats.gumbel_r.logsf(800.0) == -np.inf
+        assert stats.pareto.logsf(1e300, 2.0) == -np.inf
+        assert Gumbel(0.0, 1.0).log_survival(800.0) == -800.0
+        assert Gumbel(1.0, 2.0).log_survival(1601.0) == -800.0
+        pareto = Pareto(2.0, 0.3).log_survival(1e300)
+        assert pareto == pytest.approx(2.0 * (math.log(0.3) - 300 * math.log(10)), rel=1e-15)
+        assert Exponential(1.0).log_survival(800.0) == -800.0
+
+    @pytest.mark.parametrize(
+        "spec, far",
+        [
+            (Gaussian(0.0, 1.0), 1e150),
+            (Exponential(1.0), 1e300),
+            (Gumbel(0.0, 1.0), 1e300),
+            (Pareto(2.0, 0.3), 1e308),
+        ],
+        ids=["gaussian", "exponential", "gumbel", "pareto"],
+    )
+    def test_finite_wherever_the_tail_has_mass(self, spec, far):
+        x = np.concatenate([-np.geomspace(far, 1e-3, 400), np.geomspace(1e-3, far, 400)])
+        got = spec.log_survival(x)
+        assert np.all(np.isfinite(got)) and np.all(got <= 0)
+        assert np.all(np.diff(got) <= 0)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-2.0, 3.0)])
+    def test_minus_inf_from_a_bounded_top(self, lo, hi):
+        spec = Uniform(lo, hi)
+        assert np.all(spec.log_survival([hi, hi + 1e-12, hi + 1.0, math.inf]) == -np.inf)
+        inside = spec.log_survival(np.linspace(lo - 1.0, hi - 1e-9, 101))
+        assert np.all(np.isfinite(inside))
+        assert np.all(spec.log_survival([lo - 1.0, lo]) == 0.0)
+
+    def test_keeps_the_shape_of_its_argument(self):
+        for spec in ALL_SPECS:
+            assert np.shape(spec.log_survival(0.5)) == ()
+            assert spec.log_survival(np.full((2, 3), 0.5)).shape == (2, 3)
 
 
 class TestMaxOrderStats:
@@ -295,6 +361,22 @@ class TestLongTailRatio:
         with pytest.raises(InsufficientTailMassError):
             long_tail_ratio(Uniform(0, 1), x=1.5, d=0.1)
 
+    @pytest.mark.parametrize(
+        "spec, x, d, want",
+        [
+            (Exponential(1.0), 800.0, 1.0, math.exp(-1.0)),
+            (Gaussian(0.0, 1.0), 40.0, 1.0, math.exp(stats.norm.logsf(41) - stats.norm.logsf(40))),
+            (Gumbel(0.0, 1.0), 800.0, 1.0, math.exp(-1.0)),
+            (Pareto(2.0, 0.3), 1e200, 1e199, (10 / 11) ** 2),
+        ],
+        ids=["exponential", "gaussian", "gumbel", "pareto"],
+    )
+    def test_closed_form_deep_in_the_tail(self, spec, x, d, want):
+        # Pr[X > x] underflows a double here, but its logarithm does not
+        est = long_tail_ratio(spec, x=x, d=d)
+        assert est.ratio == pytest.approx(want, rel=1e-9)
+        assert est.stderr == 0.0
+
     def test_empirical_matches_closed_form(self, rng):
         spec = Exponential(1.0)
         for x in (0.5, 1.0, 2.0):
@@ -310,26 +392,93 @@ class TestLongTailRatio:
             long_tail_ratio(Uniform(0, 1), x=0.5, d=0.0)
 
 
-class TestClassification:
-    def test_bundled_example_families(self, rng):
-        expected = {
-            "uniform": (Uniform(0, 1), TailClass.MAX_CONCENTRATING),
-            "pareto": (Pareto(2.0, 0.3), TailClass.LONG_TAILED),
-            "exponential": (Exponential(1.0), TailClass.INTERMEDIATE),
-            "gumbel": (Gumbel(0.0, 1.0), TailClass.INTERMEDIATE),
-        }
-        for name, (spec, want) in expected.items():
-            report = tail_report(spec, rng, replications=800)
-            assert report.classification is want, name
+# Baseline's continuum regime table: (below_mass, sup_deviation) with U(0, 1)
+# values at share 0.5, for C = 10, 100, ..., 10^6
+REGIME_COLLEGES = (10, 100, 1000, 10**4, 10**5, 10**6)
+REGIME_TABLE = {
+    "uniform": (
+        Uniform(0.0, 1.0),
+        [(0.0319, 0.500), (0.0036, 0.500), (0.0004, 0.500)] + [(0.0000, 0.500)] * 3,
+    ),
+    "gaussian": (
+        Gaussian(0.0, 1.0),
+        [(0.1683, 0.318), (0.1421, 0.410), (0.1234, 0.461), (0.1099, 0.485), (0.0999, 0.495),
+         (0.0920, 0.499)],
+    ),
+    "exponential": (Exponential(1.0), [(0.2059, 0.184), (0.2072, 0.177)] + [(0.2074, 0.177)] * 4),
+    "gumbel": (Gumbel(0.0, 1.0), [(0.2074, 0.177)] * 6),
+    "pareto": (
+        Pareto(2.0, 0.3),
+        [(0.1771, 0.355), (0.2261, 0.103), (0.2424, 0.031), (0.2476, 0.010), (0.2492, 0.003),
+         (0.2498, 0.001)],
+    ),
+}
 
-    def test_report_invariants(self, rng):
-        report = tail_report(Pareto(2.0, 0.3), rng, replications=400)
-        assert all(0.0 <= r <= 1.0 for _, r in report.hazard_ratios)
-        assert all(s.var_max >= 0 for s in report.max_mean_curve)
-        assert "heuristic" in report.note
 
-    def test_classify_is_pure(self):
-        ratios = [(1.0, 0.96), (2.0, 0.97), (3.0, 0.99)]
-        assert classify_tail(0.0, ratios) is TailClass.LONG_TAILED
-        assert classify_tail(1.0, [(1.0, 0.5), (2.0, 0.4)]) is TailClass.MAX_CONCENTRATING
-        assert classify_tail(0.1, [(1.0, 0.5), (2.0, 0.4)]) is TailClass.INTERMEDIATE
+def continuum_metrics(spec, n_colleges, share=0.5, grid=20_000):
+    """below_mass and sup_deviation of the continuum match curve at
+    shared_cutoff, for U(0, 1) values on a midpoint grid."""
+    cutoff = shared_cutoff(spec, UniformValues(), n_colleges, share)
+    v = (np.arange(grid) + 0.5) / grid
+    clears = np.exp(spec.log_survival(cutoff - v))
+    with np.errstate(divide="ignore"):
+        match = 1.0 - np.exp(n_colleges * np.log1p(-clears))
+    return float(np.mean(match * (v < 1.0 - share))), float(np.abs(match - share).max())
+
+
+class TestContinuum:
+    @pytest.mark.parametrize("name", list(REGIME_TABLE))
+    def test_reproduces_the_regime_table(self, name):
+        spec, row = REGIME_TABLE[name]
+        for c, want in zip(REGIME_COLLEGES, row):
+            assert continuum_metrics(spec, c) == pytest.approx(want, abs=1e-3), c
+
+    @pytest.mark.parametrize(
+        "spec, label",
+        [
+            (Uniform(0.0, 1.0), "attenuating"),
+            (Gaussian(0.0, 1.0), "attenuating"),
+            (Pareto(2.0, 0.3), "amplifying"),
+            (Exponential(1.0), "boundary"),
+            (Gumbel(0.0, 1.0), "boundary"),
+        ],
+        ids=["uniform", "gaussian", "pareto", "exponential", "gumbel"],
+    )
+    def test_regime_labels(self, spec, label):
+        assert continuum_regime(spec, UniformValues(), 0.5) == label
+
+    def test_regime_is_deterministic(self):
+        calls = [continuum_regime(Pareto(2.0, 0.3), UniformValues(), 0.3) for _ in range(2)]
+        assert calls == ["amplifying", "amplifying"]
+        cutoffs = [shared_cutoff(Gaussian(0.0, 1.0), UniformValues(), 1000, 0.5) for _ in range(2)]
+        assert cutoffs[0] == cutoffs[1]
+
+    def test_one_college_of_uniform_noise_cuts_at_one(self):
+        # with one college, U(0, 1) values and U(0, 1) noise, a student of
+        # value v clears P = 1 with probability v, half the mass on average
+        assert shared_cutoff(Uniform(0.0, 1.0), UniformValues(), 1, 0.5) == pytest.approx(1.0)
+
+    def test_gumbel_cutoff_moves_by_log_c(self):
+        # max-stability: the best of C Gumbel draws is Gumbel(log C, 1), so
+        # the market with C colleges is the one-college market shifted
+        one = shared_cutoff(Gumbel(0.0, 1.0), UniformValues(), 1, 0.5)
+        for c in (10, 1000, 10**6):
+            cut = shared_cutoff(Gumbel(0.0, 1.0), UniformValues(), c, 0.5)
+            assert cut - one == pytest.approx(math.log(c), abs=1e-9)
+
+    def test_no_noise_rejected(self):
+        with pytest.raises(ConfigError, match="noise"):
+            continuum_regime(None, UniformValues(), 0.5)
+        with pytest.raises(ConfigError, match="noise"):
+            shared_cutoff(None, UniformValues(), 10, 0.5)
+
+    @pytest.mark.parametrize("share", [0.0, 1.0, -0.5, math.nan])
+    def test_share_must_lie_in_the_unit_interval(self, share):
+        with pytest.raises(ConfigError, match="share"):
+            shared_cutoff(Gaussian(), UniformValues(), 10, share)
+        with pytest.raises(ConfigError, match="share"):
+            continuum_regime(Gaussian(), UniformValues(), share)
+
+    def test_college_count_must_be_positive(self):
+        with pytest.raises(ConfigError, match="n_colleges"):
+            shared_cutoff(Gaussian(), UniformValues(), 0, 0.5)
