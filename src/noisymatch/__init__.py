@@ -34,7 +34,6 @@ from .market import (
     TieredByCoalition,
     UniformRandomPreferences,
     UniformValues,
-    holder_exponent_check,
     sample_market,
     sample_stack,
     v_s_threshold,

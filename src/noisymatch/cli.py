@@ -1,7 +1,7 @@
 """Batch front-end: run one experiment and emit deterministic CSV outputs.
 
-Exit codes: 0 success, 1 runtime failure, 2 unparseable input (flags,
-config file, preset name), 3 config invariant violation.
+Exit codes: 0 success, 1 runtime failure, 2 unparseable input (flags, a
+config file, --set), 3 config invariant violation, from a file or a preset.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .estimation import (
     steepest_ascent_bin,
 )
 from .market import usable_cpus, v_s_threshold
-from .presets import NOISE_TOKENS, PRESET_NAMES, preset
+from .presets import NOISE_TOKENS, PRESET_NAMES, noise_from_token, preset
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate noisy-score matching markets and emit curve/metric CSVs.",
     )
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--preset", help=f"bundled preset: {', '.join(PRESET_NAMES)}")
+    src.add_argument("--preset", choices=PRESET_NAMES, help="bundled preset")
     src.add_argument("--config", type=Path, help="JSON config file")
     p.add_argument("--seed", type=int, help="override the master seed")
     p.add_argument("--replications", type=int, help="override the replication count")
@@ -71,11 +71,20 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+class InvalidPreset(ConfigError):
+    """A preset whose flags build an invalid economy: exit 3, as from a file."""
+
+
 def _build_doc(args) -> dict:
     if args.preset is not None:
         given = ("colleges", "noise")
         kwargs = {key: getattr(args, key) for key in given if getattr(args, key) is not None}
-        doc = config_to_dict(*preset(args.preset, **kwargs))
+        if args.noise is not None:
+            noise_from_token(args.noise)  # an unknown token is unparseable input
+        try:
+            doc = config_to_dict(*preset(args.preset, **kwargs))
+        except ConfigError as e:
+            raise InvalidPreset(str(e)) from e
         _warn_fixed_seats(args.preset, doc, args.overrides)
     else:
         doc = load_config_file(args.config)
@@ -248,6 +257,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE if e.code not in (0, None) else EXIT_OK
     try:
         doc = _build_doc(args)
+    except InvalidPreset as e:
+        print(f"invariant violation: {e}", file=sys.stderr)
+        return EXIT_INVARIANT
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE

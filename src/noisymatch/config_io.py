@@ -13,7 +13,7 @@ import json
 from dataclasses import MISSING, fields
 from pathlib import Path
 
-from .errors import ConfigError, finite_number
+from .errors import ConfigError, finite_number, integer
 from .estimation import AffordProbability, ExperimentPlan, MatchProbability, check_plan
 from .market import (
     Coalition, College, CommonRanking, EconomyConfig, ExplicitSampler, PiecewiseLinearCdf,
@@ -108,10 +108,7 @@ def config_to_dict(config: EconomyConfig, plan: ExperimentPlan) -> dict:
 
 def _integer(value, field: str) -> int:
     """An integral number as int; anything else, 50.7 or "10" included, is an error."""
-    integral = isinstance(value, int) and not isinstance(value, bool)
-    if not (integral or isinstance(value, float) and value.is_integer()):
-        raise ConfigError(f"{field}: must be an integer, got {value!r}")
-    return int(value)
+    return int(value) if isinstance(value, float) and value.is_integer() else integer(value, field)
 
 
 _ID = (str, int, float)  # a coalition or college id: hashable, and never null
@@ -191,12 +188,11 @@ def dict_to_config(doc: dict) -> tuple[EconomyConfig, ExperimentPlan]:
             capacity_alpha=finite_number(doc.get("capacity_alpha", 1.0), "capacity_alpha"),
         )
         p = _expect(doc["plan"], dict, "plan")
-        record_cutoffs = _expect(p.get("record_cutoffs", True), bool, "plan.record_cutoffs")
         plan = ExperimentPlan(
             replications=_integer(p["replications"], "plan.replications"),
             bin_edges=tuple(_expect(p["bin_edges"], list, "plan.bin_edges")),
             curves=tuple(_curve(c, at) for at, c in _objects(p.get("curves", []), "plan.curves")),
-            record_cutoffs=record_cutoffs,
+            record_cutoffs=p.get("record_cutoffs", True),
         )
     except KeyError as e:
         raise ConfigError(f"config: missing required field {e.args[0]!r}") from e
@@ -232,8 +228,9 @@ def load_config_file(path: str | Path) -> dict:
 def apply_overrides(doc: dict, overrides: list[str]) -> dict:
     """Apply key=value pairs with dotted paths; values parse as JSON literals.
 
-    A missing key on the path becomes an empty object.  A path through a
-    value that is not an object, such as a list entry, is an error.
+    A missing key on the path becomes an empty object.  An empty key
+    segment, or a path through a value that is not an object, such as a list
+    entry, is an error.
     """
     out = json.loads(json.dumps(doc))
     for item in overrides:
@@ -246,6 +243,8 @@ def apply_overrides(doc: dict, overrides: list[str]) -> dict:
             value = raw
         node = out
         parts = key.split(".")
+        if "" in parts:
+            raise ConfigError(f"override {item!r}: empty key segment")
         for i, part in enumerate(parts[:-1]):
             if part not in node:
                 node[part] = {}

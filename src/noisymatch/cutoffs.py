@@ -105,7 +105,9 @@ def check_market_clearing(
 
 
 def rate_exponent(beta: float, gamma: float) -> float:
-    """Polynomial decay exponent of the mismatched mass in the college count."""
+    """Polynomial decay exponent of the mismatched mass in the college count.
+
+    gamma is the value law's Holder exponent: every law ``values`` builds is Lipschitz, so 1."""
     if beta <= 0 or gamma <= 0:
         raise ValueError(f"beta and gamma must be positive, got beta={beta}, gamma={gamma}")
     return 2.0 * beta * gamma / (3.0 * beta * gamma + 2.0 * beta + 5.0 * gamma + 6.0)

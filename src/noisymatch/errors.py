@@ -43,6 +43,13 @@ def finite_number(value, field: str) -> float:
     return float(value)
 
 
+def integer(value, field: str) -> int:
+    """value as an int when it is an integer (a bool is not); else a ConfigError naming field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{field}: must be an integer, got {value!r}")
+    return int(value)
+
+
 def positive_integer(value) -> bool:
     # not a bool, nor inf or nan, whose remainder by 1 is nan
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .cutoffs import afford_from_matching
-from .errors import ConfigError, ReplicationError, finite_number
+from .errors import ConfigError, ReplicationError, finite_number, integer
 from .market import EconomyConfig, markets_per_stack, prefs_dtype, sample_stack
 from .matching import UNMATCHED, stacked_deferred_acceptance
 
@@ -59,6 +59,9 @@ class ExperimentPlan:
     record_cutoffs: bool = True
 
     def __post_init__(self):
+        if not isinstance(cutoffs := self.record_cutoffs, bool):
+            raise ConfigError(f"plan.record_cutoffs: must be true or false, got {cutoffs!r}")
+        object.__setattr__(self, "replications", integer(self.replications, "plan.replications"))
         if self.replications < 1:
             raise ConfigError(f"plan.replications: must be >= 1, got {self.replications}")
         # NaN compares false, so it would pass the increasing check below

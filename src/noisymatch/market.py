@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import multiprocessing
-import numbers
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, OverdemandError, ReplicationError, finite_number, positive_integer
+from .errors import ConfigError, OverdemandError, ReplicationError
+from .errors import finite_number, integer, positive_integer
 from .noise import NoiseSpec
 
 STREAM_VALUES = 0
@@ -346,45 +346,6 @@ def v_s_threshold(dist: ValueDistribution, total_capacity_fraction: float) -> fl
     return float(dist.quantile(1.0 - s))
 
 
-@dataclass(frozen=True)
-class HolderReport:
-    passed: bool
-    gamma: float
-    fitted_k: float
-    worst_ratio: float
-    worst_v: float
-    worst_delta: float
-
-
-def holder_exponent_check(
-    dist: ValueDistribution, gamma: float, delta_grid: Sequence[float]
-) -> HolderReport:
-    """Check interval masses against K * delta**gamma over a (v, delta) grid:
-    v at the distribution's 0, 0.5, ..., 100 % quantiles (201 points).
-
-    K is fitted at the coarsest delta, so the check asks whether smaller
-    intervals keep at most the same normalised mass; a density spike or a
-    too-large gamma shows up as a worst ratio above 1.
-    """
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    deltas = sorted(float(d) for d in delta_grid)
-    if not deltas or deltas[0] <= 0:
-        raise ValueError("delta_grid must contain positive values")
-    lo, hi = dist.support()
-    vs = np.asarray(dist.quantile(np.linspace(0.0, 1.0, 201)), dtype=float)
-    vs = np.unique(np.clip(vs, lo, hi))
-    d_max = deltas[-1]
-    k = float(np.max(dist.cdf(vs + d_max) - dist.cdf(vs)) / d_max**gamma)
-    worst = (0.0, vs[0], d_max)
-    for d in deltas:
-        ratios = (dist.cdf(vs + d) - dist.cdf(vs)) / (k * d**gamma)
-        i = int(np.argmax(ratios))
-        if ratios[i] > worst[0]:
-            worst = (float(ratios[i]), float(vs[i]), d)
-    return HolderReport(worst[0] <= 1.0 + 1e-9, gamma, k, *worst)
-
-
 # ---------------------------------------------------------------------------
 # preference models
 
@@ -480,8 +441,7 @@ def _permutes(ranking, n_colleges: int, field: str) -> bool:
     if not isinstance(ranking, (tuple, list, np.ndarray)):
         raise ConfigError(f"{field}: must be a list, got {ranking!r}")
     for i, c in enumerate(ranking):
-        if isinstance(c, bool) or not isinstance(c, numbers.Integral):
-            raise ConfigError(f"{field}[{i}]: must be an integer, got {c!r}")
+        integer(c, f"{field}[{i}]")
     return sorted(ranking) == list(range(n_colleges))
 
 
@@ -572,10 +532,7 @@ class EconomyConfig:
         # a bool is an Integral, and a numpy integer is stored as the int it
         # equals, so it hashes and samples as the int does
         for field in ("n_students", "master_seed"):
-            value = getattr(self, field)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConfigError(f"{field}: must be an integer, got {value!r}")
-            object.__setattr__(self, field, int(value))
+            object.__setattr__(self, field, integer(getattr(self, field), field))
         if self.n_students < 1:
             raise ConfigError(f"n_students: must be >= 1, got {self.n_students}")
         if self.master_seed < 0:

@@ -53,7 +53,7 @@ _SCAN_SPLIT_MIN_STUDENTS = 2048
 # list position) cells at once, so its half-dozen int64 and float64
 # temporaries stay near 3 MiB a thread however many students a round
 # rejects.  Students move independently within a round, so slicing does not
-# change the Matching; a step that fits in one slice runs as a single call.
+# change the Matching.
 # Median time per call of deferred_acceptance, int32 prefs and no slices
 # (the earlier code) against int16 prefs and slices of 2^14 / 2^16 / 2^18 /
 # unbounded cells, interleaved (Python 3.11, numpy 2.4, 2-vCPU machine):
@@ -268,9 +268,8 @@ def _advance(rejected, n_colleges, prefs, scores, row, first, cut_score, cut_stu
 
     Scans a window of list positions per step over the rejected students
     only, doubling it for those who found nothing; a student who runs out
-    of list becomes UNMATCHED.  A step that would cover more than
-    ``_SCAN_CELLS`` cells scans its students in slices of that many.
-    Updates pos and college in place.
+    of list becomes UNMATCHED.  Each step scans its students in slices of
+    at most ``_SCAN_CELLS`` cells.  Updates pos and college in place.
     """
     # a window past the list's end only repeats its last college
     window = min(8, n_colleges - 1)
@@ -280,38 +279,27 @@ def _advance(rejected, n_colleges, prefs, scores, row, first, cut_score, cut_stu
         rejected = rejected[~done]
         if not len(rejected):
             return
-        step = (window, n_colleges, prefs, scores, row, first, cut_score, cut_student, pos, college)
         rows = max(1, _SCAN_CELLS // window)
-        if len(rejected) <= rows:
-            rejected = _scan_window(rejected, *step)
-        else:
-            rejected = np.concatenate(
-                [_scan_window(rejected[i : i + rows], *step) for i in range(0, len(rejected), rows)]
-            )
+        left = []
+        for i in range(0, len(rejected), rows):
+            part = rejected[i : i + rows]
+            # positions past the end repeat the last college, which is examined at
+            # its own position first, so the first affordable hit is a real one
+            at = np.minimum(pos[part, None] + np.arange(1, window + 1), n_colleges - 1)
+            base = row[part, None]
+            cand = prefs[base + at]
+            sc = scores[base + cand]
+            cand = cand + first[part, None]  # the slot's college index in the union
+            ok = _clears(sc, part[:, None], cut_score, cut_student, cand)
+            first_hit = ok.argmax(axis=1)
+            found = ok[np.arange(len(part)), first_hit]
+            hit = part[found]
+            pos[hit] += first_hit[found] + 1
+            college[hit] = cand[found, first_hit[found]]
+            left.append(part[~found])
+        rejected = np.concatenate(left)
+        pos[rejected] += window
         window = min(2 * window, 256)
-
-
-def _scan_window(
-    rejected, window, n_colleges, prefs, scores, row, first, cut_score, cut_student, pos, college
-):
-    """One step of _advance: the students who found nothing in the window."""
-    # positions past the end repeat the last college, which is examined at
-    # its own position first, so the first affordable hit is a real one
-    at = np.minimum(pos[rejected, None] + np.arange(1, window + 1), n_colleges - 1)
-    base = row[rejected, None]
-    cand = prefs[base + at]
-    sc = scores[base + cand]
-    cand = cand + first[rejected, None]  # the slot's college index in the union
-    ok = _clears(sc, rejected[:, None], cut_score, cut_student, cand)
-    first_hit = ok.argmax(axis=1)
-    k = np.arange(len(rejected))
-    found = ok[k, first_hit]
-    hit = rejected[found]
-    pos[hit] += first_hit[found] + 1
-    college[hit] = cand[k[found], first_hit[found]]
-    rejected = rejected[~found]
-    pos[rejected] += window
-    return rejected
 
 
 def find_blocking_pairs(matching: Matching, market: SampledMarket) -> list[tuple[int, int]]:

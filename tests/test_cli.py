@@ -632,6 +632,17 @@ class TestLoadTimeChecks:
         assert "override 'colleges.0.capacity=5': colleges is not an object" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("item", ["=5", "plan..replications=3", "plan.=3"])
+    def test_set_with_an_empty_key_segment_exits_two(self, item, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run_cli(
+            "--preset", "fig1", "--colleges", "2", "--set", item,
+            "--threads", "1", "--out-dir", str(out),
+        )
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == f"error: override {item!r}: empty key segment\n"
+        assert not out.exists()
+
     # where a run takes one value: a flag on a preset, the file, a flag on a
     # file, or --set
     SOURCES = ("preset-flag", "config-file", "config-flag", "set")
@@ -666,6 +677,42 @@ class TestLoadTimeChecks:
         err = capsys.readouterr().err
         assert err == "invariant violation: plan.replications: must be >= 1, got 0\n"
         assert not (out / "curves.csv").exists()
+
+    @pytest.mark.parametrize(
+        "colleges, message",
+        [("5000", "colleges[1000].capacity: must be a positive integer"),
+         ("0", "colleges: must be >= 1, got 0")],
+        ids=["seatless-colleges", "no-colleges"],
+    )
+    def test_preset_flags_that_build_an_invalid_economy_exit_three(
+        self, colleges, message, tmp_path, capsys
+    ):
+        out = tmp_path / "o"
+        code = run_cli("--preset", "fig1", "--colleges", colleges, "--out-dir", str(out))
+        assert code == EXIT_INVARIANT
+        assert capsys.readouterr().err == f"invariant violation: {message}\n"
+        assert not out.exists()
+
+    def test_seatless_colleges_exit_three_from_a_preset_and_from_a_file_alike(
+        self, tmp_path, capsys
+    ):
+        # fig1's 1000 seats over 5000 colleges: one each for the first 1000
+        doc = config_to_dict(*fig1(colleges=1000))
+        doc["colleges"] += [
+            {"id": i, "capacity": 0, "coalition": 1} for i in range(1001, 5001)
+        ]
+        code, _ = run_doc(doc, tmp_path)
+        from_file = capsys.readouterr().err
+        assert code == EXIT_INVARIANT
+        out = tmp_path / "preset"
+        assert run_cli("--preset", "fig1", "--colleges", "5000", "--out-dir", str(out)) == EXIT_INVARIANT
+        assert capsys.readouterr().err == from_file
+
+    def test_unknown_preset_or_noise_token_stays_a_parse_error(self, tmp_path):
+        out = tmp_path / "o"
+        assert run_cli("--preset", "fig9", "--out-dir", str(out)) == EXIT_PARSE
+        assert run_cli("--preset", "fig1", "--noise", "lognormal", "--out-dir", str(out)) == EXIT_PARSE
+        assert not out.exists()
 
     def test_unbinned_coalition_is_not_checked(self):
         config, plan = fig2(colleges=2, replications=1)

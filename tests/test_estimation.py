@@ -823,6 +823,23 @@ class TestPlanValidation:
         with pytest.raises(ConfigError, match="replications"):
             ExperimentPlan(replications=0, bin_edges=(0.0, 1.0))
 
+    @pytest.mark.parametrize("value", [True, 2.5, 3.0, "3"], ids=["bool", "fraction", "float", "str"])
+    def test_replications_must_be_an_integer(self, value):
+        # a library caller reaches ExperimentPlan without config_io's checks
+        message = re.escape(f"plan.replications: must be an integer, got {value!r}")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            ExperimentPlan(replications=value, bin_edges=(0.0, 1.0))
+
+    def test_a_numpy_replication_count_is_stored_as_int(self):
+        plan = ExperimentPlan(replications=np.int64(3), bin_edges=(0.0, 1.0))
+        assert type(plan.replications) is int and plan.replications == 3
+
+    @pytest.mark.parametrize("value", ["no", 0, None], ids=["string", "number", "null"])
+    def test_record_cutoffs_must_be_a_bool(self, value):
+        message = re.escape(f"plan.record_cutoffs: must be true or false, got {value!r}")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            ExperimentPlan(replications=1, bin_edges=(0.0, 1.0), record_cutoffs=value)
+
     def test_trim_epsilon_domain(self):
         with pytest.raises(ConfigError, match="trim_epsilon"):
             AffordProbability(coalition_id=1, trim_epsilon=1.0)

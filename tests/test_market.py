@@ -26,7 +26,6 @@ from noisymatch.market import (
     TieredByCoalition,
     UniformRandomPreferences,
     UniformValues,
-    holder_exponent_check,
     prefs_dtype,
     sample_market,
     sample_stack,
@@ -118,25 +117,6 @@ class TestValueDistributions:
     def test_serde(self):
         for dist in (UniformValues(0, 1), PiecewiseLinearCdf(knots=((0, 0), (2, 1)))):
             assert build_kind("values", kind_entry(dist)) == dist
-
-
-class TestHolderCheck:
-    def test_uniform_gamma_one_passes(self):
-        report = holder_exponent_check(UniformValues(0, 1), 1.0, [0.01, 0.05, 0.2])
-        assert report.passed and report.worst_ratio <= 1.0 + 1e-9
-
-    def test_uniform_gamma_two_fails_small_delta(self):
-        report = holder_exponent_check(UniformValues(0, 1), 2.0, [0.001, 0.01, 0.2])
-        assert not report.passed
-        assert report.worst_delta == pytest.approx(0.001)
-
-    def test_tiny_gamma_passes(self):
-        report = holder_exponent_check(UniformValues(0, 1), 1e-6, [0.001, 0.2])
-        assert report.passed
-
-    def test_gamma_domain(self):
-        with pytest.raises(ValueError):
-            holder_exponent_check(UniformValues(0, 1), 0.0, [0.1])
 
 
 class TestPreferenceModels:

@@ -721,13 +721,13 @@ class TestSlicedScan:
         market, caps = tied_market(n=600, colleges=40, seed=3)
         whole = serial_deferred_acceptance(market, caps)
         steps = []
-        scan_window = matching._scan_window
+        clears = matching._clears
 
-        def spy(rejected, window, *rest):
-            steps.append((len(rejected), window))
-            return scan_window(rejected, window, *rest)
+        def spy(score, *rest):
+            steps.append(score.shape)  # (rows, window) of the step's score block
+            return clears(score, *rest)
 
-        monkeypatch.setattr(matching, "_scan_window", spy)
+        monkeypatch.setattr(matching, "_clears", spy)
         monkeypatch.setattr(matching, "_SCAN_CELLS", 64)
         sliced = serial_deferred_acceptance(market, caps)
         assert_same_matching(sliced, whole)
