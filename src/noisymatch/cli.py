@@ -183,6 +183,9 @@ def run(doc: dict, out_dir: Path, threads: int) -> int:
 
     for request in plan.curves:
         cid = request.coalition_id
+        if cid is not None:
+            # the coalition's own id: a curve naming coalition 1 as 1.0 prints as 1
+            cid = config.coalitions[config.coalition_position(cid)].id
         if isinstance(request, MatchProbability):
             curve = estimate_match_curve(records, coalition_id=cid)
             curve_id = f"match_value{cid}" if cid is not None else "match"

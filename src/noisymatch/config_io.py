@@ -13,7 +13,7 @@ import json
 from dataclasses import MISSING, fields
 from pathlib import Path
 
-from .errors import ConfigError, finite_number, integer
+from .errors import ConfigError, finite_number, identifier, integer
 from .estimation import AffordProbability, ExperimentPlan, MatchProbability, check_plan
 from .market import (
     Coalition, College, CommonRanking, EconomyConfig, ExplicitSampler, PiecewiseLinearCdf,
@@ -111,15 +111,13 @@ def _integer(value, field: str) -> int:
     return int(value) if isinstance(value, float) and value.is_integer() else integer(value, field)
 
 
-_ID = (str, int, float)  # a coalition or college id: hashable, and never null
-# what a field must be, by the JSON types it may hold
-_TYPES = {list: "a list", dict: "an object", bool: "true or false", _ID: "a number or a string"}
+# what a field must be, by the JSON type it holds
+_TYPES = {list: "a list", dict: "an object"}
 
 
 def _expect(value, kind, field: str):
     """value when it is an instance of kind; else a ConfigError naming field."""
-    # a bool is an int, but true is neither a number nor an id
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+    if not isinstance(value, kind):
         raise ConfigError(f"{field}: must be {_TYPES[kind]}, got {value!r}")
     return value
 
@@ -134,7 +132,7 @@ def _curve(c: dict, path: str):
     """A plan.curves entry: its coalition an id or null (a match curve's
     default, as config_to_dict writes it), its trim_epsilon a number."""
     if c.get("coalition") is not None:
-        _expect(c["coalition"], _ID, f"{path}.coalition")
+        identifier(c["coalition"], f"{path}.coalition")
     if "trim_epsilon" in c:
         finite_number(c["trim_epsilon"], f"{path}.trim_epsilon")
     return build_kind("plan.curves", c, path)
@@ -147,7 +145,7 @@ def _coalition(k: dict, path: str) -> Coalition:
         noise = None if noise is None else build_kind("noise", _expect(noise, dict, "noise"))
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from e
-    return Coalition(id=_expect(k["id"], _ID, f"{path}.id"), values=values, noise=noise)
+    return Coalition(id=k["id"], values=values, noise=noise)
 
 
 def _reject_unknown_fields(doc, canonical, path: str = "") -> None:
@@ -170,12 +168,13 @@ def _reject_unknown_fields(doc, canonical, path: str = "") -> None:
 
 def dict_to_config(doc: dict) -> tuple[EconomyConfig, ExperimentPlan]:
     try:
+        # EconomyConfig checks the ids, as it does a config built in code
         coalitions = tuple(_coalition(k, at) for at, k in _objects(doc["coalitions"], "coalitions"))
         colleges = tuple(
             College(
-                id=_expect(c["id"], _ID, f"{at}.id"),
+                id=c["id"],
                 capacity=_integer(c["capacity"], f"{at}.capacity"),
-                coalition=_expect(c["coalition"], _ID, f"{at}.coalition"),
+                coalition=c["coalition"],
             )
             for at, c in _objects(doc["colleges"], "colleges")
         )

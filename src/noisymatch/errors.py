@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the finite-number check."""
+"""Exception types shared across the package, and the checks of numbers and ids."""
 
 import math
 import numbers
@@ -48,6 +48,14 @@ def integer(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{field}: must be an integer, got {value!r}")
     return int(value)
+
+
+def identifier(value, field: str):
+    """value as a college or coalition id: a string, an integer (a bool is
+    not) or a finite float; otherwise a ConfigError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (str, numbers.Integral, float)):
+        raise ConfigError(f"{field}: must be a number or a string, got {value!r}")
+    return finite_number(value, field) if isinstance(value, float) else value
 
 
 def positive_integer(value) -> bool:

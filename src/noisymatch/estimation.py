@@ -15,7 +15,6 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Sequence
 
 import numpy as np
 
@@ -118,9 +117,6 @@ class ReplicationRecords:
     stage_seconds: dict[str, float] = field(default_factory=dict, compare=False)
     # processes that ran the stacks: 1 is this one, more a pool's workers
     workers: int = field(default=1, compare=False)
-    # (value column, bin edges) -> bin of every student-observation, in the
-    # narrowest unsigned type that holds the last bin
-    _bins: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_replications(self) -> int:
@@ -295,21 +291,30 @@ class MatchCurve:
         return np.diff(self.bin_edges)
 
 
-def _binned_curve(bins: np.ndarray, edges: np.ndarray, flags: np.ndarray, miss) -> MatchCurve:
-    """The curve of observations in ``bins``: an observation is a hit where
-    its entry of the flat ``flags`` is not ``miss``.
+def _binned_curve(
+    records: ReplicationRecords, coalition_id, flags: np.ndarray, miss
+) -> MatchCurve:
+    """The curve of the coalition's value column over the plan's edges: an
+    observation is a hit where its entry of the flat ``flags`` is not
+    ``miss``, and a value outside the edges counts in the end bin.
 
-    Observations are tallied _BIN_CHUNK at a time by one integer bincount
-    of 2 * bin + hit, so no temporary grows with the observations.
+    The column is binned and tallied _BIN_CHUNK values at a time, by one
+    integer bincount of 2 * bin + hit, so no temporary grows with the
+    observations.
     """
-    n_bins = len(edges) - 1
-    tally = np.zeros(2 * n_bins, dtype=np.int64)  # a bin's misses, then its hits
-    for start in range(0, len(bins), _BIN_CHUNK):
+    if coalition_id is None and records.values.shape[2] != 1:
+        raise ConfigError("coalition_id is required for multi-coalition economies")
+    column = 0 if coalition_id is None else records.config.coalition_position(coalition_id)
+    edges = np.asarray(records.plan.bin_edges, dtype=float)
+    # a view: each chunk of the column is read in place, never copied whole
+    observed = records.values.reshape(-1, records.values.shape[2])[:, column]
+    tally = np.zeros(2 * (len(edges) - 1), dtype=np.int64)  # a bin's misses, then its hits
+    for start in range(0, len(observed), _BIN_CHUNK):
         rows = slice(start, start + _BIN_CHUNK)
-        key = bins[rows].astype(np.intp)
+        key = _bin_of(observed[rows], edges)
         key <<= 1
         key += flags[rows] != miss
-        tally += np.bincount(key, minlength=2 * n_bins)
+        tally += np.bincount(key, minlength=len(tally))
     hit_count = tally[1::2]
     count = tally[0::2] + hit_count
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -318,43 +323,15 @@ def _binned_curve(bins: np.ndarray, edges: np.ndarray, flags: np.ndarray, miss) 
     return MatchCurve(edges, p, se, count)
 
 
-def _bin_index(records: ReplicationRecords, coalition_id, bins) -> tuple[np.ndarray, np.ndarray]:
-    """The edges, and the bin of every student-observation's value in the
-    coalition's column, in the narrowest unsigned type that holds the last
-    bin.  A value outside the edges counts in the end bin.
-
-    Computed once per (column, edges), _BIN_CHUNK values at a time, and
-    kept on the records, so the curves of one column share it.
-    """
-    edges = np.asarray(bins if bins is not None else records.plan.bin_edges, dtype=float)
-    if coalition_id is None:
-        if records.values.shape[2] != 1:
-            raise ConfigError("coalition_id is required for multi-coalition economies")
-        column = 0
-    else:
-        column = records.config.coalition_position(coalition_id)
-    key = (column, edges.tobytes())
-    if key not in records._bins:
-        # a view: each chunk of a column is read in place, never copied whole
-        observed = records.values.reshape(-1, records.values.shape[2])[:, column]
-        cache = np.empty(len(observed), dtype=np.min_scalar_type(len(edges) - 2))
-        for start in range(0, len(cache), _BIN_CHUNK):
-            rows = slice(start, start + _BIN_CHUNK)
-            cache[rows] = _bin_of(observed[rows], edges)
-        records._bins[key] = cache
-    return edges, records._bins[key]
-
-
-# The bins are found and counted this many values at a time, so their
-# temporaries stay near 0.4 MiB beside the narrow bin cache.  Median time
-# and tracemalloc peak of a match and an afford curve from an empty cache,
-# on many-tiny's count of values (600,000, U(0, 1), one uint8 cache of
-# 0.57 MiB) and 51 equal-width edges, 30 interleaved runs (Python 3.11,
-# numpy 2.4, 2-vCPU machine), for chunks of 2^12 / 2^14 / 2^16 / 2^18 /
-# 2^20 (all at once):
-#   10.4 / 7.1 / 7.4 / 9.5 / 14.6 ms,  0.68 / 0.98 / 2.20 / 7.08 / 15.45 MiB.
-# np.searchsorted alone took 29 ms.  A larger peak shows in the CLI
-# process's peak RSS, which is that of the curves on many-tiny.
+# A curve bins and counts its column this many values at a time, so its
+# temporaries stay near 0.4 MiB whatever the number of observations.
+# Median time and tracemalloc peak of a match and an afford curve on
+# many-tiny's count of values (600,000, U(0, 1)) and 51 equal-width edges,
+# two sweeps of 30 runs (Python 3.11, numpy 2.4, 2-vCPU machine), for
+# chunks of 2^12 / 2^13 / 2^14 / 2^16 / 2^18 / 2^20:
+#   18-21 / 12-16 / 10-11 / 9-10 / 14-16 / 18-19 ms,
+#   0.11 / 0.21 / 0.41 / 1.63 / 6.50 / 10.30 MiB.
+# np.searchsorted took 28 ms for the whole column, where _bin_of takes 4.3.
 _BIN_CHUNK = 1 << 14
 
 
@@ -372,8 +349,8 @@ def _bin_of(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
     # each bin's edges; the end bins are open outward
     lower = np.concatenate(([-np.inf], edges[1:-1]))
     upper = np.concatenate((edges[1:-1], [np.inf]))
-    guess = (values - edges[0]) * scale
-    bins = np.clip(guess, 0, last, out=guess).astype(np.intp)
+    # no name holds the guess, so it is freed before the loop
+    bins = np.clip((values - edges[0]) * scale, 0, last).astype(np.intp)
     while True:
         up, down = values >= upper[bins], values < lower[bins]
         if not (up.any() or down.any()):
@@ -382,22 +359,13 @@ def _bin_of(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
         bins -= down
 
 
-def estimate_match_curve(
-    records: ReplicationRecords,
-    bins: Sequence[float] | None = None,
-    *,
-    coalition_id=None,
-) -> MatchCurve:
+def estimate_match_curve(records: ReplicationRecords, *, coalition_id=None) -> MatchCurve:
     """Fraction of student-observations matched anywhere, per value bin."""
-    edges, idx = _bin_index(records, coalition_id, bins)
-    return _binned_curve(idx, edges, records.assignment.reshape(-1), UNMATCHED)
+    return _binned_curve(records, coalition_id, records.assignment.reshape(-1), UNMATCHED)
 
 
 def estimate_afford_curve(
-    records: ReplicationRecords,
-    coalition_id,
-    trim_epsilon: float = 0.0,
-    bins: Sequence[float] | None = None,
+    records: ReplicationRecords, coalition_id, trim_epsilon: float = 0.0
 ) -> MatchCurve:
     """Fraction able to afford the trimmed coalition, per value bin."""
     key = (coalition_id, trim_epsilon)
@@ -406,8 +374,7 @@ def estimate_afford_curve(
             f"affordability was not recorded for coalition {coalition_id!r} "
             f"at trim_epsilon={trim_epsilon}; add the curve to the plan"
         )
-    edges, idx = _bin_index(records, coalition_id, bins)
-    return _binned_curve(idx, edges, records.afford[key].reshape(-1), False)
+    return _binned_curve(records, coalition_id, records.afford[key].reshape(-1), False)
 
 
 # ---------------------------------------------------------------------------

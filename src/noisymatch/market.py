@@ -12,17 +12,18 @@ from __future__ import annotations
 
 import functools
 import multiprocessing
+import numbers
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import groupby
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, OverdemandError, ReplicationError
-from .errors import finite_number, integer, positive_integer
+from .errors import finite_number, identifier, integer, positive_integer
 from .noise import NoiseSpec
 
 STREAM_VALUES = 0
@@ -544,10 +545,10 @@ class EconomyConfig:
         if not self.coalitions:
             raise ConfigError("coalitions: must be non-empty")
         for field, items in (("colleges", self.colleges), ("coalitions", self.coalitions)):
-            # NaN equals no id, itself included, so it would pass as unique
+            # before the set: NaN equals no id, itself included, so it would
+            # pass as unique, and an unhashable id would raise a TypeError
             for i, item in enumerate(items):
-                if isinstance(item.id, float):
-                    finite_number(item.id, f"{field}[{i}].id")
+                identifier(item.id, f"{field}[{i}].id")
             if len({item.id for item in items}) != len(items):
                 raise ConfigError(f"{field}: ids must be unique")
             # the outputs name ids by str(id), and 1 and "1" are distinct ids
@@ -558,11 +559,16 @@ class EconomyConfig:
                     message = f"prints as {item.id}, like {field}[{j}].id"
                     raise ConfigError(f"{field}[{i}].id: {message}")
         known = {k.id for k in self.coalitions}
+        colleges = []
         for i, c in enumerate(self.colleges):
-            if not positive_integer(c.capacity):
+            # an integral float is not one: it would be written, and hashed, as a float
+            if not (isinstance(c.capacity, numbers.Integral) and positive_integer(c.capacity)):
                 raise ConfigError(f"colleges[{i}].capacity: must be a positive integer")
-            if c.coalition not in known:
+            if identifier(c.coalition, f"colleges[{i}].coalition") not in known:
                 raise ConfigError(f"colleges[{i}].coalition: unknown coalition {c.coalition!r}")
+            # a numpy integer capacity is stored as the int it equals, so it hashes as one
+            colleges.append(c if type(c.capacity) is int else replace(c, capacity=int(c.capacity)))
+        object.__setattr__(self, "colleges", tuple(colleges))
         used = {c.coalition for c in self.colleges}
         empty = [k for k in known if k not in used]
         if empty:

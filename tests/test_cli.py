@@ -5,7 +5,9 @@ import json
 import math
 import multiprocessing
 import re
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from noisymatch.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, main, run
@@ -73,6 +75,32 @@ class TestConfigRoundTrip:
         doc = config_to_dict(config, plan)
         config2, plan2 = dict_to_config(json.loads(json.dumps(doc)))
         assert config_to_dict(config2, plan2) == doc
+
+    def test_direct_api_config_round_trips(self):
+        # ids of each type a document holds, and numpy capacities, which are
+        # stored as the ints they equal
+        config, plan = fig2(colleges=3, replications=2)
+        ids = {1: "a", 2: 2.5}
+        config = replace(
+            config,
+            colleges=tuple(
+                replace(c, capacity=np.int64(c.capacity), coalition=ids[c.coalition])
+                for c in config.colleges
+            ),
+            coalitions=tuple(replace(k, id=ids[k.id]) for k in config.coalitions),
+        )
+        curves = tuple(replace(c, coalition_id=ids[c.coalition_id]) for c in plan.curves)
+        plan = replace(plan, curves=curves)
+        text = canonical_json(config_to_dict(config, plan))
+        assert dict_to_config(json.loads(text)) == (config, plan)
+
+    def test_numpy_capacity_hashes_as_an_int(self):
+        config, plan = fig1(colleges=2, replications=2)
+        numpy_caps = tuple(replace(c, capacity=np.int64(c.capacity)) for c in config.colleges)
+        wide = replace(config, colleges=numpy_caps)
+        assert all(type(c.capacity) is int for c in wide.colleges)
+        digest = config_hash(config_to_dict(config, plan))
+        assert config_hash(config_to_dict(wide, plan)) == digest
 
     def test_hash_ignores_key_order(self):
         config, plan = fig1(colleges=2, replications=1)
@@ -818,6 +846,28 @@ class TestCliContract:
         assert [row[:2] for row in rows("mixed", "metrics.csv")] == metrics
         cuts = [[r, c, "b" if k == "2" else k, cut] for r, c, k, cut in rows("int", "cutoffs.csv")]
         assert rows("mixed", "cutoffs.csv") == cuts
+
+    def test_a_curve_prints_its_coalition_id(self, tmp_path):
+        # a curve naming coalition 1 as 1.0 writes the names the colleges'
+        # coalition 1 does: only the config hash moves
+        doc = config_to_dict(*fig1(colleges=2, n_students=200, replications=20, seed=3))
+        floated = copy.deepcopy(doc)
+        for curve in floated["plan"]["curves"]:
+            curve["coalition"] = 1.0
+        runs = {}
+        for name, d in (("int", doc), ("float", floated)):
+            (tmp_path / name).mkdir()
+            code, runs[name] = run_doc(d, tmp_path / name)
+            assert code == EXIT_OK
+        for csv_name in ("curves.csv", "cutoffs.csv"):
+            assert (runs["float"] / csv_name).read_bytes() == (runs["int"] / csv_name).read_bytes()
+
+        def metrics(name):
+            lines = (runs[name] / "metrics.csv").read_text().splitlines()
+            return [line.rpartition(",")[0] for line in lines]
+
+        assert metrics("float") == metrics("int")
+        assert "afford_c1_trim0_step_location" in "".join(metrics("float"))
 
     # Pareto noise of shape 0.005 overflows to +inf, so the college of two
     # seats cuts at +inf in both replications.  Every model ranks every

@@ -607,8 +607,8 @@ class TestCurves:
 
     def test_empty_bin_reports_missing(self):
         config, plan = small_pool(replications=2)
-        records = run_replications(config, plan)
-        wide = estimate_match_curve(records, bins=[0.0, 0.5, 1.0, 7.0, 9.0], coalition_id=1)
+        records = run_replications(config, replace(plan, bin_edges=[0.0, 0.5, 1.0, 7.0, 9.0]))
+        wide = estimate_match_curve(records, coalition_id=1)
         assert np.isnan(wide.probability[-1])
         assert wide.count[-1] == 0
 
@@ -650,57 +650,41 @@ class TestCurves:
         with pytest.raises(ConfigError, match="not recorded"):
             estimate_afford_curve(records, 1, 0.25)
 
-    def test_curves_count_in_chunks_beside_a_narrow_cache(self):
-        # numpy reports its buffers to tracemalloc.  300,000 observations
-        # make 19 chunks; the cache holds one uint8 bin for each, and
-        # binning or counting a chunk takes under 32 bytes a value
-        config, plan = fig1(colleges=2, n_students=200, replications=1500)
+    def test_curves_count_in_chunks(self):
+        # numpy reports its buffers to tracemalloc.  Binning and counting a
+        # chunk takes under 32 bytes a value, and a curve keeps nothing per
+        # observation: 600,000 make 37 chunks, so even one byte for each
+        # would break the bound
+        config, plan = fig1(colleges=2, n_students=200, replications=3000)
         records = run_replications(config, plan)
         slack = 32 * estimation._BIN_CHUNK + (64 << 10)
-        tracemalloc.start()
-        try:
-            estimate_match_curve(records)
-            _, cold = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            before, _ = tracemalloc.get_traced_memory()
-            estimate_afford_curve(records, 1)
-            _, warm = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        (cache,) = records._bins.values()
-        assert cold <= records.n_replications * 200 + slack
-        assert warm - before <= slack
-        assert cache.dtype == np.uint8 and cache.nbytes == 300_000
+        assert records.values.size > slack
+        for curve in (
+            functools.partial(estimate_match_curve, records),
+            functools.partial(estimate_afford_curve, records, 1),
+        ):
+            tracemalloc.start()
+            try:
+                curve()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= slack
 
-    def test_each_column_is_binned_once_per_edges(self, monkeypatch):
+    def test_each_curve_counts_its_own_column(self):
         config, plan = fig2(colleges=2, replications=3, n_students=400)
         plan = replace(plan, curves=(AffordProbability(1), AffordProbability(2)))
         records = run_replications(config, plan)
-        calls = []
-        bin_of = estimation._bin_of
-
-        def spy(values, edges):
-            calls.append(len(edges))
-            return bin_of(values, edges)
-
-        monkeypatch.setattr(estimation, "_bin_of", spy)
-        coarse = [0.0, 0.5, 1.0]
         curves = [
             estimate_match_curve(records, coalition_id=1),
             estimate_afford_curve(records, 1),
             estimate_match_curve(records, coalition_id=2),
             estimate_afford_curve(records, 2),
-            estimate_match_curve(records, coarse, coalition_id=1),
-            estimate_afford_curve(records, 1, bins=coarse),
         ]
-        n_edges = len(plan.bin_edges)
-        assert calls == [n_edges, n_edges, 3]
-        monkeypatch.undo()
-        # each curve as counted from its own column and edges
         for curve, k, hits in zip(
             curves,
-            (0, 0, 1, 1, 0, 0),
-            [records.matched(), records.afford[(1, 0.0)], records.matched(), records.afford[(2, 0.0)]] * 2,
+            (0, 0, 1, 1),
+            [records.matched(), records.afford[(1, 0.0)], records.matched(), records.afford[(2, 0.0)]],
         ):
             values = records.values[:, :, k].ravel()
             count, _ = np.histogram(values, curve.bin_edges)

@@ -214,11 +214,12 @@ class TestConfigValidation:
             )
 
     @pytest.mark.parametrize(
-        "capacity", [math.inf, math.nan, True, 2.5, 0, "3"],
-        ids=["inf", "nan", "bool", "fraction", "zero", "string"],
+        "capacity", [math.inf, math.nan, True, 2.5, 0, "3", 500.0, 2.0],
+        ids=["inf", "nan", "bool", "fraction", "zero", "string", "float-500", "float-2"],
     )
     def test_capacity_must_be_a_positive_integer(self, capacity):
-        # a preset or library caller reaches EconomyConfig without config_io's checks
+        # a preset or library caller reaches EconomyConfig without config_io's
+        # checks; an integral float would be written, and hashed, as a float
         message = re.escape("colleges[1].capacity: must be a positive integer")
         with pytest.raises(ConfigError, match=f"^{message}$"):
             EconomyConfig(
@@ -711,6 +712,27 @@ class TestPrefsThread:
         coalitions = (replace(config.coalitions[0], id=-np.inf),)
         with pytest.raises(ConfigError, match=r"^coalitions\[0\]\.id: must be finite, got -inf$"):
             replace(config, colleges=colleges, coalitions=coalitions)
+
+    @pytest.mark.parametrize("bad", [None, True, (1,)], ids=["none", "bool", "tuple"])
+    def test_config_rejects_an_id_a_document_cannot_hold(self, bad):
+        # the messages dict_to_config gives the same ids in a document
+        config = two_college_config(UniformRandomPreferences())
+        got = f"must be a number or a string, got {bad!r}"
+        first, second = config.colleges
+        cases = [
+            ({"colleges": (replace(first, id=bad), second)}, "colleges[0].id"),
+            ({"colleges": (first, replace(second, coalition=bad))}, "colleges[1].coalition"),
+            (
+                {
+                    "colleges": tuple(replace(c, coalition=bad) for c in config.colleges),
+                    "coalitions": (replace(config.coalitions[0], id=bad),),
+                },
+                "coalitions[0].id",
+            ),
+        ]
+        for changes, field in cases:
+            with pytest.raises(ConfigError, match=f"^{re.escape(f'{field}: {got}')}$"):
+                replace(config, **changes)
 
     def test_numpy_integers_rank(self):
         ranking = tuple(np.array([1, 0]))
