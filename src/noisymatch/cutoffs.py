@@ -29,7 +29,7 @@ import numpy as np
 
 from . import market as sampling
 from .market import SampledMarket
-from .matching import UNMATCHED, Matching, _cleared_in_order, _clears
+from .matching import UNMATCHED, Matching, _cleared_in_order, _clears, _row_blocks
 
 
 def extract_cutoffs(matching: Matching) -> np.ndarray:
@@ -87,7 +87,9 @@ def demand_all(market: SampledMarket, cutoffs: np.ndarray, cut_students: np.ndar
     """
     demand = np.empty(market.n_students, dtype=np.int64)
     bars = np.asarray(cutoffs, dtype=float), np.asarray(cut_students)
-    for rows, prefs, cleared in _cleared_in_order(market, *bars):
+    stacks = market.prefs[None], market.scores[None]
+    blocks = _row_blocks(1, *market.prefs.shape)
+    for rows, prefs, cleared in _cleared_in_order(*stacks, *bars, blocks):
         k = np.arange(len(prefs))
         first = cleared.argmax(axis=1)
         demand[rows] = np.where(cleared[k, first], prefs[k, first], UNMATCHED)

@@ -392,11 +392,16 @@ class ExplicitSampler(PreferenceModel):
             raise ConfigError("preferences.probabilities: must sum to 1")
 
     def check(self, n_colleges):
+        rankings = []
         for j, r in enumerate(self.rankings):
-            if _permutation(r, n_colleges, f"preferences.rankings[{j}]") is None:
+            ranking = _permutation(r, n_colleges, f"preferences.rankings[{j}]")
+            if ranking is None:
                 raise ConfigError(
                     f"preferences.rankings: {r} is not a permutation of 0..{n_colleges - 1}"
                 )
+            rankings.append(ranking)
+        # numpy integers are stored as the ints they equal, as CommonRanking's are
+        object.__setattr__(self, "rankings", tuple(rankings))
 
     def sample_prefs(self, rngs, n, n_colleges, tiers):
         table = np.asarray(self.rankings, dtype=prefs_dtype(n_colleges))

@@ -47,6 +47,8 @@ class Matching:
 #   fig1 uniform,  n=20000, C=1000 (20 M cells): 388 vs 248 ms (1024: 252 ms)
 #   fig1 Pareto,   n=20000, C=1000 (20 M cells, median 5,740 rejected):
 #                                    703 vs 411 ms (1024: 420, 4096: 440 ms)
+# These timings, and _SCAN_CELLS's below, were taken before the prune
+# (_PRUNE_MIN_CELLS), when every scan read the full prefs rows.
 _SCAN_SPLIT_MIN_STUDENTS = 2048
 
 # Each step of the rejected-student scan covers at most this many (student,
@@ -67,6 +69,39 @@ _SCAN_SPLIT_MIN_STUDENTS = 2048
 #   C=200:  2.0 (2.4) / 3.6 (5.0) / 8.5 (9.8) / 10.1 (9.7) MiB
 #   C=1000: 2.0 (2.5) / 3.6 (5.2) / 8.7 (15.5) / 40.3 (40.2) MiB
 _SCAN_CELLS = 1 << 16
+
+# A round that rejects at least _SCAN_SPLIT_MIN_STUDENTS students and whose
+# scan examines at least this many cells a rejection prunes the lists
+# before the next round's scan (_prune).  Windows of 8 and then 16 cells
+# make 24: on average, the students scanned past their first two windows.
+# Counting the list positions the students moved (at least 16 a
+# rejection) fires on the same round on every shape below, but costs a
+# numpy reduction per scan slice.  The prune walks every cell once, ~0.08 s
+# at 20 M cells on two threads and ~0.11 s on one, and the cells it keeps
+# are then scanned without the n x C prefs.  Median wall time per call of
+# the fixed point, never pruning (the earlier code) against pruning at 16 /
+# 24 / 32 cells a rejection, 11 interleaved calls per shape (101 for the
+# last three), one sampled market or stack (Python 3.11, numpy 2.4, 2-vCPU
+# machine); at 24, the round it prunes before and the cells it keeps:
+#   amplify-large, fig1 Pareto, n=20000, C=1000 (round 5 of 19, 0.49 M):
+#                                   325 vs 233 / 205 / 212 ms
+#   fig1 Gaussian, n=20000, C=1000 (round 5 of 24, 0.73 M):
+#                                   328 vs 235 / 226 / 227 ms
+#   fig1 Gumbel,   n=20000, C=1000 (round 5 of 18, 0.64 M; at 32, round 6):
+#                                   313 vs 194 / 199 / 195 ms
+#   fig1 uniform,  n=20000, C=1000 (round 3 of 40, 4.8 M):
+#                                   235 vs 238 / 232 / 231 ms
+#   fig1 Pareto,   n=15000, C=3000 (round 5 of 19, 1.2 M):
+#                                   593 vs 412 / 384 / 382 ms
+#   fig1 Pareto,   n=6000,  C=300  (round 5 of 15):  46.2 vs 32.4 / 31.5 / 31.9 ms
+#   fig1 Pareto,   n=8000,  C=128  (round 5 of 14):  35.8 vs 28.8 / 30.0 / 29.3 ms
+#   fig1 Pareto,   n=20000, C=100  (round 5 of 14):  65.4 vs 54.0 / 57.8 / 57.2 ms
+#   fig1 uniform,  n=20000, C=100  (round 3 of 37):  65.9 vs 60.3 / 59.4 / 60.1 ms
+#   fig2 uniform, 3 markets of n=2000, C=20+20 (never; 16 prunes after the
+#     first round's 16.0 cells a rejection):          17.2 vs 18.4 / 17.3 / 17.2 ms
+#   fig2 Pareto,  3 markets (never; 16 prunes):      16.1 vs 18.1 / 16.4 / 16.3 ms
+#   many-tiny, 375 markets of n=200, C=2 (never):    25.9 vs 26.1 / 26.0 / 26.1 ms
+_PRUNE_MIN_CELLS = 24
 
 
 def _capacity_list(capacities: Sequence[int], n_colleges: int) -> list[int]:
@@ -113,17 +148,30 @@ def _clears(score, student, bar_score, bar_student, at) -> np.ndarray:
     return ok
 
 
-def _cleared_in_order(market: SampledMarket, bar_score, bar_student):
-    """Each row slice of at most ``_BLOCK_CELLS // 8`` cells of the market:
-    its rows, its prefs, and whether each student clears (``_clears``) the
-    bar of each college on their list, in preference order.  No n x C table."""
-    student = np.arange(market.n_students)
-    step = max(1, sampling._BLOCK_CELLS // 8 // market.n_colleges)
-    for s0 in range(0, market.n_students, step):
-        rows = slice(s0, s0 + step)
-        prefs = market.prefs[rows]
-        cleared = _clears(market.scores[rows], student[rows, None], bar_score, bar_student, ...)
-        yield rows, prefs, cleared[np.arange(len(prefs))[:, None], prefs]
+def _row_blocks(n_markets: int, n_students: int, n_colleges: int) -> list[tuple[int, slice]]:
+    """(market, rows) of each block of at most ``_BLOCK_CELLS // 8`` cells of
+    an (R, n, C) stack's rows; no block spans two markets."""
+    step = max(1, sampling._BLOCK_CELLS // 8 // n_colleges)
+    starts = range(0, n_students, step)
+    return [(r, slice(s0, s0 + step)) for r in range(n_markets) for s0 in starts]
+
+
+def _cleared_in_order(prefs, scores, bar_score, bar_student, blocks):
+    """Each ``(r, rows)`` block of the (R, n, C) stacks ``prefs`` and
+    ``scores``: the union's rows (student r*n + s is row s of market r), its
+    prefs, and whether each student clears (``_clears``) the bar of each
+    college on their list, in preference order.  The bars are the union's:
+    college c of market r is bar r*C + c.  Compares in college order, then
+    takes the flags into preference order in one flat take.  No n x C table."""
+    _, n, n_colleges = prefs.shape
+    for r, rows in blocks:
+        block = prefs[r, rows]
+        union = slice(r * n + rows.start, r * n + rows.start + len(block))
+        student = np.arange(union.start, union.stop)[:, None]
+        bars = slice(r * n_colleges, (r + 1) * n_colleges)
+        cleared = _clears(scores[r, rows], student, bar_score, bar_student, bars)
+        at = block + np.arange(0, cleared.size, n_colleges)[:, None]
+        yield union, block, cleared.ravel().take(at)
 
 
 def deferred_acceptance(market: SampledMarket, capacities: Sequence[int]) -> Matching:
@@ -162,11 +210,24 @@ def stacked_deferred_acceptance(
     market-clearing cutoffs, which give the student-optimal stable matching
     (Azevedo & Leshno 2016).
 
+    Each student scans their own list, ``lists[pos:end + 1]`` with pos at
+    their current college; until the prune the lists are the rows of prefs
+    themselves.  Once a round rejects at least ``_SCAN_SPLIT_MIN_STUDENTS``
+    students and its scan examines at least ``_PRUNE_MIN_CELLS`` cells a
+    rejection, the scans are running long: before the next round's scan,
+    one row-sliced pass (``_prune``) cuts every list to the student's
+    current college and the later ones whose bar they clear now, and the
+    scans read those compact lists from then on.  A college a student
+    cannot afford now would reject them later too, so each scan stops at
+    the college it would have reached on the full list, and the matching,
+    cutoffs and cut students are the same with or without the prune.
+
     Within a round the rejected students move independently: each reads
     only the round's cutoffs and writes only its own pos and college
     entries.  So where ``market.helper_threads_allowed()``, a round that
     rejects at least ``_SCAN_SPLIT_MIN_STUDENTS`` students scans half of
-    them on a helper thread.  The result is the same either way.
+    them on a helper thread, and the prune walks half of its row blocks
+    there.  The result is the same either way.
 
     Returns the (R, n) assignment, in each slot's own college indices or
     UNMATCHED, and each college's worst admit as (R, C) cutoffs and cut
@@ -174,19 +235,22 @@ def stacked_deferred_acceptance(
     """
     n_markets, n, n_colleges = scores.shape
     cap = np.tile(np.asarray(_capacity_list(capacities, n_colleges), dtype=np.int64), n_markets)
-    prefs = np.ascontiguousarray(prefs).ravel()
-    scores = np.ascontiguousarray(scores, dtype=float).ravel()
+    prefs = np.ascontiguousarray(prefs)
+    scores = np.ascontiguousarray(scores, dtype=float)
+    stacks = prefs, scores
+    prefs, scores = prefs.ravel(), scores.ravel()
     n_union = n_markets * n_colleges
-    # flat offset of each student's row in prefs and in scores
-    row = np.arange(n_markets * n, dtype=np.int64) * n_colleges
+    # each student's list is lists[pos:end + 1], pos at the current proposal;
+    # until the prune, the lists are the rows of prefs, at row offset s*C
+    lists, pos = prefs, np.arange(n_markets * n, dtype=np.int64) * n_colleges
+    end = pos + (n_colleges - 1)
     first = np.repeat(np.arange(n_markets, dtype=np.int64) * n_colleges, n)  # slot's college 0
-    at_union = row - first  # scores row offset for a union college index
+    at_union = pos - first  # scores row offset for a union college index
 
     cut_score = np.full(n_union, -np.inf)
     cut_student = np.full(n_union, n_markets * n, dtype=np.int64)
-    pos = np.zeros(n_markets * n, dtype=np.int64)  # list position of each current proposal
-    college = prefs[row] + first  # current proposal, UNMATCHED once the list runs out
-    scan = (n_colleges, prefs, scores, row, first, cut_score, cut_student, pos, college)
+    college = lists[pos] + first  # current proposal, UNMATCHED once the list runs out
+    pruned, rejected, cells = False, (), 0
 
     split = sampling.helper_threads_allowed()
     with ThreadPoolExecutor(max_workers=1) if split else nullcontext() as helper:
@@ -207,18 +271,22 @@ def stacked_deferred_acceptance(
             last = place == cap[col] - 1
             cut_score[col[last]] = sc[last]
             cut_student[col[last]] = who[last]
+            if not pruned and _worth_pruning(len(rejected), cells):
+                lists, pos, end = _prune(*stacks, cut_score, cut_student, pos, college, helper)
+                pruned = True
             rejected = who[place >= cap[col]]
+            scan = (n_colleges, lists, scores, first, end, cut_score, cut_student, pos, college)
             if helper is not None and len(rejected) >= _SCAN_SPLIT_MIN_STUDENTS:
                 half = len(rejected) // 2
                 future = helper.submit(_advance, rejected[half:], *scan)
                 try:
-                    _advance(rejected[:half], *scan)
+                    cells = _advance(rejected[:half], *scan)
                 finally:
                     # join before the next round changes the cutoffs, and read
                     # the result even when this half fails, so its error is not lost
-                    future.result()
+                    cells += future.result()
             else:
-                _advance(rejected, *scan)
+                cells = _advance(rejected, *scan)
 
     matched = np.flatnonzero(college != UNMATCHED)
     col = college[matched]
@@ -263,32 +331,86 @@ def _line_order(col: np.ndarray, score: np.ndarray, n_colleges: int) -> np.ndarr
     return order
 
 
-def _advance(rejected, n_colleges, prefs, scores, row, first, cut_score, cut_student, pos, college):
+def _worth_pruning(rejected: int, cells: int) -> bool:
+    """Whether to prune the lists after a round whose scan examined ``cells``
+    cells of ``rejected`` students' lists; never before the first scan."""
+    return 0 < rejected >= _SCAN_SPLIT_MIN_STUDENTS and cells >= _PRUNE_MIN_CELLS * rejected
+
+
+def _prune(prefs, scores, cut_score, cut_student, pos, college, helper):
+    """Each student's list cut to their current entry and every later entry
+    whose cell clears its college's bar now: (lists, pos, end) for
+    ``_advance``, with ``lists[pos[s]:end[s] + 1]`` student s's list.
+
+    ``prefs`` and ``scores`` are the (R, n, C) stacks, and ``pos`` indexes
+    the flat prefs.  No entry before a student's current one clears its bar:
+    the student was rejected there or passed it over, and bars only rise.
+    So the cleared cells in preference order, with the current entry's flag
+    set, are the list, and the current entry comes first.  A student
+    without a college keeps no entry.  The rows' blocks run in two halves,
+    the second on ``helper`` when there is one."""
+    n_colleges = prefs.shape[2]
+    held = college != UNMATCHED
+
+    bars = cut_score, cut_student
+
+    def keep(blocks):
+        parts = []
+        for rows, block, cleared in _cleared_in_order(prefs, scores, *bars, blocks):
+            mine = np.flatnonzero(held[rows])
+            cleared = cleared.ravel()
+            cleared[pos[rows][mine] - rows.start * n_colleges] = True
+            kept = np.flatnonzero(cleared)
+            count = np.diff(np.searchsorted(kept, np.arange(len(block) + 1) * n_colleges))
+            parts.append((block.ravel()[kept], count))
+        return parts
+
+    blocks = _row_blocks(*prefs.shape)
+    half = len(blocks) // 2
+    if helper is None:
+        parts = keep(blocks)
+    else:
+        future = helper.submit(keep, blocks[half:])
+        try:
+            parts = keep(blocks[:half])
+        finally:
+            # read the result even when this half fails, so its error is not lost
+            rest = future.result()
+        parts += rest
+    lists, count = (np.concatenate(part) for part in zip(*parts))
+    end = np.cumsum(count) - 1
+    return lists, end - count + 1, end
+
+
+def _advance(rejected, n_colleges, lists, scores, first, end, cut_score, cut_student, pos, college):
     """Move each rejected student to the next college on their list they can afford.
 
-    Scans a window of list positions per step over the rejected students
-    only, doubling it for those who found nothing; a student who runs out
-    of list becomes UNMATCHED.  Each step scans its students in slices of
-    at most ``_SCAN_CELLS`` cells.  Updates pos and college in place.
+    Student s's list is ``lists[pos[s]:end[s] + 1]``, pos at their current
+    college.  Scans a window of list positions per step over the rejected
+    students only, doubling it for those who found nothing; a student who
+    runs out of list becomes UNMATCHED.  Each step scans its students in
+    slices of at most ``_SCAN_CELLS`` cells.  Updates pos and college in
+    place, and returns the number of cells the scan examined.
     """
     # a window past the list's end only repeats its last college
     window = min(8, n_colleges - 1)
+    cells = 0
     while True:
-        done = pos[rejected] >= n_colleges - 1
+        done = pos[rejected] >= end[rejected]
         college[rejected[done]] = UNMATCHED
         rejected = rejected[~done]
         if not len(rejected):
-            return
+            return cells
+        cells += window * len(rejected)
         rows = max(1, _SCAN_CELLS // window)
         left = []
         for i in range(0, len(rejected), rows):
             part = rejected[i : i + rows]
             # positions past the end repeat the last college, which is examined at
             # its own position first, so the first affordable hit is a real one
-            at = np.minimum(pos[part, None] + np.arange(1, window + 1), n_colleges - 1)
-            base = row[part, None]
-            cand = prefs[base + at]
-            sc = scores[base + cand]
+            at = np.minimum(pos[part, None] + np.arange(1, window + 1), end[part, None])
+            cand = lists[at]
+            sc = scores[part[:, None] * n_colleges + cand]
             cand = cand + first[part, None]  # the slot's college index in the union
             ok = _clears(sc, part[:, None], cut_score, cut_student, cand)
             first_hit = ok.argmax(axis=1)
@@ -317,7 +439,9 @@ def find_blocking_pairs(matching: Matching, market: SampledMarket) -> list[tuple
     score = market.scores[matched, col]
     bar = _worst_admits(col, matched, score, matching.capacities, market.n_students)
     pairs = []
-    for rows, prefs, cleared in _cleared_in_order(market, *bar):
+    stacks = market.prefs[None], market.scores[None]
+    blocks = _row_blocks(1, *market.prefs.shape)
+    for rows, prefs, cleared in _cleared_in_order(*stacks, *bar, blocks):
         # the colleges listed before the student's own; all of them when unmatched
         own_or_later = np.logical_or.accumulate(prefs == assignment[rows, None], axis=1)
         s, k = np.nonzero(cleared & ~own_or_later)

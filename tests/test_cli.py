@@ -103,7 +103,8 @@ class TestConfigRoundTrip:
         assert config_hash(config_to_dict(wide, plan)) == digest
 
     @pytest.mark.parametrize(
-        "case", ["college-ids", "coalition-ids", "curve-coalitions", "common-ranking"]
+        "case",
+        ["college-ids", "coalition-ids", "curve-coalitions", "common-ranking", "explicit-rankings"],
     )
     def test_numpy_integers_hash_as_ints(self, case):
         # each is stored as the int it equals, as a capacity is, so the
@@ -111,6 +112,9 @@ class TestConfigRoundTrip:
         config, plan = fig1(colleges=2)
         if case == "common-ranking":
             config = replace(config, preferences=market_module.CommonRanking((0, 1)))
+        elif case == "explicit-rankings":
+            explicit = market_module.ExplicitSampler(((0, 1), (1, 0)), (0.5, 0.5))
+            config = replace(config, preferences=explicit)
         digest = config_hash(config_to_dict(config, plan))
         if case == "college-ids":
             colleges = tuple(replace(c, id=np.int64(c.id)) for c in config.colleges)
@@ -124,11 +128,17 @@ class TestConfigRoundTrip:
         elif case == "curve-coalitions":
             curves = tuple(replace(c, coalition_id=np.int64(c.coalition_id)) for c in plan.curves)
             plan = replace(plan, curves=curves)
-        else:
+        elif case == "common-ranking":
             ranking = market_module.CommonRanking(tuple(np.arange(2)))
             config = replace(config, preferences=ranking)
-        assert config_hash(config_to_dict(config, plan)) == digest
-        if case != "common-ranking":
+        else:
+            rankings = (tuple(np.arange(2)), tuple(np.arange(2)[::-1]))
+            explicit = market_module.ExplicitSampler(rankings, (0.5, 0.5))
+            config = replace(config, preferences=explicit)
+        doc = config_to_dict(config, plan)
+        assert config_hash(doc) == digest
+        assert dict_to_config(json.loads(canonical_json(doc))) == (config, plan)
+        if case not in ("common-ranking", "explicit-rankings"):
             assert digest.startswith("0601b49d8a78")
 
     def test_hash_ignores_key_order(self):

@@ -25,7 +25,13 @@ from noisymatch import matching
 from noisymatch.cutoffs import check_market_clearing, demand_all
 from noisymatch.estimation import run_replications
 from noisymatch import market as market_module
-from noisymatch.market import SampledMarket, helper_threads_allowed, sample_market, usable_cpus
+from noisymatch.market import (
+    SampledMarket,
+    helper_threads_allowed,
+    sample_market,
+    sample_stack,
+    usable_cpus,
+)
 from noisymatch.matching import (
     UNMATCHED,
     Matching,
@@ -33,6 +39,7 @@ from noisymatch.matching import (
     find_blocking_pairs,
     stacked_deferred_acceptance,
 )
+from noisymatch.noise import Pareto
 from noisymatch.presets import fig1, fig2
 
 
@@ -479,21 +486,115 @@ class TestStackedPath:
         check()
 
     def test_one_market_is_matched_without_a_copy(self, monkeypatch):
+        # no round of this market rejects enough students to prune, so every
+        # scan reads the lists from the market's own prefs
         market, caps = tied_market(n=600, colleges=40, seed=3)
         market = dataclasses.replace(market, prefs=market.prefs.astype(np.int16))
-        seen = []
-        advance = matching._advance
-
-        def spy(rejected, n_colleges, prefs, scores, *rest):
-            seen.append((prefs, scores))
-            return advance(rejected, n_colleges, prefs, scores, *rest)
-
-        monkeypatch.setattr(matching, "_advance", spy)
+        seen = spy_on_the_scans(monkeypatch)
         deferred_acceptance(market, caps)
-        assert seen
-        for prefs, scores in seen:
-            assert np.shares_memory(prefs, market.prefs)
+        assert seen and all(not pruned for pruned, _, _ in seen)
+        for _, lists, scores in seen:
+            assert np.shares_memory(lists, market.prefs)
             assert np.shares_memory(scores, market.scores)
+
+
+def spy_on_the_scans(monkeypatch):
+    """(pruned yet, lists, scores) of every ``_advance`` call, in call order."""
+    seen, pruned = [], []
+    advance, prune = matching._advance, matching._prune
+
+    def advance_spy(rejected, n_colleges, lists, scores, *rest):
+        seen.append((bool(pruned), lists, scores))
+        return advance(rejected, n_colleges, lists, scores, *rest)
+
+    def prune_spy(*args):
+        pruned.append(True)
+        return prune(*args)
+
+    monkeypatch.setattr(matching, "_advance", advance_spy)
+    monkeypatch.setattr(matching, "_prune", prune_spy)
+    return seen
+
+
+def prune_on_round(mp, k):
+    """Prune the lists before the k-th round's scan, whatever the scans did."""
+    rounds = itertools.count(1)
+    mp.setattr(matching, "_worth_pruning", lambda rejected, cells: next(rounds) >= k)
+
+
+@st.composite
+def overflowing_stacks(draw):
+    """One to four sampled fig1 markets of one, two or up to 40 colleges under
+    Pareto(0.005, 1.0) noise, which overflows to +inf in about one draw in
+    35, so students tie at +inf bars."""
+    colleges = draw(st.sampled_from([1, 2, 3, 12, 40]))
+    n = draw(st.integers(2 * colleges, 2 * colleges + 100))
+    config, _ = fig1(colleges=colleges, n_students=n, seed=draw(st.integers(0, 2**32 - 1)))
+    heavy = tuple(dataclasses.replace(k, noise=Pareto(0.005, 1.0)) for k in config.coalitions)
+    config = dataclasses.replace(config, coalitions=heavy)
+    _, prefs, scores = sample_stack(config, range(draw(st.integers(1, 4))))
+    return [make_market(p, s) for p, s in zip(prefs, scores)], config.capacities()
+
+
+class TestPrunedLists:
+    """Once the scans run long, each student's list is cut to their current
+    entry and the later entries whose bar they clear; cutoffs only rise, so
+    the matching cannot change."""
+
+    @pytest.mark.parametrize("scan", ["serial", "split"])
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(tie_heavy_stacks(), overflowing_stacks()), st.integers(1, 4))
+    def test_a_prune_on_any_round_keeps_the_matching(self, scan, case, k):
+        markets, caps = case
+        prefs = np.stack([m.prefs for m in markets])
+        scores = np.stack([m.scores for m in markets])
+        with pytest.MonkeyPatch.context() as mp:
+            if scan == "split":
+                split_every_round(mp)
+            else:
+                mp.setattr(market_module, "helper_threads_allowed", lambda: False)
+            unpruned = stacked_deferred_acceptance(prefs, scores, caps)
+            prune_on_round(mp, k)
+            pruned = stacked_deferred_acceptance(prefs, scores, caps)
+        for got, want in zip(pruned, unpruned):
+            assert np.array_equal(got, want)
+        assignment, cutoffs, cut_students = pruned
+        for r, market in enumerate(markets):
+            alone = heap_deferred_acceptance(market, caps)
+            assert (assignment[r] == alone.assignment).all()
+            assert (cutoffs[r] == alone.cutoffs).all()
+            assert (cut_students[r] == alone.cut_students).all()
+
+    def test_the_scans_run_long_on_a_pareto_market_and_prune_once(self, monkeypatch):
+        config, _ = fig1(n_students=6000, colleges=300, noise="pareto")
+        market = sample_market(config, 1)
+        caps = config.capacities()
+        with monkeypatch.context() as mp:
+            mp.setattr(matching, "_worth_pruning", lambda rejected, cells: False)
+            unpruned = deferred_acceptance(market, caps)
+        seen = spy_on_the_scans(monkeypatch)
+        pruned = deferred_acceptance(market, caps)
+        assert_same_matching(pruned, unpruned)
+        assert_same_matching(pruned, heap_deferred_acceptance(market, caps))
+        # before the prune the scans read the market's prefs; after it, one
+        # compact copy of the entries still ahead, shorter than the prefs
+        before = [lists for done, lists, _ in seen if not done]
+        after = [lists for done, lists, _ in seen if done]
+        assert before and after
+        assert all(np.shares_memory(lists, market.prefs) for lists in before)
+        assert all(lists is after[0] for lists in after)
+        assert not np.shares_memory(after[0], market.prefs)
+        assert len(after[0]) < market.prefs.size // 10
+        assert all(np.shares_memory(scores, market.scores) for _, _, scores in seen)
+
+    def test_a_stack_of_tiny_markets_never_prunes(self, monkeypatch):
+        # many-tiny's shape: 375 markets of 200 students and two colleges of
+        # 50 seats; no list is long enough for a scan to run long
+        config, _ = fig1(n_students=200, colleges=2)
+        _, prefs, scores = sample_stack(config, range(375))
+        seen = spy_on_the_scans(monkeypatch)
+        stacked_deferred_acceptance(prefs, scores, config.capacities())
+        assert seen and all(not pruned for pruned, _, _ in seen)
 
 
 def line_order_by_two_sorts(col, score):
@@ -668,6 +769,26 @@ class TestScanSplit:
 
         monkeypatch.setattr(matching, "_advance", fail_off_the_caller)
         with pytest.raises(RuntimeError, match="^scan failed on the helper$"):
+            deferred_acceptance(market, caps)
+        assert raised_on and caller not in raised_on
+
+    def test_error_in_the_prune_on_the_helper_thread_reaches_the_caller(self, monkeypatch):
+        # the prune walks the second half of its row blocks on the helper
+        market, caps = tied_market()
+        split_every_round(monkeypatch)
+        prune_on_round(monkeypatch, 1)
+        caller = threading.get_ident()
+        raised_on = []
+        cleared_in_order = matching._cleared_in_order
+
+        def fail_off_the_caller(*args):
+            if threading.get_ident() != caller:
+                raised_on.append(threading.get_ident())
+                raise RuntimeError("prune failed on the helper")
+            return cleared_in_order(*args)
+
+        monkeypatch.setattr(matching, "_cleared_in_order", fail_off_the_caller)
+        with pytest.raises(RuntimeError, match="^prune failed on the helper$"):
             deferred_acceptance(market, caps)
         assert raised_on and caller not in raised_on
 
