@@ -59,10 +59,14 @@ def identifier(value, field: str):
 
 
 def plain(value):
-    """value as the int it equals when it is a non-bool integer, a numpy one, say; else value."""
-    # an int first: the Integral check is slow next to it
-    integral = type(value) is not int and isinstance(value, numbers.Integral)
-    return int(value) if integral and not isinstance(value, bool) else value
+    """value as the int it equals when it is a non-bool integer (a numpy one,
+    say), as the float it equals when it is another real that is not a float
+    (a numpy float32 or a Fraction), and else as given, so JSON writes it."""
+    # an int first: the numbers checks are slow next to it
+    keep = type(value) is int or isinstance(value, (bool, float))
+    if keep or not isinstance(value, numbers.Real):
+        return value
+    return int(value) if isinstance(value, numbers.Integral) else float(value)
 
 
 def positive_integer(value) -> bool:

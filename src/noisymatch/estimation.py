@@ -228,6 +228,7 @@ def run_replications(
     the records' rows as it arrives, so the records are the only arrays of
     their size this process holds.
     """
+    threads = integer(threads, "threads")
     if threads < 1:
         raise ValueError(f"threads: must be at least 1, got {threads}")
     check_plan(config, plan)

@@ -45,7 +45,25 @@ STREAM_NOISE = 2
 #   scores stay under 2.5 MiB;
 # - demand and the blocking-pair scan compare at most an eighth of this
 #   many cells with the colleges' bars at a time
-#   (matching._cleared_in_order), and afford_from_matching gathers as many.
+#   (matching._cleared_in_order), and afford_from_matching gathers as many;
+# - each step of the fixed point's rejected-student scan (matching._advance)
+#   covers at most a quarter of this many (student, list position) cells,
+#   so its half-dozen int64 and float64 temporaries stay near 3 MiB a thread
+#   however many students a round rejects.  Students move independently
+#   within a round, so slicing does not change the Matching.
+# Median time per call of deferred_acceptance, int32 prefs and no slices
+# (the earlier code) against int16 prefs and scan slices of 2^14 / 2^16 /
+# 2^18 / unbounded cells, interleaved (Python 3.11, numpy 2.4, 2-vCPU
+# machine; taken before the fixed point's list prune):
+#   fig2 uniform, n=2000,  C=20+20: 11.4 vs 11.5 / 11.4 / 11.3 / 11.3 ms
+#   fig1 Pareto,  n=2000,  C=100:   12.8 vs 12.8 / 12.3 / 12.2 / 12.0 ms
+#   fig1 Pareto,  n=20000, C=100:    129 vs  133 /  124 /  128 /  120 ms
+#   fig1 Pareto,  n=20000, C=1000:   451 vs  447 /  391 /  383 /  402 ms
+#   fig1 uniform, n=20000, C=1000:   306 vs  316 /  282 /  280 /  274 ms
+# and tracemalloc's peak over the call, fig1 Pareto, n=20000, serial scan
+# (in brackets, every round split):
+#   C=200:  2.0 (2.4) / 3.6 (5.0) / 8.5 (9.8) / 10.1 (9.7) MiB
+#   C=1000: 2.0 (2.5) / 3.6 (5.2) / 8.7 (15.5) / 40.3 (40.2) MiB
 # Median sample_market time and tracemalloc's peak beyond the finished
 # market, fig1 shape with Pareto noise, blocks of 2^16 / 2^18 / 2^20 cells
 # (Python 3.11, numpy 2.4, 2-vCPU machine; taken when Pareto noise was drawn
@@ -93,6 +111,24 @@ def helper_threads_allowed() -> bool:
     in a process that may run on more than one CPU and is not a pool worker,
     whose siblings keep every core busy."""
     return multiprocessing.parent_process() is None and usable_cpus() > 1
+
+
+def both(first, second):
+    """(first(), second()), with second on a helper thread where
+    ``helper_threads_allowed()``, started here and joined before this
+    returns; elsewhere second runs first, on this thread.  When both fail,
+    the helper's error is raised, with this thread's as its ``__context__``."""
+    if not helper_threads_allowed():
+        later = second()
+        return first(), later
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        future = pool.submit(second)
+        try:
+            now = first()
+        finally:
+            # read it even when first fails, so its error is not lost
+            later = future.result()
+    return now, later
 
 
 def markets_per_stack(n_students: int, n_colleges: int) -> int:
@@ -242,8 +278,10 @@ class UniformValues(ValueDistribution):
     kind = "uniform"
 
     def __post_init__(self):
-        finite_number(self.lo, "values.lo")
-        finite_number(self.hi, "values.hi")
+        for field in ("lo", "hi"):
+            finite_number(getattr(self, field), f"values.{field}")
+            # a numpy float or a Fraction is stored as the float it equals, so it hashes
+            object.__setattr__(self, field, plain(getattr(self, field)))
         if not self.hi > self.lo:
             raise ConfigError(f"values: hi must exceed lo, got lo={self.lo}, hi={self.hi}")
 
@@ -386,6 +424,7 @@ class ExplicitSampler(PreferenceModel):
             raise ConfigError("preferences.rankings: must be non-empty")
         for i, p in enumerate(self.probabilities):
             finite_number(p, f"preferences.probabilities[{i}]")
+        object.__setattr__(self, "probabilities", tuple(map(plain, self.probabilities)))
         if any(p < 0 for p in self.probabilities):
             raise ConfigError("preferences.probabilities: must be non-negative")
         if abs(sum(self.probabilities) - 1.0) > 1e-9:
@@ -519,6 +558,7 @@ class EconomyConfig:
             raise ConfigError(f"master_seed: must be a non-negative integer, got {self.master_seed}")
         if not finite_number(self.capacity_alpha, "capacity_alpha") > 0:
             raise ConfigError(f"capacity_alpha: must be above 0, got {self.capacity_alpha!r}")
+        object.__setattr__(self, "capacity_alpha", plain(self.capacity_alpha))
         if not self.colleges:
             raise ConfigError("colleges: must be non-empty")
         if not self.coalitions:
@@ -649,57 +689,50 @@ def sample_stack(
     takes one ranking and one add, and a large market stacked alone takes
     row blocks and college runs.
 
-    The three streams are independent generators, so where
-    ``helper_threads_allowed()``, a stack of at least
-    ``_PREFS_THREAD_MIN_CELLS`` cells draws its preferences on a helper
-    thread while this one draws the scores.  The bytes are the same either
-    way.  A draw that fails raises ReplicationError naming its replication;
-    the preference model draws the whole stack in one call, so its failure
-    names the stack's replications.
+    The three streams are independent generators, so a stack of at least
+    ``_PREFS_THREAD_MIN_CELLS`` cells draws its preferences through
+    ``both``: on a helper thread where one is allowed, while this one draws
+    the scores.  The bytes are the same either way.  A draw that fails
+    raises ReplicationError naming its replication; the preference model
+    draws the whole stack in one call, so its failure names the stack's
+    replications.
     """
     n = config.n_students
     coal_idx = config.coalition_index()
-    seed = config.master_seed
 
     values = np.empty((len(replications), n, len(config.coalitions)))
-    for i, rng in enumerate(stream_rngs(seed, replications, STREAM_VALUES)):
+    for i, rng in enumerate(stream_rngs(config.master_seed, replications, STREAM_VALUES)):
         try:
             for k, coalition in enumerate(config.coalitions):
                 values[i, :, k] = coalition.values.sample(rng, n)
         except _DRAW_ERRORS as e:
             raise ReplicationError.naming(replications[i : i + 1], e) from e
 
-    args = (config, replications, stream_rngs(seed, replications, STREAM_PREFS), coal_idx)
-    noise_rngs = stream_rngs(seed, replications, STREAM_NOISE)
-    cells = len(replications) * n * config.n_colleges
-    if cells >= _PREFS_THREAD_MIN_CELLS and helper_threads_allowed():
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            future = pool.submit(_sample_prefs, *args)
-            try:
-                scores = _sample_scores(config, replications, noise_rngs, values, coal_idx)
-            finally:
-                # read it even when the scores fail, so its error is not lost
-                prefs = future.result()
+    prefs = functools.partial(_sample_prefs, config, replications, coal_idx)
+    scores = functools.partial(_sample_scores, config, replications, values, coal_idx)
+    if len(replications) * n * config.n_colleges >= _PREFS_THREAD_MIN_CELLS:
+        scores, prefs = both(scores, prefs)
     else:
-        prefs = _sample_prefs(*args)
-        scores = _sample_scores(config, replications, noise_rngs, values, coal_idx)
+        prefs, scores = prefs(), scores()
     return values, prefs, scores
 
 
-def _sample_prefs(config, replications, rngs, coal_idx):
+def _sample_prefs(config, replications, coal_idx):
+    rngs = stream_rngs(config.master_seed, replications, STREAM_PREFS)
     try:
         return config.preferences.sample_prefs(rngs, config.n_students, config.n_colleges, coal_idx)
     except _DRAW_ERRORS as e:
         raise ReplicationError.naming(replications, e) from e
 
 
-def _sample_scores(config, replications, rngs, values, coal_idx):
+def _sample_scores(config, replications, values, coal_idx):
     """Coalition values plus the noise streams' draws, as an (R, n, C) stack.
 
     Blocks hold at most ``_BLOCK_CELLS`` cells: several whole markets when
     one fits, runs of colleges of one market otherwise.
     """
     n_markets, n, _ = values.shape
+    rngs = stream_rngs(config.master_seed, replications, STREAM_NOISE)
     scores = np.empty((n_markets, n, config.n_colleges))
     cols = max(1, _BLOCK_CELLS // n)
     reps = markets_per_stack(n, config.n_colleges)

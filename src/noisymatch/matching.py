@@ -7,9 +7,8 @@ the algorithm and in the blocking-pair scan so the two never disagree.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -31,44 +30,23 @@ class Matching:
     capacities: tuple[int, ...]
 
 
-# Rounds that reject at least this many students scan them on two threads.
-# numpy releases the GIL inside the gathers, comparisons and argmax of the scan,
-# so the halves overlap; on a small set the thread handoff and the GIL
-# taken between numpy calls cost more than they save.  Median time per call
-# of the fixed point, serial scan against this minimum (against a split
-# of every round), three sampled markets per shape, interleaved (Python
-# 3.11, numpy 2.4, 2-vCPU machine):
-#   fig2 uniform,  n=2000,  C=40   (80,000 cells, <= 1,500 rejected/round):
-#                                    7.6 ms vs 7.6 ms (every round: 9.9 ms)
-#   fig1 Pareto,   n=4000,  C=100  (0.4 M cells): 23.7 vs 23.3 ms (27.1 ms)
-#   fig1 Pareto,   n=8000,  C=128  (1.0 M cells, median 1,587 rejected):
-#                                    41.4 vs 43.1 ms (45.7 ms; 4096: 41.0 ms)
-#   fig1 Pareto,   n=20000, C=100  (2 M cells): 118 vs 104 ms (99 ms)
-#   fig1 uniform,  n=20000, C=1000 (20 M cells): 388 vs 248 ms (1024: 252 ms)
-#   fig1 Pareto,   n=20000, C=1000 (20 M cells, median 5,740 rejected):
-#                                    703 vs 411 ms (1024: 420, 4096: 440 ms)
-# These timings, and _SCAN_CELLS's below, were taken before the prune
-# (_PRUNE_MIN_CELLS), when every scan read the full prefs rows.
+# Rounds that reject at least this many students scan them in two halves
+# through market.both, the second on a helper thread where one is allowed.
+# numpy releases the GIL inside the gathers, comparisons and argmax of the
+# scan, so the halves overlap; on a small set the thread's start and join
+# and the GIL taken between numpy calls cost more than they save.  Median
+# time per call of the fixed point, serial scan against this minimum
+# (against a split of every round), the prune's trigger held at 2048
+# students and its own split on in all three, the middle of three sampled
+# markets per shape, interleaved (Python 3.11, numpy 2.4, 2-vCPU machine
+# with steal):
+#   fig2 uniform,  n=2000,  C=40   (80,000 cells): 4.7 vs 4.7 ms (10.0 ms)
+#   fig1 Pareto,   n=4000,  C=100  (0.4 M cells): 10.5 vs 10.6 ms (15.3 ms)
+#   fig1 Pareto,   n=8000,  C=128  (1.0 M cells): 18.9 vs 21.8 ms (23.2 ms)
+#   fig1 Pareto,   n=20000, C=100  (2 M cells):   43.5 vs 40.2 ms (40.8 ms)
+#   fig1 uniform,  n=20000, C=1000 (20 M cells):   185 vs  166 ms (195 ms)
+#   fig1 Pareto,   n=20000, C=1000 (20 M cells):   192 vs  162 ms (166 ms)
 _SCAN_SPLIT_MIN_STUDENTS = 2048
-
-# Each step of the rejected-student scan covers at most this many (student,
-# list position) cells at once, so its half-dozen int64 and float64
-# temporaries stay near 3 MiB a thread however many students a round
-# rejects.  Students move independently within a round, so slicing does not
-# change the Matching.
-# Median time per call of deferred_acceptance, int32 prefs and no slices
-# (the earlier code) against int16 prefs and slices of 2^14 / 2^16 / 2^18 /
-# unbounded cells, interleaved (Python 3.11, numpy 2.4, 2-vCPU machine):
-#   fig2 uniform, n=2000,  C=20+20: 11.4 vs 11.5 / 11.4 / 11.3 / 11.3 ms
-#   fig1 Pareto,  n=2000,  C=100:   12.8 vs 12.8 / 12.3 / 12.2 / 12.0 ms
-#   fig1 Pareto,  n=20000, C=100:    129 vs  133 /  124 /  128 /  120 ms
-#   fig1 Pareto,  n=20000, C=1000:   451 vs  447 /  391 /  383 /  402 ms
-#   fig1 uniform, n=20000, C=1000:   306 vs  316 /  282 /  280 /  274 ms
-# and tracemalloc's peak over the call, fig1 Pareto, n=20000, serial scan
-# (in brackets, every round split):
-#   C=200:  2.0 (2.4) / 3.6 (5.0) / 8.5 (9.8) / 10.1 (9.7) MiB
-#   C=1000: 2.0 (2.5) / 3.6 (5.2) / 8.7 (15.5) / 40.3 (40.2) MiB
-_SCAN_CELLS = 1 << 16
 
 # A round that rejects at least _SCAN_SPLIT_MIN_STUDENTS students and whose
 # scan examines at least this many cells a rejection prunes the lists
@@ -224,10 +202,10 @@ def stacked_deferred_acceptance(
 
     Within a round the rejected students move independently: each reads
     only the round's cutoffs and writes only its own pos and college
-    entries.  So where ``market.helper_threads_allowed()``, a round that
-    rejects at least ``_SCAN_SPLIT_MIN_STUDENTS`` students scans half of
-    them on a helper thread, and the prune walks half of its row blocks
-    there.  The result is the same either way.
+    entries.  So a round that rejects at least ``_SCAN_SPLIT_MIN_STUDENTS``
+    students scans them in two halves, and the prune walks its row blocks
+    in two halves, through ``market.both``: the second half on a helper
+    thread where one is allowed.  The result is the same either way.
 
     Returns the (R, n) assignment, in each slot's own college indices or
     UNMATCHED, and each college's worst admit as (R, C) cutoffs and cut
@@ -252,41 +230,35 @@ def stacked_deferred_acceptance(
     college = lists[pos] + first  # current proposal, UNMATCHED once the list runs out
     pruned, rejected, cells = False, (), 0
 
-    split = sampling.helper_threads_allowed()
-    with ThreadPoolExecutor(max_workers=1) if split else nullcontext() as helper:
-        while True:
-            load = np.bincount(college + 1, minlength=n_union + 1)[1:]
-            over = load > cap
-            if not over.any():
-                break
-            who = np.flatnonzero(np.append(over, False)[college])  # UNMATCHED reads the False
-            col = college[who]
-            sc = scores[at_union[who] + col]
-            order = _line_order(col, sc, n_union)
-            who, col, sc = who[order], col[order], sc[order]
-            # each demander's place in its college's line: col is sorted, and
-            # the overdemanded colleges' loads give where each line starts
-            lines = load[over]
-            place = np.arange(len(who)) - np.repeat(np.cumsum(lines) - lines, lines)
-            last = place == cap[col] - 1
-            cut_score[col[last]] = sc[last]
-            cut_student[col[last]] = who[last]
-            if not pruned and _worth_pruning(len(rejected), cells):
-                lists, pos, end = _prune(*stacks, cut_score, cut_student, pos, college, helper)
-                pruned = True
-            rejected = who[place >= cap[col]]
-            scan = (n_colleges, lists, scores, first, end, cut_score, cut_student, pos, college)
-            if helper is not None and len(rejected) >= _SCAN_SPLIT_MIN_STUDENTS:
-                half = len(rejected) // 2
-                future = helper.submit(_advance, rejected[half:], *scan)
-                try:
-                    cells = _advance(rejected[:half], *scan)
-                finally:
-                    # join before the next round changes the cutoffs, and read
-                    # the result even when this half fails, so its error is not lost
-                    cells += future.result()
-            else:
-                cells = _advance(rejected, *scan)
+    while True:
+        load = np.bincount(college + 1, minlength=n_union + 1)[1:]
+        over = load > cap
+        if not over.any():
+            break
+        who = np.flatnonzero(np.append(over, False)[college])  # UNMATCHED reads the False
+        col = college[who]
+        sc = scores[at_union[who] + col]
+        order = _line_order(col, sc, n_union)
+        who, col, sc = who[order], col[order], sc[order]
+        # each demander's place in its college's line: col is sorted, and
+        # the overdemanded colleges' loads give where each line starts
+        lines = load[over]
+        place = np.arange(len(who)) - np.repeat(np.cumsum(lines) - lines, lines)
+        last = place == cap[col] - 1
+        cut_score[col[last]] = sc[last]
+        cut_student[col[last]] = who[last]
+        if not pruned and _worth_pruning(len(rejected), cells):
+            lists, pos, end = _prune(*stacks, cut_score, cut_student, pos, college)
+            pruned = True
+        rejected = who[place >= cap[col]]
+        scan = (n_colleges, lists, scores, first, end, cut_score, cut_student, pos, college)
+        if len(rejected) >= _SCAN_SPLIT_MIN_STUDENTS:
+            # both joins the helper before the next round changes the cutoffs
+            half = len(rejected) // 2
+            halves = (partial(_advance, part, *scan) for part in (rejected[:half], rejected[half:]))
+            cells = sum(sampling.both(*halves))
+        else:
+            cells = _advance(rejected, *scan)
 
     matched = np.flatnonzero(college != UNMATCHED)
     col = college[matched]
@@ -337,7 +309,7 @@ def _worth_pruning(rejected: int, cells: int) -> bool:
     return 0 < rejected >= _SCAN_SPLIT_MIN_STUDENTS and cells >= _PRUNE_MIN_CELLS * rejected
 
 
-def _prune(prefs, scores, cut_score, cut_student, pos, college, helper):
+def _prune(prefs, scores, cut_score, cut_student, pos, college):
     """Each student's list cut to their current entry and every later entry
     whose cell clears its college's bar now: (lists, pos, end) for
     ``_advance``, with ``lists[pos[s]:end[s] + 1]`` student s's list.
@@ -347,8 +319,8 @@ def _prune(prefs, scores, cut_score, cut_student, pos, college, helper):
     the student was rejected there or passed it over, and bars only rise.
     So the cleared cells in preference order, with the current entry's flag
     set, are the list, and the current entry comes first.  A student
-    without a college keeps no entry.  The rows' blocks run in two halves,
-    the second on ``helper`` when there is one."""
+    without a college keeps no entry.  The rows' blocks run in two halves
+    through ``market.both``."""
     n_colleges = prefs.shape[2]
     held = college != UNMATCHED
 
@@ -367,17 +339,8 @@ def _prune(prefs, scores, cut_score, cut_student, pos, college, helper):
 
     blocks = _row_blocks(*prefs.shape)
     half = len(blocks) // 2
-    if helper is None:
-        parts = keep(blocks)
-    else:
-        future = helper.submit(keep, blocks[half:])
-        try:
-            parts = keep(blocks[:half])
-        finally:
-            # read the result even when this half fails, so its error is not lost
-            rest = future.result()
-        parts += rest
-    lists, count = (np.concatenate(part) for part in zip(*parts))
+    now, later = sampling.both(partial(keep, blocks[:half]), partial(keep, blocks[half:]))
+    lists, count = (np.concatenate(part) for part in zip(*now, *later))
     end = np.cumsum(count) - 1
     return lists, end - count + 1, end
 
@@ -389,7 +352,7 @@ def _advance(rejected, n_colleges, lists, scores, first, end, cut_score, cut_stu
     college.  Scans a window of list positions per step over the rejected
     students only, doubling it for those who found nothing; a student who
     runs out of list becomes UNMATCHED.  Each step scans its students in
-    slices of at most ``_SCAN_CELLS`` cells.  Updates pos and college in
+    slices of at most ``_BLOCK_CELLS // 4`` cells.  Updates pos and college in
     place, and returns the number of cells the scan examined.
     """
     # a window past the list's end only repeats its last college
@@ -402,7 +365,7 @@ def _advance(rejected, n_colleges, lists, scores, first, end, cut_score, cut_stu
         if not len(rejected):
             return cells
         cells += window * len(rejected)
-        rows = max(1, _SCAN_CELLS // window)
+        rows = max(1, sampling._BLOCK_CELLS // 4 // window)
         left = []
         for i in range(0, len(rejected), rows):
             part = rejected[i : i + rows]

@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -67,6 +68,26 @@ class TestPresets:
     def test_split_seats_sums(self):
         assert split_seats(10, 3) == [4, 3, 3]
         assert sum(split_seats(1000, 7)) == 1000
+
+
+# a config of fig1's with 0.5 and 1.0, made by number(), in one real field
+REAL_FIELDS = {
+    "values-lo-hi": lambda config, number: replace(
+        config,
+        coalitions=tuple(
+            replace(k, values=market_module.UniformValues(number(0.5), number(1.0)))
+            for k in config.coalitions
+        ),
+    ),
+    "capacity-alpha": lambda config, number: replace(config, capacity_alpha=number(1.0)),
+    "explicit-probabilities": lambda config, number: replace(
+        config,
+        preferences=market_module.ExplicitSampler(((0, 1), (1, 0)), (number(0.5), number(0.5))),
+    ),
+    "explicit-probability-one": lambda config, number: replace(
+        config, preferences=market_module.ExplicitSampler(((1, 0),), (number(1.0),))
+    ),
+}
 
 
 class TestConfigRoundTrip:
@@ -140,6 +161,19 @@ class TestConfigRoundTrip:
         assert dict_to_config(json.loads(canonical_json(doc))) == (config, plan)
         if case not in ("common-ranking", "explicit-rankings"):
             assert digest.startswith("0601b49d8a78")
+
+    @pytest.mark.parametrize("number", [np.float32, np.float16, Fraction], ids=lambda t: t.__name__)
+    @pytest.mark.parametrize("case", sorted(REAL_FIELDS))
+    def test_other_reals_hash_as_floats(self, case, number):
+        # each is stored as the float it equals, so the document is JSON and
+        # hashes as the Python floats' does
+        config, plan = fig1(colleges=2)
+        wanted = REAL_FIELDS[case](config, float)
+        given = REAL_FIELDS[case](config, number)
+        doc = config_to_dict(given, plan)
+        assert config_hash(doc) == config_hash(config_to_dict(wanted, plan))
+        assert given == wanted
+        assert dict_to_config(json.loads(canonical_json(doc))) == (wanted, plan)
 
     def test_hash_ignores_key_order(self):
         config, plan = fig1(colleges=2, replications=1)

@@ -42,6 +42,7 @@ from noisymatch.market import (
 from noisymatch.matching import UNMATCHED, deferred_acceptance, stacked_deferred_acceptance
 from noisymatch.noise import Pareto, Uniform
 from noisymatch.presets import fig1, fig2
+from test_market import runs, spy_on_helper_threads
 from test_matching import clears, make_market
 
 
@@ -118,22 +119,14 @@ class TestTrimCoalition:
 def helper_threads_started(config, plan):
     """Run the replications serially with every helper-thread minimum at
     zero, on a process that may use two CPUs, and list the modules that
-    started a helper."""
-    started = []
+    started a helper, each run of one module's helpers once."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         mp.setattr(market_module, "_PREFS_THREAD_MIN_CELLS", 0)
         mp.setattr(matching, "_SCAN_SPLIT_MIN_STUDENTS", 0)
-        for module in (market_module, matching):
-            pool = module.ThreadPoolExecutor
-
-            def spy(*args, pool=pool, name=module.__name__, **kwargs):
-                started.append(name)
-                return pool(*args, **kwargs)
-
-            mp.setattr(module, "ThreadPoolExecutor", spy)
+        started = spy_on_helper_threads(mp)
         run_replications(config, plan)
-    return started
+    return runs(started)
 
 
 class InlinePool:
@@ -162,6 +155,13 @@ class TestRunReplications:
     def test_threads_below_one_raise(self, threads):
         config, plan = fig1(colleges=2, replications=2)
         with pytest.raises(ValueError, match=rf"^threads: must be at least 1, got {threads}$"):
+            run_replications(config, plan, threads=threads)
+
+    @pytest.mark.parametrize("threads", [2.5, "2", True], ids=["float", "string", "bool"])
+    def test_threads_that_are_not_integers_raise(self, threads):
+        config, plan = fig1(colleges=2, replications=2)
+        message = f"^threads: must be an integer, got {re.escape(repr(threads))}$"
+        with pytest.raises(ConfigError, match=message):
             run_replications(config, plan, threads=threads)
 
     def test_matched_count_equals_seats(self):

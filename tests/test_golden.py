@@ -96,7 +96,6 @@ def test_csv_bytes_unchanged_with_every_scan_split(name, tmp_path, monkeypatch):
 def test_csv_bytes_unchanged_in_the_smallest_slices(name, tmp_path, monkeypatch):
     # one student per scan slice, one market per stack, one college (noise)
     # or one row (keys) per sampling block, and one row per affordability block
-    monkeypatch.setattr(matching, "_SCAN_CELLS", 1)
     monkeypatch.setattr(market, "_BLOCK_CELLS", 1)
     test_csv_bytes_unchanged(name, tmp_path)
 

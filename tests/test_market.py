@@ -1,8 +1,10 @@
 """Unit tests for economy configuration and market sampling."""
 
+import itertools
 import math
 import os
 import re
+import sys
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -744,6 +746,104 @@ class TestPrefsThread:
         ranking = tuple(np.array([1, 0]))
         config = two_college_config(CommonRanking(ranking=ranking))
         assert sample_market(config, 0).prefs[0].tolist() == [1, 0]
+
+
+def spy_on_helper_threads(mp):
+    """The name of the module of each ``market.both`` call that ran its
+    second function on a helper thread, in call order."""
+    started = []
+    both = market_module.both
+
+    def spy(first, second):
+        name, caller = sys._getframe(1).f_globals["__name__"], threading.get_ident()
+
+        def watched():
+            if threading.get_ident() != caller:
+                started.append(name)
+            return second()
+
+        return both(first, watched)
+
+    mp.setattr(market_module, "both", spy)
+    return started
+
+
+def runs(names):
+    """names with each run of repeats kept once: one entry per sample_stack
+    or per fixed point, however many of its splits started a helper."""
+    return [name for name, _ in itertools.groupby(names)]
+
+def failing(message, ran_on):
+    """A call that notes its thread and raises RuntimeError(message)."""
+
+    def fail():
+        ran_on.append(threading.get_ident())
+        raise RuntimeError(message)
+
+    return fail
+
+
+HELPERS = {"helper": True, "no-helper": False}
+
+
+class TestBoth:
+    """market.both: every helper thread the pipeline starts, and joins."""
+
+    @pytest.fixture(params=sorted(HELPERS))
+    def helper(self, request, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        if not HELPERS[request.param]:
+            monkeypatch.setattr(market_module, "helper_threads_allowed", lambda: False)
+        return HELPERS[request.param]
+
+    def test_results_come_back_in_order(self, helper):
+        assert market_module.both(lambda: "first", lambda: "second") == ("first", "second")
+
+    def test_second_runs_off_this_thread_only_where_helpers_are_allowed(self, helper):
+        ran_on = []
+
+        def note(name):
+            return lambda: ran_on.append((name, threading.get_ident()))
+
+        market_module.both(note("first"), note("second"))
+        caller = threading.get_ident()
+        if helper:
+            assert ran_on[0] != ran_on[1] and ("first", caller) in ran_on
+            assert [name for name, ident in ran_on if ident != caller] == ["second"]
+        else:
+            # second first, as sample_stack draws the preferences before the scores
+            assert ran_on == [("second", caller), ("first", caller)]
+
+    @pytest.mark.parametrize("which", ["first", "second"])
+    def test_an_error_in_either_call_reaches_the_caller(self, helper, which):
+        start, ran_on = threading.active_count(), []
+        calls = {"first": lambda: 1, "second": lambda: 2}
+        calls[which] = failing(f"{which} failed", ran_on)
+        with pytest.raises(RuntimeError, match=f"^{which} failed$") as err:
+            market_module.both(calls["first"], calls["second"])
+        assert err.value.__context__ is None
+        assert (ran_on[0] != threading.get_ident()) == (helper and which == "second")
+        assert threading.active_count() == start
+
+    def test_when_both_fail_the_helper_error_holds_the_callers(self, helper):
+        start, ran_on = threading.active_count(), []
+        first, second = failing("first failed", ran_on), failing("second failed", ran_on)
+        with pytest.raises(RuntimeError, match="^second failed$") as err:
+            market_module.both(first, second)
+        if helper:
+            assert str(err.value.__context__) == "first failed"
+            assert len(set(ran_on)) == 2
+        else:
+            # second ran first, on this thread, and its error ended the call
+            assert err.value.__context__ is None and ran_on == [threading.get_ident()]
+        assert threading.active_count() == start
+
+    def test_the_helper_is_joined_before_it_returns(self, helper):
+        start = threading.active_count()
+        seen = []
+        market_module.both(lambda: None, lambda: seen.append(threading.active_count()))
+        assert threading.active_count() == start
+        assert seen == [start + helper]
 
 
 def two_college_config(preferences):

@@ -41,6 +41,7 @@ from noisymatch.matching import (
 )
 from noisymatch.noise import Pareto
 from noisymatch.presets import fig1, fig2
+from test_market import runs, spy_on_helper_threads
 
 
 def make_market(prefs, scores):
@@ -398,11 +399,11 @@ class TestVectorisedPath:
     @settings(max_examples=200, deadline=None)
     @given(small_markets)
     def test_scan_slices_equal_heap_loop(self, scan, case):
-        # with _SCAN_CELLS = 1 every rejected student is a slice of its own
+        # with _BLOCK_CELLS = 1 every rejected student is a slice of its own
         market, caps = case
         with pytest.MonkeyPatch.context() as mp:
             if scan != "whole":
-                mp.setattr(matching, "_SCAN_CELLS", 1)
+                mp.setattr(market_module, "_BLOCK_CELLS", 1)
             if scan == "sliced-split":
                 split_every_round(mp)
             got = deferred_acceptance(market, caps)
@@ -750,7 +751,8 @@ class TestScanSplit:
         for split_min in (float("inf"), 0):
             monkeypatch.setattr(matching, "_SCAN_SPLIT_MIN_STUDENTS", split_min)
             assert_same_matching(deferred_acceptance(market, caps), serial)
-        assert len(set(ran_on)) == 2
+        # a helper per split: Python may or may not reuse an ended thread's ident
+        assert threading.get_ident() in ran_on and len(set(ran_on)) >= 2
         if name == "score-ties":
             assert_same_matching(serial, heap_deferred_acceptance(market, caps))
 
@@ -799,15 +801,7 @@ class TestScanSplit:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         monkeypatch.setattr(market_module, "_PREFS_THREAD_MIN_CELLS", 0)
         assert usable_cpus() == len(cpus)
-        started = []
-        for module in (market_module, matching):
-            pool = module.ThreadPoolExecutor
-
-            def spy(*args, pool=pool, name=module.__name__, **kwargs):
-                started.append(name)
-                return pool(*args, **kwargs)
-
-            monkeypatch.setattr(module, "ThreadPoolExecutor", spy)
+        started = spy_on_helper_threads(monkeypatch)
         # one patch of the predicate keeps both calls on this thread
         with monkeypatch.context() as mp:
             mp.setattr(market_module, "helper_threads_allowed", lambda: False)
@@ -817,7 +811,7 @@ class TestScanSplit:
         market = sample_market(config, 2)
         deferred_acceptance(market, config.capacities())
         both = ["noisymatch.market", "noisymatch.matching"]
-        assert started == (both if len(cpus) > 1 else [])
+        assert runs(started) == (both if len(cpus) > 1 else [])
 
     def test_no_helper_threads_in_a_child_process(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -834,7 +828,7 @@ class TestScanSplit:
 
 
 # ---------------------------------------------------------------------------
-# the rejected-student scan in slices of at most _SCAN_CELLS cells
+# the rejected-student scan in slices of at most _BLOCK_CELLS // 4 cells
 
 
 class TestSlicedScan:
@@ -849,7 +843,7 @@ class TestSlicedScan:
             return clears(score, *rest)
 
         monkeypatch.setattr(matching, "_clears", spy)
-        monkeypatch.setattr(matching, "_SCAN_CELLS", 64)
+        monkeypatch.setattr(market_module, "_BLOCK_CELLS", 4 * 64)
         sliced = serial_deferred_acceptance(market, caps)
         assert_same_matching(sliced, whole)
         assert all(rows <= max(1, 64 // window) for rows, window in steps)
@@ -860,7 +854,7 @@ class TestSlicedScan:
     def test_allocations_are_bounded_by_the_slice_size(self, cpus, monkeypatch):
         # numpy reports its buffers to tracemalloc from every thread.  Each
         # thread's scan step holds at most six int64 or float64 arrays of
-        # _SCAN_CELLS cells, and a round at most sixteen of one entry per
+        # _BLOCK_CELLS // 4 cells, and a round at most sixteen of one entry per
         # student.  Without slices this market's call allocates ~10 MiB.
         config, _ = fig1(colleges=200, noise="pareto", n_students=20000)
         market = sample_market(config, 1)
@@ -873,5 +867,6 @@ class TestSlicedScan:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        bound = len(cpus) * 6 * 8 * matching._SCAN_CELLS + 16 * 8 * config.n_students
+        slice_cells = market_module._BLOCK_CELLS // 4
+        bound = len(cpus) * 6 * 8 * slice_cells + 16 * 8 * config.n_students
         assert peak <= bound
