@@ -85,8 +85,11 @@ def demand_all(market: SampledMarket, cutoffs: np.ndarray, cut_students: np.ndar
     Reads the first cleared choice of each row slice of
     ``matching._cleared_in_order``, so no n x C table is built.
     """
-    demand = np.empty(market.n_students, dtype=np.int64)
     bars = np.asarray(cutoffs, dtype=float), np.asarray(cut_students)
+    if any(bar.shape != (market.n_colleges,) for bar in bars):
+        got = f"cutoffs {bars[0].shape} and cut_students {bars[1].shape}"
+        raise ValueError(f"expected one bar for each of {market.n_colleges} colleges, got {got}")
+    demand = np.empty(market.n_students, dtype=np.int64)
     stacks = market.prefs[None], market.scores[None]
     blocks = _row_blocks(1, *market.prefs.shape)
     for rows, prefs, cleared in _cleared_in_order(*stacks, *bars, blocks):
@@ -110,6 +113,6 @@ def rate_exponent(beta: float, gamma: float) -> float:
     """Polynomial decay exponent of the mismatched mass in the college count.
 
     gamma is the value law's Holder exponent: every law ``values`` builds is Lipschitz, so 1."""
-    if beta <= 0 or gamma <= 0:
+    if not (beta > 0 and gamma > 0):
         raise ValueError(f"beta and gamma must be positive, got beta={beta}, gamma={gamma}")
     return 2.0 * beta * gamma / (3.0 * beta * gamma + 2.0 * beta + 5.0 * gamma + 6.0)

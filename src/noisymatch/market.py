@@ -43,27 +43,29 @@ STREAM_NOISE = 2
 #   market is stacked alone), so a stack of small markets is sampled as one
 #   block and matched as one numpy fixed point, and the stack's prefs and
 #   scores stay under 2.5 MiB;
-# - demand and the blocking-pair scan compare at most an eighth of this
-#   many cells with the colleges' bars at a time
-#   (matching._cleared_in_order), and afford_from_matching gathers as many;
-# - each step of the fixed point's rejected-student scan (matching._advance)
-#   covers at most a quarter of this many (student, list position) cells,
-#   so its half-dozen int64 and float64 temporaries stay near 3 MiB a thread
-#   however many students a round rejects.  Students move independently
-#   within a round, so slicing does not change the Matching.
-# Median time per call of deferred_acceptance, int32 prefs and no slices
-# (the earlier code) against int16 prefs and scan slices of 2^14 / 2^16 /
-# 2^18 / unbounded cells, interleaved (Python 3.11, numpy 2.4, 2-vCPU
-# machine; taken before the fixed point's list prune):
-#   fig2 uniform, n=2000,  C=20+20: 11.4 vs 11.5 / 11.4 / 11.3 / 11.3 ms
-#   fig1 Pareto,  n=2000,  C=100:   12.8 vs 12.8 / 12.3 / 12.2 / 12.0 ms
-#   fig1 Pareto,  n=20000, C=100:    129 vs  133 /  124 /  128 /  120 ms
-#   fig1 Pareto,  n=20000, C=1000:   451 vs  447 /  391 /  383 /  402 ms
-#   fig1 uniform, n=20000, C=1000:   306 vs  316 /  282 /  280 /  274 ms
-# and tracemalloc's peak over the call, fig1 Pareto, n=20000, serial scan
-# (in brackets, every round split):
-#   C=200:  2.0 (2.4) / 3.6 (5.0) / 8.5 (9.8) / 10.1 (9.7) MiB
-#   C=1000: 2.0 (2.5) / 3.6 (5.2) / 8.7 (15.5) / 40.3 (40.2) MiB
+# - every compare pass takes at most an eighth of this many cells at a
+#   time: demand, the blocking-pair scan and the fixed point's list prune
+#   compare as many cells with the colleges' bars
+#   (matching._cleared_in_order), afford_from_matching gathers as many, and
+#   each step of the fixed point's rejected-student scan (matching._advance)
+#   covers as many (student, list position) cells, so its half-dozen int64
+#   and float64 temporaries stay near 1.5 MiB however many students a round
+#   rejects.  Students move independently within a round, so slicing does
+#   not change the Matching.
+# Median time per call of stacked_deferred_acceptance with scan slices of
+# 2^14 / 2^15 / 2^16 cells, interleaved (Python 3.11, numpy 2.4, 2-vCPU
+# machine with steal; the stacks without helper threads, as in a pool
+# worker, the single markets with the prune's helper):
+#   many-tiny, 375 markets of n=200, C=2:  17.8 / 17.9 / 18.7 ms (301 calls)
+#   fig2 uniform, 3 markets of n=2000, C=20+20: 9.6 / 9.5 / 9.5 ms (101 calls)
+#   fig1 Pareto,  n=6000,  C=300:          20.3 / 20.3 / 20.3 ms (21 calls)
+#   fig1 Pareto,  n=20000, C=100:          38.5 / 38.9 / 39.0 ms (21 calls)
+#   amplify-large, fig1 Pareto, n=20000, C=1000: 148 / 145 / 145 ms (9 calls)
+#   fig1 uniform, n=20000, C=1000:          167 /  158 /  180 ms (9 calls)
+# and tracemalloc's peak over the call, fig1 Pareto, n=20000, serial (in
+# brackets, with the prune's helper):
+#   C=200:  2.8 (3.4) / 3.3 (3.4) / 4.1 (4.1) MiB
+#   C=1000: 4.6 (4.6) / 4.5 (4.5) / 4.8 (4.8) MiB
 # Median sample_market time and tracemalloc's peak beyond the finished
 # market, fig1 shape with Pareto noise, blocks of 2^16 / 2^18 / 2^20 cells
 # (Python 3.11, numpy 2.4, 2-vCPU machine; taken when Pareto noise was drawn
@@ -84,14 +86,18 @@ _BLOCK_CELLS = 1 << 18
 # Markets of at least this many cells may draw the preference stream on a
 # second thread while the noise stream fills the scores.  numpy releases the
 # GIL in the random fills, the sorts and large ufuncs, so the two streams
-# overlap when a core is free.  Median sample_market time, serial against
-# threaded, one process, fig1 shape with Pareto noise (Python 3.11, numpy
-# 2.4, 2-vCPU machine):
-#   n=200,   C=2     (400 cells): 0.12 ms vs 0.33 ms
-#   n=2000,  C=40 (80,000 cells): 4.1 ms vs 4.3 ms
-#   n=4000,  C=100  (0.4 M cells): 30 ms vs 19 ms
-#   n=8000,  C=128  (1.0 M cells): 60 ms vs 47 ms
-#   n=20000, C=1000  (20 M cells): 1.2 s vs 0.76 s
+# overlap when a core is free.  Median sample_stack time for one market,
+# serial against threaded, interleaved, fig1 shape with Pareto noise
+# (Python 3.11, numpy 2.4, 2-vCPU machine with steal):
+#   n=200,   C=2     (400 cells): 0.39 ms vs 0.74 ms
+#   n=1000,  C=100 (0.1 M cells): 3.0 ms vs 2.2 ms
+#   n=2000,  C=40 (80,000 cells): 2.5-4.0 ms vs 1.9-2.7 ms
+#   n=4000,  C=100  (0.4 M cells): 9.0-9.7 ms vs 6.2-6.8 ms
+#   n=8000,  C=128  (1.0 M cells): 19.7 ms vs 11.1 ms
+#   n=20000, C=1000  (20 M cells): 0.49 s vs 0.28 s
+# The thread pays from 80,000 cells in these runs.  Two other runs of these
+# shapes read 4.1 vs 4.3 ms at 80,000 cells and 7.3 vs 7.5 ms at 0.4 M, so
+# the minimum stays at 1 M cells, where every run agrees.
 _PREFS_THREAD_MIN_CELLS = 1 << 20
 
 

@@ -30,26 +30,8 @@ class Matching:
     capacities: tuple[int, ...]
 
 
-# Rounds that reject at least this many students scan them in two halves
-# through market.both, the second on a helper thread where one is allowed.
-# numpy releases the GIL inside the gathers, comparisons and argmax of the
-# scan, so the halves overlap; on a small set the thread's start and join
-# and the GIL taken between numpy calls cost more than they save.  Median
-# time per call of the fixed point, serial scan against this minimum
-# (against a split of every round), the prune's trigger held at 2048
-# students and its own split on in all three, the middle of three sampled
-# markets per shape, interleaved (Python 3.11, numpy 2.4, 2-vCPU machine
-# with steal):
-#   fig2 uniform,  n=2000,  C=40   (80,000 cells): 4.7 vs 4.7 ms (10.0 ms)
-#   fig1 Pareto,   n=4000,  C=100  (0.4 M cells): 10.5 vs 10.6 ms (15.3 ms)
-#   fig1 Pareto,   n=8000,  C=128  (1.0 M cells): 18.9 vs 21.8 ms (23.2 ms)
-#   fig1 Pareto,   n=20000, C=100  (2 M cells):   43.5 vs 40.2 ms (40.8 ms)
-#   fig1 uniform,  n=20000, C=1000 (20 M cells):   185 vs  166 ms (195 ms)
-#   fig1 Pareto,   n=20000, C=1000 (20 M cells):   192 vs  162 ms (166 ms)
-_SCAN_SPLIT_MIN_STUDENTS = 2048
-
-# A round that rejects at least _SCAN_SPLIT_MIN_STUDENTS students and whose
-# scan examines at least this many cells a rejection prunes the lists
+# A round that rejects at least _PRUNE_MIN_STUDENTS students and whose
+# scan examines at least _PRUNE_MIN_CELLS cells a rejection prunes the lists
 # before the next round's scan (_prune).  Windows of 8 and then 16 cells
 # make 24: on average, the students scanned past their first two windows.
 # Counting the list positions the students moved (at least 16 a
@@ -80,6 +62,9 @@ _SCAN_SPLIT_MIN_STUDENTS = 2048
 #   fig2 Pareto,  3 markets (never; 16 prunes):      16.1 vs 18.1 / 16.4 / 16.3 ms
 #   many-tiny, 375 markets of n=200, C=2 (never):    25.9 vs 26.1 / 26.0 / 26.1 ms
 _PRUNE_MIN_CELLS = 24
+# Every row above was measured with this floor on the rejections, which
+# keeps the prune off the small rounds of stacked small markets.
+_PRUNE_MIN_STUDENTS = 2048
 
 
 def _capacity_list(capacities: Sequence[int], n_colleges: int) -> list[int]:
@@ -190,7 +175,7 @@ def stacked_deferred_acceptance(
 
     Each student scans their own list, ``lists[pos:end + 1]`` with pos at
     their current college; until the prune the lists are the rows of prefs
-    themselves.  Once a round rejects at least ``_SCAN_SPLIT_MIN_STUDENTS``
+    themselves.  Once a round rejects at least ``_PRUNE_MIN_STUDENTS``
     students and its scan examines at least ``_PRUNE_MIN_CELLS`` cells a
     rejection, the scans are running long: before the next round's scan,
     one row-sliced pass (``_prune``) cuts every list to the student's
@@ -198,19 +183,17 @@ def stacked_deferred_acceptance(
     scans read those compact lists from then on.  A college a student
     cannot afford now would reject them later too, so each scan stops at
     the college it would have reached on the full list, and the matching,
-    cutoffs and cut students are the same with or without the prune.
-
-    Within a round the rejected students move independently: each reads
-    only the round's cutoffs and writes only its own pos and college
-    entries.  So a round that rejects at least ``_SCAN_SPLIT_MIN_STUDENTS``
-    students scans them in two halves, and the prune walks its row blocks
-    in two halves, through ``market.both``: the second half on a helper
-    thread where one is allowed.  The result is the same either way.
+    cutoffs and cut students are the same with or without the prune.  The
+    prune walks its row blocks in two halves through ``market.both``, the
+    second on a helper thread where one is allowed.
 
     Returns the (R, n) assignment, in each slot's own college indices or
     UNMATCHED, and each college's worst admit as (R, C) cutoffs and cut
     students (in the slot's own indices), -inf and n with a free seat.
     """
+    if np.ndim(prefs) != 3 or np.shape(prefs) != np.shape(scores):
+        got = f"prefs {np.shape(prefs)} and scores {np.shape(scores)}"
+        raise ValueError(f"prefs and scores must be (R, n, C) stacks of one shape, got {got}")
     n_markets, n, n_colleges = scores.shape
     cap = np.tile(np.asarray(_capacity_list(capacities, n_colleges), dtype=np.int64), n_markets)
     prefs = np.ascontiguousarray(prefs)
@@ -227,6 +210,7 @@ def stacked_deferred_acceptance(
 
     cut_score = np.full(n_union, -np.inf)
     cut_student = np.full(n_union, n_markets * n, dtype=np.int64)
+    bars = cut_score, cut_student
     college = lists[pos] + first  # current proposal, UNMATCHED once the list runs out
     pruned, rejected, cells = False, (), 0
 
@@ -248,24 +232,18 @@ def stacked_deferred_acceptance(
         cut_score[col[last]] = sc[last]
         cut_student[col[last]] = who[last]
         if not pruned and _worth_pruning(len(rejected), cells):
-            lists, pos, end = _prune(*stacks, cut_score, cut_student, pos, college)
+            lists, pos, end = _prune(*stacks, bars, pos, college)
             pruned = True
         rejected = who[place >= cap[col]]
-        scan = (n_colleges, lists, scores, first, end, cut_score, cut_student, pos, college)
-        if len(rejected) >= _SCAN_SPLIT_MIN_STUDENTS:
-            # both joins the helper before the next round changes the cutoffs
-            half = len(rejected) // 2
-            halves = (partial(_advance, part, *scan) for part in (rejected[:half], rejected[half:]))
-            cells = sum(sampling.both(*halves))
-        else:
-            cells = _advance(rejected, *scan)
+        cells = _advance(rejected, n_colleges, lists, scores, first, end, *bars, pos, college)
 
     matched = np.flatnonzero(college != UNMATCHED)
     col = college[matched]
     # a college's admits all sit in one slot, so slot-local indices order them alike
     cutoffs, cut_students = _worst_admits(col, matched % n, scores[at_union[matched] + col], cap, n)
     college[matched] -= first[matched]
-    return tuple(part.reshape(n_markets, -1) for part in (college, cutoffs, cut_students))
+    shape = n_markets, n_colleges
+    return college.reshape(n_markets, n), cutoffs.reshape(shape), cut_students.reshape(shape)
 
 
 _LOW_63 = np.uint64((1 << 63) - 1)
@@ -306,16 +284,16 @@ def _line_order(col: np.ndarray, score: np.ndarray, n_colleges: int) -> np.ndarr
 def _worth_pruning(rejected: int, cells: int) -> bool:
     """Whether to prune the lists after a round whose scan examined ``cells``
     cells of ``rejected`` students' lists; never before the first scan."""
-    return 0 < rejected >= _SCAN_SPLIT_MIN_STUDENTS and cells >= _PRUNE_MIN_CELLS * rejected
+    return 0 < rejected >= _PRUNE_MIN_STUDENTS and cells >= _PRUNE_MIN_CELLS * rejected
 
 
-def _prune(prefs, scores, cut_score, cut_student, pos, college):
+def _prune(prefs, scores, bars, pos, college):
     """Each student's list cut to their current entry and every later entry
     whose cell clears its college's bar now: (lists, pos, end) for
     ``_advance``, with ``lists[pos[s]:end[s] + 1]`` student s's list.
 
-    ``prefs`` and ``scores`` are the (R, n, C) stacks, and ``pos`` indexes
-    the flat prefs.  No entry before a student's current one clears its bar:
+    ``prefs`` and ``scores`` are the (R, n, C) stacks, ``bars`` the union's
+    (score, student) bars, and ``pos`` indexes the flat prefs.  No entry before a student's current one clears its bar:
     the student was rejected there or passed it over, and bars only rise.
     So the cleared cells in preference order, with the current entry's flag
     set, are the list, and the current entry comes first.  A student
@@ -323,8 +301,6 @@ def _prune(prefs, scores, cut_score, cut_student, pos, college):
     through ``market.both``."""
     n_colleges = prefs.shape[2]
     held = college != UNMATCHED
-
-    bars = cut_score, cut_student
 
     def keep(blocks):
         parts = []
@@ -352,7 +328,7 @@ def _advance(rejected, n_colleges, lists, scores, first, end, cut_score, cut_stu
     college.  Scans a window of list positions per step over the rejected
     students only, doubling it for those who found nothing; a student who
     runs out of list becomes UNMATCHED.  Each step scans its students in
-    slices of at most ``_BLOCK_CELLS // 4`` cells.  Updates pos and college in
+    slices of at most ``_BLOCK_CELLS // 8`` cells.  Updates pos and college in
     place, and returns the number of cells the scan examined.
     """
     # a window past the list's end only repeats its last college
@@ -365,7 +341,7 @@ def _advance(rejected, n_colleges, lists, scores, first, end, cut_score, cut_stu
         if not len(rejected):
             return cells
         cells += window * len(rejected)
-        rows = max(1, sampling._BLOCK_CELLS // 4 // window)
+        rows = max(1, sampling._BLOCK_CELLS // 8 // window)
         left = []
         for i in range(0, len(rejected), rows):
             part = rejected[i : i + rows]

@@ -284,8 +284,10 @@ def long_tail_ratio(
     The closed form (stderr 0) without an rng; with one, a Monte Carlo
     estimate from ``samples`` draws with its binomial standard error.
     """
-    if d <= 0:
+    if not d > 0:
         raise ConfigError(f"d must be positive, got {d}")
+    if math.isnan(x):
+        raise ConfigError(f"x must be a number, got {x}")
     if rng is None:
         log_denom = spec.log_survival(x)
         if log_denom == -math.inf:

@@ -1,5 +1,6 @@
 """Unit tests for cutoffs, demand, clearing, and the decay-rate exponent."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -68,6 +69,16 @@ class TestDemand:
         market = make_market([[1, 0, 2]], [[0.8, 0.4, 0.9]])
         cuts = np.array([0.7, 0.9, 1.5])  # first choice (college 1) priced out
         assert demand_all(market, cuts, every_student(market)).tolist() == [0]
+
+    @pytest.mark.parametrize("bars", [2, 4], ids=["fewer", "more"])
+    def test_a_bar_for_each_college(self, bars):
+        market = make_market([[2, 0, 1]], [[0.1, 0.2, 0.3]])
+        cuts, cut_students = np.full(bars, -np.inf), np.full(bars, 1)
+        for got in ((cuts, every_student(market)), (np.full(3, -np.inf), cut_students)):
+            with pytest.raises(ValueError, match="one bar for each of 3 colleges"):
+                demand_all(market, *got)
+        with pytest.raises(ValueError, match="one bar for each of 3 colleges"):
+            check_market_clearing(market, cuts, cut_students, [1, 1, 1])
 
     def test_demand_all_matches_scalar_demand(self, rng):
         # scores and cutoffs on a 5-point grid, so scores tie the bars
@@ -263,6 +274,6 @@ class TestRateExponent:
         assert rate_exponent(1e-12, 1.0) < 1e-11
 
     def test_domain(self):
-        for beta, gamma in [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)]:
+        for beta, gamma in [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (math.nan, 1.0), (0.2, math.nan)]:
             with pytest.raises(ValueError):
                 rate_exponent(beta, gamma)

@@ -42,7 +42,7 @@ from noisymatch.market import (
 from noisymatch.matching import UNMATCHED, deferred_acceptance, stacked_deferred_acceptance
 from noisymatch.noise import Pareto, Uniform
 from noisymatch.presets import fig1, fig2
-from test_market import runs, spy_on_helper_threads
+from test_market import spy_on_helper_threads
 from test_matching import clears, make_market
 
 
@@ -117,16 +117,17 @@ class TestTrimCoalition:
 
 
 def helper_threads_started(config, plan):
-    """Run the replications serially with every helper-thread minimum at
-    zero, on a process that may use two CPUs, and list the modules that
-    started a helper, each run of one module's helpers once."""
+    """Run the replications serially with every stack's preferences drawn
+    through a helper and every fixed point pruning before its first scan, on
+    a process that may use two CPUs, and list the modules that started a
+    helper."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         mp.setattr(market_module, "_PREFS_THREAD_MIN_CELLS", 0)
-        mp.setattr(matching, "_SCAN_SPLIT_MIN_STUDENTS", 0)
+        mp.setattr(matching, "_worth_pruning", lambda rejected, cells: True)
         started = spy_on_helper_threads(mp)
         run_replications(config, plan)
-    return runs(started)
+    return started
 
 
 class InlinePool:

@@ -85,10 +85,12 @@ def test_csv_bytes_unchanged(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_csv_bytes_unchanged_with_every_scan_split(name, tmp_path, monkeypatch):
-    # the golden markets reject too few students per round to split at the
-    # default minimum
+    # the golden markets' scans never run long enough to prune: with both
+    # floors at zero, every stack that reaches a second round prunes before
+    # its scan, half of the pass on a helper thread
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(matching, "_SCAN_SPLIT_MIN_STUDENTS", 0)
+    monkeypatch.setattr(matching, "_PRUNE_MIN_STUDENTS", 0)
+    monkeypatch.setattr(matching, "_PRUNE_MIN_CELLS", 0)
     test_csv_bytes_unchanged(name, tmp_path)
 
 

@@ -1,6 +1,5 @@
 """Unit tests for economy configuration and market sampling."""
 
-import itertools
 import math
 import os
 import re
@@ -767,11 +766,6 @@ def spy_on_helper_threads(mp):
     mp.setattr(market_module, "both", spy)
     return started
 
-
-def runs(names):
-    """names with each run of repeats kept once: one entry per sample_stack
-    or per fixed point, however many of its splits started a helper."""
-    return [name for name, _ in itertools.groupby(names)]
 
 def failing(message, ran_on):
     """A call that notes its thread and raises RuntimeError(message)."""

@@ -13,6 +13,7 @@ import itertools
 import math
 import multiprocessing
 import os
+import re
 import threading
 import tracemalloc
 
@@ -40,8 +41,8 @@ from noisymatch.matching import (
     stacked_deferred_acceptance,
 )
 from noisymatch.noise import Pareto
-from noisymatch.presets import fig1, fig2
-from test_market import runs, spy_on_helper_threads
+from noisymatch.presets import fig1
+from test_market import spy_on_helper_threads
 
 
 def make_market(prefs, scores):
@@ -385,27 +386,15 @@ class TestVectorisedPath:
         assert_same_matching(got, heap_deferred_acceptance(market, caps))
         assert find_blocking_pairs(got, market) == []
 
-    @settings(max_examples=400, deadline=None)
-    @given(tie_heavy_markets())
-    def test_split_scan_equals_heap_loop(self, case):
-        market, caps = case
-        with pytest.MonkeyPatch.context() as mp:
-            split_every_round(mp)
-            got = deferred_acceptance(market, caps)
-        assert_same_matching(got, heap_deferred_acceptance(market, caps))
-        assert find_blocking_pairs(got, market) == []
-
-    @pytest.mark.parametrize("scan", ["whole", "sliced", "sliced-split"])
+    @pytest.mark.parametrize("scan", ["whole", "sliced"])
     @settings(max_examples=200, deadline=None)
     @given(small_markets)
     def test_scan_slices_equal_heap_loop(self, scan, case):
         # with _BLOCK_CELLS = 1 every rejected student is a slice of its own
         market, caps = case
         with pytest.MonkeyPatch.context() as mp:
-            if scan != "whole":
+            if scan == "sliced":
                 mp.setattr(market_module, "_BLOCK_CELLS", 1)
-            if scan == "sliced-split":
-                split_every_round(mp)
             got = deferred_acceptance(market, caps)
         assert_same_matching(got, heap_deferred_acceptance(market, caps))
         assert find_blocking_pairs(got, market) == []
@@ -486,6 +475,35 @@ class TestStackedPath:
 
         check()
 
+    @pytest.mark.parametrize(
+        "prefs_shape, scores_shape",
+        [
+            ((2, 80, 3), (2, 40, 3)),
+            ((4, 40, 3), (2, 40, 3)),
+            ((2, 40, 2), (2, 40, 3)),
+            ((40, 3), (2, 40, 3)),
+            ((2, 40, 3, 1), (2, 40, 3)),
+            ((2, 40, 3), (40, 3)),
+        ],
+        ids=["more-students", "more-markets", "fewer-colleges", "2d-prefs", "4d-prefs", "2d-scores"],
+    )
+    def test_shapes_that_differ_raise_before_anything_runs(self, prefs_shape, scores_shape):
+        prefs, scores = np.zeros(prefs_shape, dtype=np.int16), np.zeros(scores_shape)
+        want = re.escape(f"one shape, got prefs {prefs_shape} and scores {scores_shape}")
+        with pytest.raises(ValueError, match=want):
+            stacked_deferred_acceptance(prefs, scores, [10, 10, 10])
+
+    def test_an_empty_stack_matches_nothing(self):
+        config, _ = fig1(n_students=40, colleges=3)
+        _, prefs, scores = sample_stack(config, range(3, 3))
+        assert prefs.shape == scores.shape == (0, 40, 3)
+        assignment, cutoffs, cut_students = stacked_deferred_acceptance(
+            prefs, scores, config.capacities()
+        )
+        assert assignment.shape == (0, 40) and assignment.dtype == np.int64
+        assert cutoffs.shape == (0, 3) and cutoffs.dtype == np.float64
+        assert cut_students.shape == (0, 3) and cut_students.dtype == np.int64
+
     def test_one_market_is_matched_without_a_copy(self, monkeypatch):
         # no round of this market rejects enough students to prune, so every
         # scan reads the lists from the market's own prefs
@@ -551,7 +569,7 @@ class TestPrunedLists:
         scores = np.stack([m.scores for m in markets])
         with pytest.MonkeyPatch.context() as mp:
             if scan == "split":
-                split_every_round(mp)
+                two_cpus(mp)
             else:
                 mp.setattr(market_module, "helper_threads_allowed", lambda: False)
             unpruned = stacked_deferred_acceptance(prefs, scores, caps)
@@ -698,13 +716,12 @@ class TestNarrowPrefs:
 
 
 # ---------------------------------------------------------------------------
-# the rejected-student scan split across two threads
+# helper threads in the fixed point
 
 
-def split_every_round(mp):
-    """Split every round's scan, on a process that may use two CPUs."""
+def two_cpus(mp):
+    """A process that may use two CPUs, where the prune splits its pass."""
     mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    mp.setattr(matching, "_SCAN_SPLIT_MIN_STUDENTS", 0)
 
 
 def serial_deferred_acceptance(market, caps):
@@ -722,62 +739,37 @@ def tied_market(n=3000, colleges=30, seed=5):
     return make_market(prefs, scores), [n // 3 // colleges] * colleges
 
 
-def sampled(config_plan):
-    config, _ = config_plan
-    return sample_market(config, 1), config.capacities()
-
-
-SPLIT_MARKETS = {
-    "fig1-pareto": lambda: sampled(fig1(colleges=100, noise="pareto", n_students=3000)),
-    "fig2-uniform": lambda: sampled(fig2(noise="uniform")),
-    "score-ties": tied_market,
-}
-
-
 class TestScanSplit:
-    @pytest.mark.parametrize("name", sorted(SPLIT_MARKETS))
-    def test_split_minimum_does_not_change_the_matching(self, name, monkeypatch):
-        market, caps = SPLIT_MARKETS[name]()
-        serial = serial_deferred_acceptance(market, caps)
-        split_every_round(monkeypatch)
-        ran_on = []
+    """The fixed point's one helper call: the prune's pass over its row
+    blocks, half on a helper thread; every round's scan runs whole on the
+    calling thread."""
+
+    def test_a_fixed_point_calls_both_once_and_only_to_prune(self, monkeypatch):
+        config, _ = fig1(n_students=6000, colleges=300, noise="pareto")
+        market = sample_market(config, 1)
+        two_cpus(monkeypatch)
+        rejections = []
         advance = matching._advance
 
-        def spy(*args):
-            ran_on.append(threading.get_ident())
-            return advance(*args)
+        def spy(rejected, *rest):
+            rejections.append(len(rejected))
+            return advance(rejected, *rest)
 
         monkeypatch.setattr(matching, "_advance", spy)
-        for split_min in (float("inf"), 0):
-            monkeypatch.setattr(matching, "_SCAN_SPLIT_MIN_STUDENTS", split_min)
-            assert_same_matching(deferred_acceptance(market, caps), serial)
-        # a helper per split: Python may or may not reuse an ended thread's ident
-        assert threading.get_ident() in ran_on and len(set(ran_on)) >= 2
-        if name == "score-ties":
-            assert_same_matching(serial, heap_deferred_acceptance(market, caps))
-
-    def test_error_on_the_helper_thread_reaches_the_caller(self, monkeypatch):
-        market, caps = tied_market()
-        split_every_round(monkeypatch)
-        caller = threading.get_ident()
-        raised_on = []
-        advance = matching._advance
-
-        def fail_off_the_caller(*args):
-            if threading.get_ident() != caller:
-                raised_on.append(threading.get_ident())
-                raise RuntimeError("scan failed on the helper")
-            return advance(*args)
-
-        monkeypatch.setattr(matching, "_advance", fail_off_the_caller)
-        with pytest.raises(RuntimeError, match="^scan failed on the helper$"):
-            deferred_acceptance(market, caps)
-        assert raised_on and caller not in raised_on
+        started = spy_on_helper_threads(monkeypatch)
+        for _ in range(2):
+            deferred_acceptance(market, config.capacities())
+        # its rounds reject enough students to prune, each scanned in one call
+        assert max(rejections) >= matching._PRUNE_MIN_STUDENTS
+        assert started == ["noisymatch.matching"] * 2
+        monkeypatch.setattr(matching, "_worth_pruning", lambda rejected, cells: False)
+        deferred_acceptance(market, config.capacities())
+        assert started == ["noisymatch.matching"] * 2
 
     def test_error_in_the_prune_on_the_helper_thread_reaches_the_caller(self, monkeypatch):
         # the prune walks the second half of its row blocks on the helper
         market, caps = tied_market()
-        split_every_round(monkeypatch)
+        two_cpus(monkeypatch)
         prune_on_round(monkeypatch, 1)
         caller = threading.get_ident()
         raised_on = []
@@ -797,7 +789,7 @@ class TestScanSplit:
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
     def test_helper_threads_need_a_second_cpu_and_the_predicate(self, cpus, monkeypatch):
         config, _ = fig1(colleges=100, noise="pareto", n_students=3000)
-        split_every_round(monkeypatch)
+        prune_on_round(monkeypatch, 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         monkeypatch.setattr(market_module, "_PREFS_THREAD_MIN_CELLS", 0)
         assert usable_cpus() == len(cpus)
@@ -811,7 +803,7 @@ class TestScanSplit:
         market = sample_market(config, 2)
         deferred_acceptance(market, config.capacities())
         both = ["noisymatch.market", "noisymatch.matching"]
-        assert runs(started) == (both if len(cpus) > 1 else [])
+        assert started == (both if len(cpus) > 1 else [])
 
     def test_no_helper_threads_in_a_child_process(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -828,7 +820,7 @@ class TestScanSplit:
 
 
 # ---------------------------------------------------------------------------
-# the rejected-student scan in slices of at most _BLOCK_CELLS // 4 cells
+# the rejected-student scan in slices of at most _BLOCK_CELLS // 8 cells
 
 
 class TestSlicedScan:
@@ -843,7 +835,7 @@ class TestSlicedScan:
             return clears(score, *rest)
 
         monkeypatch.setattr(matching, "_clears", spy)
-        monkeypatch.setattr(market_module, "_BLOCK_CELLS", 4 * 64)
+        monkeypatch.setattr(market_module, "_BLOCK_CELLS", 8 * 64)
         sliced = serial_deferred_acceptance(market, caps)
         assert_same_matching(sliced, whole)
         assert all(rows <= max(1, 64 // window) for rows, window in steps)
@@ -853,13 +845,13 @@ class TestSlicedScan:
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["serial", "split"])
     def test_allocations_are_bounded_by_the_slice_size(self, cpus, monkeypatch):
         # numpy reports its buffers to tracemalloc from every thread.  Each
-        # thread's scan step holds at most six int64 or float64 arrays of
-        # _BLOCK_CELLS // 4 cells, and a round at most sixteen of one entry per
-        # student.  Without slices this market's call allocates ~10 MiB.
+        # thread's compare pass (a scan step, or a block of the prune's half)
+        # holds at most six int64 or float64 arrays of _BLOCK_CELLS // 8
+        # cells, and a round at most sixteen of one entry per student.
+        # Without slices this market's call allocates ~10 MiB.
         config, _ = fig1(colleges=200, noise="pareto", n_students=20000)
         market = sample_market(config, 1)
         caps = config.capacities()
-        split_every_round(monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         tracemalloc.start()
         try:
@@ -867,6 +859,6 @@ class TestSlicedScan:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        slice_cells = market_module._BLOCK_CELLS // 4
+        slice_cells = market_module._BLOCK_CELLS // 8
         bound = len(cpus) * 6 * 8 * slice_cells + 16 * 8 * config.n_students
         assert peak <= bound

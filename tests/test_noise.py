@@ -357,6 +357,22 @@ class TestLongTailRatio:
         for x in (hi - 0.2, hi - 0.05):
             assert long_tail_ratio(spec, x=x, d=(hi - x) * 1.5).ratio == 0.0
 
+    @pytest.mark.parametrize("sampled", [False, True], ids=["closed-form", "monte-carlo"])
+    @pytest.mark.parametrize(
+        "spec, x, d, field",
+        [
+            (Pareto(), 2.0, math.nan, "d must be positive"),
+            (Exponential(), 1.0, math.nan, "d must be positive"),
+            (Pareto(), math.nan, 1.0, "x must be a number"),
+            (Exponential(), math.nan, 1.0, "x must be a number"),
+        ],
+        ids=["pareto-d", "exponential-d", "pareto-x", "exponential-x"],
+    )
+    def test_nan_raises(self, spec, x, d, field, sampled):
+        rng = np.random.default_rng(1) if sampled else None
+        with pytest.raises(ConfigError, match=f"^{field}, got nan$"):
+            long_tail_ratio(spec, x, d, rng=rng, samples=1000)
+
     def test_no_tail_mass_raises(self):
         with pytest.raises(InsufficientTailMassError):
             long_tail_ratio(Uniform(0, 1), x=1.5, d=0.1)
