@@ -113,6 +113,6 @@ def rate_exponent(beta: float, gamma: float) -> float:
     """Polynomial decay exponent of the mismatched mass in the college count.
 
     gamma is the value law's Holder exponent: every law ``values`` builds is Lipschitz, so 1."""
-    if not (beta > 0 and gamma > 0):
-        raise ValueError(f"beta and gamma must be positive, got beta={beta}, gamma={gamma}")
+    if not (0 < beta < np.inf and 0 < gamma < np.inf):
+        raise ValueError(f"beta and gamma must be positive and finite, got beta={beta}, gamma={gamma}")
     return 2.0 * beta * gamma / (3.0 * beta * gamma + 2.0 * beta + 5.0 * gamma + 6.0)

@@ -40,9 +40,9 @@ STREAM_NOISE = 2
 # - a run's replications are sampled and matched in stacks of consecutive
 #   markets of at most this many cells (markets_per_stack), one call of
 #   sample_stack and of stacked_deferred_acceptance per stack (a larger
-#   market is stacked alone), so a stack of small markets is sampled as one
-#   block and matched as one numpy fixed point, and the stack's prefs and
-#   scores stay under 2.5 MiB;
+#   market is stacked alone), so a stack of small markets has its keys
+#   ranked as one block and is matched as one numpy fixed point, and the
+#   stack's prefs and scores stay under 2.5 MiB;
 # - every compare pass takes at most an eighth of this many cells at a
 #   time: demand, the blocking-pair scan and the fixed point's list prune
 #   compare as many cells with the colleges' bars
@@ -82,23 +82,6 @@ STREAM_NOISE = 2
 #   many-tiny,       n=200,  C=2     (400 cells, 375 a stack): 0.31 vs 0.08-0.13 ms
 #   attenuate-tiers, n=2000, C=20+20 (80,000 cells, 3 a stack): 8.3 vs 6.5 ms
 _BLOCK_CELLS = 1 << 18
-
-# Markets of at least this many cells may draw the preference stream on a
-# second thread while the noise stream fills the scores.  numpy releases the
-# GIL in the random fills, the sorts and large ufuncs, so the two streams
-# overlap when a core is free.  Median sample_stack time for one market,
-# serial against threaded, interleaved, fig1 shape with Pareto noise
-# (Python 3.11, numpy 2.4, 2-vCPU machine with steal):
-#   n=200,   C=2     (400 cells): 0.39 ms vs 0.74 ms
-#   n=1000,  C=100 (0.1 M cells): 3.0 ms vs 2.2 ms
-#   n=2000,  C=40 (80,000 cells): 2.5-4.0 ms vs 1.9-2.7 ms
-#   n=4000,  C=100  (0.4 M cells): 9.0-9.7 ms vs 6.2-6.8 ms
-#   n=8000,  C=128  (1.0 M cells): 19.7 ms vs 11.1 ms
-#   n=20000, C=1000  (20 M cells): 0.49 s vs 0.28 s
-# The thread pays from 80,000 cells in these runs.  Two other runs of these
-# shapes read 4.1 vs 4.3 ms at 80,000 cells and 7.3 vs 7.5 ms at 0.4 M, so
-# the minimum stays at 1 M cells, where every run agrees.
-_PREFS_THREAD_MIN_CELLS = 1 << 20
 
 
 class CapacityRegularityWarning(UserWarning):
@@ -691,17 +674,16 @@ def sample_stack(
     Returns the stack's (R, n, n_coalitions) values, (R, n, C) prefs and
     (R, n, C) scores; slot i is replication replications[i], drawn from its
     own three streams exactly as it would be alone.  Keys and noise are drawn
-    in blocks of at most ``_BLOCK_CELLS`` cells, so a stack of small markets
-    takes one ranking and one add, and a large market stacked alone takes
-    row blocks and college runs.
+    in blocks of at most ``_BLOCK_CELLS`` cells: a stack of small markets
+    takes one ranking of its keys and a noise draw and add per market, and a
+    large market stacked alone takes row blocks and college runs.
 
-    The three streams are independent generators, so a stack of at least
-    ``_PREFS_THREAD_MIN_CELLS`` cells draws its preferences through
-    ``both``: on a helper thread where one is allowed, while this one draws
-    the scores.  The bytes are the same either way.  A draw that fails
-    raises ReplicationError naming its replication; the preference model
-    draws the whole stack in one call, so its failure names the stack's
-    replications.
+    The three streams are independent generators, so the preferences are
+    drawn through ``both``: on a helper thread where one is allowed, while
+    this one draws the scores.  The bytes are the same either way.  A draw
+    that fails raises ReplicationError naming its replication; the
+    preference model draws the whole stack in one call, so its failure names
+    the stack's replications.
     """
     n = config.n_students
     coal_idx = config.coalition_index()
@@ -716,10 +698,7 @@ def sample_stack(
 
     prefs = functools.partial(_sample_prefs, config, replications, coal_idx)
     scores = functools.partial(_sample_scores, config, replications, values, coal_idx)
-    if len(replications) * n * config.n_colleges >= _PREFS_THREAD_MIN_CELLS:
-        scores, prefs = both(scores, prefs)
-    else:
-        prefs, scores = prefs(), scores()
+    scores, prefs = both(scores, prefs)
     return values, prefs, scores
 
 
@@ -734,40 +713,36 @@ def _sample_prefs(config, replications, coal_idx):
 def _sample_scores(config, replications, values, coal_idx):
     """Coalition values plus the noise streams' draws, as an (R, n, C) stack.
 
-    Blocks hold at most ``_BLOCK_CELLS`` cells: several whole markets when
-    one fits, runs of colleges of one market otherwise.
+    Market by market, each coalition run of colleges is drawn and added in
+    blocks of at most ``_BLOCK_CELLS`` cells: the whole run when it fits,
+    runs of its colleges otherwise.
     """
     n_markets, n, _ = values.shape
     rngs = stream_rngs(config.master_seed, replications, STREAM_NOISE)
     scores = np.empty((n_markets, n, config.n_colleges))
     cols = max(1, _BLOCK_CELLS // n)
-    reps = markets_per_stack(n, config.n_colleges)
     # runs of consecutive colleges of one coalition (by position, not by
     # noise spec: equal specs may sit on different value columns)
     runs, end = [], 0
     for pos, run in groupby(coal_idx.tolist()):
         start, end = end, end + len(list(run))
         runs.append((pos, start, end))
-    for r0 in range(0, n_markets, reps):
-        r1 = min(r0 + reps, n_markets)
+    for i, rng in enumerate(rngs):
         for pos, start, end in runs:
             spec = config.coalitions[pos].noise
-            value = values[r0:r1, :, pos, None]
-            # A block of m colleges takes one draw of m * n per market; row j
-            # of it is what college c0 + j alone would have drawn next, so
-            # each noise stream is consumed in college order and the scores
-            # equal a per-college loop's bit for bit.
+            value = values[i, :, pos, None]
+            if spec is None:
+                scores[i, :, start:end] = value
+                continue
+            # A block of m colleges takes one draw of m * n; row j of it is
+            # what college c0 + j alone would have drawn next, so each noise
+            # stream is consumed in college order and the scores equal a
+            # per-college loop's bit for bit.
             for c0 in range(start, end, cols):
                 c1 = min(c0 + cols, end)
-                if spec is None:
-                    scores[r0:r1, :, c0:c1] = value
-                    continue
-                draws = []
-                for i in range(r0, r1):
-                    try:
-                        draws.append(spec.sample(rngs[i], (c1 - c0) * n).reshape(c1 - c0, n))
-                    except _DRAW_ERRORS as e:
-                        raise ReplicationError.naming(replications[i : i + 1], e) from e
-                noise = draws[0][None] if len(draws) == 1 else np.stack(draws)
-                np.add(value, noise.transpose(0, 2, 1), out=scores[r0:r1, :, c0:c1])
+                try:
+                    noise = spec.sample(rng, (c1 - c0) * n).reshape(c1 - c0, n)
+                except _DRAW_ERRORS as e:
+                    raise ReplicationError.naming(replications[i : i + 1], e) from e
+                np.add(value, noise.T, out=scores[i, :, c0:c1])
     return scores

@@ -19,6 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, DegenerateVarianceError, InsufficientTailMassError, finite_number
+from .errors import integer
 
 DEFAULT_PROBE_GAP = 0.1
 # beyond this many standard deviations (Gaussian) or scales (Gumbel) the
@@ -228,11 +229,11 @@ def max_order_stats(
     rng: np.random.Generator,
 ) -> list[MaxStat]:
     """Monte Carlo mean and variance of the maximum of n draws, per n."""
-    if replications < 2:
+    if integer(replications, "replications") < 2:
         raise ConfigError(f"replications must be >= 2 for a variance, got {replications}")
     out = []
-    for n in n_grid:
-        if n < 1:
+    for i, n in enumerate(n_grid):
+        if integer(n, f"n_grid[{i}]") < 1:
             raise ConfigError(f"n_grid entries must be >= 1, got {n}")
         chunk = max(1, _MAX_CHUNK_DRAWS // n)
         blocks = []
@@ -316,7 +317,7 @@ def shared_cutoff(noise: NoiseSpec, values, n_colleges: int, share: float) -> fl
     seat ``share`` of a continuum of students with the value law ``values``:
     a student of value v clears each bar with probability S(P - v) and
     matches when they clear any (Azevedo & Leshno 2016)."""
-    if noise is None or not (0.0 < share < 1.0 and n_colleges >= 1):
+    if noise is None or not (0.0 < share < 1.0 and integer(n_colleges, "n_colleges") >= 1):
         got = f"noise={noise!r}, share={share!r}, n_colleges={n_colleges!r}"
         raise ConfigError(f"need a noise, share in (0, 1) and n_colleges >= 1; got {got}")
     v = _value_grid(values)

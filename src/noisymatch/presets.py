@@ -10,7 +10,7 @@ independent uniform values per coalition.
 from __future__ import annotations
 
 from .config_io import KINDS
-from .errors import ConfigError
+from .errors import ConfigError, integer
 from .estimation import AffordProbability, ExperimentPlan, MatchProbability, equal_width_edges
 from .market import (
     Coalition,
@@ -37,6 +37,8 @@ NOISE_TOKENS.update(pareto=Pareto(scale=0.3), none=None)
 
 
 def noise_from_token(token: str) -> NoiseSpec | None:
+    if not isinstance(token, str):
+        raise ConfigError(f"noise: must be a string, got {token!r}")
     key = token.strip().lower()
     if key not in NOISE_TOKENS:
         raise ConfigError(f"noise: unknown token {token!r}, expected one of {sorted(NOISE_TOKENS)}")
@@ -55,7 +57,7 @@ def _build(coalitions, preferences, curves, *, noise, seed, replications, n_stud
     order, and U(0, 1) values and the same noise in every coalition."""
     colleges = []
     for k, (seats, count) in enumerate(coalitions, start=1):
-        if count < 1:
+        if integer(count, "colleges") < 1:
             raise ConfigError(f"colleges: must be >= 1, got {count}")
         first = len(colleges) + 1
         colleges += [
@@ -75,7 +77,7 @@ def _build(coalitions, preferences, curves, *, noise, seed, replications, n_stud
     )
     plan = ExperimentPlan(
         replications=replications,
-        bin_edges=equal_width_edges((0.0, 1.0), bins),
+        bin_edges=equal_width_edges((0.0, 1.0), integer(bins, "bins")),
         curves=curves,
         record_cutoffs=True,
     )

@@ -65,6 +65,23 @@ class TestPresets:
         with pytest.raises(ConfigError, match="preset"):
             preset("fig3")
 
+    @pytest.mark.parametrize(
+        "build, kwargs, message",
+        [
+            (fig1, {"colleges": True}, r"^colleges: must be an integer, got True$"),
+            (fig1, {"bins": True}, r"^bins: must be an integer, got True$"),
+            (fig2, {"colleges": 2.0}, r"^colleges: must be an integer, got 2\.0$"),
+            (fig1, {"bins": 2.5}, r"^bins: must be an integer, got 2\.5$"),
+            (fig1, {"noise": None}, r"^noise: must be a string, got None$"),
+            (fig2, {"noise": 1}, r"^noise: must be a string, got 1$"),
+        ],
+        ids=["fig1-colleges-bool", "fig1-bins-bool", "fig2-colleges-float", "fig1-bins-float",
+             "fig1-noise-none", "fig2-noise-int"],
+    )
+    def test_counts_and_noise_of_the_wrong_type_name_their_field(self, build, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            build(**kwargs)
+
     def test_split_seats_sums(self):
         assert split_seats(10, 3) == [4, 3, 3]
         assert sum(split_seats(1000, 7)) == 1000
@@ -680,9 +697,7 @@ class TestLoadTimeChecks:
         assert err == "invariant violation: plan.curves[0].coalition: missing required field\n"
         assert not (out / "curves.csv").exists()
 
-    def test_bad_ranking_exits_three(self, tmp_path, capsys, monkeypatch):
-        # every market takes the threaded sampling path, were it reached
-        monkeypatch.setattr(market_module, "_PREFS_THREAD_MIN_CELLS", 0)
+    def test_bad_ranking_exits_three(self, tmp_path, capsys):
         doc = small_doc()
         doc["preferences"] = {"kind": "common_ranking", "ranking": [0, 0]}
         code, out = run_doc(doc, tmp_path)

@@ -274,6 +274,8 @@ class TestRateExponent:
         assert rate_exponent(1e-12, 1.0) < 1e-11
 
     def test_domain(self):
-        for beta, gamma in [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (math.nan, 1.0), (0.2, math.nan)]:
+        bad = [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (math.nan, 1.0), (0.2, math.nan)]
+        bad += [(math.inf, 1.0), (1.0, math.inf), (-math.inf, 1.0), (1.0, -math.inf)]
+        for beta, gamma in bad:
             with pytest.raises(ValueError):
                 rate_exponent(beta, gamma)

@@ -123,7 +123,6 @@ def helper_threads_started(config, plan):
     helper."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        mp.setattr(market_module, "_PREFS_THREAD_MIN_CELLS", 0)
         mp.setattr(matching, "_worth_pruning", lambda rejected, cells: True)
         started = spy_on_helper_threads(mp)
         run_replications(config, plan)

@@ -421,7 +421,8 @@ PREF_CONFIGS = {
     "tiered_by_coalition": lambda: two_pool_config(n=181, noise=Gumbel(0.5, 2.0)),
 }
 
-PATHS = {"threaded": 0, "serial": float("inf")}
+# what helper_threads_allowed answers on each path
+PATHS = {"threaded": True, "serial": False}
 
 
 @pytest.fixture
@@ -434,7 +435,7 @@ def two_cpus(monkeypatch):
 @pytest.mark.usefixtures("two_cpus")
 class TestBlockSortedPrefs:
     """Keys are argsorted in row blocks into int16; the ranks must equal one
-    argsort of the full key matrix, on either side of the thread threshold."""
+    argsort of the full key matrix, with the preference thread or without."""
 
     @pytest.mark.parametrize("path", sorted(PATHS))
     @pytest.mark.parametrize("model", sorted(PREF_CONFIGS))
@@ -446,7 +447,7 @@ class TestBlockSortedPrefs:
     def test_row_blocks_match_one_argsort(self, rows, model, path, monkeypatch):
         config = PREF_CONFIGS[model]()
         monkeypatch.setattr(market_module, "_BLOCK_CELLS", rows * config.n_colleges)
-        monkeypatch.setattr(market_module, "_PREFS_THREAD_MIN_CELLS", PATHS[path])
+        monkeypatch.setattr(market_module, "helper_threads_allowed", lambda: PATHS[path])
         for r in (0, 3):
             assert_same_bytes(sample_market(config, r), loop_sample_market(config, r))
 
@@ -594,8 +595,8 @@ class TestPrefsThread:
     def test_threshold_does_not_change_the_market(self, model, monkeypatch):
         config = PREF_CONFIGS[model]()
         markets = []
-        for threshold in PATHS.values():
-            monkeypatch.setattr(market_module, "_PREFS_THREAD_MIN_CELLS", threshold)
+        for allowed in PATHS.values():
+            monkeypatch.setattr(market_module, "helper_threads_allowed", lambda: allowed)
             markets.append(sample_market(config, 2))
         threaded, serial = markets
         for field in ("values", "prefs", "scores", "college_coalition"):
@@ -615,8 +616,8 @@ class TestPrefsThread:
 
         monkeypatch.setattr(UniformRandomPreferences, "sample_prefs", bad_ranking)
         raised = []
-        for threshold in (PATHS["serial"], PATHS["threaded"]):
-            monkeypatch.setattr(market_module, "_PREFS_THREAD_MIN_CELLS", threshold)
+        for allowed in (PATHS["serial"], PATHS["threaded"]):
+            monkeypatch.setattr(market_module, "helper_threads_allowed", lambda: allowed)
             with pytest.raises(ReplicationError) as err:
                 sample_market(config, 0)
             raised.append((str(err.value), type(err.value.__cause__)))
@@ -635,12 +636,14 @@ class TestPrefsThread:
 
         monkeypatch.setattr(UniformRandomPreferences, "sample_prefs", bad_ranking)
         monkeypatch.setattr(market_module, "_sample_scores", bad_scores)
-        monkeypatch.setattr(market_module, "_PREFS_THREAD_MIN_CELLS", PATHS["threaded"])
         with pytest.raises(ReplicationError, match="^replication 0: preferences.ranking") as err:
             sample_market(config, 0)
         assert isinstance(err.value.__context__, ValueError)
 
-    def test_thread_minimum_is_not_the_block_size(self, monkeypatch):
+    def test_markets_of_every_size_start_one_helper(self, monkeypatch):
+        # both alone decides: a market of 400 cells and one of 1.2 M cells
+        # (past _BLOCK_CELLS, so drawn in row blocks and college runs) each
+        # start one helper on two CPUs, and none where helpers are not allowed
         started = []
         pool = market_module.ThreadPoolExecutor
 
@@ -649,14 +652,14 @@ class TestPrefsThread:
             return pool(*args, **kwargs)
 
         monkeypatch.setattr(market_module, "ThreadPoolExecutor", spy)
-        for n, colleges, threaded in ((1000, 400, False), (2000, 600, True)):
+        for n, colleges in ((200, 2), (2000, 600)):
             config = layout_config([0] * colleges, (Pareto(2.0, 0.3),), n=n)
-            cells = n * colleges
-            assert market_module._BLOCK_CELLS < cells
-            assert (cells >= market_module._PREFS_THREAD_MIN_CELLS) == threaded
-            started.clear()
-            assert_same_bytes(sample_market(config, 1), loop_sample_market(config, 1))
-            assert started == [True] * threaded
+            want = loop_sample_market(config, 1)
+            for allowed in PATHS.values():
+                monkeypatch.setattr(market_module, "helper_threads_allowed", lambda: allowed)
+                started.clear()
+                assert_same_bytes(sample_market(config, 1), want)
+                assert started == [True] * allowed
 
     def test_without_helper_threads_prefs_stay_on_the_calling_thread(self, monkeypatch):
         config = PREF_CONFIGS["uniform_random"]()
@@ -668,7 +671,6 @@ class TestPrefsThread:
             return sample_prefs(self, *args)
 
         monkeypatch.setattr(UniformRandomPreferences, "sample_prefs", spy)
-        monkeypatch.setattr(market_module, "_PREFS_THREAD_MIN_CELLS", PATHS["threaded"])
         with monkeypatch.context() as mp:
             mp.setattr(market_module, "helper_threads_allowed", lambda: False)
             serial = sample_market(config, 4)
@@ -860,7 +862,6 @@ class TestSamplingMemory:
         # market's temporaries reached ~16 MiB serially and ~32 MiB threaded.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         config = one_pool_config(n=20000, colleges=200, noise=Pareto(2.0, 0.3))
-        assert config.n_students * config.n_colleges >= market_module._PREFS_THREAD_MIN_CELLS
         tracemalloc.start()
         try:
             market = sample_market(config, 1)
@@ -1008,9 +1009,8 @@ class TestSampleStack:
         config, replications, block = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(market_module, "_BLOCK_CELLS", block)
-            if threaded:
-                mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-                mp.setattr(market_module, "_PREFS_THREAD_MIN_CELLS", 0)
+            cpus = {0, 1} if threaded else {0}
+            mp.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
             values, prefs, scores = sample_stack(config, replications)
         assert prefs.dtype == prefs_dtype(config.n_colleges)
         assert len(values) == len(prefs) == len(scores) == len(replications)
@@ -1021,8 +1021,9 @@ class TestSampleStack:
             assert np.array_equal(prefs[i], want_prefs)
 
     def test_blocks_hold_whole_markets_up_to_the_cap(self, monkeypatch):
-        # ten 30 x 3 markets under a 370-cell cap: keys and noise are drawn
-        # in blocks of four, four and two markets, one noise add per run
+        # ten 30 x 3 markets under a 370-cell cap: keys are drawn in blocks
+        # of four, four and two markets, and noise by market, one add per
+        # coalition run
         config = layout_config([0, 1, 0], (Uniform(0, 1), Gumbel(0.5, 2.0)), n=30)
         markets = {"keys": [], "noise": []}
         packed_rank = market_module._packed_rank
@@ -1036,7 +1037,7 @@ class TestSampleStack:
                 return getattr(np, name)
 
             def add(self, x, y, out):
-                markets["noise"].append(len(out))
+                markets["noise"].append(out.shape)
                 return np.add(x, y, out=out)
 
         monkeypatch.setattr(market_module, "_BLOCK_CELLS", 4 * 90 + 10)
@@ -1044,7 +1045,7 @@ class TestSampleStack:
         monkeypatch.setattr(market_module, "np", Numpy())
         values, prefs, scores = sample_stack(config, range(2, 12))
         monkeypatch.undo()
-        assert markets == {"keys": [4, 4, 2], "noise": [4] * 3 + [4] * 3 + [2] * 3}
+        assert markets == {"keys": [4, 4, 2], "noise": [(30, 1)] * 30}
         for i, r in enumerate(range(2, 12)):
             want_values, want_prefs, want_scores = reference_market(config, r)
             assert values[i].tobytes() == want_values.tobytes()

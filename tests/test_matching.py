@@ -791,7 +791,6 @@ class TestScanSplit:
         config, _ = fig1(colleges=100, noise="pareto", n_students=3000)
         prune_on_round(monkeypatch, 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-        monkeypatch.setattr(market_module, "_PREFS_THREAD_MIN_CELLS", 0)
         assert usable_cpus() == len(cpus)
         started = spy_on_helper_threads(monkeypatch)
         # one patch of the predicate keeps both calls on this thread

@@ -269,6 +269,13 @@ class TestMaxOrderStats:
     def test_replication_floor(self, rng):
         with pytest.raises(ConfigError, match="replications"):
             max_order_stats(Uniform(0, 1), [10], 1, rng)
+        # counts are integers: a float or a bool is an error naming its field
+        for replications in (2.5, True, 100.0):
+            with pytest.raises(ConfigError, match=r"^replications: must be an integer, got "):
+                max_order_stats(Uniform(0, 1), [10], replications, rng)
+        for entry in (10.0, True, math.inf):
+            with pytest.raises(ConfigError, match=r"^n_grid\[1\]: must be an integer, got "):
+                max_order_stats(Uniform(0, 1), [5, entry], 100, rng)
 
     def test_sub_log_max_growth_uniform_and_gaussian(self, rng):
         # doubling n adds less and less to E[max]; the increments shrink
@@ -498,3 +505,6 @@ class TestContinuum:
     def test_college_count_must_be_positive(self):
         with pytest.raises(ConfigError, match="n_colleges"):
             shared_cutoff(Gaussian(), UniformValues(), 0, 0.5)
+        for count in (2.5, True, math.inf, 10.0):
+            with pytest.raises(ConfigError, match=r"^n_colleges: must be an integer, got "):
+                shared_cutoff(Gaussian(), UniformValues(), count, 0.5)
