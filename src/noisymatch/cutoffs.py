@@ -29,7 +29,7 @@ import numpy as np
 
 from . import market as sampling
 from .market import SampledMarket
-from .matching import UNMATCHED, Matching, _cleared_in_order, _clears, _row_blocks
+from .matching import UNMATCHED, Matching, _capacity_list, _cleared_in_order, _clears, _row_blocks
 
 
 def extract_cutoffs(matching: Matching) -> np.ndarray:
@@ -102,8 +102,9 @@ def demand_all(market: SampledMarket, cutoffs: np.ndarray, cut_students: np.ndar
 def check_market_clearing(
     market: SampledMarket, cutoffs: np.ndarray, cut_students: np.ndarray, capacities
 ) -> np.ndarray:
-    """Demand count minus capacity per college; all zeros means clearing."""
-    caps = np.asarray(capacities, dtype=int)
+    """Demand count minus capacity per college; all zeros means clearing.
+    The capacities are checked as ``deferred_acceptance`` checks them."""
+    caps = np.asarray(_capacity_list(capacities, market.n_colleges))
     d = demand_all(market, cutoffs, cut_students)
     counts = np.bincount(d[d != UNMATCHED], minlength=len(caps))
     return counts - caps

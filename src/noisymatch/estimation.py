@@ -11,6 +11,7 @@ total capacity share).
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
@@ -63,9 +64,14 @@ class ExperimentPlan:
         object.__setattr__(self, "replications", integer(self.replications, "plan.replications"))
         if self.replications < 1:
             raise ConfigError(f"plan.replications: must be >= 1, got {self.replications}")
+        if isinstance(self.bin_edges, str) or not isinstance(self.bin_edges, Iterable):
+            raise ConfigError(f"plan.bin_edges: must be a list of numbers, got {self.bin_edges!r}")
         # NaN compares false, so it would pass the increasing check below
         edges = [finite_number(e, f"plan.bin_edges[{i}]") for i, e in enumerate(self.bin_edges)]
         object.__setattr__(self, "bin_edges", tuple(edges))
+        for i, curve in enumerate(self.curves):
+            if not isinstance(curve, CurveRequest):
+                raise ConfigError(f"plan.curves[{i}]: must be a curve request, got {curve!r}")
         # a numpy integer coalition is stored as the int it equals, as the
         # replication count is, so the plan hashes as one; check_plan judges it
         curves = tuple(replace(c, coalition_id=plain(c.coalition_id)) for c in self.curves)

@@ -552,10 +552,15 @@ class EconomyConfig:
             raise ConfigError("colleges: must be non-empty")
         if not self.coalitions:
             raise ConfigError("coalitions: must be non-empty")
-        for field, items in (("colleges", self.colleges), ("coalitions", self.coalitions)):
+        for field, items, kind in (
+            ("colleges", self.colleges, College),
+            ("coalitions", self.coalitions, Coalition),
+        ):
             # before the set: NaN equals no id, itself included, so it would
             # pass as unique, and an unhashable id would raise a TypeError
             for i, item in enumerate(items):
+                if not isinstance(item, kind):
+                    raise ConfigError(f"{field}[{i}]: must be a {kind.__name__}, got {item!r}")
                 identifier(item.id, f"{field}[{i}].id")
             if len({item.id for item in items}) != len(items):
                 raise ConfigError(f"{field}: ids must be unique")
@@ -566,6 +571,11 @@ class EconomyConfig:
                 if j != i:
                     message = f"prints as {item.id}, like {field}[{j}].id"
                     raise ConfigError(f"{field}[{i}].id: {message}")
+        for i, k in enumerate(self.coalitions):
+            if not isinstance(k.values, ValueDistribution):
+                raise ConfigError(f"coalitions[{i}].values: must be a value law, got {k.values!r}")
+            if not (k.noise is None or isinstance(k.noise, NoiseSpec)):
+                raise ConfigError(f"coalitions[{i}].noise: must be a noise spec, got {k.noise!r}")
         # a numpy integer id is stored as the int it equals, so it hashes as one
         coalitions = tuple(replace(k, id=plain(k.id)) for k in self.coalitions)
         object.__setattr__(self, "coalitions", coalitions)
@@ -585,6 +595,8 @@ class EconomyConfig:
         empty = [k for k in known if k not in used]
         if empty:
             raise ConfigError(f"coalitions: no colleges reference coalition(s) {empty}")
+        if not isinstance(self.preferences, PreferenceModel):
+            raise ConfigError(f"preferences: must be a preference model, got {self.preferences!r}")
         self.preferences.check(len(self.colleges))
         total = sum(c.capacity for c in self.colleges)
         if total >= self.n_students:
@@ -658,6 +670,7 @@ class SampledMarket:
 def sample_market(config: EconomyConfig, replication: int = 0) -> SampledMarket:
     """Draw students, preferences, and noisy scores for one replication: the
     one-replication case of ``sample_stack``."""
+    replication = integer(replication, "replication")
     values, prefs, scores = sample_stack(config, range(replication, replication + 1))
     return SampledMarket(values[0], prefs[0], scores[0], config.coalition_index(), replication)
 

@@ -1,14 +1,13 @@
 """Student-proposing deferred acceptance and stability verification.
 
 Colleges rank students by score; exact score ties are broken in favour of
-the lower student index, and the same tie-broken order is used both inside
-the algorithm and in the blocking-pair scan so the two never disagree.
+the lower student index, and the algorithm and the blocking-pair scan use
+the same tie-broken order, so the two never disagree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -30,41 +29,46 @@ class Matching:
     capacities: tuple[int, ...]
 
 
-# A round that rejects at least _PRUNE_MIN_STUDENTS students and whose
-# scan examines at least _PRUNE_MIN_CELLS cells a rejection prunes the lists
-# before the next round's scan (_prune).  Windows of 8 and then 16 cells
-# make 24: on average, the students scanned past their first two windows.
-# Counting the list positions the students moved (at least 16 a
-# rejection) fires on the same round on every shape below, but costs a
-# numpy reduction per scan slice.  The prune walks every cell once, ~0.08 s
-# at 20 M cells on two threads and ~0.11 s on one, and the cells it keeps
-# are then scanned without the n x C prefs.  Median wall time per call of
-# the fixed point, never pruning (the earlier code) against pruning at 16 /
-# 24 / 32 cells a rejection, 11 interleaved calls per shape (101 for the
-# last three), one sampled market or stack (Python 3.11, numpy 2.4, 2-vCPU
-# machine); at 24, the round it prunes before and the cells it keeps:
-#   amplify-large, fig1 Pareto, n=20000, C=1000 (round 5 of 19, 0.49 M):
-#                                   325 vs 233 / 205 / 212 ms
-#   fig1 Gaussian, n=20000, C=1000 (round 5 of 24, 0.73 M):
-#                                   328 vs 235 / 226 / 227 ms
-#   fig1 Gumbel,   n=20000, C=1000 (round 5 of 18, 0.64 M; at 32, round 6):
-#                                   313 vs 194 / 199 / 195 ms
-#   fig1 uniform,  n=20000, C=1000 (round 3 of 40, 4.8 M):
-#                                   235 vs 238 / 232 / 231 ms
-#   fig1 Pareto,   n=15000, C=3000 (round 5 of 19, 1.2 M):
-#                                   593 vs 412 / 384 / 382 ms
-#   fig1 Pareto,   n=6000,  C=300  (round 5 of 15):  46.2 vs 32.4 / 31.5 / 31.9 ms
-#   fig1 Pareto,   n=8000,  C=128  (round 5 of 14):  35.8 vs 28.8 / 30.0 / 29.3 ms
-#   fig1 Pareto,   n=20000, C=100  (round 5 of 14):  65.4 vs 54.0 / 57.8 / 57.2 ms
-#   fig1 uniform,  n=20000, C=100  (round 3 of 37):  65.9 vs 60.3 / 59.4 / 60.1 ms
+# A round whose scan examines at least _PRUNE_MIN_CELLS cells a rejection
+# prunes the lists before the next round's scan (_prune).  Windows of 8 and
+# then 16 cells make 24: on average, the students scanned past their first
+# two windows.  Counting the list positions the students moved (at least 16
+# a rejection) fired on the same round on the larger shapes below, but
+# costs a numpy reduction per scan slice.  The prune walks every cell once,
+# ~0.10 s at 20 M cells, and the cells it keeps are then scanned without
+# the n x C prefs.  Median wall time per call of the fixed point, never
+# pruning against pruning at 16 / 24 / 32 cells a rejection, 11 interleaved
+# calls per shape (101 for the six from fig1 n=2000 on), one sampled market
+# or stack at seed 1 (Python 3.11, numpy 2.4, 2-vCPU machine); at 24, the
+# round it prunes before and the cells it keeps:
+#   amplify-large, fig1 Pareto, n=20000, C=1000 (round 5 of 19, 0.48 M):
+#                                   334 vs 171 / 156 / 158 ms
+#   fig1 Gaussian, n=20000, C=1000 (round 5 of 25, 0.74 M):
+#                                   317 vs 186 / 165 / 166 ms
+#   fig1 Gumbel,   n=20000, C=1000 (round 5 of 21, 0.63 M; at 32, round 6):
+#                                   325 vs 160 / 160 / 155 ms
+#   fig1 uniform,  n=20000, C=1000 (round 3 of 66, 4.9 M):
+#                                   203 vs 182 / 186 / 178 ms
+#   fig1 Pareto,   n=15000, C=3000 (round 5 of 20, 1.3 M):
+#                                   853 vs 431 / 337 / 381 ms
+#   fig1 Pareto,   n=6000,  C=300  (round 5 of 16):  35.8 vs 23.0 / 21.5 / 20.8 ms
+#   fig1 Pareto,   n=8000,  C=128  (round 5 of 14):  21.4 vs 15.9 / 16.7 / 16.6 ms
+#   fig1 Pareto,   n=20000, C=100  (round 5 of 18):  53.7 vs 38.9 / 41.9 / 42.6 ms
+#   fig1 uniform,  n=20000, C=100  (round 3 of 46):  51.1 vs 48.7 / 51.1 / 52.6 ms
+#   fig1 n=2000, C=100, the default (rounds of ~1000 rejections):
+#     uniform  (round 3 of 28):                       6.9 vs 6.0 / 6.0 / 6.0 ms
+#     Pareto   (round 5 of 16):                       5.9 vs 4.9 / 4.9 / 4.9 ms
+#     Gaussian (round 5 of 16):                       6.0 vs 5.0 / 5.0 / 5.4 ms
 #   fig2 uniform, 3 markets of n=2000, C=20+20 (never; 16 prunes after the
-#     first round's 16.0 cells a rejection):          17.2 vs 18.4 / 17.3 / 17.2 ms
-#   fig2 Pareto,  3 markets (never; 16 prunes):      16.1 vs 18.1 / 16.4 / 16.3 ms
-#   many-tiny, 375 markets of n=200, C=2 (never):    25.9 vs 26.1 / 26.0 / 26.1 ms
+#     first round's 16.2 cells a rejection):          9.3 vs 10.2 / 9.3 / 9.3 ms
+#   fig2 Pareto,  3 markets (never; 16 prunes):      10.0 vs 11.2 / 10.0 / 10.0 ms
+#   many-tiny, 375 markets of n=200, C=2 (never):    16.5 vs 16.4 / 16.4 / 16.5 ms
+#   attenuate-tiers, fig2's shape, 67 stacks of 3 at seed 1 and at seed 2
+#     (7 calls each): 16 prune, at seed 1 each after a round of 1-3
+#     rejections that scanned two windows, before the stack's last scan;
+#     those 16 take 185 / 205 ms in sum never pruning, against 219 / 241 ms
+#     at 24
 _PRUNE_MIN_CELLS = 24
-# Every row above was measured with this floor on the rejections, which
-# keeps the prune off the small rounds of stacked small markets.
-_PRUNE_MIN_STUDENTS = 2048
 
 
 def _capacity_list(capacities: Sequence[int], n_colleges: int) -> list[int]:
@@ -175,17 +179,15 @@ def stacked_deferred_acceptance(
 
     Each student scans their own list, ``lists[pos:end + 1]`` with pos at
     their current college; until the prune the lists are the rows of prefs
-    themselves.  Once a round rejects at least ``_PRUNE_MIN_STUDENTS``
-    students and its scan examines at least ``_PRUNE_MIN_CELLS`` cells a
-    rejection, the scans are running long: before the next round's scan,
-    one row-sliced pass (``_prune``) cuts every list to the student's
+    themselves.  Once a round's scan examines at least ``_PRUNE_MIN_CELLS``
+    cells a rejection, the scans are running long: before the next round's
+    scan, one row-sliced pass (``_prune``) cuts every list to the student's
     current college and the later ones whose bar they clear now, and the
     scans read those compact lists from then on.  A college a student
     cannot afford now would reject them later too, so each scan stops at
     the college it would have reached on the full list, and the matching,
     cutoffs and cut students are the same with or without the prune.  The
-    prune walks its row blocks in two halves through ``market.both``, the
-    second on a helper thread where one is allowed.
+    whole fixed point runs on the calling thread.
 
     Returns the (R, n) assignment, in each slot's own college indices or
     UNMATCHED, and each college's worst admit as (R, C) cutoffs and cut
@@ -284,7 +286,7 @@ def _line_order(col: np.ndarray, score: np.ndarray, n_colleges: int) -> np.ndarr
 def _worth_pruning(rejected: int, cells: int) -> bool:
     """Whether to prune the lists after a round whose scan examined ``cells``
     cells of ``rejected`` students' lists; never before the first scan."""
-    return 0 < rejected >= _PRUNE_MIN_STUDENTS and cells >= _PRUNE_MIN_CELLS * rejected
+    return 0 < rejected and cells >= _PRUNE_MIN_CELLS * rejected
 
 
 def _prune(prefs, scores, bars, pos, college):
@@ -293,32 +295,25 @@ def _prune(prefs, scores, bars, pos, college):
     ``_advance``, with ``lists[pos[s]:end[s] + 1]`` student s's list.
 
     ``prefs`` and ``scores`` are the (R, n, C) stacks, ``bars`` the union's
-    (score, student) bars, and ``pos`` indexes the flat prefs.  No entry before a student's current one clears its bar:
-    the student was rejected there or passed it over, and bars only rise.
-    So the cleared cells in preference order, with the current entry's flag
-    set, are the list, and the current entry comes first.  A student
-    without a college keeps no entry.  The rows' blocks run in two halves
-    through ``market.both``."""
+    (score, student) bars, and ``pos`` indexes the flat prefs.  No entry
+    before a student's current one clears its bar: the student was rejected
+    there or passed it over, and bars only rise.  So the cleared cells in
+    preference order, with the current entry's flag set, are the list, and
+    the current entry comes first.  A student without a college keeps no
+    entry.  One loop walks every row block on the calling thread."""
     n_colleges = prefs.shape[2]
     held = college != UNMATCHED
-
-    def keep(blocks):
-        parts = []
-        for rows, block, cleared in _cleared_in_order(prefs, scores, *bars, blocks):
-            mine = np.flatnonzero(held[rows])
-            cleared = cleared.ravel()
-            cleared[pos[rows][mine] - rows.start * n_colleges] = True
-            kept = np.flatnonzero(cleared)
-            count = np.diff(np.searchsorted(kept, np.arange(len(block) + 1) * n_colleges))
-            parts.append((block.ravel()[kept], count))
-        return parts
-
-    blocks = _row_blocks(*prefs.shape)
-    half = len(blocks) // 2
-    now, later = sampling.both(partial(keep, blocks[:half]), partial(keep, blocks[half:]))
-    lists, count = (np.concatenate(part) for part in zip(*now, *later))
+    lists, count = [], []
+    for rows, block, cleared in _cleared_in_order(prefs, scores, *bars, _row_blocks(*prefs.shape)):
+        mine = np.flatnonzero(held[rows])
+        cleared = cleared.ravel()
+        cleared[pos[rows][mine] - rows.start * n_colleges] = True
+        kept = np.flatnonzero(cleared)
+        lists.append(block.ravel()[kept])
+        count.append(np.diff(np.searchsorted(kept, np.arange(len(block) + 1) * n_colleges)))
+    count = np.concatenate(count)
     end = np.cumsum(count) - 1
-    return lists, end - count + 1, end
+    return np.concatenate(lists), end - count + 1, end
 
 
 def _advance(rejected, n_colleges, lists, scores, first, end, cut_score, cut_student, pos, college):

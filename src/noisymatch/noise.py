@@ -294,7 +294,7 @@ def long_tail_ratio(
         if log_denom == -math.inf:
             raise InsufficientTailMassError(f"Pr[X > {x}] = 0 for {spec!r}")
         return RatioEstimate(float(np.exp(spec.log_survival(x + d) - log_denom)), 0.0)
-    draws = spec.sample(rng, samples)
+    draws = spec.sample(rng, _sample_count(samples))
     tail = draws[draws > x]
     if tail.size == 0:
         raise InsufficientTailMassError(f"no draws above x={x} in {samples} samples")
@@ -308,8 +308,16 @@ def empirical_quantiles(
     samples: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    draws = spec.sample(rng, samples)
+    draws = spec.sample(rng, _sample_count(samples))
     return np.quantile(draws, np.asarray(quantiles))
+
+
+def _sample_count(samples) -> int:
+    """samples as an int when it is an integer of at least 1; else a ConfigError."""
+    samples = integer(samples, "samples")
+    if samples < 1:
+        raise ConfigError(f"samples: must be >= 1, got {samples}")
+    return samples
 
 
 def shared_cutoff(noise: NoiseSpec, values, n_colleges: int, share: float) -> float:

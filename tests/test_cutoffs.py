@@ -17,7 +17,7 @@ from noisymatch.cutoffs import (
 from noisymatch.estimation import _survivors
 from noisymatch.market import sample_market
 from noisymatch.matching import UNMATCHED, deferred_acceptance, stacked_deferred_acceptance
-from noisymatch.presets import fig2
+from noisymatch.presets import fig1, fig2
 from test_matching import clears, heap_deferred_acceptance, make_market, tie_heavy_stacks
 
 
@@ -152,6 +152,25 @@ class TestMarketClearing:
         cuts = np.full(3, 100.0)
         excess = check_market_clearing(market, cuts, every_student(market), caps)
         assert excess.tolist() == [-c for c in caps]
+
+    @pytest.mark.parametrize(
+        "caps, message",
+        [
+            ([250.5] * 4, r"^capacities\[0\]: must be a positive integer, got 250.5$"),
+            ([250] * 5, r"^capacities: expected 4 entries, got 5$"),
+            ([True] * 4, r"^capacities\[0\]: must be a positive integer, got True$"),
+            ([-5] * 4, r"^capacities\[0\]: must be a positive integer, got -5$"),
+        ],
+        ids=["fraction", "five-entries", "bool", "negative"],
+    )
+    def test_bad_capacities_raise_as_the_fixed_point_s_do(self, caps, message):
+        # once they were truncated, counted or cast: 250.5 "cleared"
+        config, _ = fig1(colleges=4)
+        market = sample_market(config, 1)
+        m = deferred_acceptance(market, config.capacities())
+        assert not check_market_clearing(market, m.cutoffs, m.cut_students, [250] * 4).any()
+        with pytest.raises(ValueError, match=message):
+            check_market_clearing(market, m.cutoffs, m.cut_students, caps)
 
 
 def kept_bars(cuts, kept):

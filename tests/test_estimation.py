@@ -117,10 +117,9 @@ class TestTrimCoalition:
 
 
 def helper_threads_started(config, plan):
-    """Run the replications serially with every stack's preferences drawn
-    through a helper and every fixed point pruning before its first scan, on
-    a process that may use two CPUs, and list the modules that started a
-    helper."""
+    """Run the replications serially, with every fixed point pruning before
+    its first scan, on a process that may use two CPUs, and list the modules
+    that started a helper: only the preference draw may."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         mp.setattr(matching, "_worth_pruning", lambda rejected, cells: True)
@@ -236,7 +235,7 @@ class TestRunReplications:
         # InlinePool runs in this process, so only a real worker shows what
         # a pool task decides
         config, plan = small_pool(replications=2)
-        assert helper_threads_started(config, plan) == ["noisymatch.market", "noisymatch.matching"]
+        assert helper_threads_started(config, plan) == ["noisymatch.market"]
         with ProcessPoolExecutor(max_workers=1) as pool:
             assert pool.submit(helper_threads_started, config, plan).result() == []
 
@@ -815,6 +814,22 @@ class TestPlanValidation:
         message = re.escape(f"plan.record_cutoffs: must be true or false, got {value!r}")
         with pytest.raises(ConfigError, match=f"^{message}$"):
             ExperimentPlan(replications=1, bin_edges=(0.0, 1.0), record_cutoffs=value)
+
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"curves": ("match",)}, "plan.curves[0]"),
+            ({"curves": (MatchProbability(1), {"kind": "afford"})}, "plan.curves[1]"),
+            ({"bin_edges": 5}, "plan.bin_edges"),
+            ({"bin_edges": "0,1"}, "plan.bin_edges"),
+        ],
+        ids=["curve-string", "curve-dict", "edges-number", "edges-string"],
+    )
+    def test_parts_of_the_wrong_type_name_their_field(self, changes, field):
+        # once an AttributeError, or a bare TypeError
+        plan = dict(replications=1, bin_edges=(0.0, 1.0)) | changes
+        with pytest.raises(ConfigError, match=f"^{re.escape(field)}: must be a .*, got "):
+            ExperimentPlan(**plan)
 
     def test_trim_epsilon_domain(self):
         with pytest.raises(ConfigError, match="trim_epsilon"):

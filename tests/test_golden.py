@@ -10,7 +10,6 @@ values.  fig1-pareto's cutoffs.csv has one digest per path.
 """
 
 import hashlib
-import os
 
 import numpy as np
 import pytest
@@ -84,12 +83,9 @@ def test_csv_bytes_unchanged(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_csv_bytes_unchanged_with_every_scan_split(name, tmp_path, monkeypatch):
-    # the golden markets' scans never run long enough to prune: with both
-    # floors at zero, every stack that reaches a second round prunes before
-    # its scan, half of the pass on a helper thread
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(matching, "_PRUNE_MIN_STUDENTS", 0)
+def test_csv_bytes_unchanged_with_every_prune(name, tmp_path, monkeypatch):
+    # at zero cells a rejection, every stack that reaches a second round
+    # prunes before that round's scan, not once its scans run long
     monkeypatch.setattr(matching, "_PRUNE_MIN_CELLS", 0)
     test_csv_bytes_unchanged(name, tmp_path)
 

@@ -234,6 +234,26 @@ class TestConfigValidation:
                 master_seed=1,
             )
 
+    def test_config_rejects_parts_of_the_wrong_type(self):
+        # dict_to_config builds these types; a library caller may not, and
+        # each part once failed late, as an AttributeError, or not at all
+        config = two_college_config(UniformRandomPreferences())
+        first, second = config.colleges
+        coalition = config.coalitions[0]
+        cases = [
+            ({"colleges": (first, {"id": 1, "capacity": 2, "coalition": 0})}, "colleges[1]"),
+            ({"coalitions": ({"id": 0},)}, "coalitions[0]"),
+            ({"coalitions": (replace(coalition, values=None),)}, "coalitions[0].values"),
+            ({"coalitions": (replace(coalition, noise="pareto"),)}, "coalitions[0].noise"),
+            ({"preferences": "uniform_random"}, "preferences"),
+        ]
+        for changes, field in cases:
+            with pytest.raises(ConfigError, match=f"^{re.escape(field)}: must be a .*, got "):
+                replace(config, **changes)
+        # a coalition may have no noise: its scores are its values
+        noiseless = replace(config, coalitions=(replace(coalition, noise=None),))
+        assert noiseless.coalitions[0].noise is None
+
     def test_capacity_regularity_warning(self):
         with pytest.warns(CapacityRegularityWarning):
             EconomyConfig(
@@ -249,6 +269,19 @@ class TestConfigValidation:
 
 
 class TestSampleMarket:
+    @pytest.mark.parametrize("replication", [True, 2.0, "1"], ids=["bool", "float", "string"])
+    def test_a_replication_index_must_be_an_integer(self, replication):
+        config = two_college_config(UniformRandomPreferences())
+        message = re.escape(f"replication: must be an integer, got {replication!r}")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            sample_market(config, replication)
+
+    def test_a_numpy_replication_index_is_stored_as_int(self):
+        config = two_college_config(UniformRandomPreferences())
+        market = sample_market(config, np.int64(1))
+        assert type(market.replication) is int and market.replication == 1
+        assert np.array_equal(market.scores, sample_market(config, 1).scores)
+
     def test_empirical_value_cdf_uniform(self):
         config = one_pool_config(n=100_000, colleges=2)
         market = sample_market(config, 0)

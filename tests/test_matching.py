@@ -505,10 +505,10 @@ class TestStackedPath:
         assert cut_students.shape == (0, 3) and cut_students.dtype == np.int64
 
     def test_one_market_is_matched_without_a_copy(self, monkeypatch):
-        # no round of this market rejects enough students to prune, so every
-        # scan reads the lists from the market's own prefs
+        # without the prune, every scan reads the lists from the market's own prefs
         market, caps = tied_market(n=600, colleges=40, seed=3)
         market = dataclasses.replace(market, prefs=market.prefs.astype(np.int16))
+        monkeypatch.setattr(matching, "_worth_pruning", lambda rejected, cells: False)
         seen = spy_on_the_scans(monkeypatch)
         deferred_acceptance(market, caps)
         assert seen and all(not pruned for pruned, _, _ in seen)
@@ -560,18 +560,14 @@ class TestPrunedLists:
     entry and the later entries whose bar they clear; cutoffs only rise, so
     the matching cannot change."""
 
-    @pytest.mark.parametrize("scan", ["serial", "split"])
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(tie_heavy_stacks(), overflowing_stacks()), st.integers(1, 4))
-    def test_a_prune_on_any_round_keeps_the_matching(self, scan, case, k):
+    def test_a_prune_on_any_round_keeps_the_matching(self, case, k):
         markets, caps = case
         prefs = np.stack([m.prefs for m in markets])
         scores = np.stack([m.scores for m in markets])
         with pytest.MonkeyPatch.context() as mp:
-            if scan == "split":
-                two_cpus(mp)
-            else:
-                mp.setattr(market_module, "helper_threads_allowed", lambda: False)
+            mp.setattr(matching, "_worth_pruning", lambda rejected, cells: False)
             unpruned = stacked_deferred_acceptance(prefs, scores, caps)
             prune_on_round(mp, k)
             pruned = stacked_deferred_acceptance(prefs, scores, caps)
@@ -605,6 +601,32 @@ class TestPrunedLists:
         assert not np.shares_memory(after[0], market.prefs)
         assert len(after[0]) < market.prefs.size // 10
         assert all(np.shares_memory(scores, market.scores) for _, _, scores in seen)
+
+    def test_the_default_shape_prunes_after_a_round_of_few_rejections(self, monkeypatch):
+        # fig1's default n=2000, C=100: no round can reject 2048 students
+        config, _ = fig1(colleges=100, noise="pareto", seed=1)
+        market = sample_market(config, 1)
+        caps = config.capacities()
+        with monkeypatch.context() as mp:
+            mp.setattr(matching, "_worth_pruning", lambda rejected, cells: False)
+            unpruned = deferred_acceptance(market, caps)
+        rejections, pruned_after = [], []
+        advance, prune = matching._advance, matching._prune
+
+        def advance_spy(rejected, *rest):
+            rejections.append(len(rejected))
+            return advance(rejected, *rest)
+
+        def prune_spy(*args):
+            pruned_after.append(rejections[-1])  # the round whose scan ran long
+            return prune(*args)
+
+        monkeypatch.setattr(matching, "_advance", advance_spy)
+        monkeypatch.setattr(matching, "_prune", prune_spy)
+        pruned = deferred_acceptance(market, caps)
+        assert len(pruned_after) == 1 and 0 < pruned_after[0] < 2048
+        assert_same_matching(pruned, unpruned)
+        assert_same_matching(pruned, heap_deferred_acceptance(market, caps))
 
     def test_a_stack_of_tiny_markets_never_prunes(self, monkeypatch):
         # many-tiny's shape: 375 markets of 200 students and two colleges of
@@ -716,19 +738,7 @@ class TestNarrowPrefs:
 
 
 # ---------------------------------------------------------------------------
-# helper threads in the fixed point
-
-
-def two_cpus(mp):
-    """A process that may use two CPUs, where the prune splits its pass."""
-    mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-
-def serial_deferred_acceptance(market, caps):
-    """The fixed point with no helper thread."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(market_module, "helper_threads_allowed", lambda: False)
-        return deferred_acceptance(market, caps)
+# helper threads: the preference draw's, and none in the fixed point
 
 
 def tied_market(n=3000, colleges=30, seed=5):
@@ -740,51 +750,32 @@ def tied_market(n=3000, colleges=30, seed=5):
 
 
 class TestScanSplit:
-    """The fixed point's one helper call: the prune's pass over its row
-    blocks, half on a helper thread; every round's scan runs whole on the
-    calling thread."""
+    """Only the preference draw may start a helper thread; the fixed point,
+    its prune included, runs on the calling thread."""
 
-    def test_a_fixed_point_calls_both_once_and_only_to_prune(self, monkeypatch):
-        config, _ = fig1(n_students=6000, colleges=300, noise="pareto")
-        market = sample_market(config, 1)
-        two_cpus(monkeypatch)
-        rejections = []
-        advance = matching._advance
-
-        def spy(rejected, *rest):
-            rejections.append(len(rejected))
-            return advance(rejected, *rest)
-
-        monkeypatch.setattr(matching, "_advance", spy)
-        started = spy_on_helper_threads(monkeypatch)
-        for _ in range(2):
-            deferred_acceptance(market, config.capacities())
-        # its rounds reject enough students to prune, each scanned in one call
-        assert max(rejections) >= matching._PRUNE_MIN_STUDENTS
-        assert started == ["noisymatch.matching"] * 2
-        monkeypatch.setattr(matching, "_worth_pruning", lambda rejected, cells: False)
-        deferred_acceptance(market, config.capacities())
-        assert started == ["noisymatch.matching"] * 2
-
-    def test_error_in_the_prune_on_the_helper_thread_reaches_the_caller(self, monkeypatch):
-        # the prune walks the second half of its row blocks on the helper
+    def test_the_fixed_point_starts_no_thread(self, monkeypatch):
         market, caps = tied_market()
-        two_cpus(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         prune_on_round(monkeypatch, 1)
-        caller = threading.get_ident()
-        raised_on = []
-        cleared_in_order = matching._cleared_in_order
+        calls, threads = [], []
+        both = market_module.both
+        monkeypatch.setattr(market_module, "both", lambda *fns: calls.append(fns) or both(*fns))
+        cleared_in_order, advance = matching._cleared_in_order, matching._advance
 
-        def fail_off_the_caller(*args):
-            if threading.get_ident() != caller:
-                raised_on.append(threading.get_ident())
-                raise RuntimeError("prune failed on the helper")
-            return cleared_in_order(*args)
+        def cleared_spy(*args):
+            threads.append(threading.active_count())
+            yield from cleared_in_order(*args)
 
-        monkeypatch.setattr(matching, "_cleared_in_order", fail_off_the_caller)
-        with pytest.raises(RuntimeError, match="^prune failed on the helper$"):
-            deferred_acceptance(market, caps)
-        assert raised_on and caller not in raised_on
+        def advance_spy(*args):
+            threads.append(threading.active_count())
+            return advance(*args)
+
+        monkeypatch.setattr(matching, "_cleared_in_order", cleared_spy)
+        monkeypatch.setattr(matching, "_advance", advance_spy)
+        before = threading.active_count()
+        assert_same_matching(deferred_acceptance(market, caps), heap_deferred_acceptance(market, caps))
+        assert calls == []
+        assert threads and set(threads) == {before}
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one-cpu", "two-cpus"])
     def test_helper_threads_need_a_second_cpu_and_the_predicate(self, cpus, monkeypatch):
@@ -793,7 +784,7 @@ class TestScanSplit:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         assert usable_cpus() == len(cpus)
         started = spy_on_helper_threads(monkeypatch)
-        # one patch of the predicate keeps both calls on this thread
+        # one patch of the predicate keeps the preference draw on this thread
         with monkeypatch.context() as mp:
             mp.setattr(market_module, "helper_threads_allowed", lambda: False)
             market = sample_market(config, 2)
@@ -801,8 +792,7 @@ class TestScanSplit:
         assert started == []
         market = sample_market(config, 2)
         deferred_acceptance(market, config.capacities())
-        both = ["noisymatch.market", "noisymatch.matching"]
-        assert started == (both if len(cpus) > 1 else [])
+        assert started == (["noisymatch.market"] if len(cpus) > 1 else [])
 
     def test_no_helper_threads_in_a_child_process(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -825,7 +815,7 @@ class TestScanSplit:
 class TestSlicedScan:
     def test_slices_stay_under_the_cap_and_keep_the_matching(self, monkeypatch):
         market, caps = tied_market(n=600, colleges=40, seed=3)
-        whole = serial_deferred_acceptance(market, caps)
+        whole = deferred_acceptance(market, caps)
         steps = []
         clears = matching._clears
 
@@ -835,7 +825,7 @@ class TestSlicedScan:
 
         monkeypatch.setattr(matching, "_clears", spy)
         monkeypatch.setattr(market_module, "_BLOCK_CELLS", 8 * 64)
-        sliced = serial_deferred_acceptance(market, caps)
+        sliced = deferred_acceptance(market, caps)
         assert_same_matching(sliced, whole)
         assert all(rows <= max(1, 64 // window) for rows, window in steps)
         assert {8, 16, 32} <= {window for _, window in steps}
@@ -843,11 +833,12 @@ class TestSlicedScan:
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["serial", "split"])
     def test_allocations_are_bounded_by_the_slice_size(self, cpus, monkeypatch):
-        # numpy reports its buffers to tracemalloc from every thread.  Each
-        # thread's compare pass (a scan step, or a block of the prune's half)
-        # holds at most six int64 or float64 arrays of _BLOCK_CELLS // 8
-        # cells, and a round at most sixteen of one entry per student.
-        # Without slices this market's call allocates ~10 MiB.
+        # numpy reports its buffers to tracemalloc from every thread; with one
+        # CPU or two, the fixed point runs on this one.  A compare pass (a
+        # scan step, or a block of the prune) holds at most six int64 or
+        # float64 arrays of _BLOCK_CELLS // 8 cells, and a round at most
+        # sixteen of one entry per student.  Without slices this market's
+        # call allocates ~10 MiB.
         config, _ = fig1(colleges=200, noise="pareto", n_students=20000)
         market = sample_market(config, 1)
         caps = config.capacities()
@@ -859,5 +850,5 @@ class TestSlicedScan:
         finally:
             tracemalloc.stop()
         slice_cells = market_module._BLOCK_CELLS // 8
-        bound = len(cpus) * 6 * 8 * slice_cells + 16 * 8 * config.n_students
+        bound = 6 * 8 * slice_cells + 16 * 8 * config.n_students
         assert peak <= bound

@@ -27,6 +27,7 @@ from noisymatch.noise import (
     Uniform,
     beta_from_stats,
     continuum_regime,
+    empirical_quantiles,
     estimate_beta,
     long_tail_ratio,
     max_order_stats,
@@ -379,6 +380,26 @@ class TestLongTailRatio:
         rng = np.random.default_rng(1) if sampled else None
         with pytest.raises(ConfigError, match=f"^{field}, got nan$"):
             long_tail_ratio(spec, x, d, rng=rng, samples=1000)
+
+    @pytest.mark.parametrize(
+        "samples, message",
+        [
+            (0, "must be >= 1, got 0"),
+            (-3, "must be >= 1, got -3"),
+            (2.5, "must be an integer, got 2.5"),
+            (True, "must be an integer, got True"),
+        ],
+        ids=["zero", "negative", "fraction", "bool"],
+    )
+    def test_sample_count_is_a_positive_integer(self, samples, message):
+        # at zero, empirical_quantiles once raised an IndexError; a float or a
+        # bool a bare TypeError from the sampler
+        rng = np.random.default_rng(1)
+        with pytest.raises(ConfigError, match=f"^samples: {message}$"):
+            long_tail_ratio(Pareto(), 2.0, 1.0, rng=rng, samples=samples)
+        with pytest.raises(ConfigError, match=f"^samples: {message}$"):
+            empirical_quantiles(Pareto(), [0.5], samples, rng)
+        assert empirical_quantiles(Pareto(), [0.5], np.int64(1), rng).shape == (1,)
 
     def test_no_tail_mass_raises(self):
         with pytest.raises(InsufficientTailMassError):
