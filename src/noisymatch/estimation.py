@@ -127,10 +127,6 @@ class ReplicationRecords:
     # processes that ran the stacks: 1 is this one, more a pool's workers
     workers: int = field(default=1, compare=False)
 
-    @property
-    def n_replications(self) -> int:
-        return self.values.shape[0]
-
     def matched(self) -> np.ndarray:
         return self.assignment != UNMATCHED
 
@@ -174,7 +170,7 @@ def _run_stack(config: EconomyConfig, plan: ExperimentPlan, stack: range):
             afford[(coalition_id, eps)] = afford_from_matching(
                 scores, assignment, cuts, cut_students, kept
             )
-    except (ConfigError, ValueError, RuntimeError) as e:
+    except (ValueError, RuntimeError) as e:
         raise ReplicationError.naming(stack, e) from e
     seconds = np.diff([started, sampled, matched, time.perf_counter()])
     # UNMATCHED = -1 fits the signed type of the college indices

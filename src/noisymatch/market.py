@@ -54,18 +54,17 @@ STREAM_NOISE = 2
 #   not change the Matching.
 # Median time per call of stacked_deferred_acceptance with scan slices of
 # 2^14 / 2^15 / 2^16 cells, interleaved (Python 3.11, numpy 2.4, 2-vCPU
-# machine with steal; the stacks without helper threads, as in a pool
-# worker, the single markets with the prune's helper):
+# machine with steal; the single markets were timed while the prune still
+# split its pass across a helper thread):
 #   many-tiny, 375 markets of n=200, C=2:  17.8 / 17.9 / 18.7 ms (301 calls)
 #   fig2 uniform, 3 markets of n=2000, C=20+20: 9.6 / 9.5 / 9.5 ms (101 calls)
 #   fig1 Pareto,  n=6000,  C=300:          20.3 / 20.3 / 20.3 ms (21 calls)
 #   fig1 Pareto,  n=20000, C=100:          38.5 / 38.9 / 39.0 ms (21 calls)
 #   amplify-large, fig1 Pareto, n=20000, C=1000: 148 / 145 / 145 ms (9 calls)
 #   fig1 uniform, n=20000, C=1000:          167 /  158 /  180 ms (9 calls)
-# and tracemalloc's peak over the call, fig1 Pareto, n=20000, serial (in
-# brackets, with the prune's helper):
-#   C=200:  2.8 (3.4) / 3.3 (3.4) / 4.1 (4.1) MiB
-#   C=1000: 4.6 (4.6) / 4.5 (4.5) / 4.8 (4.8) MiB
+# and tracemalloc's peak over the call, fig1 Pareto, n=20000, serial:
+#   C=200:  2.8 / 3.3 / 4.1 MiB
+#   C=1000: 4.6 / 4.5 / 4.8 MiB
 # Median sample_market time and tracemalloc's peak beyond the finished
 # market, fig1 shape with Pareto noise, blocks of 2^16 / 2^18 / 2^20 cells
 # (Python 3.11, numpy 2.4, 2-vCPU machine; taken when Pareto noise was drawn
@@ -96,28 +95,10 @@ def usable_cpus() -> int:
 
 
 def helper_threads_allowed() -> bool:
-    """Whether sampling and deferred acceptance may start a helper thread:
-    in a process that may run on more than one CPU and is not a pool worker,
-    whose siblings keep every core busy."""
+    """Whether ``sample_stack`` may start its helper thread: in a process
+    that may run on more than one CPU and is not a pool worker, whose
+    siblings keep every core busy."""
     return multiprocessing.parent_process() is None and usable_cpus() > 1
-
-
-def both(first, second):
-    """(first(), second()), with second on a helper thread where
-    ``helper_threads_allowed()``, started here and joined before this
-    returns; elsewhere second runs first, on this thread.  When both fail,
-    the helper's error is raised, with this thread's as its ``__context__``."""
-    if not helper_threads_allowed():
-        later = second()
-        return first(), later
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        future = pool.submit(second)
-        try:
-            now = first()
-        finally:
-            # read it even when first fails, so its error is not lost
-            later = future.result()
-    return now, later
 
 
 def markets_per_stack(n_students: int, n_colleges: int) -> int:
@@ -676,7 +657,7 @@ def sample_market(config: EconomyConfig, replication: int = 0) -> SampledMarket:
 
 
 # what a failed draw may raise; a ReplicationError names its replication
-_DRAW_ERRORS = (ConfigError, ValueError, RuntimeError)
+_DRAW_ERRORS = (ValueError, RuntimeError)
 
 
 def sample_stack(
@@ -691,12 +672,15 @@ def sample_stack(
     takes one ranking of its keys and a noise draw and add per market, and a
     large market stacked alone takes row blocks and college runs.
 
-    The three streams are independent generators, so the preferences are
-    drawn through ``both``: on a helper thread where one is allowed, while
-    this one draws the scores.  The bytes are the same either way.  A draw
-    that fails raises ReplicationError naming its replication; the
-    preference model draws the whole stack in one call, so its failure names
-    the stack's replications.
+    The three streams are independent generators, so where
+    ``helper_threads_allowed()`` holds the preferences are drawn on a helper
+    thread, started here and joined before this returns, while this thread
+    draws the scores; elsewhere the preferences and then the scores are drawn
+    on this thread.  The bytes are the same either way.  A draw that fails
+    raises ReplicationError naming its replication; the preference model
+    draws the whole stack in one call, so its failure names the stack's
+    replications.  The helper's error is never lost: when both draws fail,
+    it is raised, with the scores' error as its ``__context__``.
     """
     n = config.n_students
     coal_idx = config.coalition_index()
@@ -709,9 +693,16 @@ def sample_stack(
         except _DRAW_ERRORS as e:
             raise ReplicationError.naming(replications[i : i + 1], e) from e
 
-    prefs = functools.partial(_sample_prefs, config, replications, coal_idx)
-    scores = functools.partial(_sample_scores, config, replications, values, coal_idx)
-    scores, prefs = both(scores, prefs)
+    if not helper_threads_allowed():
+        prefs = _sample_prefs(config, replications, coal_idx)
+        return values, prefs, _sample_scores(config, replications, values, coal_idx)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        future = pool.submit(_sample_prefs, config, replications, coal_idx)
+        try:
+            scores = _sample_scores(config, replications, values, coal_idx)
+        finally:
+            # read it even when the scores fail, so its error is not lost
+            prefs = future.result()
     return values, prefs, scores
 
 

@@ -29,18 +29,22 @@ class Matching:
     capacities: tuple[int, ...]
 
 
-# A round whose scan examines at least _PRUNE_MIN_CELLS cells a rejection
+# A round whose scan examines more than _PRUNE_MIN_CELLS cells a rejection
 # prunes the lists before the next round's scan (_prune).  Windows of 8 and
 # then 16 cells make 24: on average, the students scanned past their first
-# two windows.  Counting the list positions the students moved (at least 16
-# a rejection) fired on the same round on the larger shapes below, but
-# costs a numpy reduction per scan slice.  The prune walks every cell once,
-# ~0.10 s at 20 M cells, and the cells it keeps are then scanned without
-# the n x C prefs.  Median wall time per call of the fixed point, never
-# pruning against pruning at 16 / 24 / 32 cells a rejection, 11 interleaved
+# two windows.  A round whose students each scanned exactly two windows, as
+# the last rounds of tiered stacks do with a few rejections, does not
+# prune: one pass over every cell would serve one short scan.  Counting the
+# list positions the students moved (at least 16 a rejection) fired on the
+# same round on the larger shapes below, but costs a numpy reduction per
+# scan slice.  The prune walks every cell once, ~0.10 s at 20 M cells, and
+# the cells it keeps are then scanned without the n x C prefs.  Median wall
+# time per call of the fixed point, never pruning against pruning at 16 /
+# 24 / 32 cells a rejection (measured under "at least"), 11 interleaved
 # calls per shape (101 for the six from fig1 n=2000 on), one sampled market
 # or stack at seed 1 (Python 3.11, numpy 2.4, 2-vCPU machine); at 24, the
-# round it prunes before and the cells it keeps:
+# round it prunes before and the cells it keeps (the same under the strict
+# rule for every shape but attenuate-tiers):
 #   amplify-large, fig1 Pareto, n=20000, C=1000 (round 5 of 19, 0.48 M):
 #                                   334 vs 171 / 156 / 158 ms
 #   fig1 Gaussian, n=20000, C=1000 (round 5 of 25, 0.74 M):
@@ -64,10 +68,10 @@ class Matching:
 #   fig2 Pareto,  3 markets (never; 16 prunes):      10.0 vs 11.2 / 10.0 / 10.0 ms
 #   many-tiny, 375 markets of n=200, C=2 (never):    16.5 vs 16.4 / 16.4 / 16.5 ms
 #   attenuate-tiers, fig2's shape, 67 stacks of 3 at seed 1 and at seed 2
-#     (7 calls each): 16 prune, at seed 1 each after a round of 1-3
-#     rejections that scanned two windows, before the stack's last scan;
-#     those 16 take 185 / 205 ms in sum never pruning, against 219 / 241 ms
-#     at 24
+#     (never; at "at least 24", 16 and 15 pruned, each after a round of 1-4
+#     rejections that scanned exactly two windows, before the stack's last
+#     scan; at seed 1 those 16 took 185 / 205 ms in sum never pruning,
+#     against 219 / 241 ms pruning)
 _PRUNE_MIN_CELLS = 24
 
 
@@ -179,7 +183,7 @@ def stacked_deferred_acceptance(
 
     Each student scans their own list, ``lists[pos:end + 1]`` with pos at
     their current college; until the prune the lists are the rows of prefs
-    themselves.  Once a round's scan examines at least ``_PRUNE_MIN_CELLS``
+    themselves.  Once a round's scan examines more than ``_PRUNE_MIN_CELLS``
     cells a rejection, the scans are running long: before the next round's
     scan, one row-sliced pass (``_prune``) cuts every list to the student's
     current college and the later ones whose bar they clear now, and the
@@ -286,7 +290,7 @@ def _line_order(col: np.ndarray, score: np.ndarray, n_colleges: int) -> np.ndarr
 def _worth_pruning(rejected: int, cells: int) -> bool:
     """Whether to prune the lists after a round whose scan examined ``cells``
     cells of ``rejected`` students' lists; never before the first scan."""
-    return 0 < rejected and cells >= _PRUNE_MIN_CELLS * rejected
+    return 0 < rejected and cells > _PRUNE_MIN_CELLS * rejected
 
 
 def _prune(prefs, scores, bars, pos, college):
@@ -365,13 +369,15 @@ def find_blocking_pairs(matching: Matching, market: SampledMarket) -> list[tuple
     assignment and the college either has a free seat or admits someone it
     ranks below the student.  Reads only the assignment and capacities, so
     it certifies any assignment; empty output certifies stability.
+    Capacities that are not one positive integer a college raise ValueError.
     """
     assignment = matching.assignment
     matched = np.flatnonzero(assignment != UNMATCHED)
     col = assignment[matched]
     # each college's bar is its worst admit, or one every student clears
     score = market.scores[matched, col]
-    bar = _worst_admits(col, matched, score, matching.capacities, market.n_students)
+    cap = _capacity_list(matching.capacities, market.n_colleges)
+    bar = _worst_admits(col, matched, score, cap, market.n_students)
     pairs = []
     stacks = market.prefs[None], market.scores[None]
     blocks = _row_blocks(1, *market.prefs.shape)

@@ -42,7 +42,7 @@ from noisymatch.market import (
 from noisymatch.matching import UNMATCHED, deferred_acceptance, stacked_deferred_acceptance
 from noisymatch.noise import Pareto, Uniform
 from noisymatch.presets import fig1, fig2
-from test_market import spy_on_helper_threads
+from test_market import spy_on_thread_pools
 from test_matching import clears, make_market
 
 
@@ -123,7 +123,7 @@ def helper_threads_started(config, plan):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         mp.setattr(matching, "_worth_pruning", lambda rejected, cells: True)
-        started = spy_on_helper_threads(mp)
+        started = spy_on_thread_pools(mp)
         run_replications(config, plan)
     return started
 
@@ -446,7 +446,7 @@ class TestRunReplications:
         records = run_replications(config, plan)
         seats = config.total_capacity()
         survivals = []
-        for r in range(records.n_replications):
+        for r in range(plan.replications):
             from noisymatch.market import sample_market
 
             market = sample_market(config, r)

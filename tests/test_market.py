@@ -622,6 +622,31 @@ class TestPairRanking:
             assert np.array_equal(prefs, loop_sample_market(config, r)[1])
 
 
+def bad_ranking(self, *args):
+    """A preference draw that fails: EconomyConfig rejects a bad ranking, so
+    this raises the ConfigError such a ranking gives as it samples."""
+    CommonRanking(ranking=(0, 0)).check(2)
+
+
+def bad_scores(*args):
+    raise ValueError("scores failed")
+
+
+def spy_on_thread_pools(mp):
+    """The name of the module of each call that builds a thread pool through
+    ``market.ThreadPoolExecutor``, in call order: ``sample_stack`` builds one
+    for each helper thread it starts."""
+    started = []
+    pool = market_module.ThreadPoolExecutor
+
+    def spy(*args, **kwargs):
+        started.append(sys._getframe(1).f_globals["__name__"])
+        return pool(*args, **kwargs)
+
+    mp.setattr(market_module, "ThreadPoolExecutor", spy)
+    return started
+
+
 @pytest.mark.usefixtures("two_cpus")
 class TestPrefsThread:
     @pytest.mark.parametrize("model", sorted(PREF_CONFIGS))
@@ -638,16 +663,14 @@ class TestPrefsThread:
             assert got.tobytes() == want.tobytes()
 
     def test_error_on_the_thread_reaches_the_caller(self, monkeypatch):
-        # EconomyConfig rejects a bad ranking, so the model raises the
-        # ConfigError such a ranking gives as it samples
         config = PREF_CONFIGS["uniform_random"]()
         ran_on = []
 
-        def bad_ranking(self, *args):
+        def noted_bad_ranking(self, *args):
             ran_on.append(threading.get_ident())
-            CommonRanking(ranking=(0, 0)).check(2)
+            bad_ranking(self, *args)
 
-        monkeypatch.setattr(UniformRandomPreferences, "sample_prefs", bad_ranking)
+        monkeypatch.setattr(UniformRandomPreferences, "sample_prefs", noted_bad_ranking)
         raised = []
         for allowed in (PATHS["serial"], PATHS["threaded"]):
             monkeypatch.setattr(market_module, "helper_threads_allowed", lambda: allowed)
@@ -660,31 +683,53 @@ class TestPrefsThread:
 
     def test_error_on_the_thread_is_kept_when_the_scores_fail(self, monkeypatch):
         config = PREF_CONFIGS["uniform_random"]()
-
-        def bad_ranking(self, *args):
-            CommonRanking(ranking=(0, 0)).check(2)
-
-        def bad_scores(*args):
-            raise ValueError("scores failed")
-
         monkeypatch.setattr(UniformRandomPreferences, "sample_prefs", bad_ranking)
         monkeypatch.setattr(market_module, "_sample_scores", bad_scores)
         with pytest.raises(ReplicationError, match="^replication 0: preferences.ranking") as err:
             sample_market(config, 0)
-        assert isinstance(err.value.__context__, ValueError)
+        # not merely the preference model's ConfigError, itself a ValueError
+        assert str(err.value.__context__) == "scores failed"
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_an_error_in_the_scores_alone_reaches_the_caller(self, path, monkeypatch):
+        config = PREF_CONFIGS["uniform_random"]()
+        monkeypatch.setattr(market_module, "helper_threads_allowed", lambda: PATHS[path])
+        monkeypatch.setattr(market_module, "_sample_scores", bad_scores)
+        start = threading.active_count()
+        with pytest.raises(ValueError, match="^scores failed$") as err:
+            sample_market(config, 0)
+        # the preference draw succeeded, so it leaves no trace on the error
+        assert err.value.__context__ is None
+        assert threading.active_count() == start
+
+    @pytest.mark.parametrize("fails", ["nothing", "prefs", "scores", "both"])
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_the_helper_is_joined_after_a_success_and_each_failure(
+        self, path, fails, monkeypatch
+    ):
+        config = PREF_CONFIGS["uniform_random"]()
+        monkeypatch.setattr(market_module, "helper_threads_allowed", lambda: PATHS[path])
+        if fails in ("prefs", "both"):
+            monkeypatch.setattr(UniformRandomPreferences, "sample_prefs", bad_ranking)
+        if fails in ("scores", "both"):
+            monkeypatch.setattr(market_module, "_sample_scores", bad_scores)
+        start = threading.active_count()
+        if fails == "nothing":
+            sample_market(config, 0)
+        elif fails == "scores":
+            with pytest.raises(ValueError, match="^scores failed$"):
+                sample_market(config, 0)
+        else:
+            with pytest.raises(ReplicationError, match=r"^replication 0: preferences\.ranking"):
+                sample_market(config, 0)
+        assert threading.active_count() == start
 
     def test_markets_of_every_size_start_one_helper(self, monkeypatch):
-        # both alone decides: a market of 400 cells and one of 1.2 M cells
-        # (past _BLOCK_CELLS, so drawn in row blocks and college runs) each
-        # start one helper on two CPUs, and none where helpers are not allowed
-        started = []
-        pool = market_module.ThreadPoolExecutor
-
-        def spy(*args, **kwargs):
-            started.append(True)
-            return pool(*args, **kwargs)
-
-        monkeypatch.setattr(market_module, "ThreadPoolExecutor", spy)
+        # sample_stack alone decides: a market of 400 cells and one of 1.2 M
+        # cells (past _BLOCK_CELLS, so drawn in row blocks and college runs)
+        # each start one helper on two CPUs, and none where helpers are not
+        # allowed
+        started = spy_on_thread_pools(monkeypatch)
         for n, colleges in ((200, 2), (2000, 600)):
             config = layout_config([0] * colleges, (Pareto(2.0, 0.3),), n=n)
             want = loop_sample_market(config, 1)
@@ -692,7 +737,7 @@ class TestPrefsThread:
                 monkeypatch.setattr(market_module, "helper_threads_allowed", lambda: allowed)
                 started.clear()
                 assert_same_bytes(sample_market(config, 1), want)
-                assert started == [True] * allowed
+                assert started == ["noisymatch.market"] * allowed
 
     def test_without_helper_threads_prefs_stay_on_the_calling_thread(self, monkeypatch):
         config = PREF_CONFIGS["uniform_random"]()
@@ -780,99 +825,6 @@ class TestPrefsThread:
         ranking = tuple(np.array([1, 0]))
         config = two_college_config(CommonRanking(ranking=ranking))
         assert sample_market(config, 0).prefs[0].tolist() == [1, 0]
-
-
-def spy_on_helper_threads(mp):
-    """The name of the module of each ``market.both`` call that ran its
-    second function on a helper thread, in call order."""
-    started = []
-    both = market_module.both
-
-    def spy(first, second):
-        name, caller = sys._getframe(1).f_globals["__name__"], threading.get_ident()
-
-        def watched():
-            if threading.get_ident() != caller:
-                started.append(name)
-            return second()
-
-        return both(first, watched)
-
-    mp.setattr(market_module, "both", spy)
-    return started
-
-
-def failing(message, ran_on):
-    """A call that notes its thread and raises RuntimeError(message)."""
-
-    def fail():
-        ran_on.append(threading.get_ident())
-        raise RuntimeError(message)
-
-    return fail
-
-
-HELPERS = {"helper": True, "no-helper": False}
-
-
-class TestBoth:
-    """market.both: every helper thread the pipeline starts, and joins."""
-
-    @pytest.fixture(params=sorted(HELPERS))
-    def helper(self, request, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        if not HELPERS[request.param]:
-            monkeypatch.setattr(market_module, "helper_threads_allowed", lambda: False)
-        return HELPERS[request.param]
-
-    def test_results_come_back_in_order(self, helper):
-        assert market_module.both(lambda: "first", lambda: "second") == ("first", "second")
-
-    def test_second_runs_off_this_thread_only_where_helpers_are_allowed(self, helper):
-        ran_on = []
-
-        def note(name):
-            return lambda: ran_on.append((name, threading.get_ident()))
-
-        market_module.both(note("first"), note("second"))
-        caller = threading.get_ident()
-        if helper:
-            assert ran_on[0] != ran_on[1] and ("first", caller) in ran_on
-            assert [name for name, ident in ran_on if ident != caller] == ["second"]
-        else:
-            # second first, as sample_stack draws the preferences before the scores
-            assert ran_on == [("second", caller), ("first", caller)]
-
-    @pytest.mark.parametrize("which", ["first", "second"])
-    def test_an_error_in_either_call_reaches_the_caller(self, helper, which):
-        start, ran_on = threading.active_count(), []
-        calls = {"first": lambda: 1, "second": lambda: 2}
-        calls[which] = failing(f"{which} failed", ran_on)
-        with pytest.raises(RuntimeError, match=f"^{which} failed$") as err:
-            market_module.both(calls["first"], calls["second"])
-        assert err.value.__context__ is None
-        assert (ran_on[0] != threading.get_ident()) == (helper and which == "second")
-        assert threading.active_count() == start
-
-    def test_when_both_fail_the_helper_error_holds_the_callers(self, helper):
-        start, ran_on = threading.active_count(), []
-        first, second = failing("first failed", ran_on), failing("second failed", ran_on)
-        with pytest.raises(RuntimeError, match="^second failed$") as err:
-            market_module.both(first, second)
-        if helper:
-            assert str(err.value.__context__) == "first failed"
-            assert len(set(ran_on)) == 2
-        else:
-            # second ran first, on this thread, and its error ended the call
-            assert err.value.__context__ is None and ran_on == [threading.get_ident()]
-        assert threading.active_count() == start
-
-    def test_the_helper_is_joined_before_it_returns(self, helper):
-        start = threading.active_count()
-        seen = []
-        market_module.both(lambda: None, lambda: seen.append(threading.active_count()))
-        assert threading.active_count() == start
-        assert seen == [start + helper]
 
 
 def two_college_config(preferences):

@@ -41,8 +41,8 @@ from noisymatch.matching import (
     stacked_deferred_acceptance,
 )
 from noisymatch.noise import Pareto
-from noisymatch.presets import fig1
-from test_market import spy_on_helper_threads
+from noisymatch.presets import fig1, fig2
+from test_market import spy_on_thread_pools
 
 
 def make_market(prefs, scores):
@@ -300,6 +300,28 @@ class TestBlockingPairs:
             )
             m = deferred_acceptance(market, caps)
             assert np.bincount(m.assignment + 1, minlength=c + 1)[1:].tolist() == caps
+
+    @pytest.mark.parametrize(
+        "caps, message",
+        [
+            ((25,) * 5, r"^capacities: expected 4 entries, got 5$"),
+            ((25.5,) * 4, r"^capacities\[0\]: must be a positive integer, got 25.5$"),
+            ((True,) * 4, r"^capacities\[0\]: must be a positive integer, got True$"),
+            ((-5,) * 4, r"^capacities\[0\]: must be a positive integer, got -5$"),
+            ((0,) * 4, r"^capacities\[0\]: must be a positive integer, got 0$"),
+            ((25,), r"^capacities: expected 4 entries, got 1$"),
+        ],
+        ids=["five-entries", "fraction", "bool", "negative", "zero", "one-entry"],
+    )
+    def test_bad_capacities_raise_as_the_fixed_point_s_do(self, caps, message):
+        # once they were trusted: 25.5 found 506 pairs, five entries, True,
+        # -5 and 0 found none, and one entry raised a bare IndexError
+        config, _ = fig1(colleges=4, n_students=200)
+        market = sample_market(config, 1)
+        m = deferred_acceptance(market, config.capacities())
+        assert find_blocking_pairs(m, market) == []
+        with pytest.raises(ValueError, match=message):
+            find_blocking_pairs(dataclasses.replace(m, capacities=caps), market)
 
     def test_affine_score_transform_is_invariant(self, rng):
         n, c = 40, 4
@@ -628,6 +650,20 @@ class TestPrunedLists:
         assert_same_matching(pruned, unpruned)
         assert_same_matching(pruned, heap_deferred_acceptance(market, caps))
 
+    def test_rounds_that_scan_two_windows_a_rejection_do_not_prune(self, monkeypatch):
+        # windows of 8 and 16 cells: the last rounds of tiered stacks reject
+        # a few students who each scan exactly two windows, and a pass over
+        # every cell would serve that one short scan
+        assert not matching._worth_pruning(1, 24)
+        assert not matching._worth_pruning(4, 96)
+        assert matching._worth_pruning(1, 25)
+        # at "at least 24 cells", three of these four stacks of three pruned
+        config, plan = fig2(noise="exponential", seed=1, replications=12)
+        pruned, prune = [], matching._prune
+        monkeypatch.setattr(matching, "_prune", lambda *args: pruned.append(1) or prune(*args))
+        run_replications(config, plan)
+        assert pruned == []
+
     def test_a_stack_of_tiny_markets_never_prunes(self, monkeypatch):
         # many-tiny's shape: 375 markets of 200 students and two colleges of
         # 50 seats; no list is long enough for a scan to run long
@@ -757,9 +793,7 @@ class TestScanSplit:
         market, caps = tied_market()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         prune_on_round(monkeypatch, 1)
-        calls, threads = [], []
-        both = market_module.both
-        monkeypatch.setattr(market_module, "both", lambda *fns: calls.append(fns) or both(*fns))
+        calls, threads = spy_on_thread_pools(monkeypatch), []
         cleared_in_order, advance = matching._cleared_in_order, matching._advance
 
         def cleared_spy(*args):
@@ -783,7 +817,7 @@ class TestScanSplit:
         prune_on_round(monkeypatch, 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         assert usable_cpus() == len(cpus)
-        started = spy_on_helper_threads(monkeypatch)
+        started = spy_on_thread_pools(monkeypatch)
         # one patch of the predicate keeps the preference draw on this thread
         with monkeypatch.context() as mp:
             mp.setattr(market_module, "helper_threads_allowed", lambda: False)
