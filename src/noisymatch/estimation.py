@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -256,6 +255,9 @@ def run_replications(
     run = partial(_run_stack, config, plan)
     with ExitStack() as scope:
         if workers > 1:
+            # imported here, with multiprocessing, only by a run that starts a pool
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = scope.enter_context(ProcessPoolExecutor(max_workers=workers))
             batch = max(1, len(stacks) // (4 * workers))
             parts = pool.map(run, stacks, chunksize=batch)

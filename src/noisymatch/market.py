@@ -11,11 +11,10 @@ preferences, and noise.
 from __future__ import annotations
 
 import functools
-import multiprocessing
 import numbers
 import os
+import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import groupby
 from typing import Sequence
@@ -34,52 +33,23 @@ STREAM_NOISE = 2
 # pipeline draws, stacks or compares at once:
 # - sampling draws noise and preference keys in blocks of at most this many
 #   cells (2 MiB of float64), one key buffer reused for every block, so the
-#   float64 temporaries, and _packed_rank's uint64 block, stay small next to
-#   the n x C score and preference matrices, and so do the freed blocks
-#   malloc keeps in its arenas afterwards;
-# - a run's replications are sampled and matched in stacks of consecutive
-#   markets of at most this many cells (markets_per_stack), one call of
-#   sample_stack and of stacked_deferred_acceptance per stack (a larger
-#   market is stacked alone), so a stack of small markets has its keys
-#   ranked as one block and is matched as one numpy fixed point, and the
-#   stack's prefs and scores stay under 2.5 MiB;
-# - every compare pass takes at most an eighth of this many cells at a
-#   time: demand, the blocking-pair scan and the fixed point's list prune
-#   compare as many cells with the colleges' bars
-#   (matching._cleared_in_order), afford_from_matching gathers as many, and
-#   each step of the fixed point's rejected-student scan (matching._advance)
-#   covers as many (student, list position) cells, so its half-dozen int64
-#   and float64 temporaries stay near 1.5 MiB however many students a round
-#   rejects.  Students move independently within a round, so slicing does
-#   not change the Matching.
-# Median time per call of stacked_deferred_acceptance with scan slices of
-# 2^14 / 2^15 / 2^16 cells, interleaved (Python 3.11, numpy 2.4, 2-vCPU
-# machine with steal; the single markets were timed while the prune still
-# split its pass across a helper thread):
-#   many-tiny, 375 markets of n=200, C=2:  17.8 / 17.9 / 18.7 ms (301 calls)
-#   fig2 uniform, 3 markets of n=2000, C=20+20: 9.6 / 9.5 / 9.5 ms (101 calls)
-#   fig1 Pareto,  n=6000,  C=300:          20.3 / 20.3 / 20.3 ms (21 calls)
-#   fig1 Pareto,  n=20000, C=100:          38.5 / 38.9 / 39.0 ms (21 calls)
-#   amplify-large, fig1 Pareto, n=20000, C=1000: 148 / 145 / 145 ms (9 calls)
-#   fig1 uniform, n=20000, C=1000:          167 /  158 /  180 ms (9 calls)
-# and tracemalloc's peak over the call, fig1 Pareto, n=20000, serial:
-#   C=200:  2.8 / 3.3 / 4.1 MiB
-#   C=1000: 4.6 / 4.5 / 4.8 MiB
-# Median sample_market time and tracemalloc's peak beyond the finished
-# market, fig1 shape with Pareto noise, blocks of 2^16 / 2^18 / 2^20 cells
-# (Python 3.11, numpy 2.4, 2-vCPU machine; taken when Pareto noise was drawn
-# by rng.pareto, before Pareto._draw's in-place expm1):
-#                           time (ms)             peak beyond market (MiB)
-#   n=2000,  C=100:      12 /   13 /   13         1.0 / 1.7 / 1.7
-#   n=8000,  C=128:      62 /   62 /   67         1.0 / 3.9 / 7.9
-#   n=20000, C=1000:   1603 / 1310 / 1389         0.9 / 4.0 / 15.9
-#     prefs thread:    1247 /  973 /  915         1.9 / 8.0 / 31.9
-# A rerun of 2^18 against 2^20 at n=20000, C=1000: 1430 vs 1395 ms serial,
-# 940 vs 930 ms with the preference thread.
-# Median matching time per market, matched alone (many-tiny by the heap loop
-# that small markets then took) against a stack of 2^18 cells (same machine):
-#   many-tiny,       n=200,  C=2     (400 cells, 375 a stack): 0.31 vs 0.08-0.13 ms
-#   attenuate-tiers, n=2000, C=20+20 (80,000 cells, 3 a stack): 8.3 vs 6.5 ms
+#   temporaries, and the freed blocks malloc keeps in its arenas afterwards,
+#   stay small next to the n x C score and preference matrices;
+# - a run samples and matches its replications in stacks of consecutive
+#   markets of at most this many cells (markets_per_stack; a larger market
+#   is stacked alone), so a stack of small markets has its keys ranked as
+#   one block and is matched as one numpy fixed point, and its prefs and
+#   scores stay under 2.5 MiB;
+# - every compare pass takes at most an eighth of it: the bar comparisons
+#   of matching._cleared_in_order, the gathers of afford_from_matching and
+#   each step of the fixed point's scan (matching._advance), whose int64 and
+#   float64 temporaries so stay near 1.5 MiB.  Students move independently
+#   within a round, so slicing does not change the Matching.
+# At 2^18 a many-tiny market is matched in 0.08-0.13 ms in a stack of 375
+# (0.48 ms alone), amplify-large's market is sampled with a tracemalloc peak
+# of 4 MiB beyond it (16 MiB at 2^20, about as fast), and scan slices of 2^14
+# to 2^16 cells time alike (Python 3.11, numpy 2.4, 2-vCPU machine).
+# CHANGES.md keeps the timing tables.
 _BLOCK_CELLS = 1 << 18
 
 
@@ -97,8 +67,11 @@ def usable_cpus() -> int:
 def helper_threads_allowed() -> bool:
     """Whether ``sample_stack`` may start its helper thread: in a process
     that may run on more than one CPU and is not a pool worker, whose
-    siblings keep every core busy."""
-    return multiprocessing.parent_process() is None and usable_cpus() > 1
+    siblings keep every core busy.  Every process that ``multiprocessing``
+    starts has imported it, so one that has not is no pool worker, and a
+    serial run never loads it."""
+    mp = sys.modules.get("multiprocessing")
+    return (mp is None or mp.parent_process() is None) and usable_cpus() > 1
 
 
 def markets_per_stack(n_students: int, n_colleges: int) -> int:
@@ -696,6 +669,9 @@ def sample_stack(
     if not helper_threads_allowed():
         prefs = _sample_prefs(config, replications, coal_idx)
         return values, prefs, _sample_scores(config, replications, values, coal_idx)
+    # imported here, so that only a process that starts a helper loads it
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=1) as pool:
         future = pool.submit(_sample_prefs, config, replications, coal_idx)
         try:

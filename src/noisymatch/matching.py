@@ -34,44 +34,12 @@ class Matching:
 # then 16 cells make 24: on average, the students scanned past their first
 # two windows.  A round whose students each scanned exactly two windows, as
 # the last rounds of tiered stacks do with a few rejections, does not
-# prune: one pass over every cell would serve one short scan.  Counting the
-# list positions the students moved (at least 16 a rejection) fired on the
-# same round on the larger shapes below, but costs a numpy reduction per
-# scan slice.  The prune walks every cell once, ~0.10 s at 20 M cells, and
-# the cells it keeps are then scanned without the n x C prefs.  Median wall
-# time per call of the fixed point, never pruning against pruning at 16 /
-# 24 / 32 cells a rejection (measured under "at least"), 11 interleaved
-# calls per shape (101 for the six from fig1 n=2000 on), one sampled market
-# or stack at seed 1 (Python 3.11, numpy 2.4, 2-vCPU machine); at 24, the
-# round it prunes before and the cells it keeps (the same under the strict
-# rule for every shape but attenuate-tiers):
-#   amplify-large, fig1 Pareto, n=20000, C=1000 (round 5 of 19, 0.48 M):
-#                                   334 vs 171 / 156 / 158 ms
-#   fig1 Gaussian, n=20000, C=1000 (round 5 of 25, 0.74 M):
-#                                   317 vs 186 / 165 / 166 ms
-#   fig1 Gumbel,   n=20000, C=1000 (round 5 of 21, 0.63 M; at 32, round 6):
-#                                   325 vs 160 / 160 / 155 ms
-#   fig1 uniform,  n=20000, C=1000 (round 3 of 66, 4.9 M):
-#                                   203 vs 182 / 186 / 178 ms
-#   fig1 Pareto,   n=15000, C=3000 (round 5 of 20, 1.3 M):
-#                                   853 vs 431 / 337 / 381 ms
-#   fig1 Pareto,   n=6000,  C=300  (round 5 of 16):  35.8 vs 23.0 / 21.5 / 20.8 ms
-#   fig1 Pareto,   n=8000,  C=128  (round 5 of 14):  21.4 vs 15.9 / 16.7 / 16.6 ms
-#   fig1 Pareto,   n=20000, C=100  (round 5 of 18):  53.7 vs 38.9 / 41.9 / 42.6 ms
-#   fig1 uniform,  n=20000, C=100  (round 3 of 46):  51.1 vs 48.7 / 51.1 / 52.6 ms
-#   fig1 n=2000, C=100, the default (rounds of ~1000 rejections):
-#     uniform  (round 3 of 28):                       6.9 vs 6.0 / 6.0 / 6.0 ms
-#     Pareto   (round 5 of 16):                       5.9 vs 4.9 / 4.9 / 4.9 ms
-#     Gaussian (round 5 of 16):                       6.0 vs 5.0 / 5.0 / 5.4 ms
-#   fig2 uniform, 3 markets of n=2000, C=20+20 (never; 16 prunes after the
-#     first round's 16.2 cells a rejection):          9.3 vs 10.2 / 9.3 / 9.3 ms
-#   fig2 Pareto,  3 markets (never; 16 prunes):      10.0 vs 11.2 / 10.0 / 10.0 ms
-#   many-tiny, 375 markets of n=200, C=2 (never):    16.5 vs 16.4 / 16.4 / 16.5 ms
-#   attenuate-tiers, fig2's shape, 67 stacks of 3 at seed 1 and at seed 2
-#     (never; at "at least 24", 16 and 15 pruned, each after a round of 1-4
-#     rejections that scanned exactly two windows, before the stack's last
-#     scan; at seed 1 those 16 took 185 / 205 ms in sum never pruning,
-#     against 219 / 241 ms pruning)
+# prune: one pass over every cell (~0.10 s at 20 M cells) would serve one
+# short scan.  amplify-large's market prunes before round 5 of 19, keeps
+# 0.48 M cells and is matched in a median 156 ms a call against 334 ms
+# never pruning; many-tiny's and fig2's stacks never prune (Python 3.11,
+# numpy 2.4, 2-vCPU machine).  CHANGES.md keeps the table over shapes and
+# thresholds.
 _PRUNE_MIN_CELLS = 24
 
 

@@ -12,7 +12,6 @@ flattens as colleges are added.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -125,6 +124,8 @@ class Gaussian(NoiseSpec):
             return np.where(z > _DEEP_Z, deep, np.where(z > 0, np.log(tail), np.log1p(-tail)))
 
     def quantile(self, q):
+        import statistics  # here, so that importing the package does not load it
+
         return statistics.NormalDist(self.mean, self.sd).inv_cdf(q)
 
     def support(self):

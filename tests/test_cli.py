@@ -4,13 +4,18 @@ import copy
 import json
 import math
 import multiprocessing
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import noisymatch
 from noisymatch.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, main, run
 from noisymatch.config_io import (
     KINDS,
@@ -1166,3 +1171,41 @@ class TestCliContract:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["effective_config"]["master_seed"] == 123
         assert manifest["master_seed"] == 123
+
+
+def modules_loaded(code, names):
+    """Which of ``names`` a fresh interpreter has loaded after running
+    ``code``, with this noisymatch first on its path."""
+    env = dict(os.environ)
+    path = [str(Path(noisymatch.__file__).parents[1]), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in path if p)
+    report = f"print(json.dumps([m for m in {list(names)!r} if m in sys.modules]))"
+    script = f"import json, sys\n{code}\n{report}"
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestStartUp:
+    """A config parse loads neither pool, nor multiprocessing, nor the
+    statistics module; each loads at the call that first needs it."""
+
+    LATE = ("multiprocessing", "concurrent.futures", "statistics", "numpy.random")
+    POOLS = ("concurrent.futures.thread", "concurrent.futures.process", "multiprocessing")
+
+    def test_importing_the_package_loads_no_pool(self):
+        code = "import noisymatch\nfrom noisymatch import config_io"
+        assert modules_loaded(code, self.LATE) == []
+
+    def test_a_serial_run_loads_the_thread_pool_alone(self):
+        # on two CPUs every stack draws its preferences on a helper thread,
+        # which a pool of concurrent.futures.thread runs
+        code = (
+            "import os\n"
+            "from noisymatch.estimation import run_replications\n"
+            "from noisymatch.presets import fig1\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "run_replications(*fig1(colleges=2, n_students=200, replications=3), threads=1)"
+        )
+        assert modules_loaded(code, self.POOLS) == ["concurrent.futures.thread"]

@@ -1,5 +1,6 @@
 """Unit tests for the replication harness, curves, and metrics."""
 
+import concurrent.futures
 import functools
 import itertools
 import multiprocessing
@@ -190,7 +191,7 @@ class TestRunReplications:
             matched.append(len(prefs))
             return stacked_deferred_acceptance(prefs, scores, capacities)
 
-        monkeypatch.setattr(estimation, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(estimation, "sample_stack", spy)
         monkeypatch.setattr(estimation, "stacked_deferred_acceptance", da_spy)
         config, plan = small_pool(replications=3)
@@ -219,7 +220,7 @@ class TestRunReplications:
 
     def test_a_pool_starts_no_more_workers_than_stacks(self, monkeypatch):
         # a fork pool starts all its workers at the first submit
-        monkeypatch.setattr(estimation, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(InlinePool, "workers", [])
         config, plan = fig1(colleges=2, n_students=200, replications=2)
         run_replications(config, plan, threads=4)
@@ -244,7 +245,7 @@ class TestRunReplications:
         # a clock that ticks once a reading: a stack reads it four times, so
         # each of its three stages takes one second
         ticks = itertools.count()
-        monkeypatch.setattr(estimation, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(market_module, "_BLOCK_CELLS", 1)
         monkeypatch.setattr(estimation.time, "perf_counter", lambda: float(next(ticks)))
         config, plan = small_pool(replications=5)
@@ -392,7 +393,7 @@ class TestRunReplications:
         spawn = functools.partial(
             ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")
         )
-        monkeypatch.setattr(estimation, "ProcessPoolExecutor", spawn)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawn)
         config, plan = fig1(colleges=2, n_students=200, replications=64)
         serial = run_replications(config, plan, threads=1)
         pooled = run_replications(config, plan, threads=2)

@@ -1,5 +1,6 @@
 """Unit tests for economy configuration and market sampling."""
 
+import concurrent.futures
 import math
 import os
 import re
@@ -634,16 +635,16 @@ def bad_scores(*args):
 
 def spy_on_thread_pools(mp):
     """The name of the module of each call that builds a thread pool through
-    ``market.ThreadPoolExecutor``, in call order: ``sample_stack`` builds one
-    for each helper thread it starts."""
+    ``concurrent.futures.ThreadPoolExecutor``, in call order: ``sample_stack``
+    imports it as it starts each helper thread and builds one pool a helper."""
     started = []
-    pool = market_module.ThreadPoolExecutor
+    pool = concurrent.futures.ThreadPoolExecutor
 
     def spy(*args, **kwargs):
         started.append(sys._getframe(1).f_globals["__name__"])
         return pool(*args, **kwargs)
 
-    mp.setattr(market_module, "ThreadPoolExecutor", spy)
+    mp.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
     return started
 
 
