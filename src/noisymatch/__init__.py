@@ -1,6 +1,6 @@
 """Simulator for stable matching markets where colleges act on noisy scores."""
 
-from .cutoffs import check_market_clearing, demand_all, rate_exponent
+from .cutoffs import check_market_clearing, demand_all
 from .errors import (
     ConfigError,
     DegenerateVarianceError,
@@ -36,7 +36,6 @@ from .market import (
     UniformValues,
     sample_market,
     sample_stack,
-    v_s_threshold,
 )
 from .matching import UNMATCHED, Matching, deferred_acceptance, find_blocking_pairs
 from .noise import (
@@ -50,7 +49,9 @@ from .noise import (
     estimate_beta,
     long_tail_ratio,
     max_order_stats,
+    rate_exponent,
     shared_cutoff,
+    v_s_threshold,
 )
 
 __version__ = "0.1.0"

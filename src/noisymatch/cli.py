@@ -35,7 +35,8 @@ from .estimation import (
     run_replications,
     steepest_ascent_bin,
 )
-from .market import usable_cpus, v_s_threshold
+from .market import usable_cpus
+from .noise import v_s_threshold
 from .presets import NOISE_TOKENS, PRESET_NAMES, noise_from_token, preset
 
 EXIT_OK = 0

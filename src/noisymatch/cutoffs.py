@@ -1,4 +1,4 @@
-"""Admission bars, the demand map, and the decay-rate exponent.
+"""Admission bars, the demand map, market clearing and affordability.
 
 A college's bar is its worst admit (score, student), a Matching's
 ``cutoffs`` and ``cut_students``; (-inf, n) with a free seat.  A student
@@ -21,6 +21,8 @@ the fixed point.  So an unmatched student was turned away by every college,
 each time by a bar no higher than its final one, and fails every final bar;
 with a free seat anywhere, no student is unmatched.  A matched student is
 one of their college's admits, so they clear its bar, the worst admit's.
+
+The continuum formulas, the decay exponent among them, live in ``noise``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import market as sampling
 from .market import SampledMarket
-from .matching import UNMATCHED, Matching, _capacity_list, _cleared_in_order, _clears, _row_blocks
+from .matching import UNMATCHED, Matching, _capacity_list, _cleared_in_order, _clears
 
 
 def extract_cutoffs(matching: Matching) -> np.ndarray:
@@ -90,9 +92,7 @@ def demand_all(market: SampledMarket, cutoffs: np.ndarray, cut_students: np.ndar
         got = f"cutoffs {bars[0].shape} and cut_students {bars[1].shape}"
         raise ValueError(f"expected one bar for each of {market.n_colleges} colleges, got {got}")
     demand = np.empty(market.n_students, dtype=np.int64)
-    stacks = market.prefs[None], market.scores[None]
-    blocks = _row_blocks(1, *market.prefs.shape)
-    for rows, prefs, cleared in _cleared_in_order(*stacks, *bars, blocks):
+    for rows, prefs, cleared in _cleared_in_order(market.prefs[None], market.scores[None], *bars):
         k = np.arange(len(prefs))
         first = cleared.argmax(axis=1)
         demand[rows] = np.where(cleared[k, first], prefs[k, first], UNMATCHED)
@@ -109,11 +109,3 @@ def check_market_clearing(
     counts = np.bincount(d[d != UNMATCHED], minlength=len(caps))
     return counts - caps
 
-
-def rate_exponent(beta: float, gamma: float) -> float:
-    """Polynomial decay exponent of the mismatched mass in the college count.
-
-    gamma is the value law's Holder exponent: every law ``values`` builds is Lipschitz, so 1."""
-    if not (0 < beta < np.inf and 0 < gamma < np.inf):
-        raise ValueError(f"beta and gamma must be positive and finite, got beta={beta}, gamma={gamma}")
-    return 2.0 * beta * gamma / (3.0 * beta * gamma + 2.0 * beta + 5.0 * gamma + 6.0)

@@ -43,10 +43,13 @@ def finite_number(value, field: str) -> float:
     return float(value)
 
 
-def integer(value, field: str) -> int:
-    """value as an int when it is an integer (a bool is not); else a ConfigError naming field."""
+def integer(value, field: str, *, least: int | None = None) -> int:
+    """value as an int when it is an integer (a bool is not), and no less than
+    ``least`` when one is given; else a ConfigError naming field."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{field}: must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{field}: must be >= {least}, got {int(value)}")
     return int(value)
 
 

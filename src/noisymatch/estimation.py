@@ -60,9 +60,8 @@ class ExperimentPlan:
     def __post_init__(self):
         if not isinstance(cutoffs := self.record_cutoffs, bool):
             raise ConfigError(f"plan.record_cutoffs: must be true or false, got {cutoffs!r}")
-        object.__setattr__(self, "replications", integer(self.replications, "plan.replications"))
-        if self.replications < 1:
-            raise ConfigError(f"plan.replications: must be >= 1, got {self.replications}")
+        replications = integer(self.replications, "plan.replications", least=1)
+        object.__setattr__(self, "replications", replications)
         if isinstance(self.bin_edges, str) or not isinstance(self.bin_edges, Iterable):
             raise ConfigError(f"plan.bin_edges: must be a list of numbers, got {self.bin_edges!r}")
         # NaN compares false, so it would pass the increasing check below
@@ -333,14 +332,10 @@ def _binned_curve(
 
 
 # A curve bins and counts its column this many values at a time, so its
-# temporaries stay near 0.4 MiB whatever the number of observations.
-# Median time and tracemalloc peak of a match and an afford curve on
-# many-tiny's count of values (600,000, U(0, 1)) and 51 equal-width edges,
-# two sweeps of 30 runs (Python 3.11, numpy 2.4, 2-vCPU machine), for
-# chunks of 2^12 / 2^13 / 2^14 / 2^16 / 2^18 / 2^20:
-#   18-21 / 12-16 / 10-11 / 9-10 / 14-16 / 18-19 ms,
-#   0.11 / 0.21 / 0.41 / 1.63 / 6.50 / 10.30 MiB.
-# np.searchsorted took 28 ms for the whole column, where _bin_of takes 4.3.
+# temporaries stay near 0.4 MiB whatever the number of observations.  At
+# 2^14 a match and an afford curve on many-tiny's 600,000 values take
+# 10-11 ms, within 1 ms of the fastest chunk and a quarter of its memory
+# (Python 3.11, numpy 2.4, 2-vCPU machine).  CHANGES.md keeps the table.
 _BIN_CHUNK = 1 << 14
 
 

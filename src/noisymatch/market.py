@@ -5,7 +5,8 @@ Colleges in one coalition share each student's true value and observe it
 through independent noise; students rank all colleges by a configurable
 preference model.  Sampling is deterministic given the config's master
 seed and a replication index, with separate derived streams for values,
-preferences, and noise.
+preferences, and noise.  This module only samples: the continuum formulas
+over a value law, the frontier v_S among them, live in ``noise``.
 """
 
 from __future__ import annotations
@@ -289,14 +290,6 @@ class PiecewiseLinearCdf(ValueDistribution):
 
     def support(self):
         return (self.knots[0][0], self.knots[-1][0])
-
-
-def v_s_threshold(dist: ValueDistribution, total_capacity_fraction: float) -> float:
-    """Value v_S with a mass of exactly S students above it."""
-    s = total_capacity_fraction
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"total capacity fraction must lie in (0, 1), got {s}")
-    return float(dist.quantile(1.0 - s))
 
 
 # ---------------------------------------------------------------------------

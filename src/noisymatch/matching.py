@@ -87,30 +87,25 @@ def _clears(score, student, bar_score, bar_student, at) -> np.ndarray:
     return ok
 
 
-def _row_blocks(n_markets: int, n_students: int, n_colleges: int) -> list[tuple[int, slice]]:
-    """(market, rows) of each block of at most ``_BLOCK_CELLS // 8`` cells of
-    an (R, n, C) stack's rows; no block spans two markets."""
+def _cleared_in_order(prefs, scores, bar_score, bar_student):
+    """Each block of at most ``_BLOCK_CELLS // 8`` cells of the (R, n, C)
+    stacks ``prefs`` and ``scores``, rows of one market: the union's rows
+    (student r*n + s is row s of market r), its prefs, and whether each
+    student clears (``_clears``) the bar of each college on their list, in
+    preference order.  The bars are the union's: college c of market r is
+    bar r*C + c.  Compares in college order, then takes the flags into
+    preference order in one flat take.  No n x C table."""
+    n_markets, n, n_colleges = prefs.shape
     step = max(1, sampling._BLOCK_CELLS // 8 // n_colleges)
-    starts = range(0, n_students, step)
-    return [(r, slice(s0, s0 + step)) for r in range(n_markets) for s0 in starts]
-
-
-def _cleared_in_order(prefs, scores, bar_score, bar_student, blocks):
-    """Each ``(r, rows)`` block of the (R, n, C) stacks ``prefs`` and
-    ``scores``: the union's rows (student r*n + s is row s of market r), its
-    prefs, and whether each student clears (``_clears``) the bar of each
-    college on their list, in preference order.  The bars are the union's:
-    college c of market r is bar r*C + c.  Compares in college order, then
-    takes the flags into preference order in one flat take.  No n x C table."""
-    _, n, n_colleges = prefs.shape
-    for r, rows in blocks:
-        block = prefs[r, rows]
-        union = slice(r * n + rows.start, r * n + rows.start + len(block))
-        student = np.arange(union.start, union.stop)[:, None]
+    for r in range(n_markets):
         bars = slice(r * n_colleges, (r + 1) * n_colleges)
-        cleared = _clears(scores[r, rows], student, bar_score, bar_student, bars)
-        at = block + np.arange(0, cleared.size, n_colleges)[:, None]
-        yield union, block, cleared.ravel().take(at)
+        for s0 in range(0, n, step):
+            block = prefs[r, s0 : s0 + step]
+            union = slice(r * n + s0, r * n + s0 + len(block))
+            student = np.arange(union.start, union.stop)[:, None]
+            cleared = _clears(scores[r, s0 : s0 + step], student, bar_score, bar_student, bars)
+            at = block + np.arange(0, cleared.size, n_colleges)[:, None]
+            yield union, block, cleared.ravel().take(at)
 
 
 def deferred_acceptance(market: SampledMarket, capacities: Sequence[int]) -> Matching:
@@ -276,7 +271,7 @@ def _prune(prefs, scores, bars, pos, college):
     n_colleges = prefs.shape[2]
     held = college != UNMATCHED
     lists, count = [], []
-    for rows, block, cleared in _cleared_in_order(prefs, scores, *bars, _row_blocks(*prefs.shape)):
+    for rows, block, cleared in _cleared_in_order(prefs, scores, *bars):
         mine = np.flatnonzero(held[rows])
         cleared = cleared.ravel()
         cleared[pos[rows][mine] - rows.start * n_colleges] = True
@@ -347,9 +342,7 @@ def find_blocking_pairs(matching: Matching, market: SampledMarket) -> list[tuple
     cap = _capacity_list(matching.capacities, market.n_colleges)
     bar = _worst_admits(col, matched, score, cap, market.n_students)
     pairs = []
-    stacks = market.prefs[None], market.scores[None]
-    blocks = _row_blocks(1, *market.prefs.shape)
-    for rows, prefs, cleared in _cleared_in_order(*stacks, *bar, blocks):
+    for rows, prefs, cleared in _cleared_in_order(market.prefs[None], market.scores[None], *bar):
         # the colleges listed before the student's own; all of them when unmatched
         own_or_later = np.logical_or.accumulate(prefs == assignment[rows, None], axis=1)
         s, k = np.nonzero(cleared & ~own_or_later)

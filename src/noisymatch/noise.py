@@ -1,4 +1,4 @@
-"""Noise distributions and tail-regime diagnostics.
+"""Noise distributions, tail-regime diagnostics and the continuum formulas.
 
 A noise spec is a small frozen dataclass with a sampler and, for every
 built-in family, closed-form log-survival and quantile functions.  The
@@ -7,6 +7,11 @@ behaviour: how fast the maximum of n draws concentrates, whether the
 conditional survival ratio Pr[X > x+d | X > x] approaches 1, and, exactly
 in the continuum, whether a market's match curve sharpens into a step or
 flattens as colleges are added.
+
+Every continuum formula the package has lives here, and nowhere else: the
+frontier v_S (``v_s_threshold``), the shared cutoff P (``shared_cutoff``),
+the regime label (``continuum_regime``) and the decay exponent
+(``rate_exponent``).
 """
 
 from __future__ import annotations
@@ -295,7 +300,7 @@ def long_tail_ratio(
         if log_denom == -math.inf:
             raise InsufficientTailMassError(f"Pr[X > {x}] = 0 for {spec!r}")
         return RatioEstimate(float(np.exp(spec.log_survival(x + d) - log_denom)), 0.0)
-    draws = spec.sample(rng, _sample_count(samples))
+    draws = spec.sample(rng, integer(samples, "samples", least=1))
     tail = draws[draws > x]
     if tail.size == 0:
         raise InsufficientTailMassError(f"no draws above x={x} in {samples} samples")
@@ -309,16 +314,16 @@ def empirical_quantiles(
     samples: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    draws = spec.sample(rng, _sample_count(samples))
+    draws = spec.sample(rng, integer(samples, "samples", least=1))
     return np.quantile(draws, np.asarray(quantiles))
 
 
-def _sample_count(samples) -> int:
-    """samples as an int when it is an integer of at least 1; else a ConfigError."""
-    samples = integer(samples, "samples")
-    if samples < 1:
-        raise ConfigError(f"samples: must be >= 1, got {samples}")
-    return samples
+def v_s_threshold(dist, total_capacity_fraction: float) -> float:
+    """Value v_S of the value law ``dist`` with a mass of exactly S students above it."""
+    s = total_capacity_fraction
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"total capacity fraction must lie in (0, 1), got {s}")
+    return float(dist.quantile(1.0 - s))
 
 
 def shared_cutoff(noise: NoiseSpec, values, n_colleges: int, share: float) -> float:
@@ -351,12 +356,21 @@ def continuum_regime(noise: NoiseSpec, values, share: float) -> str:
         _match_probability(noise, v, c, shared_cutoff(noise, values, c, share))
         for c in _REGIME_COLLEGES
     )
-    below = v < values.quantile(1.0 - share)
+    below = v < v_s_threshold(values, share)
     if below @ last <= (1.0 - _REGIME_FALL) * (below @ first):
         return "attenuating"
     if np.abs(last - share).max() <= (1.0 - _REGIME_FALL) * np.abs(first - share).max():
         return "amplifying"
     return "boundary"
+
+
+def rate_exponent(beta: float, gamma: float) -> float:
+    """Polynomial decay exponent of the mismatched mass in the college count.
+
+    gamma is the value law's Holder exponent: every law ``values`` builds is Lipschitz, so 1."""
+    if not (0 < beta < np.inf and 0 < gamma < np.inf):
+        raise ValueError(f"beta and gamma must be positive and finite, got beta={beta}, gamma={gamma}")
+    return 2.0 * beta * gamma / (3.0 * beta * gamma + 2.0 * beta + 5.0 * gamma + 6.0)
 
 
 def _value_grid(values) -> np.ndarray:

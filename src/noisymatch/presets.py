@@ -22,8 +22,6 @@ from .market import (
 )
 from .noise import NoiseSpec, Pareto
 
-PRESET_NAMES = ("fig1", "fig2")
-
 DEFAULT_SEED = 7
 DEFAULT_REPLICATIONS = 100
 DEFAULT_STUDENTS = 2000
@@ -57,12 +55,10 @@ def _build(coalitions, preferences, curves, *, noise, seed, replications, n_stud
     order, and U(0, 1) values and the same noise in every coalition."""
     colleges = []
     for k, (seats, count) in enumerate(coalitions, start=1):
-        if integer(count, "colleges") < 1:
-            raise ConfigError(f"colleges: must be >= 1, got {count}")
         first = len(colleges) + 1
         colleges += [
             College(id=first + i, capacity=cap, coalition=k)
-            for i, cap in enumerate(split_seats(seats, count))
+            for i, cap in enumerate(split_seats(seats, integer(count, "colleges", least=1)))
         ]
     spec = noise_from_token(noise)
     config = EconomyConfig(
@@ -125,9 +121,11 @@ def fig2(
     )
 
 
+PRESETS = {"fig1": fig1, "fig2": fig2}
+PRESET_NAMES = tuple(PRESETS)
+
+
 def preset(name: str, **overrides) -> tuple[EconomyConfig, ExperimentPlan]:
-    if name == "fig1":
-        return fig1(**overrides)
-    if name == "fig2":
-        return fig2(**overrides)
-    raise ConfigError(f"preset: unknown preset {name!r}, expected one of {PRESET_NAMES}")
+    if name not in PRESET_NAMES:
+        raise ConfigError(f"preset: unknown preset {name!r}, expected one of {PRESET_NAMES}")
+    return PRESETS[name](**overrides)

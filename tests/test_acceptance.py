@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from noisymatch.cli import EXIT_OK, main as cli_main
-from noisymatch.cutoffs import check_market_clearing, demand_all, rate_exponent
+from noisymatch import rate_exponent, v_s_threshold
+from noisymatch.cutoffs import check_market_clearing, demand_all
 from noisymatch.estimation import (
     amplification_metrics,
     attenuation_metrics,
@@ -33,7 +34,6 @@ from noisymatch.market import (
     UniformRandomPreferences,
     UniformValues,
     sample_market,
-    v_s_threshold,
 )
 from noisymatch.matching import (
     UNMATCHED,

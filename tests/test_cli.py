@@ -29,7 +29,16 @@ from noisymatch.config_io import (
 from noisymatch import estimation
 from noisymatch import market as market_module
 from noisymatch.errors import ConfigError
-from noisymatch.presets import NOISE_TOKENS, fig1, fig2, noise_from_token, preset, split_seats
+from noisymatch.presets import (
+    NOISE_TOKENS,
+    PRESET_NAMES,
+    PRESETS,
+    fig1,
+    fig2,
+    noise_from_token,
+    preset,
+    split_seats,
+)
 
 
 class TestPresets:
@@ -69,6 +78,18 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="preset"):
             preset("fig3")
+
+    def test_unknown_preset_lists_the_table_s_names(self):
+        # the CLI's --preset choices and this message both read the one table
+        assert PRESET_NAMES == tuple(PRESETS) == ("fig1", "fig2")
+        message = "preset: unknown preset 'fig3', expected one of ('fig1', 'fig2')"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            preset("fig3")
+
+    @pytest.mark.parametrize("name, build", [("fig1", fig1), ("fig2", fig2)], ids=["fig1", "fig2"])
+    def test_each_name_dispatches_to_its_builder(self, name, build):
+        assert PRESETS[name] is build
+        assert preset(name, colleges=4, noise="pareto") == build(colleges=4, noise="pareto")
 
     @pytest.mark.parametrize(
         "build, kwargs, message",

@@ -12,8 +12,8 @@ from noisymatch.cutoffs import (
     afford_from_matching,
     check_market_clearing,
     demand_all,
-    rate_exponent,
 )
+from noisymatch import rate_exponent
 from noisymatch.estimation import _survivors
 from noisymatch.market import sample_market
 from noisymatch.matching import UNMATCHED, deferred_acceptance, stacked_deferred_acceptance

@@ -32,12 +32,12 @@ from noisymatch.market import (
     sample_market,
     sample_stack,
     stream_rngs,
-    v_s_threshold,
     STREAM_NOISE,
     STREAM_PREFS,
     STREAM_VALUES,
 )
 from noisymatch import market as market_module
+from noisymatch import v_s_threshold
 from noisymatch.noise import Exponential, Gaussian, Gumbel, Pareto, Uniform
 
 
@@ -899,6 +899,20 @@ class TestStreams:
                 np.random.SeedSequence(seed, spawn_key=(replication, 0))
             with pytest.raises(ValueError, match="expected non-negative integer"):
                 stream_rngs(seed, range(replication, replication + 1), 0)
+
+    @pytest.mark.parametrize(
+        "request_",
+        [(4,), (4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64)],
+        ids=["default-dtype", "four-uint32", "eight-uint32", "two-uint64", "eight-uint64"],
+    )
+    def test_seed_words_serve_only_pcg64_s_request(self, request_):
+        # the seed words derived for PCG64 are four uint64 words; any other
+        # request would need words that were never derived
+        words = market_module._seed_words(7, range(1), STREAM_VALUES)[0]
+        seed = market_module._seed_words_type()(words)
+        assert seed.generate_state(4, np.uint64) is words
+        with pytest.raises(ValueError, match=r"^only PCG64's seed, four uint64 words, was derived$"):
+            seed.generate_state(*request_)
 
     def test_config_rejects_a_negative_master_seed(self):
         with pytest.raises(ConfigError, match=r"^master_seed: must be a non-negative integer, got -3$"):

@@ -785,7 +785,7 @@ def tied_market(n=3000, colleges=30, seed=5):
     return make_market(prefs, scores), [n // 3 // colleges] * colleges
 
 
-class TestScanSplit:
+class TestHelperThreads:
     """Only the preference draw may start a helper thread; the fixed point,
     its prune included, runs on the calling thread."""
 
